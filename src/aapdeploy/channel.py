@@ -4,8 +4,12 @@ The LoS-probability S-curve takes the elevation angle in degrees; everything
 else works in radians/metres.  The degree conversion happens in exactly one
 place (``elevation_deg``) to keep the classic unit bug out.
 
-All functions accept numpy arrays for the geometric arguments and broadcast,
-which the Monte-Carlo oracle relies on.
+All functions accept numpy arrays for the geometric arguments and broadcast:
+the Monte-Carlo oracle passes arrays of UE distances, and the GEE chain
+passes a whole altitude grid ``h`` with the threshold ``delta`` a scalar.
+Range checks use ``np.count_nonzero`` rather than ``np.any``: both accept
+scalars and arrays, but on a scalar comparison ``np.any`` costs about ten
+times more, and the scalar path still runs once per threshold.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ def path_loss(geom: UeAapGeometry, eta: float, env: EnvironmentParams) -> float:
 
 
 def _check_phi(phi_deg) -> None:
-    if np.any(phi_deg <= 0) or np.any(phi_deg > 90):
+    if np.count_nonzero(phi_deg <= 0) or np.count_nonzero(phi_deg > 90):
         raise ValueError("elevation angle must lie in (0, 90] degrees")
 
 
@@ -115,25 +119,26 @@ def mean_path_loss(geom: UeAapGeometry, env: EnvironmentParams) -> float:
     return float(mean_path_loss_rh(geom.r, geom.h, env))
 
 
-def coverage_radius(h: float, delta: float, env: EnvironmentParams) -> float:
+def coverage_radius(h, delta: float, env: EnvironmentParams):
     """Coverage radius h * cot(phi(delta)); 0.0 when the cell degenerates.
 
+    ``h`` may be a scalar or an altitude array (the result has its shape).
     A zero return marks the nadir-only (degenerate) cell; callers that cannot
     proceed with an empty cell raise DegenerateCoverageError.
     """
-    if h <= 0:
+    if np.count_nonzero(h <= 0):
         raise ValueError("altitude h must be strictly positive")
     phi = phi_from_delta(delta, env)
     if phi >= 90.0 - 1e-9:  # numerically nadir-only
-        return 0.0
+        return np.zeros(np.shape(h)) if np.ndim(h) else 0.0
     return h / math.tan(math.radians(phi))
 
 
-def require_coverage(h: float, delta: float, env: EnvironmentParams) -> float:
+def require_coverage(h, delta: float, env: EnvironmentParams):
     """Coverage radius, raising DegenerateCoverageError when it is zero."""
     r_a = coverage_radius(h, delta, env)
-    if r_a <= 0.0:
+    if np.count_nonzero(r_a <= 0.0):
         raise DegenerateCoverageError(
-            f"coverage region degenerate at h={h:g} m, delta={delta:g}"
+            f"coverage region degenerate at h={np.min(h):g} m, delta={delta:g}"
         )
     return r_a

@@ -67,33 +67,32 @@ CENTERS_COLUMNS = ["level", "ring_radius_m", "index_in_level", "x_m", "y_m"]
 
 
 def altitude_sweep_rows(scn: Scenario) -> list[list]:
+    """One row per (gamma, h); each gamma's altitude grid is one array call."""
     rows = []
     delta = scn.sweeps.delta
     zero_uav = UavEnergyParams.zero()
+    h_list = scn.sweeps.altitude_grid()
+    h = np.array(h_list)
     for gamma in scn.sweeps.gamma_list:
         sys_g = scn.system.with_gamma(gamma)
-        for h in scn.sweeps.altitude_grid():
-            rate = uplink.sum_rate(h, delta, sys_g, scn.environment)
-            power = uplink.expected_sum_power_closed_form(
-                h, delta, sys_g, scn.environment
-            )
-            e_uav = energy.uav_only_energy(h, sys_g, scn.uav)
-            e_total = energy.total_energy(h, power, sys_g, scn.uav)
-            e_total_zero = energy.total_energy(h, power, sys_g, zero_uav)
-            rows.append(
-                [
-                    gamma,
-                    h,
-                    delta,
-                    sys_g.service_time_t * rate / e_total,
-                    rate,
-                    e_total,
-                    e_uav,
-                    power,
-                    sys_g.service_time_t * rate / e_total_zero,
-                    e_total_zero,
-                ]
-            )
+        rate = uplink.sum_rate(h, delta, sys_g, scn.environment)
+        power = uplink.expected_sum_power_closed_form(h, delta, sys_g, scn.environment)
+        e_uav = energy.uav_only_energy(h, sys_g, scn.uav)
+        e_total = energy.total_energy(h, power, sys_g, scn.uav)
+        e_total_zero = energy.total_energy(h, power, sys_g, zero_uav)
+        columns = (
+            sys_g.service_time_t * rate / e_total,
+            rate,
+            e_total,
+            e_uav,
+            power,
+            sys_g.service_time_t * rate / e_total_zero,
+            e_total_zero,
+        )
+        rows.extend(
+            [gamma, h_m, delta, *values]
+            for h_m, *values in zip(h_list, *(c.tolist() for c in columns))
+        )
     return rows
 
 
@@ -149,16 +148,15 @@ def solution_to_dict(solution: gee.DeploymentSolution) -> dict:
     }
 
 
+def solve_scenario(scn: Scenario) -> gee.DeploymentSolution:
+    """Solve P1 on the scenario's threshold grid; the one solve path shared
+    by solve, place and density-sweep."""
+    delta_grid = gee.default_delta_grid(scn.environment, scn.sweeps.phi_grid())
+    return gee.solve_p1(scn.system, scn.environment, scn.uav, delta_grid)
+
+
 def cmd_solve(scn: Scenario, out_dir: Path) -> int:
-    delta_grid = gee.default_delta_grid(
-        scn.environment,
-        np.arange(
-            scn.sweeps.phi_start_deg,
-            scn.sweeps.phi_stop_deg + 1e-9,
-            scn.sweeps.phi_step_deg,
-        ),
-    )
-    solution = gee.solve_p1(scn.system, scn.environment, scn.uav, delta_grid)
+    solution = solve_scenario(scn)
     write_json_atomic(out_dir / "solution.json", solution_to_dict(solution))
     print(f"wrote {out_dir / 'solution.json'}")
     print(
@@ -228,13 +226,8 @@ def plan_from_dict(payload: dict) -> packing.PlacementPlan:
     )
 
 
-def _solved_coverage_radius(scn: Scenario) -> float:
-    solution = gee.solve_p1(scn.system, scn.environment, scn.uav)
-    return solution.r_a
-
-
 def cmd_place(scn: Scenario, out_dir: Path, r_a_override: float | None) -> int:
-    r_a = r_a_override if r_a_override is not None else _solved_coverage_radius(scn)
+    r_a = r_a_override if r_a_override is not None else solve_scenario(scn).r_a
     plan = packing.run_algorithm1(scn.system.area_radius_r, r_a)
     write_json_atomic(out_dir / "plan.json", plan_to_dict(plan))
     centers_rows = [
@@ -279,7 +272,7 @@ def density_sweep_rows(scn: Scenario, r_a: float) -> list[list]:
 
 
 def cmd_density_sweep(scn: Scenario, out_dir: Path, r_a_override: float | None) -> int:
-    r_a = r_a_override if r_a_override is not None else _solved_coverage_radius(scn)
+    r_a = r_a_override if r_a_override is not None else solve_scenario(scn).r_a
     rows = density_sweep_rows(scn, r_a)
     write_csv_atomic(out_dir / "density_sweep.csv", DENSITY_SWEEP_COLUMNS, rows)
     print(f"wrote {out_dir / 'density_sweep.csv'}")
@@ -384,6 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.trials < 1:
+            raise ConfigError(f"--trials must be at least 1, got {args.trials}")
         scn = load_scenario(args.scenario)
         out_dir = Path(args.out) if args.out is not None else scn.output_dir
         if args.command == "altitude-sweep":

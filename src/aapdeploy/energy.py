@@ -3,22 +3,27 @@ period.
 
 Climb energy is a one-shot cost; hover power accrues for the whole period T,
 as does the data-communication power (sum transmit power plus circuit power).
+Every function broadcasts over an altitude array ``h``; the checks count
+with ``np.count_nonzero``, which is cheaper than ``np.any`` on scalars.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .params import SystemParams, UavEnergyParams
 
 
-def _check_altitude(h: float, sys: SystemParams) -> None:
-    if not (sys.h_min <= h <= sys.h_max):
+def _check_altitude(h, sys: SystemParams) -> None:
+    outside = np.logical_not((sys.h_min <= h) & (h <= sys.h_max))
+    if np.count_nonzero(outside):
         raise ValueError(
-            f"altitude {h:g} m outside the permitted range "
+            f"altitude {np.extract(outside, h)[0]:g} m outside the permitted range "
             f"[{sys.h_min:g}, {sys.h_max:g}] m"
         )
 
 
-def uav_only_energy(h: float, sys: SystemParams, uav: UavEnergyParams) -> float:
+def uav_only_energy(h, sys: SystemParams, uav: UavEnergyParams):
     """Vehicle energy (J): climb one-shot plus hover power times T."""
     _check_altitude(h, sys)
     climb = uav.alpha_cl * h + uav.beta_cl
@@ -26,15 +31,13 @@ def uav_only_energy(h: float, sys: SystemParams, uav: UavEnergyParams) -> float:
     return climb + hover
 
 
-def total_energy(
-    h: float, mean_comm_power: float, sys: SystemParams, uav: UavEnergyParams
-) -> float:
+def total_energy(h, mean_comm_power, sys: SystemParams, uav: UavEnergyParams):
     """Total energy (J): vehicle energy plus (P̄_t + P_C) * T.
 
     mean_comm_power is the expected sum UE transmit power P̄_t; the circuit
-    power is added here.
+    power is added here.  Both may be arrays over altitude.
     """
-    if mean_comm_power < 0:
+    if np.count_nonzero(mean_comm_power < 0):
         raise ValueError("mean communication power must be non-negative")
     return (
         uav_only_energy(h, sys, uav)

@@ -5,6 +5,12 @@ The altitude solver does not blindly trust the decreasing-GEE argument: it
 audits monotonicity on a coarse altitude grid and falls back to a fine grid
 search when the audit fails (which happens for zeroed vehicle energy at low
 SNR).
+
+``gee_value`` broadcasts over an altitude array ``h`` with the threshold
+``delta`` a scalar, so the solver evaluates each threshold's audit grid and
+fallback grid in one array call.  Thresholds are still visited one at a time,
+which keeps memory at one altitude row rather than the full
+(threshold x altitude) matrix.
 """
 
 from __future__ import annotations
@@ -46,13 +52,16 @@ class DeploymentSolution:
 
 
 def gee_value(
-    h: float,
+    h,
     delta: float,
     sys: SystemParams,
     env: EnvironmentParams,
     uav: UavEnergyParams,
-) -> float:
-    """Global energy efficiency T * sum_rate / total_energy (bit/J)."""
+):
+    """Global energy efficiency T * sum_rate / total_energy (bit/J).
+
+    ``h`` may be a scalar or an altitude array; the result has its shape.
+    """
     rate = uplink.sum_rate(h, delta, sys, env)
     comm_power = uplink.expected_sum_power_closed_form(h, delta, sys, env)
     total = energy.total_energy(h, comm_power, sys, uav)
@@ -82,9 +91,8 @@ def _audit_monotone_decreasing(
     points: int = 24,
 ) -> bool:
     """True when GEE is non-increasing on a coarse altitude grid."""
-    grid = np.linspace(sys.h_min, h_ceiling, points)
-    values = [gee_value(float(h), delta, sys, env, uav) for h in grid]
-    return all(b <= a * (1.0 + 1e-12) for a, b in zip(values, values[1:]))
+    values = gee_value(np.linspace(sys.h_min, h_ceiling, points), delta, sys, env, uav)
+    return bool(np.all(values[1:] <= values[:-1] * (1.0 + 1e-12)))
 
 
 def solve_p1(
@@ -99,8 +107,10 @@ def solve_p1(
     Thresholds whose power-translated altitude ceiling lies below h_min are
     excluded as infeasible.  When the decreasing-GEE audit passes for every
     feasible threshold the altitude is pinned at h_min and only the threshold
-    is searched; otherwise both are grid searched.  Threshold ties break
-    toward the larger elevation angle (smaller cell).
+    is searched; otherwise both are grid searched, one array call per
+    threshold over its altitude row.  Threshold ties break toward the larger
+    elevation angle (smaller cell); within the grid search the first maximum
+    in (threshold, altitude) order wins.
     """
     if delta_grid is None:
         delta_grid = default_delta_grid(env)
@@ -133,15 +143,16 @@ def solve_p1(
     best: tuple[float, float, float] | None = None  # (gee, h, delta)
     if audit_passed:
         for delta, _ceiling in feasible:
-            value = gee_value(sys.h_min, delta, sys, env, uav)
+            value = float(gee_value(sys.h_min, delta, sys, env, uav))
             if best is None or value >= best[0]:
                 best = (value, sys.h_min, delta)
     else:
         for delta, ceiling in feasible:
-            for h in np.linspace(sys.h_min, ceiling, fallback_points):
-                value = gee_value(float(h), delta, sys, env, uav)
-                if best is None or value > best[0]:
-                    best = (value, float(h), delta)
+            grid = np.linspace(sys.h_min, ceiling, fallback_points)
+            values = gee_value(grid, delta, sys, env, uav)
+            i = int(np.argmax(values))
+            if best is None or values[i] > best[0]:
+                best = (float(values[i]), float(grid[i]), delta)
 
     gee_opt, h_opt, delta_opt = best
     ceiling_opt = _feasible_altitude_ceiling(delta_opt, sys, env)

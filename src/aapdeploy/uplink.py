@@ -3,6 +3,10 @@
 The closed-form sum power evaluates the mean excess loss at the cell-edge
 elevation (the edge-UE approximation); the exact variant integrates the
 r-dependent mean path loss numerically and is always <= the closed form.
+
+The closed-form sum power and the sum rate broadcast over an altitude array
+``h`` (the threshold ``delta`` stays a scalar), so a whole altitude grid is
+one call.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import quad
 
 from . import channel
@@ -17,8 +22,6 @@ from .errors import DegenerateCoverageError, QuadratureError
 from .params import EnvironmentParams, SystemParams
 
 QUAD_REL_TOL = 1e-10
-
-LOG2_E = math.log2(math.e)
 
 
 @dataclass(frozen=True)
@@ -57,8 +60,8 @@ def edge_mean_additional_loss(delta: float, env: EnvironmentParams) -> float:
 
 
 def expected_sum_power_closed_form(
-    h: float, delta: float, sys: SystemParams, env: EnvironmentParams
-) -> float:
+    h, delta: float, sys: SystemParams, env: EnvironmentParams
+):
     """Closed-form upper bound on the expected sum UE transmit power (W).
 
     2 pi rho P_a eta_m cot^2(phi) h^4 (cot^2(phi) + 2) / (4 g0), with eta_m
@@ -81,14 +84,7 @@ def expected_sum_power_closed_form(
     )
 
 
-def _sum_power_quadrature(
-    h: float,
-    r_a: float,
-    sys: SystemParams,
-    env: EnvironmentParams,
-    integrand,
-    rel_tol: float,
-) -> float:
+def _sum_power_quadrature(r_a: float, integrand, rel_tol: float) -> float:
     value, abserr = quad(integrand, 0.0, r_a, epsabs=0.0, epsrel=rel_tol, limit=200)
     if value != 0.0 and abserr > 10.0 * rel_tol * abs(value):
         raise QuadratureError(
@@ -121,7 +117,7 @@ def expected_sum_power_exact(
             * r
         )
 
-    return _sum_power_quadrature(h, r_a, sys, env, integrand, rel_tol)
+    return _sum_power_quadrature(r_a, integrand, rel_tol)
 
 
 def expected_sum_power_edge_quadrature(
@@ -151,7 +147,7 @@ def expected_sum_power_edge_quadrature(
             * r
         )
 
-    return _sum_power_quadrature(h, r_a, sys, env, integrand, rel_tol)
+    return _sum_power_quadrature(r_a, integrand, rel_tol)
 
 
 def sinr(n_ue: float, sys: SystemParams) -> float:
@@ -172,14 +168,12 @@ def per_ue_rate(
     return load.per_ue_bandwidth * math.log2(1.0 + sinr(load.n_ue, sys))
 
 
-def sum_rate_from_count(n_ue: float, sys: SystemParams) -> float:
-    """Cell sum rate W log2(1 + SINR) for an expected UE count."""
-    return sys.bandwidth_w * math.log2(1.0 + sinr(n_ue, sys))
+def sum_rate_from_count(n_ue, sys: SystemParams):
+    """Cell sum rate W log2(1 + SINR) for an expected UE count (or array)."""
+    return sys.bandwidth_w * np.log2(1.0 + sinr(n_ue, sys))
 
 
-def sum_rate(
-    h: float, delta: float, sys: SystemParams, env: EnvironmentParams
-) -> float:
+def sum_rate(h, delta: float, sys: SystemParams, env: EnvironmentParams):
     """Cell sum uplink rate (bit/s); saturates at W log2(1 + 1/M)."""
     r_a = channel.require_coverage(h, delta, env)
     return sum_rate_from_count(cell_ue_count(r_a, sys), sys)

@@ -207,6 +207,14 @@ def test_coverage_radius_composition(suburban_env):
     )
 
 
+def test_coverage_radius_broadcasts_over_altitude(suburban_env):
+    h = np.array([15.0, 40.0, 300.0])
+    radii = channel.coverage_radius(h, 0.9, suburban_env)
+    assert list(radii) == [channel.coverage_radius(float(x), 0.9, suburban_env) for x in h]
+    with pytest.raises(ValueError):
+        channel.coverage_radius(np.array([15.0, 0.0]), 0.9, suburban_env)
+
+
 def test_boundary_ue_property(suburban_env):
     h, delta = 15.0, 0.9
     r_a = channel.coverage_radius(h, delta, suburban_env)

@@ -157,6 +157,32 @@ def test_validate_passes(small_scenario, capsys):
     assert "[FAIL]" not in out
 
 
+def test_place_deploys_the_solved_radius(tmp_path):
+    # place and density-sweep must solve on the scenario's own threshold
+    # grid, not a built-in default: with phi starting at 30 deg the solved
+    # R_a (25.98 m) differs from the default-grid answer (38.57 m)
+    text = builtin_scenario_path("baseline").read_text()
+    path = tmp_path / "phi30.ini"
+    path.write_text(text.replace("phi_start_deg = 5", "phi_start_deg = 30"))
+    out = tmp_path / "out"
+    for verb in ("solve", "place", "density-sweep"):
+        assert run(["--scenario", str(path), "--out", str(out), verb]) == cli.EXIT_OK
+    solved = json.loads((out / "solution.json").read_text())["r_a_m"]
+    assert solved == pytest.approx(25.98, abs=0.01)
+    assert json.loads((out / "plan.json").read_text())["r_a_m"] == solved
+    rows = (out / "density_sweep.csv").read_text().splitlines()[1:]
+    assert all(float(row.split(",")[1]) == pytest.approx(solved, rel=1e-11) for row in rows)
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_nonpositive_trials_exits_config_error(small_scenario, trials, capsys):
+    code = run(["--scenario", small_scenario, "--trials", trials, "validate"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1
+
+
 def test_solve_respects_scenario_output_dir(tmp_path, monkeypatch, small_scenario):
     # without --out the scenario's own output directory is used
     monkeypatch.chdir(tmp_path)

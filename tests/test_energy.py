@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from aapdeploy import energy
@@ -64,6 +65,17 @@ def test_altitude_out_of_range(baseline_system, baseline_uav):
 def test_negative_comm_power_rejected(baseline_system, baseline_uav):
     with pytest.raises(ValueError):
         energy.total_energy(15.0, -1.0, baseline_system, baseline_uav)
+
+
+def test_array_altitudes_checked_elementwise(baseline_system, baseline_uav):
+    h = np.array([15.0, 60.0, 300.0])
+    energies = energy.total_energy(h, np.zeros(3), baseline_system, baseline_uav)
+    for h_i, e_i in zip(h, energies):
+        assert e_i == energy.total_energy(float(h_i), 0.0, baseline_system, baseline_uav)
+    with pytest.raises(ValueError, match="altitude 301 m"):
+        energy.uav_only_energy(np.array([15.0, 301.0]), baseline_system, baseline_uav)
+    with pytest.raises(ValueError):
+        energy.total_energy(h, np.array([0.0, -1.0, 0.0]), baseline_system, baseline_uav)
 
 
 def test_climb_energy_range_validation():

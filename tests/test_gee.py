@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aapdeploy import channel, energy, gee, uplink
 from aapdeploy.errors import InfeasibleError
-from aapdeploy.params import UavEnergyParams
+from aapdeploy.params import EnvironmentParams, UavEnergyParams
 
 from conftest import make_system
 
@@ -21,6 +22,30 @@ def test_gee_value_decomposition(suburban_env, baseline_system, baseline_uav):
     assert gee.gee_value(h, delta, baseline_system, suburban_env, baseline_uav) == (
         pytest.approx(expected, rel=1e-12)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    phi=st.floats(min_value=5.0, max_value=80.0),
+    gamma=st.sampled_from([0.01, 1.0, 100.0]),
+    zero_uav=st.booleans(),
+    heights=st.lists(st.floats(min_value=15.0, max_value=300.0), min_size=1, max_size=30),
+)
+def test_gee_value_broadcast_matches_scalar_calls(phi, gamma, zero_uav, heights):
+    # one array call over h must equal the element-wise scalar calls
+    env = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
+    sysp = make_system(gamma=gamma)
+    uav = (
+        UavEnergyParams.zero()
+        if zero_uav
+        else UavEnergyParams(315.0, -211.261, 4.917, 275.204)
+    )
+    delta = float(channel.los_probability(phi, env))
+    values = gee.gee_value(np.array(heights), delta, sysp, env, uav)
+    assert values.shape == (len(heights),)
+    for h, value in zip(heights, values):
+        scalar = gee.gee_value(h, delta, sysp, env, uav)
+        assert value == pytest.approx(scalar, rel=1e-12, abs=0.0)
 
 
 def test_gee_decreasing_in_altitude_baseline(
@@ -113,6 +138,25 @@ def test_solve_p1_fallback_interior(suburban_env):
     assert sol.gee > gee.gee_value(
         sysp.h_min, sol.delta_opt, sysp, suburban_env, UavEnergyParams.zero()
     )
+
+
+def test_solve_p1_fallback_matches_scalar_loop(suburban_env):
+    # reference: the scalar (threshold, altitude) loop with a strict '>' that
+    # the broadcast grid search replaced; same first maximum, same value
+    sysp, uav = make_system(gamma=0.01), UavEnergyParams.zero()
+    phis = np.arange(5.0, 60.0 + 1e-9, 5.0)
+    sol = gee.solve_p1(
+        sysp, suburban_env, uav, gee.default_delta_grid(suburban_env, phis), 40
+    )
+    best = None
+    for phi in phis:
+        delta = float(channel.los_probability(phi, suburban_env))
+        ceiling = gee._feasible_altitude_ceiling(delta, sysp, suburban_env)
+        for h in np.linspace(sysp.h_min, ceiling, 40):
+            value = gee.gee_value(float(h), delta, sysp, suburban_env, uav)
+            if best is None or value > best[0]:
+                best = (value, float(h), delta)
+    assert (sol.gee, sol.h_opt, sol.delta_opt) == best
 
 
 def test_derivative_diag_matches_finite_difference(suburban_env):

@@ -220,3 +220,7 @@ def test_degenerate_coverage_raises(baseline_system):
     assert channel.coverage_radius(15.0, delta_90, env) == 0.0
     with pytest.raises(DegenerateCoverageError):
         uplink.per_ue_rate(15.0, delta_90, baseline_system, env)
+    h = np.array([15.0, 30.0])
+    assert list(channel.coverage_radius(h, delta_90, env)) == [0.0, 0.0]
+    with pytest.raises(DegenerateCoverageError):
+        uplink.sum_rate(h, delta_90, baseline_system, env)
