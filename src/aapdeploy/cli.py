@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -186,44 +186,8 @@ def plan_to_dict(plan: packing.PlacementPlan) -> dict:
             }
             for level in plan.levels
         ],
-        "feasibility": {
-            "pairwise_ok": plan.feasibility.pairwise_ok,
-            "containment_ok": plan.feasibility.containment_ok,
-            "worst_pairwise_margin": plan.feasibility.worst_pairwise_margin,
-            "worst_containment_margin": plan.feasibility.worst_containment_margin,
-            "tolerance": plan.feasibility.tolerance,
-        },
+        "feasibility": asdict(plan.feasibility),
     }
-
-
-def plan_from_dict(payload: dict) -> packing.PlacementPlan:
-    levels = tuple(
-        packing.PackingLevel(
-            index=entry["index"],
-            ring_radius=entry["ring_radius_m"],
-            count=entry["count"],
-            center_radius=entry["center_radius_m"],
-            centers=tuple((c[0], c[1]) for c in entry["centers"]),
-            area_count_bound=entry["area_count_bound"],
-            geometric_count_bound=entry["geometric_count_bound"],
-        )
-        for entry in payload["levels"]
-    )
-    feasibility = packing.FeasibilityReport(
-        pairwise_ok=payload["feasibility"]["pairwise_ok"],
-        containment_ok=payload["feasibility"]["containment_ok"],
-        worst_pairwise_margin=payload["feasibility"]["worst_pairwise_margin"],
-        worst_containment_margin=payload["feasibility"]["worst_containment_margin"],
-        tolerance=payload["feasibility"]["tolerance"],
-    )
-    return packing.PlacementPlan(
-        levels=levels,
-        r_a=payload["r_a_m"],
-        area_radius=payload["area_radius_m"],
-        total_aaps=payload["total_aaps"],
-        packing_density=payload["packing_density"],
-        feasibility=feasibility,
-    )
 
 
 def cmd_place(scn: Scenario, out_dir: Path, r_a_override: float | None) -> int:
@@ -379,6 +343,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.trials < 1:
             raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+        if args.ra is not None and not (math.isfinite(args.ra) and args.ra > 0):
+            raise ConfigError(f"--ra must be a positive finite radius, got {args.ra}")
         scn = load_scenario(args.scenario)
         out_dir = Path(args.out) if args.out is not None else scn.output_dir
         if args.command == "altitude-sweep":

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import channel, energy, uplink
-from .errors import InfeasibleError
+from .errors import DegenerateCoverageError, InfeasibleError
 from .params import EnvironmentParams, SystemParams, UavEnergyParams
 
 LOG2_E = math.log2(math.e)
@@ -104,8 +104,10 @@ def solve_p1(
 ) -> DeploymentSolution:
     """Energy-efficiency-optimal altitude and LoS threshold.
 
-    Thresholds whose power-translated altitude ceiling lies below h_min are
-    excluded as infeasible.  When the decreasing-GEE audit passes for every
+    Thresholds whose cell degenerates to the nadir at h_min, or whose
+    power-translated altitude ceiling lies below h_min, are excluded as
+    infeasible; a threshold outside the LoS S-curve's image raises
+    ValueError.  When the decreasing-GEE audit passes for every
     feasible threshold the altitude is pinned at h_min and only the threshold
     is searched; otherwise both are grid searched, one array call per
     threshold over its altitude row.  Threshold ties break toward the larger
@@ -121,7 +123,7 @@ def solve_p1(
     for delta in delta_grid:
         try:
             channel.require_coverage(sys.h_min, delta, env)
-        except Exception:
+        except DegenerateCoverageError:
             continue
         ceiling = _feasible_altitude_ceiling(delta, sys, env)
         if ceiling >= sys.h_min:

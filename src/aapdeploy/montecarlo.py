@@ -115,34 +115,6 @@ class ApproximationGapReport:
     max_ue_los_probability: float
     trials: int
 
-    def csv_row(self) -> list[float]:
-        return [
-            self.h,
-            self.delta,
-            self.closed_form,
-            self.exact_quadrature,
-            self.empirical_mean,
-            self.relative_gap,
-            self.edge_los_probability,
-            self.min_ue_los_probability,
-            self.max_ue_los_probability,
-            float(self.trials),
-        ]
-
-
-APPROXIMATION_GAP_COLUMNS = [
-    "h",
-    "delta",
-    "sum_power_closed_form",
-    "sum_power_exact",
-    "sum_power_empirical",
-    "relative_gap",
-    "edge_los_probability",
-    "min_ue_los_probability",
-    "max_ue_los_probability",
-    "trials",
-]
-
 
 def approximation_gap_report(
     h: float,

@@ -1,16 +1,18 @@
 """Multilevel regular-polygon circle packing for AAP placement.
 
 Each level places equal circles of radius r_a tangent to the inside of the
-current ring of radius R_l; the next ring has radius R_l - 2 r_a.  The
-per-level count comes from an area (void-algebra) bound, clamped by the
-geometric pairwise-distance bound so that emitted plans always satisfy the
-non-overlap constraint.
+current ring of radius R_l; the next ring has radius R_l - 2 r_a.  One count
+rule (``ring_count``) gives every ring's count: 0, 1 or 2 below the
+three-circle ratio 2.1547, otherwise the area (void-algebra) bound clamped by
+the geometric pairwise-distance bound, so that emitted plans always satisfy
+the non-overlap constraint.  Levels stop at the first ring with count 0.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InfeasibleError
@@ -19,6 +21,13 @@ from .errors import InfeasibleError
 THREE_CIRCLE_RATIO = 1.0 + 1.0 / math.cos(math.pi / 6.0)
 
 GEOMETRY_REL_TOL = 1e-9
+
+# Slack, in multiples of r_a, on the one- and two-circle thresholds of the
+# count rule.  A ring R - 2 (l - 1) r_a that is exactly r_a or 2 r_a in real
+# arithmetic can round a few ulps below it, which would drop the last
+# level's circles at whole-number R/R_a.  Well inside GEOMETRY_REL_TOL, so the
+# verifier still accepts the resulting plans.
+RING_COUNT_SLACK = 1e-10
 
 
 def polygon_half_angle(n: int) -> float:
@@ -85,19 +94,22 @@ def count_bounds(ring_radius: float, r_a: float) -> LevelCountBounds:
     return LevelCountBounds(area_bound=n, geometric_bound=geometric)
 
 
-def max_count_per_level(ring_radius: float, r_a: float) -> int:
-    """Number of circles of radius r_a placeable along a ring of the given
-    radius: 0 (degenerate), 1, 2, or the clamped area-bound count."""
+def ring_count(ring_radius: float, r_a: float) -> tuple[int, LevelCountBounds | None]:
+    """The count rule: circles of radius r_a placeable along a ring of the
+    given radius (0 degenerate, 1 at the centre, 2 opposite, else the clamped
+    area bound) and, for three or more, both count bounds."""
     if r_a <= 0:
         raise ValueError("circle radius must be strictly positive")
-    if ring_radius < r_a:
-        return 0
-    if ring_radius < 2.0 * r_a:
-        return 1
-    if ring_radius < THREE_CIRCLE_RATIO * r_a:
-        return 2
-    bounds = count_bounds(ring_radius, r_a)
-    return min(bounds.area_bound, bounds.geometric_bound)
+    if ring_radius >= THREE_CIRCLE_RATIO * r_a:
+        bounds = count_bounds(ring_radius, r_a)
+        return min(bounds), bounds
+    ring = ring_radius + RING_COUNT_SLACK * r_a
+    return int(ring >= r_a) + int(ring >= 2.0 * r_a), None
+
+
+def max_count_per_level(ring_radius: float, r_a: float) -> int:
+    """Circle count of a ring under the count rule."""
+    return ring_count(ring_radius, r_a)[0]
 
 
 @dataclass(frozen=True)
@@ -146,68 +158,38 @@ class PlacementPlan:
     feasibility: FeasibilityReport
 
 
-def _level_centers(
-    count: int, center_radius: float, phase: float
-) -> tuple[tuple[float, float], ...]:
-    if count == 1:
-        return ((0.0, 0.0),)
+def _level_centers(count: int, center_radius: float) -> tuple[tuple[float, float], ...]:
     return tuple(
         (
-            center_radius * math.cos(2.0 * math.pi * m / count + phase),
-            center_radius * math.sin(2.0 * math.pi * m / count + phase),
+            center_radius * math.cos(2.0 * math.pi * m / count),
+            center_radius * math.sin(2.0 * math.pi * m / count),
         )
         for m in range(count)
     )
 
 
-def _build_levels(
-    area_radius: float, r_a: float, phase_offsets: Sequence[float] | None
-) -> list[PackingLevel]:
+def _build_levels(area_radius: float, r_a: float) -> list[PackingLevel]:
+    """Levels ring by ring until the first ring that holds no circle.  A ring
+    with two or fewer circles is below 2.1547 r_a, so the next one is empty."""
     levels: list[PackingLevel] = []
-    l = 1
-    while True:
-        ring = area_radius - 2.0 * (l - 1) * r_a
-        phase = 0.0
-        if phase_offsets is not None and l - 1 < len(phase_offsets):
-            phase = phase_offsets[l - 1]
-        if ring >= THREE_CIRCLE_RATIO * r_a:
-            bounds = count_bounds(ring, r_a)
-            count = min(bounds.area_bound, bounds.geometric_bound)
-            levels.append(
-                PackingLevel(
-                    index=l,
-                    ring_radius=ring,
-                    count=count,
-                    center_radius=ring - r_a,
-                    centers=_level_centers(count, ring - r_a, phase),
-                    area_count_bound=bounds.area_bound,
-                    geometric_count_bound=bounds.geometric_bound,
-                )
+    for index in itertools.count(1):
+        ring = area_radius - 2.0 * (index - 1) * r_a
+        count, bounds = ring_count(ring, r_a)
+        if count == 0:
+            return levels
+        center_radius = ring - r_a if count > 1 else 0.0
+        area_bound, geometric_bound = bounds or (None, None)
+        levels.append(
+            PackingLevel(
+                index=index,
+                ring_radius=ring,
+                count=count,
+                center_radius=center_radius,
+                centers=_level_centers(count, center_radius),
+                area_count_bound=area_bound,
+                geometric_count_bound=geometric_bound,
             )
-            l += 1
-            continue
-        if 2.0 * r_a <= ring:
-            levels.append(
-                PackingLevel(
-                    index=l,
-                    ring_radius=ring,
-                    count=2,
-                    center_radius=ring - r_a,
-                    centers=_level_centers(2, ring - r_a, phase),
-                )
-            )
-        elif r_a <= ring:
-            levels.append(
-                PackingLevel(
-                    index=l,
-                    ring_radius=ring,
-                    count=1,
-                    center_radius=0.0,
-                    centers=((0.0, 0.0),),
-                )
-            )
-        break
-    return levels
+        )
 
 
 def verify_levels(
@@ -257,17 +239,13 @@ def packing_density(total_aaps: int, r_a: float, area_radius: float) -> float:
     return total_aaps * r_a**2 / area_radius**2
 
 
-def run_algorithm1(
-    area_radius: float,
-    r_a: float,
-    phase_offsets: Sequence[float] | None = None,
-) -> PlacementPlan:
+def run_algorithm1(area_radius: float, r_a: float) -> PlacementPlan:
     """Multilevel regular-polygon placement of equal coverage circles.
 
     Levels shrink by 2 r_a per step; each multi-circle level's centres sit on
-    a circle of radius R_l - r_a at uniform angles (optionally offset per
-    level).  A terminal ring smaller than 2.1547 r_a holds two diametrically
-    opposite circles or a single one at the origin.
+    a circle of radius R_l - r_a at uniform angles starting on the +x axis.
+    A terminal ring smaller than 2.1547 r_a holds two diametrically opposite
+    circles or a single one at the origin.
     """
     if r_a <= 0:
         raise ValueError("coverage radius must be strictly positive")
@@ -276,7 +254,7 @@ def run_algorithm1(
             f"target radius {area_radius:g} m smaller than the coverage "
             f"radius {r_a:g} m"
         )
-    levels = _build_levels(area_radius, r_a, phase_offsets)
+    levels = _build_levels(area_radius, r_a)
     total = sum(level.count for level in levels)
     report = verify_levels(levels, r_a, area_radius)
     return PlacementPlan(

@@ -198,11 +198,16 @@ class UavEnergyParams:
         return cls(0.0, 0.0, 0.0, 0.0)
 
     def validate_range(self, h_min: float, h_max: float) -> None:
-        """Reject coefficient sets with non-positive climb energy in range."""
+        """Reject coefficient sets with non-positive climb energy or negative
+        hover power in range (both are linear in h, so the end points decide)."""
         if self == UavEnergyParams.zero():
             return
         for h in (h_min, h_max):
             if self.alpha_cl * h + self.beta_cl <= 0:
                 raise ConfigError(
                     f"climb energy non-positive at h={h} m; check alpha_cl/beta_cl"
+                )
+            if self.alpha_ho * h + self.beta_ho < 0:
+                raise ConfigError(
+                    f"hover power negative at h={h} m; check alpha_ho/beta_ho"
                 )

@@ -1,17 +1,24 @@
 """Scenario files: sectioned key-value configuration for the CLI.
 
 The format is INI-style with four physics sections (environment, system,
-uav, sweeps) plus seeds and output.  Unknown sections or keys are hard
-errors so a misspelled constant can never silently fall back to a default.
+uav, sweeps) plus output.  Unknown sections or keys are hard errors so a
+misspelled constant can never silently fall back to a default.  Every number
+must be finite, and the sweeps must lie where the model is defined: the
+altitude grid inside [h_min, h_max], the elevation grid inside (0, 90] deg
+and the LoS thresholds inside the S-curve's image.  A violation is a
+ConfigError when the file is loaded, never a failure halfway through a verb.
+The Monte-Carlo seed comes from the command line only.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from . import channel
 from .errors import ConfigError
 from .params import EnvironmentParams, SystemParams, UavEnergyParams
 
@@ -57,7 +64,6 @@ _KNOWN_KEYS: dict[str, set[str]] = {
         "gamma_list",
         "area_radius_list_m",
     },
-    "seeds": {"seeds"},
     "output": {"directory"},
 }
 
@@ -92,7 +98,7 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
         v = start + k * step
         if v > stop + 1e-9 * max(1.0, abs(stop)):
             break
-        values.append(v)
+        values.append(min(v, stop))
         k += 1
     if not values:
         raise ConfigError("empty sweep grid")
@@ -105,7 +111,6 @@ class Scenario:
     system: SystemParams
     uav: UavEnergyParams
     sweeps: SweepSpec
-    seeds: tuple[int, ...]
     output_dir: Path
 
 
@@ -115,18 +120,58 @@ def _get_float(section, key, default=None):
             raise ConfigError(f"missing required key '{key}'")
         return default
     try:
-        return float(section[key])
+        value = float(section[key])
     except ValueError as exc:
         raise ConfigError(f"key '{key}' is not a number: {section[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}' must be finite, got {section[key]!r}")
+    return value
 
 
 def _get_list(section, key, default=()):
     if key not in section:
         return tuple(default)
     try:
-        return tuple(float(part) for part in section[key].split(",") if part.strip())
+        values = tuple(float(part) for part in section[key].split(",") if part.strip())
     except ValueError as exc:
         raise ConfigError(f"key '{key}' is not a number list") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"key '{key}' must hold finite numbers only")
+    return values
+
+
+def _check_sweeps(
+    sweeps: SweepSpec, system: SystemParams, env: EnvironmentParams
+) -> None:
+    """Reject sweeps outside the model's domain.  The grids never pass their
+    stop value and the LoS probability rises with elevation, so checking the
+    end points covers every grid point."""
+    for name, value in (("h_start_m", sweeps.h_start), ("h_stop_m", sweeps.h_stop)):
+        if not system.h_min <= value <= system.h_max:
+            raise ConfigError(
+                f"sweep {name}={value:g} outside [h_min, h_max] = "
+                f"[{system.h_min:g}, {system.h_max:g}] m"
+            )
+    for name, value in (
+        ("phi_start_deg", sweeps.phi_start_deg),
+        ("phi_stop_deg", sweeps.phi_stop_deg),
+    ):
+        if not 0.0 < value <= 90.0:
+            raise ConfigError(f"sweep {name}={value:g} outside (0, 90] deg")
+        try:
+            channel.phi_from_delta(float(channel.los_probability(value, env)), env)
+        except ValueError as exc:
+            raise ConfigError(f"sweep {name}={value:g}: {exc}") from exc
+    try:
+        channel.phi_from_delta(sweeps.delta, env)
+    except ValueError as exc:
+        raise ConfigError(f"sweep delta: {exc}") from exc
+    for name, values in (
+        ("gamma_list", sweeps.gamma_list),
+        ("area_radius_list_m", sweeps.area_radius_list),
+    ):
+        if not all(v > 0 for v in values):
+            raise ConfigError(f"sweep {name} must hold positive values only")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -218,11 +263,7 @@ def load_scenario(path: str | Path) -> Scenario:
         ),
     )
 
-    seeds: tuple[int, ...] = (0,)
-    if "seeds" in parser and "seeds" in parser["seeds"]:
-        seeds = tuple(int(v) for v in _get_list(parser["seeds"], "seeds"))
-        if not seeds:
-            raise ConfigError("seeds list must not be empty")
+    _check_sweeps(sweeps, system, environment)
 
     out_dir = Path("out")
     if "output" in parser and "directory" in parser["output"]:
@@ -233,7 +274,6 @@ def load_scenario(path: str | Path) -> Scenario:
         system=system,
         uav=uav,
         sweeps=sweeps,
-        seeds=seeds,
         output_dir=out_dir,
     )
 

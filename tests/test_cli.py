@@ -63,6 +63,41 @@ def test_infeasible_place_exit_code(small_scenario, tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old,new,verb",
+    [
+        # NaN passes "a <= 0" and the solver then finds no threshold (exit 1)
+        ("a = 4.88", "a = nan", "solve"),
+        # each of these raises ValueError deep inside the verb if not caught
+        ("delta = 0.9", "delta = 0.01", "altitude-sweep"),
+        ("h_stop_m = 300", "h_stop_m = 400", "altitude-sweep"),
+        ("phi_start_deg = 5", "phi_start_deg = 0", "threshold-sweep"),
+        ("phi_start_deg = 5", "phi_start_deg = 0", "solve"),
+    ],
+)
+def test_bad_scenario_value_exits_config_error(
+    small_scenario, tmp_path, capsys, old, new, verb
+):
+    path = tmp_path / "bad.ini"
+    text = (tmp_path / "small.ini").read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    out = tmp_path / "o"
+    assert run(["--scenario", str(path), "--out", str(out), verb]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ra", ["0", "-5", "nan", "inf"])
+def test_bad_ra_exits_config_error(small_scenario, tmp_path, capsys, ra):
+    out = tmp_path / "o"
+    code = run(["--scenario", small_scenario, "--out", str(out), "--ra", ra, "place"])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: --ra")
+    assert not out.exists()
+
+
 def test_solve_writes_solution(small_scenario, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["--scenario", small_scenario, "--out", str(out), "solve"]) == cli.EXIT_OK
@@ -91,10 +126,8 @@ def test_place_and_plan_round_trip(small_scenario, tmp_path):
     )
     assert code == cli.EXIT_OK
     payload = json.loads((out / "plan.json").read_text())
-    plan = cli.plan_from_dict(payload)
-    assert cli.plan_to_dict(plan) == payload  # exact round trip
-    rebuilt = packing.run_algorithm1(plan.area_radius, plan.r_a)
-    assert rebuilt.total_aaps == plan.total_aaps
+    plan = packing.run_algorithm1(payload["area_radius_m"], payload["r_a_m"])
+    assert cli.plan_to_dict(plan) == payload  # the written plan is the rebuilt one
     assert packing.verify_plan(plan).all_ok
     # centres CSV has one row per AAP plus a header
     lines = (out / "centers.csv").read_text().splitlines()

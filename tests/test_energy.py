@@ -85,3 +85,11 @@ def test_climb_energy_range_validation():
     good = UavEnergyParams(315.0, -211.261, 4.917, 275.204)
     good.validate_range(15.0, 300.0)
     UavEnergyParams.zero().validate_range(15.0, 300.0)
+
+
+def test_hover_power_range_validation():
+    # negative hover power lets total energy pass through 0, where GEE is unbounded
+    bad = UavEnergyParams(315.0, -211.261, 4.917, -275.204)
+    with pytest.raises(ConfigError, match="hover power negative at h=15"):
+        bad.validate_range(15.0, 300.0)
+    UavEnergyParams(315.0, -211.261, 0.0, 0.0).validate_range(15.0, 300.0)

@@ -115,6 +115,16 @@ def test_solve_p1_infeasible_power_limit(suburban_env, baseline_uav):
         gee.solve_p1(sysp, suburban_env, baseline_uav, delta_grid=grid)
 
 
+@pytest.mark.parametrize("bad_delta", [0.001, 1.0, 1.5])
+def test_solve_p1_rejects_threshold_outside_s_curve(
+    suburban_env, baseline_system, baseline_uav, bad_delta
+):
+    # only a degenerate cell is skipped; a bad threshold is an error, not a gap
+    grid = gee.default_delta_grid(suburban_env, phi_grid_deg=[20.0, 40.0]) + [bad_delta]
+    with pytest.raises(ValueError):
+        gee.solve_p1(baseline_system, suburban_env, baseline_uav, delta_grid=grid)
+
+
 def test_solve_p1_fallback_interior(suburban_env):
     # low SNR with zeroed vehicle energy: GEE is not decreasing in h, the
     # audit fails and the grid search finds an interior optimum

@@ -135,17 +135,6 @@ def test_levels_shrink_by_two_radii():
         assert b == pytest.approx(a - 2.0)
 
 
-def test_phase_offsets_rotate_centers():
-    base = packing.run_algorithm1(5.0, 1.0)
-    rotated = packing.run_algorithm1(5.0, 1.0, phase_offsets=[math.pi / 7.0])
-    assert rotated.total_aaps == base.total_aaps
-    assert rotated.levels[0].centers != base.levels[0].centers
-    assert rotated.feasibility.all_ok
-    # rotation preserves the centre-ring radius
-    for (x, y) in rotated.levels[0].centers:
-        assert math.hypot(x, y) == pytest.approx(base.levels[0].center_radius)
-
-
 def test_verify_levels_detects_overlap():
     bad = packing.PackingLevel(
         index=1,
@@ -187,3 +176,79 @@ def test_density_matches_definition():
     assert plan.packing_density == pytest.approx(
         plan.total_aaps * 1.0 / 7.3**2, rel=1e-15
     )
+
+
+# (count, area bound, geometric bound) of every level at R/R_a = ratio.
+# Levels with two or fewer circles carry no bounds.
+PINNED_LEVELS = [
+    (1.0, [(1, None, None)]),
+    (1.5, [(1, None, None)]),
+    (2.0, [(2, None, None)]),
+    (2.1, [(2, None, None)]),
+    (packing.THREE_CIRCLE_RATIO, [(3, 3, 3)]),
+    (2.16, [(3, 3, 3)]),
+    (3.0, [(6, 6, 6), (1, None, None)]),
+    (3.9, [(8, 9, 8), (1, None, None)]),
+    (180.48 / 38.5724, [(11, 11, 11), (4, 5, 4)]),
+    (10.0, [(28, 28, 28), (21, 22, 21), (15, 15, 15), (9, 9, 9), (2, None, None)]),
+    (
+        30.0,
+        [(91, 91, 91), (84, 85, 84), (78, 78, 78), (72, 72, 72), (65, 66, 65),
+         (59, 59, 59), (53, 53, 53), (47, 47, 47), (40, 41, 40), (34, 34, 34),
+         (28, 28, 28), (21, 22, 21), (15, 15, 15), (9, 9, 9), (2, None, None)],
+    ),
+    (
+        80.0,
+        [(248, 248, 248), (241, 242, 241), (235, 235, 235), (229, 229, 229),
+         (223, 223, 223), (216, 217, 216), (210, 210, 210), (204, 204, 204),
+         (197, 198, 197), (191, 191, 191), (185, 185, 185), (179, 179, 179),
+         (172, 173, 172), (166, 166, 166), (160, 160, 160), (153, 154, 153),
+         (147, 147, 147), (141, 141, 141), (135, 135, 135), (128, 129, 128),
+         (122, 122, 122), (116, 116, 116), (109, 110, 109), (103, 103, 103),
+         (97, 97, 97), (91, 91, 91), (84, 85, 84), (78, 78, 78), (72, 72, 72),
+         (65, 66, 65), (59, 59, 59), (53, 53, 53), (47, 47, 47), (40, 41, 40),
+         (34, 34, 34), (28, 28, 28), (21, 22, 21), (15, 15, 15), (9, 9, 9),
+         (2, None, None)],
+    ),
+]
+
+
+@pytest.mark.parametrize("ratio,expected", PINNED_LEVELS)
+def test_pinned_level_counts_and_bounds(ratio, expected):
+    # _build_levels is run_algorithm1 without the O(N^2) verifier, which would
+    # spend seconds on the 5,005 AAPs at ratio 80.
+    levels = packing._build_levels(ratio, 1.0)
+    got = [
+        (level.count, level.area_count_bound, level.geometric_count_bound)
+        for level in levels
+    ]
+    assert got == expected
+    assert packing.max_count_per_level(ratio, 1.0) == expected[0][0]
+
+
+@pytest.mark.parametrize("r_a", [341.8936712461485, 0.1, 38.5724, 123.456789])
+@pytest.mark.parametrize("ratio,last_count", [(3, 1), (5, 1), (7, 1), (4, 2), (6, 2), (8, 2)])
+def test_whole_ratio_keeps_the_last_level(ratio, last_count, r_a):
+    # R - 2 (l - 1) r_a can round just below r_a or 2 r_a; the last level
+    # must still hold its centre circle or its opposite pair.
+    plan = packing.run_algorithm1(ratio * r_a, r_a)
+    assert plan.levels[-1].count == last_count
+    assert plan.feasibility.all_ok
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.floats(min_value=1.0, max_value=40.0),
+    st.floats(min_value=0.01, max_value=500.0),
+)
+def test_levels_follow_the_count_rule(ratio, r_a):
+    levels = packing._build_levels(ratio * r_a, r_a)
+    for level in levels:
+        assert level.count == packing.max_count_per_level(level.ring_radius, r_a)
+        assert len(level.centers) == level.count
+        if level.count >= 3:
+            bounds = packing.count_bounds(level.ring_radius, r_a)
+            assert level.area_count_bound == bounds.area_bound
+            assert level.geometric_count_bound == bounds.geometric_bound
+    next_ring = levels[-1].ring_radius - 2.0 * r_a
+    assert packing.max_count_per_level(next_ring, r_a) == 0

@@ -48,7 +48,6 @@ def test_load_minimal_scenario(tmp_path):
     assert scn.sweeps.delta == 0.9
     assert scn.sweeps.gamma_list == (pytest.approx(100.0),)
     assert scn.sweeps.area_radius_list == (pytest.approx(180.48),)
-    assert scn.seeds == (0,)
 
 
 def test_builtin_scenarios_load():
@@ -130,7 +129,71 @@ def test_sweep_bad_step(tmp_path):
 
 
 def test_seeds_and_output(tmp_path):
-    text = BASE + "\n[seeds]\nseeds = 1, 2, 3\n\n[output]\ndirectory = results\n"
-    scn = load_scenario(write(tmp_path, text))
-    assert scn.seeds == (1, 2, 3)
+    scn = load_scenario(write(tmp_path, BASE + "\n[output]\ndirectory = results\n"))
     assert str(scn.output_dir) == "results"
+    # the Monte-Carlo seed is the --seed flag; a [seeds] section would be ignored
+    text = BASE + "\n[seeds]\nseeds = 1, 2, 3\n"
+    with pytest.raises(ConfigError, match="unknown scenario section"):
+        load_scenario(write(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("a = 4.88", "a = nan"),
+        ("gamma = 100", "gamma = inf"),
+        ("h_max_m = 300", "h_max_m = -inf"),
+        ("beta_hover_w = 275.204", "beta_hover_w = NaN"),
+    ],
+)
+def test_non_finite_value_rejected(tmp_path, old, new):
+    with pytest.raises(ConfigError, match="must be finite"):
+        load_scenario(write(tmp_path, BASE.replace(old, new)))
+
+
+def test_non_finite_list_entry_rejected(tmp_path):
+    text = BASE + "\n[sweeps]\ngamma_list = 10, nan, 1000\n"
+    with pytest.raises(ConfigError, match="finite numbers only"):
+        load_scenario(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("delta", ["0.01", "1", "1.5", "-0.9", "0"])
+def test_sweep_delta_outside_the_s_curve_rejected(tmp_path, delta):
+    # delta_lower_bound is about 0.026 for this environment
+    with pytest.raises(ConfigError, match="sweep delta"):
+        load_scenario(write(tmp_path, BASE + f"\n[sweeps]\ndelta = {delta}\n"))
+
+
+@pytest.mark.parametrize("key,value", [("h_stop_m", 400), ("h_start_m", 10)])
+def test_altitude_sweep_outside_range_rejected(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=rf"sweep {key}=.*outside \[h_min, h_max\]"):
+        load_scenario(write(tmp_path, BASE + f"\n[sweeps]\n{key} = {value}\n"))
+
+
+@pytest.mark.parametrize(
+    "key,value", [("phi_start_deg", 0), ("phi_start_deg", -5), ("phi_stop_deg", 95)]
+)
+def test_phi_sweep_outside_range_rejected(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=rf"sweep {key}=.*outside \(0, 90\]"):
+        load_scenario(write(tmp_path, BASE + f"\n[sweeps]\n{key} = {value}\n"))
+
+
+def test_phi_sweep_end_point_without_a_threshold_rejected(tmp_path):
+    # with b = 1 the LoS probability at 90 deg rounds to exactly 1.0
+    text = BASE.replace("b = 0.43", "b = 1") + "\n[sweeps]\nphi_stop_deg = 90\n"
+    with pytest.raises(ConfigError, match="phi_stop_deg=90"):
+        load_scenario(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("key", ["gamma_list", "area_radius_list_m"])
+def test_non_positive_sweep_list_rejected(tmp_path, key):
+    text = BASE + f"\n[sweeps]\n{key} = 10, -20\n"
+    with pytest.raises(ConfigError, match=f"sweep {key} must hold positive"):
+        load_scenario(write(tmp_path, text))
+
+
+def test_sweep_grid_never_passes_its_stop(tmp_path):
+    # 0.1 + 2 * 0.1 is 0.30000000000000004 in binary floating point
+    text = BASE + "\n[sweeps]\nphi_start_deg = 0.1\nphi_stop_deg = 0.3\nphi_step_deg = 0.1\n"
+    scn = load_scenario(write(tmp_path, text))
+    assert scn.sweeps.phi_grid() == [0.1, 0.2, 0.3]
