@@ -6,6 +6,10 @@ rule (``ring_count``) gives every ring's count: 0, 1 or 2 below the
 three-circle ratio 2.1547, otherwise the area (void-algebra) bound clamped by
 the geometric pairwise-distance bound, so that emitted plans always satisfy
 the non-overlap constraint.  Levels stop at the first ring with count 0.
+
+Every plan is re-verified by ``verify_levels``, a KD-tree neighbour search,
+O(N log N) in the number of circles, that reports the same margins as a loop
+over every pair.
 """
 
 from __future__ import annotations
@@ -15,12 +19,21 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+import numpy as np
+from scipy.spatial import cKDTree
+
 from .errors import InfeasibleError
 
 # Smallest ring-to-circle radius ratio admitting three circles: 1 + sec(30 deg).
 THREE_CIRCLE_RATIO = 1.0 + 1.0 / math.cos(math.pi / 6.0)
 
 GEOMETRY_REL_TOL = 1e-9
+
+# Slack on the search radius for near-minimal pairs in verify_levels: relative
+# to the minimum pair distance, plus a multiple of r_a for distances whose
+# squares underflow.
+NEAR_MIN_REL = 1e-9
+NEAR_MIN_ABS = 1e-12
 
 # Slack, in multiples of r_a, on the one- and two-circle thresholds of the
 # count rule.  A ring R - 2 (l - 1) r_a that is exactly r_a or 2 r_a in real
@@ -198,27 +211,40 @@ def verify_levels(
     area_radius: float,
     tolerance: float | None = None,
 ) -> FeasibilityReport:
-    """Check pairwise separation and containment for a set of levels."""
+    """Check pairwise separation and containment for a set of levels.
+
+    A KD-tree gives the minimum pair distance d_min up to its rounding; only
+    the pairs within d_min (1 + NEAR_MIN_REL) + NEAR_MIN_ABS r_a, a slack far
+    wider than that rounding, are recomputed with math.hypot.  Containment
+    takes each level's largest centre norm against the smaller of its two
+    limits.  Rounding is monotone, so both margins are the same floats as
+    the minima over every pair and every centre.
+    """
+    if r_a <= 0:
+        raise ValueError("circle radius must be strictly positive")
     tol = GEOMETRY_REL_TOL * r_a if tolerance is None else tolerance
-    centers = [(c, level.ring_radius) for level in levels for c in level.centers]
+    centers = [c for level in levels for c in level.centers]
 
     worst_pair = math.inf
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            (xi, yi), _ = centers[i]
-            (xj, yj), _ = centers[j]
-            worst_pair = min(
-                worst_pair, math.hypot(xi - xj, yi - yj) - 2.0 * r_a
-            )
+    if len(centers) > 1:
+        xy = np.array(centers, dtype=float)
+        tree = cKDTree(xy)
+        d_min = float(tree.query(xy, k=2)[0][:, 1].min())
+        radius = d_min * (1.0 + NEAR_MIN_REL) + NEAR_MIN_ABS * r_a
+        for i, j in tree.query_pairs(radius, output_type="ndarray").tolist():
+            (xi, yi), (xj, yj) = centers[i], centers[j]
+            worst_pair = min(worst_pair, math.hypot(xi - xj, yi - yj) - 2.0 * r_a)
 
-    worst_contain = math.inf
-    for (x, y), ring in centers:
-        norm = math.hypot(x, y)
-        worst_contain = min(
-            worst_contain,
-            area_radius - norm - r_a,
-            ring - norm - r_a,
-        )
+    worst_contain = min(
+        (
+            min(area_radius, level.ring_radius)
+            - max(map(math.hypot, *zip(*level.centers)))
+            - r_a
+            for level in levels
+            if level.centers
+        ),
+        default=math.inf,
+    )
 
     return FeasibilityReport(
         pairwise_ok=worst_pair >= -tol,

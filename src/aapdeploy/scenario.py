@@ -5,7 +5,8 @@ uav, sweeps) plus output.  Unknown sections or keys are hard errors so a
 misspelled constant can never silently fall back to a default.  Every number
 must be finite, and the sweeps must lie where the model is defined: the
 altitude grid inside [h_min, h_max], the elevation grid inside (0, 90] deg
-and the LoS thresholds inside the S-curve's image.  A violation is a
+and the LoS thresholds inside the S-curve's image; each grid needs a positive
+step and a start no greater than its stop.  A violation is a
 ConfigError when the file is loaded, never a failure halfway through a verb.
 The Monte-Carlo seed comes from the command line only.
 """
@@ -90,19 +91,16 @@ class SweepSpec:
 
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
-    if step <= 0:
-        raise ConfigError("sweep step must be strictly positive")
+    """start, start + step, ... up to stop; load_scenario has checked that
+    step > 0 and start <= stop, so the grid is finite and never empty."""
     values = []
     k = 0
     while True:
         v = start + k * step
         if v > stop + 1e-9 * max(1.0, abs(stop)):
-            break
+            return values
         values.append(min(v, stop))
         k += 1
-    if not values:
-        raise ConfigError("empty sweep grid")
-    return values
 
 
 @dataclass(frozen=True)
@@ -172,6 +170,18 @@ def _check_sweeps(
     ):
         if not all(v > 0 for v in values):
             raise ConfigError(f"sweep {name} must hold positive values only")
+    for axis, unit, start, stop, step in (
+        ("h", "m", sweeps.h_start, sweeps.h_stop, sweeps.h_step),
+        ("phi", "deg", sweeps.phi_start_deg, sweeps.phi_stop_deg, sweeps.phi_step_deg),
+    ):
+        if not step > 0:
+            raise ConfigError(
+                f"sweep {axis}_step_{unit}={step:g} must be strictly positive"
+            )
+        if start > stop:
+            raise ConfigError(
+                f"sweep {axis}_start_{unit}={start:g} above {axis}_stop_{unit}={stop:g}"
+            )
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -73,6 +73,12 @@ def test_infeasible_place_exit_code(small_scenario, tmp_path, capsys):
         ("h_stop_m = 300", "h_stop_m = 400", "altitude-sweep"),
         ("phi_start_deg = 5", "phi_start_deg = 0", "threshold-sweep"),
         ("phi_start_deg = 5", "phi_start_deg = 0", "solve"),
+        # a bad step fails at load on every verb, not only on the verb that
+        # builds that grid
+        ("h_step_m = 95", "h_step_m = -95", "solve"),
+        ("h_step_m = 95", "h_step_m = -95", "place"),
+        ("h_step_m = 95", "h_step_m = -95", "threshold-sweep"),
+        ("phi_step_deg = 5", "phi_step_deg = -5", "altitude-sweep"),
     ],
 )
 def test_bad_scenario_value_exits_config_error(

@@ -3,8 +3,8 @@
 Each example mutates a small copy of the baseline scenario (drop a key, a
 non-finite value, a sign flip, an out-of-range sweep) and runs one verb.
 Whatever the mutation, no exception may escape and the exit code must be
-0, 1 or 2; a non-finite value or an out-of-range sweep must exit 2 with one
-``configuration error:`` line.
+0, 1 or 2; a non-finite value, an out-of-range sweep or a negative sweep
+step must exit 2 with one ``configuration error:`` line.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ OUT_OF_RANGE = {
     "area_radius_list_m": ["0, 180.48"],
 }
 NON_FINITE = ["nan", "inf", "-inf", "NaN"]
+# A negative step is rejected at load, whichever grid the verb builds.
+STEP_KEYS = ("h_step_m", "phi_step_deg")
 
 
 def _flip(value: str) -> str:
@@ -92,7 +94,10 @@ def test_mutated_scenarios_fail_closed(changes, verb):
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(["--scenario", str(path), "--out", str(Path(tmp) / "o"), verb])
     assert code in (cli.EXIT_OK, cli.EXIT_INFEASIBLE, cli.EXIT_CONFIG)
-    if any(kind in ("non_finite", "out_of_range") for _key, kind, _v in changes):
+    if any(
+        kind in ("non_finite", "out_of_range") or (kind == "flip" and key in STEP_KEYS)
+        for key, kind, _v in changes
+    ):
         assert code == cli.EXIT_CONFIG
     if code == cli.EXIT_CONFIG:
         err = stderr.getvalue().splitlines()

@@ -215,8 +215,6 @@ PINNED_LEVELS = [
 
 @pytest.mark.parametrize("ratio,expected", PINNED_LEVELS)
 def test_pinned_level_counts_and_bounds(ratio, expected):
-    # _build_levels is run_algorithm1 without the O(N^2) verifier, which would
-    # spend seconds on the 5,005 AAPs at ratio 80.
     levels = packing._build_levels(ratio, 1.0)
     got = [
         (level.count, level.area_count_bound, level.geometric_count_bound)
@@ -252,3 +250,135 @@ def test_levels_follow_the_count_rule(ratio, r_a):
             assert level.geometric_count_bound == bounds.geometric_bound
     next_ring = levels[-1].ring_radius - 2.0 * r_a
     assert packing.max_count_per_level(next_ring, r_a) == 0
+
+
+def reference_report(levels, r_a, area_radius, tolerance=None):
+    """The brute-force verifier: math.hypot over all N (N - 1) / 2 pairs and
+    over every centre against both the area radius and its ring radius."""
+    tol = packing.GEOMETRY_REL_TOL * r_a if tolerance is None else tolerance
+    centers = [(c, level.ring_radius) for level in levels for c in level.centers]
+
+    worst_pair = math.inf
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            (xi, yi), _ = centers[i]
+            (xj, yj), _ = centers[j]
+            worst_pair = min(worst_pair, math.hypot(xi - xj, yi - yj) - 2.0 * r_a)
+
+    worst_contain = math.inf
+    for (x, y), ring in centers:
+        norm = math.hypot(x, y)
+        worst_contain = min(
+            worst_contain, area_radius - norm - r_a, ring - norm - r_a
+        )
+
+    return packing.FeasibilityReport(
+        pairwise_ok=worst_pair >= -tol,
+        containment_ok=worst_contain >= -tol,
+        worst_pairwise_margin=worst_pair if worst_pair != math.inf else 0.0,
+        worst_containment_margin=worst_contain if worst_contain != math.inf else 0.0,
+        tolerance=tol,
+    )
+
+
+def _level(centers, ring_radius=4.0):
+    return packing.PackingLevel(
+        index=1,
+        ring_radius=ring_radius,
+        count=len(centers),
+        center_radius=0.0,
+        centers=tuple(centers),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=1.0, max_value=30.0),
+    st.floats(min_value=0.01, max_value=500.0),
+)
+def test_verifier_equals_the_pair_loop(ratio, r_a):
+    # bit-identical margins: plan.json writes them at 12 significant digits
+    levels = packing._build_levels(ratio * r_a, r_a)
+    assert packing.verify_levels(levels, r_a, ratio * r_a) == reference_report(
+        levels, r_a, ratio * r_a
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=-6.0, max_value=6.0),
+            st.floats(min_value=-6.0, max_value=6.0),
+        ),
+        max_size=40,
+    ),
+    st.floats(min_value=0.05, max_value=3.0),
+)
+def test_verifier_equals_the_pair_loop_on_any_centres(points, r_a):
+    levels = [_level(points[: len(points) // 2], 4.0), _level(points[len(points) // 2 :], 7.0)]
+    assert packing.verify_levels(levels, r_a, 5.0) == reference_report(levels, r_a, 5.0)
+
+
+@pytest.mark.parametrize(
+    "centers,pairwise,containment",
+    [
+        # an overlap: centres 1.5 apart, circles of radius 1
+        ([(0.0, 0.0), (1.5, 0.0), (0.0, 2.5)], -0.5, 0.5),
+        # duplicate centres
+        ([(1.0, 1.0), (-2.0, 0.5), (1.0, 1.0)], -2.0, 4.0 - math.hypot(-2.0, 0.5) - 1.0),
+        # a single centre: no pair
+        ([(0.5, 0.0)], 0.0, 2.5),
+        # no centre
+        ([], 0.0, 0.0),
+    ],
+)
+def test_verifier_hand_cases(centers, pairwise, containment):
+    levels = [_level(centers)]
+    report = packing.verify_levels(levels, 1.0, 4.0)
+    assert report == reference_report(levels, 1.0, 4.0)
+    assert report.worst_pairwise_margin == pairwise
+    assert report.worst_containment_margin == pytest.approx(containment, abs=1e-15)
+    assert report.pairwise_ok == (len(centers) < 2 or pairwise >= 0)
+
+
+@pytest.mark.parametrize("r_a", [0.1, 38.5724, 341.8936712461485])
+def test_duplicate_centres_give_minus_two_radii(r_a):
+    centers = [(3.0 * r_a, 0.0), (0.0, 0.0), (3.0 * r_a, 0.0)]
+    report = packing.verify_levels([_level(centers, 5.0 * r_a)], r_a, 5.0 * r_a)
+    assert report.worst_pairwise_margin == -2.0 * r_a
+    assert not report.pairwise_ok
+
+
+def test_verifier_rejects_nonpositive_radius():
+    with pytest.raises(ValueError):
+        packing.verify_levels([_level([(0.0, 0.0), (3.0, 0.0)])], 0.0, 4.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=packing.THREE_CIRCLE_RATIO, max_value=60.0),
+    st.floats(min_value=0.01, max_value=500.0),
+)
+def test_verifier_agrees_with_the_adjacent_chord(ratio, r_a):
+    # Adjacent centres of an n-circle ring are 2 (R_l - r_a) sin(pi / n)
+    # apart, a closed form independent of the neighbour search.
+    plan = packing.run_algorithm1(ratio * r_a, r_a)
+    tol = plan.feasibility.tolerance
+    chord_margins = [
+        2.0 * (level.ring_radius - r_a) * math.sin(math.pi / level.count) - 2.0 * r_a
+        for level in plan.levels
+        if level.count >= 3
+    ]
+    assert chord_margins
+    assert min(chord_margins) >= -tol
+    assert plan.feasibility.worst_pairwise_margin <= min(chord_margins) + 1e-9 * r_a
+
+
+@pytest.mark.parametrize("ratio,total", [(100, 7828), (300, 70609)])
+def test_fleet_scale_plans(ratio, total):
+    # A pair loop would need minutes at 70,609 AAPs; the neighbour search
+    # takes a fraction of a second.
+    plan = packing.run_algorithm1(1000.0, 1000.0 / ratio)
+    assert plan.total_aaps == total
+    assert plan.feasibility.all_ok

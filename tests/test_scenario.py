@@ -122,10 +122,22 @@ def test_sweep_single_point_grid(tmp_path):
 
 
 def test_sweep_bad_step(tmp_path):
-    text = BASE + "\n[sweeps]\nh_step_m = -1\n"
-    scn = load_scenario(write(tmp_path, text))
-    with pytest.raises(ConfigError):
-        scn.sweeps.altitude_grid()
+    # rejected when the file is loaded, whichever verb would use the grid
+    for sweep in ("h_step_m = -1", "h_step_m = 0", "phi_step_deg = -0.25", "phi_step_deg = 0"):
+        with pytest.raises(ConfigError, match="must be strictly positive"):
+            load_scenario(write(tmp_path, BASE + f"\n[sweeps]\n{sweep}\n"))
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        "h_start_m = 200\nh_stop_m = 100",
+        "phi_start_deg = 40\nphi_stop_deg = 30",
+    ],
+)
+def test_sweep_start_above_stop(tmp_path, sweep):
+    with pytest.raises(ConfigError, match="above"):
+        load_scenario(write(tmp_path, BASE + f"\n[sweeps]\n{sweep}\n"))
 
 
 def test_seeds_and_output(tmp_path):
