@@ -96,9 +96,19 @@ def count_bounds(ring_radius: float, r_a: float) -> LevelCountBounds:
     if ratio < THREE_CIRCLE_RATIO:
         raise ValueError("ring too small for a three-circle level")
     budget = math.pi * ratio**2 * (1.0 + 1e-12)
-    n = 3
-    while (n + 1) * prop2_bracket(n + 1) <= budget:
-        n += 1
+    # Largest n >= 3 with n * prop2_bracket(n) <= budget, by bisection: the
+    # product is strictly increasing in n.  lo always qualifies (or is 3),
+    # hi never does.
+    lo, hi = 3, 4
+    while hi * prop2_bracket(hi) <= budget:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid * prop2_bracket(mid) <= budget:
+            lo = mid
+        else:
+            hi = mid
+    n = lo
     # Centres sit on a circle of radius ring_radius - r_a; adjacent chord
     # length 2 (ring_radius - r_a) sin(pi/n) must be >= 2 r_a.
     geometric = int(

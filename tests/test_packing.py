@@ -96,6 +96,46 @@ def test_count_bounds_respect_geometry():
         assert chord >= 2.0 * (1.0 - 1e-9)
 
 
+def reference_area_bound(ring_radius, r_a):
+    """The linear count scan: raise n from 3 while the next count fits."""
+    budget = math.pi * (ring_radius / r_a) ** 2 * (1.0 + 1e-12)
+    n = 3
+    while (n + 1) * packing.prop2_bracket(n + 1) <= budget:
+        n += 1
+    return n
+
+
+def _edge_ratios(n):
+    """Ring ratios at the float edge where the area bound reaches n."""
+    edge = math.sqrt(n * packing.prop2_bracket(n) / (math.pi * (1.0 + 1e-12)))
+    below = math.nextafter(edge, 0.0)
+    return [math.nextafter(below, 0.0), below, edge, math.nextafter(edge, math.inf)]
+
+
+@pytest.mark.parametrize("n_range", [range(3, 200), range(200, 1000, 7)])
+def test_area_bound_equals_the_linear_scan_at_every_edge(n_range):
+    # n up to 1000 covers ring ratios up to about 300.
+    for n in n_range:
+        for ratio in _edge_ratios(n):
+            if ratio >= packing.THREE_CIRCLE_RATIO:
+                assert packing.count_bounds(ratio, 1.0).area_bound == (
+                    reference_area_bound(ratio, 1.0)
+                )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(min_value=packing.THREE_CIRCLE_RATIO, max_value=300.0),
+    st.floats(min_value=0.01, max_value=500.0),
+)
+def test_area_bound_equals_the_linear_scan(ratio, r_a):
+    ring = ratio * r_a
+    if ring >= packing.THREE_CIRCLE_RATIO * r_a:
+        assert packing.count_bounds(ring, r_a).area_bound == (
+            reference_area_bound(ring, r_a)
+        )
+
+
 def test_gold_case_three_to_one():
     # R = 3 r_a: outer hexagon ring plus a single centre circle
     plan = packing.run_algorithm1(3.0, 1.0)
