@@ -1,4 +1,4 @@
-"""Air-to-ground channel: path loss, LoS probability and coverage radius.
+"""Air-to-ground channel: LoS probability, mean path loss and coverage radius.
 
 The LoS-probability S-curve takes the elevation angle in degrees; everything
 else works in radians/metres.  The degree conversion happens in exactly one
@@ -15,7 +15,6 @@ times more, and the scalar path still runs once per threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,40 +22,9 @@ from .errors import DegenerateCoverageError
 from .params import EnvironmentParams
 
 
-@dataclass(frozen=True)
-class UeAapGeometry:
-    """Horizontal UE distance r (m) and AAP altitude h (m) for one link."""
-
-    r: float
-    h: float
-
-    def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ValueError("horizontal distance r must be non-negative")
-        if self.h <= 0:
-            raise ValueError("altitude h must be strictly positive")
-
-    @property
-    def distance(self) -> float:
-        """Slant UE-AAP distance sqrt(r^2 + h^2)."""
-        return math.hypot(self.r, self.h)
-
-    @property
-    def elevation_deg(self) -> float:
-        """Elevation angle in degrees; 90 exactly for the nadir UE (r=0)."""
-        return elevation_deg(self.r, self.h)
-
-
 def elevation_deg(r, h):
     """Elevation angle (degrees) of the AAP as seen from a ground UE."""
     return np.degrees(np.arctan2(h, r))
-
-
-def path_loss(geom: UeAapGeometry, eta: float, env: EnvironmentParams) -> float:
-    """Path loss eta * d^2 / g0 for a fixed excess-loss ratio eta."""
-    if eta <= 0:
-        raise ValueError("excess loss eta must be strictly positive")
-    return eta * (geom.r**2 + geom.h**2) / env.g0
 
 
 def _check_phi(phi_deg) -> None:
@@ -107,16 +75,11 @@ def mean_additional_path_loss(phi_deg, env: EnvironmentParams):
 def mean_path_loss_rh(r, h, env: EnvironmentParams):
     """Probabilistic mean path loss for horizontal distance r and altitude h.
 
-    Array-friendly core used by both the scalar API and the Monte-Carlo
-    oracle; uses each UE's own elevation angle (no edge approximation).
+    Array-friendly: the Monte-Carlo oracle passes every UE's distance at once.
+    Uses each UE's own elevation angle (no edge approximation).
     """
     eta_m = mean_additional_path_loss(elevation_deg(r, h), env)
     return eta_m * (np.asarray(r, dtype=float) ** 2 + h**2) / env.g0
-
-
-def mean_path_loss(geom: UeAapGeometry, env: EnvironmentParams) -> float:
-    """Probabilistic mean path loss for one UE-AAP link."""
-    return float(mean_path_loss_rh(geom.r, geom.h, env))
 
 
 def coverage_radius(h, delta: float, env: EnvironmentParams):

@@ -343,6 +343,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.trials < 1:
             raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         if args.ra is not None and not (math.isfinite(args.ra) and args.ra > 0):
             raise ConfigError(f"--ra must be a positive finite radius, got {args.ra}")
         scn = load_scenario(args.scenario)

@@ -1,5 +1,4 @@
-"""Global energy efficiency: objective, altitude optimization and the
-sum-rate derivative diagnostic.
+"""Global energy efficiency: objective and altitude optimization.
 
 The altitude solver does not blindly trust the decreasing-GEE argument: it
 audits monotonicity on a coarse altitude grid and falls back to a fine grid
@@ -16,9 +15,8 @@ which keeps memory at one altitude row rather than the full
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,9 +24,10 @@ from . import channel, energy, uplink
 from .errors import DegenerateCoverageError, InfeasibleError
 from .params import EnvironmentParams, SystemParams, UavEnergyParams
 
-LOG2_E = math.log2(math.e)
-
-DEFAULT_PHI_GRID_DEG = np.arange(5.0, 89.0 + 1e-9, 0.25)
+# Altitudes on the coarse grid of the decreasing-GEE audit, and on each
+# threshold's row of the fallback grid search.
+AUDIT_POINTS = 24
+FALLBACK_POINTS = 286
 
 
 class BindingConstraint(enum.Enum):
@@ -68,10 +67,8 @@ def gee_value(
     return sys.service_time_t * rate / total
 
 
-def default_delta_grid(env: EnvironmentParams, phi_grid_deg=None) -> list[float]:
-    """LoS thresholds corresponding to a uniform elevation-angle grid."""
-    if phi_grid_deg is None:
-        phi_grid_deg = DEFAULT_PHI_GRID_DEG
+def default_delta_grid(env: EnvironmentParams, phi_grid_deg) -> list[float]:
+    """LoS thresholds corresponding to an elevation-angle grid (degrees)."""
     return [float(channel.los_probability(phi, env)) for phi in phi_grid_deg]
 
 
@@ -88,10 +85,10 @@ def _audit_monotone_decreasing(
     env: EnvironmentParams,
     uav: UavEnergyParams,
     h_ceiling: float,
-    points: int = 24,
 ) -> bool:
     """True when GEE is non-increasing on a coarse altitude grid."""
-    values = gee_value(np.linspace(sys.h_min, h_ceiling, points), delta, sys, env, uav)
+    grid = np.linspace(sys.h_min, h_ceiling, AUDIT_POINTS)
+    values = gee_value(grid, delta, sys, env, uav)
     return bool(np.all(values[1:] <= values[:-1] * (1.0 + 1e-12)))
 
 
@@ -99,8 +96,7 @@ def solve_p1(
     sys: SystemParams,
     env: EnvironmentParams,
     uav: UavEnergyParams,
-    delta_grid: Sequence[float] | None = None,
-    fallback_points: int = 286,
+    delta_grid: Sequence[float],
 ) -> DeploymentSolution:
     """Energy-efficiency-optimal altitude and LoS threshold.
 
@@ -114,8 +110,6 @@ def solve_p1(
     elevation angle (smaller cell); within the grid search the first maximum
     in (threshold, altitude) order wins.
     """
-    if delta_grid is None:
-        delta_grid = default_delta_grid(env)
     if not delta_grid:
         raise InfeasibleError("empty threshold grid")
 
@@ -150,7 +144,7 @@ def solve_p1(
                 best = (value, sys.h_min, delta)
     else:
         for delta, ceiling in feasible:
-            grid = np.linspace(sys.h_min, ceiling, fallback_points)
+            grid = np.linspace(sys.h_min, ceiling, FALLBACK_POINTS)
             values = gee_value(grid, delta, sys, env, uav)
             i = int(np.argmax(values))
             if best is None or values[i] > best[0]:
@@ -178,44 +172,3 @@ def solve_p1(
         binding_constraint=binding,
         monotone_audit_passed=audit_passed,
     )
-
-
-@dataclass(frozen=True)
-class SumRateDerivative:
-    """Analytic sum-rate derivative diagnostic and its numeric cross-check.
-
-    Both quantities are d(sum_rate)/dh divided by the bandwidth W
-    (dimensionless per metre).
-    """
-
-    analytic: float
-    finite_difference: float
-
-
-def sum_rate_derivative_diag(
-    h: float,
-    delta: float,
-    sys: SystemParams,
-    env: EnvironmentParams,
-    rel_step: float = 1e-5,
-) -> SumRateDerivative:
-    """Two-term analytic derivative of the sum rate plus a central finite
-    difference of sum_rate / W for cross-checking."""
-    if sys.num_interferers_m < 1:
-        raise ValueError("derivative diagnostic requires at least one interferer")
-    phi = channel.phi_from_delta(delta, env)
-    cot2 = 1.0 / math.tan(math.radians(phi)) ** 2
-    kappa = sys.p_target_pa * sys.ue_density_rho * math.pi * cot2
-    noise = sys.noise_psd_sigma0sq * sys.bandwidth_w
-    m = sys.num_interferers_m
-    term = lambda divisor: (2.0 * kappa * h * LOG2_E) / (
-        kappa * h**2 + noise / divisor
-    )
-    analytic = term(m + 1) - term(m)
-
-    dh = rel_step * h
-    fd = (
-        uplink.sum_rate(h + dh, delta, sys, env)
-        - uplink.sum_rate(h - dh, delta, sys, env)
-    ) / (2.0 * dh * sys.bandwidth_w)
-    return SumRateDerivative(analytic=analytic, finite_difference=fd)

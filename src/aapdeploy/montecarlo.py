@@ -1,5 +1,5 @@
-"""Monte-Carlo oracle: explicit UE populations validating the closed-form
-expectations and the edge-UE approximation.
+"""Monte-Carlo oracle: explicit UE populations validating the expected sum
+transmit power.
 
 Sampling uses numpy's default PCG64 bit generator so that a (seed, params)
 pair reproduces bit-identical populations on any platform.  Each trial draws,
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import channel, uplink
+from . import channel
 from .params import EnvironmentParams, SystemParams
 
 # Minimum UEs per block of the batched power pass: large enough that numpy's
@@ -162,62 +162,3 @@ def mean_sum_power(
             capped += block_capped
             block, pending = [], 0
     return SumPower(math.fsum(uncapped) / trials, math.fsum(capped) / trials)
-
-
-@dataclass(frozen=True)
-class ApproximationGapReport:
-    """Closed-form vs exact sum power, and the per-UE LoS-probability spread
-    relative to the cell-edge value."""
-
-    h: float
-    delta: float
-    closed_form: float
-    exact_quadrature: float
-    empirical_mean: float
-    relative_gap: float  # (closed_form - exact) / exact
-    edge_los_probability: float
-    min_ue_los_probability: float
-    max_ue_los_probability: float
-    trials: int
-
-
-def approximation_gap_report(
-    h: float,
-    delta: float,
-    sys: SystemParams,
-    env: EnvironmentParams,
-    trials: int,
-    base_seed: int = 0,
-) -> ApproximationGapReport:
-    """Quantify the edge-UE approximation error for one (h, delta) point."""
-    if trials < 1:
-        raise ValueError("at least one trial is required")
-    r_a = channel.require_coverage(h, delta, env)
-    closed = uplink.expected_sum_power_closed_form(h, delta, sys, env)
-    exact = uplink.expected_sum_power_exact(h, delta, sys, env)
-    empirical = mean_sum_power(h, delta, sys, env, trials, base_seed).uncapped
-
-    p_edge = float(channel.los_probability(channel.phi_from_delta(delta, env), env))
-    p_min, p_max = p_edge, p_edge
-    for i in range(min(trials, 16)):  # spread needs only a few populations
-        sample = sample_ues(r_a, sys.ue_density_rho, base_seed + i)
-        if sample.realized_count == 0:
-            continue
-        p = np.asarray(
-            channel.los_probability(channel.elevation_deg(sample.radii(), h), env)
-        )
-        p_min = min(p_min, float(p.min()))
-        p_max = max(p_max, float(p.max()))
-
-    return ApproximationGapReport(
-        h=h,
-        delta=delta,
-        closed_form=closed,
-        exact_quadrature=exact,
-        empirical_mean=empirical,
-        relative_gap=(closed - exact) / exact,
-        edge_los_probability=p_edge,
-        min_ue_los_probability=p_min,
-        max_ue_los_probability=p_max,
-        trials=trials,
-    )

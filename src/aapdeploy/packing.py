@@ -130,11 +130,6 @@ def ring_count(ring_radius: float, r_a: float) -> tuple[int, LevelCountBounds | 
     return int(ring >= r_a) + int(ring >= 2.0 * r_a), None
 
 
-def max_count_per_level(ring_radius: float, r_a: float) -> int:
-    """Circle count of a ring under the count rule."""
-    return ring_count(ring_radius, r_a)[0]
-
-
 @dataclass(frozen=True)
 class PackingLevel:
     """One ring of equally spaced circle centres."""
@@ -219,7 +214,6 @@ def verify_levels(
     levels: Sequence[PackingLevel],
     r_a: float,
     area_radius: float,
-    tolerance: float | None = None,
 ) -> FeasibilityReport:
     """Check pairwise separation and containment for a set of levels.
 
@@ -232,7 +226,7 @@ def verify_levels(
     """
     if r_a <= 0:
         raise ValueError("circle radius must be strictly positive")
-    tol = GEOMETRY_REL_TOL * r_a if tolerance is None else tolerance
+    tol = GEOMETRY_REL_TOL * r_a
     centers = [c for level in levels for c in level.centers]
 
     worst_pair = math.inf
@@ -263,11 +257,6 @@ def verify_levels(
         worst_containment_margin=worst_contain if worst_contain != math.inf else 0.0,
         tolerance=tol,
     )
-
-
-def verify_plan(plan: PlacementPlan, tolerance: float | None = None) -> FeasibilityReport:
-    """Re-run the feasibility checks on an existing plan."""
-    return verify_levels(plan.levels, plan.r_a, plan.area_radius, tolerance)
 
 
 def packing_density(total_aaps: int, r_a: float, area_radius: float) -> float:

@@ -153,18 +153,6 @@ class SystemParams:
         """Target-arrived-power to noise ratio P_a / (sigma0^2 W)."""
         return self.p_target_pa / (self.noise_psd_sigma0sq * self.bandwidth_w)
 
-    @classmethod
-    def from_gamma(cls, gamma: float, *, noise_psd_sigma0sq: float, bandwidth_w: float, **kwargs) -> "SystemParams":
-        """Build with the target power specified as the SNR parameter gamma."""
-        if gamma <= 0:
-            raise ConfigError("gamma must be strictly positive")
-        return cls(
-            bandwidth_w=bandwidth_w,
-            noise_psd_sigma0sq=noise_psd_sigma0sq,
-            p_target_pa=gamma * noise_psd_sigma0sq * bandwidth_w,
-            **kwargs,
-        )
-
     def with_gamma(self, gamma: float) -> "SystemParams":
         """Copy of these parameters with the target power set from gamma."""
         if gamma <= 0:

@@ -3,7 +3,8 @@
 The format is INI-style with four physics sections (environment, system,
 uav, sweeps) plus output.  Unknown sections or keys are hard errors so a
 misspelled constant can never silently fall back to a default.  Every number
-must be finite, and the sweeps must lie where the model is defined: the
+must be finite, each count (num_interferers, resource_blocks) a whole number,
+and the sweeps must lie where the model is defined: the
 altitude grid inside [h_min, h_max], the elevation grid inside (0, 90] deg
 and the LoS thresholds inside the S-curve's image; each grid needs a positive
 step and a start no greater than its stop.  A violation is a
@@ -126,6 +127,13 @@ def _get_float(section, key, default=None):
     return value
 
 
+def _get_int(section, key, default=None):
+    value = _get_float(section, key, default)
+    if not float(value).is_integer():
+        raise ConfigError(f"key '{key}' must be a whole number, got {section[key]!r}")
+    return int(value)
+
+
 def _get_list(section, key, default=()):
     if key not in section:
         return tuple(default)
@@ -235,7 +243,7 @@ def load_scenario(path: str | Path) -> Scenario:
         p_target = _get_float(sys_sec, "gamma") * noise * bandwidth
     system = SystemParams(
         bandwidth_w=bandwidth,
-        num_interferers_m=int(_get_float(sys_sec, "num_interferers")),
+        num_interferers_m=_get_int(sys_sec, "num_interferers"),
         circuit_power_pc=_get_float(sys_sec, "circuit_power_w"),
         service_time_t=_get_float(sys_sec, "service_time_s"),
         p_max=_get_float(sys_sec, "p_max_w"),
@@ -245,7 +253,7 @@ def load_scenario(path: str | Path) -> Scenario:
         h_min=_get_float(sys_sec, "h_min_m"),
         h_max=_get_float(sys_sec, "h_max_m"),
         area_radius_r=_get_float(sys_sec, "area_radius_m"),
-        resource_blocks_b=int(_get_float(sys_sec, "resource_blocks", 1)),
+        resource_blocks_b=_get_int(sys_sec, "resource_blocks", 1),
         tpc_beta=_get_float(sys_sec, "tpc_beta", 1.0),
     )
 

@@ -12,46 +12,20 @@ one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
 from . import channel
-from .errors import DegenerateCoverageError, QuadratureError
+from .errors import QuadratureError
 from .params import EnvironmentParams, SystemParams
 
 QUAD_REL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class CellLoad:
-    """Expected UE count in one cell and the per-UE bandwidth share."""
-
-    n_ue: float
-    per_ue_bandwidth: float
-
-
 def cell_ue_count(r_a: float, sys: SystemParams) -> float:
     """Expected number of UEs in a cell of radius r_a (real-valued)."""
     return sys.ue_density_rho * math.pi * r_a**2
-
-
-def cell_load(r_a: float, sys: SystemParams) -> CellLoad:
-    n_ue = cell_ue_count(r_a, sys)
-    if n_ue <= 0:
-        raise DegenerateCoverageError("cell contains no UEs in expectation")
-    return CellLoad(n_ue=n_ue, per_ue_bandwidth=sys.bandwidth_w / n_ue)
-
-
-def ue_transmit_power(
-    geom: channel.UeAapGeometry, sys: SystemParams, env: EnvironmentParams
-) -> float:
-    """Power-controlled UE transmit power min{P_max, P_a B L̄^beta} (W)."""
-    controlled = sys.p_target_pa * sys.resource_blocks_b * (
-        channel.mean_path_loss(geom, env) ** sys.tpc_beta
-    )
-    return min(sys.p_max, controlled)
 
 
 def edge_mean_additional_loss(delta: float, env: EnvironmentParams) -> float:
@@ -84,9 +58,9 @@ def expected_sum_power_closed_form(
     )
 
 
-def _sum_power_quadrature(r_a: float, integrand, rel_tol: float) -> float:
-    value, abserr = quad(integrand, 0.0, r_a, epsabs=0.0, epsrel=rel_tol, limit=200)
-    if value != 0.0 and abserr > 10.0 * rel_tol * abs(value):
+def _sum_power_quadrature(r_a: float, integrand) -> float:
+    value, abserr = quad(integrand, 0.0, r_a, epsabs=0.0, epsrel=QUAD_REL_TOL, limit=200)
+    if value != 0.0 and abserr > 10.0 * QUAD_REL_TOL * abs(value):
         raise QuadratureError(
             f"sum-power quadrature achieved only {abserr / abs(value):.2e} relative"
         )
@@ -98,7 +72,6 @@ def expected_sum_power_exact(
     delta: float,
     sys: SystemParams,
     env: EnvironmentParams,
-    rel_tol: float = QUAD_REL_TOL,
 ) -> float:
     """Expected sum UE transmit power (W) with the r-dependent excess loss.
 
@@ -117,7 +90,7 @@ def expected_sum_power_exact(
             * r
         )
 
-    return _sum_power_quadrature(r_a, integrand, rel_tol)
+    return _sum_power_quadrature(r_a, integrand)
 
 
 def expected_sum_power_edge_quadrature(
@@ -125,7 +98,6 @@ def expected_sum_power_edge_quadrature(
     delta: float,
     sys: SystemParams,
     env: EnvironmentParams,
-    rel_tol: float = QUAD_REL_TOL,
 ) -> float:
     """Quadrature of the sum-power integrand with the edge-frozen excess loss.
 
@@ -147,7 +119,7 @@ def expected_sum_power_edge_quadrature(
             * r
         )
 
-    return _sum_power_quadrature(r_a, integrand, rel_tol)
+    return _sum_power_quadrature(r_a, integrand)
 
 
 def sinr(n_ue: float, sys: SystemParams) -> float:
@@ -159,15 +131,6 @@ def sinr(n_ue: float, sys: SystemParams) -> float:
     )
 
 
-def per_ue_rate(
-    h: float, delta: float, sys: SystemParams, env: EnvironmentParams
-) -> float:
-    """Per-UE uplink data rate (bit/s); equal for every covered UE."""
-    r_a = channel.require_coverage(h, delta, env)
-    load = cell_load(r_a, sys)
-    return load.per_ue_bandwidth * math.log2(1.0 + sinr(load.n_ue, sys))
-
-
 def sum_rate_from_count(n_ue, sys: SystemParams):
     """Cell sum rate W log2(1 + SINR) for an expected UE count (or array)."""
     return sys.bandwidth_w * np.log2(1.0 + sinr(n_ue, sys))
@@ -177,13 +140,6 @@ def sum_rate(h, delta: float, sys: SystemParams, env: EnvironmentParams):
     """Cell sum uplink rate (bit/s); saturates at W log2(1 + 1/M)."""
     r_a = channel.require_coverage(h, delta, env)
     return sum_rate_from_count(cell_ue_count(r_a, sys), sys)
-
-
-def sum_rate_saturation(sys: SystemParams) -> float:
-    """Large-cell limit of the sum rate, W log2(1 + 1/M)."""
-    if sys.num_interferers_m == 0:
-        return math.inf
-    return sys.bandwidth_w * math.log2(1.0 + 1.0 / sys.num_interferers_m)
 
 
 def h_max_power_constraint(

@@ -31,8 +31,12 @@ def make_system(gamma=100.0, **overrides):
         area_radius_r=180.48,
     )
     kwargs.update(overrides)
-    return SystemParams.from_gamma(
-        gamma, noise_psd_sigma0sq=4e-21, bandwidth_w=20e6, **kwargs
+    noise, bandwidth = 4e-21, 20e6
+    return SystemParams(
+        bandwidth_w=bandwidth,
+        noise_psd_sigma0sq=noise,
+        p_target_pa=gamma * noise * bandwidth,  # gamma = P_a / (sigma0^2 W)
+        **kwargs,
     )
 
 

@@ -138,7 +138,7 @@ def test_criterion_6_plan_feasibility_sweep():
     failures = 0
     for ratio in np.linspace(1.0, 10.0, 200):
         plan = packing.run_algorithm1(float(ratio), 1.0)
-        if not packing.verify_plan(plan).all_ok:
+        if not packing.verify_levels(plan.levels, plan.r_a, plan.area_radius).all_ok:
             failures += 1
     elapsed = time.monotonic() - start
     record(
@@ -192,9 +192,7 @@ def test_criterion_8_inversion_and_power_round_trips():
     for delta in np.linspace(0.3, 0.99, 20):
         h_lim = uplink.h_max_power_constraint(float(delta), sysp, ENV)
         r_a = channel.coverage_radius(h_lim, float(delta), ENV)
-        edge_power = sysp.p_target_pa * channel.mean_path_loss(
-            channel.UeAapGeometry(r_a, h_lim), ENV
-        )
+        edge_power = sysp.p_target_pa * float(channel.mean_path_loss_rh(r_a, h_lim, ENV))
         worst_pow = max(worst_pow, abs(edge_power - sysp.p_max) / sysp.p_max)
     record(
         8,

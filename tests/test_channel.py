@@ -34,42 +34,42 @@ def test_environment_invariants():
         EnvironmentParams(a=4.88, b=0.43, eta_los=1.0, eta_nlos=2.0, g0=1.5)
 
 
-def test_geometry_validation():
-    geom = channel.UeAapGeometry(r=3.0, h=4.0)
-    assert geom.distance == pytest.approx(5.0)
-    assert channel.UeAapGeometry(r=0.0, h=1.0).elevation_deg == pytest.approx(90.0)
-    with pytest.raises(ValueError):
-        channel.UeAapGeometry(r=1.0, h=0.0)
-    with pytest.raises(ValueError):
-        channel.UeAapGeometry(r=-1.0, h=1.0)
-
-
-def test_path_loss_unit_distance(suburban_env):
-    geom = channel.UeAapGeometry(r=0.0, h=1.0)
-    assert channel.path_loss(geom, 1.0, suburban_env) == pytest.approx(
-        1.0 / 1.42e-4
+def test_geometry_validation(suburban_env):
+    assert float(channel.elevation_deg(0.0, 1.0)) == pytest.approx(90.0)  # nadir UE
+    assert float(channel.elevation_deg(3.0, 4.0)) == pytest.approx(
+        math.degrees(math.atan2(4.0, 3.0)), rel=1e-15
     )
+    with pytest.raises(ValueError):
+        channel.coverage_radius(0.0, 0.9, suburban_env)
+
+
+def path_loss(r, h, eta, g0):
+    """Mean path loss in an environment whose LoS and NLoS excess losses are
+    both eta: the fixed-excess-loss path loss eta * d^2 / g0."""
+    env = EnvironmentParams(a=4.88, b=0.43, eta_los=eta, eta_nlos=eta, g0=g0)
+    return float(channel.mean_path_loss_rh(r, h, env))
+
+
+def test_path_loss_unit_distance():
+    assert path_loss(0.0, 1.0, 1.0, 1.42e-4) == pytest.approx(1.0 / 1.42e-4)
 
 
 def test_path_loss_345_triangle():
-    env = EnvironmentParams(a=4.88, b=0.43, eta_los=1.0, eta_nlos=2.0, g0=0.5)
-    geom = channel.UeAapGeometry(r=3.0, h=4.0)
-    assert channel.path_loss(geom, 2.0, env) == pytest.approx(100.0)
+    assert path_loss(3.0, 4.0, 2.0, 0.5) == pytest.approx(100.0)
 
 
-def test_path_loss_direct_substitution(suburban_env):
+def test_path_loss_direct_substitution():
     # eta * (r^2 + h^2) / g0 written out from the raw numbers
-    geom = channel.UeAapGeometry(r=100.0, h=15.0)
     expected = 10**2.1 * (100.0**2 + 15.0**2) / 1.42e-4
-    assert channel.path_loss(geom, 10**2.1, suburban_env) == pytest.approx(
+    assert path_loss(100.0, 15.0, 10**2.1, 1.42e-4) == pytest.approx(
         expected, rel=1e-12
     )
 
 
-def test_path_loss_monotone(suburban_env):
-    base = channel.path_loss(channel.UeAapGeometry(10, 20), 2.0, suburban_env)
-    assert channel.path_loss(channel.UeAapGeometry(11, 20), 2.0, suburban_env) > base
-    assert channel.path_loss(channel.UeAapGeometry(10, 21), 2.0, suburban_env) > base
+def test_path_loss_monotone():
+    base = path_loss(10, 20, 2.0, 1.42e-4)
+    assert path_loss(11, 20, 2.0, 1.42e-4) > base
+    assert path_loss(10, 21, 2.0, 1.42e-4) > base
 
 
 def test_los_probability_at_a(suburban_env):
@@ -160,30 +160,28 @@ def test_mean_additional_path_loss_decreasing(suburban_env):
 
 
 def test_mean_path_loss_nadir(suburban_env):
-    geom = channel.UeAapGeometry(r=0.0, h=20.0)
     expected = (20.0**2 / suburban_env.g0) * float(
         channel.mean_additional_path_loss(90.0, suburban_env)
     )
-    assert channel.mean_path_loss(geom, suburban_env) == pytest.approx(expected)
+    assert float(channel.mean_path_loss_rh(0.0, 20.0, suburban_env)) == pytest.approx(
+        expected
+    )
 
 
 def test_mean_path_loss_between_los_and_nlos(suburban_env):
-    geom = channel.UeAapGeometry(r=40.0, h=25.0)
-    mean = channel.mean_path_loss(geom, suburban_env)
+    mean = float(channel.mean_path_loss_rh(40.0, 25.0, suburban_env))
+    d2_over_g0 = (40.0**2 + 25.0**2) / suburban_env.g0
     assert (
-        channel.path_loss(geom, suburban_env.eta_los, suburban_env)
-        <= mean
-        <= channel.path_loss(geom, suburban_env.eta_nlos, suburban_env)
+        suburban_env.eta_los * d2_over_g0 <= mean <= suburban_env.eta_nlos * d2_over_g0
     )
 
 
 def test_mean_path_loss_recomputation(suburban_env):
-    geom = channel.UeAapGeometry(r=57.3, h=22.1)
     phi = math.degrees(math.atan2(22.1, 57.3))
     p = 1.0 / (1.0 + 4.88 * math.exp(-0.43 * (phi - 4.88)))
     eta_m = 10**2.1 + p * (10**0.01 - 10**2.1)
     expected = eta_m * (57.3**2 + 22.1**2) / 1.42e-4
-    assert channel.mean_path_loss(geom, suburban_env) == pytest.approx(
+    assert float(channel.mean_path_loss_rh(57.3, 22.1, suburban_env)) == pytest.approx(
         expected, rel=1e-12
     )
 

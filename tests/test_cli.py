@@ -79,6 +79,8 @@ def test_infeasible_place_exit_code(small_scenario, tmp_path, capsys):
         ("h_step_m = 95", "h_step_m = -95", "place"),
         ("h_step_m = 95", "h_step_m = -95", "threshold-sweep"),
         ("phi_step_deg = 5", "phi_step_deg = -5", "altitude-sweep"),
+        # a fractional count was truncated: 2.7 interferers ran as M = 2
+        ("num_interferers = 6", "num_interferers = 2.7", "solve"),
     ],
 )
 def test_bad_scenario_value_exits_config_error(
@@ -134,7 +136,7 @@ def test_place_and_plan_round_trip(small_scenario, tmp_path):
     payload = json.loads((out / "plan.json").read_text())
     plan = packing.run_algorithm1(payload["area_radius_m"], payload["r_a_m"])
     assert cli.plan_to_dict(plan) == payload  # the written plan is the rebuilt one
-    assert packing.verify_plan(plan).all_ok
+    assert packing.verify_levels(plan.levels, plan.r_a, plan.area_radius).all_ok
     # centres CSV has one row per AAP plus a header
     lines = (out / "centers.csv").read_text().splitlines()
     assert lines[0] == ",".join(cli.CENTERS_COLUMNS)
@@ -220,6 +222,18 @@ def test_nonpositive_trials_exits_config_error(small_scenario, trials, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb", ["validate", "solve"])
+def test_negative_seed_exits_config_error(small_scenario, tmp_path, capsys, verb):
+    # numpy rejects a negative seed with a ValueError traceback
+    out = tmp_path / "o"
+    code = run(["--scenario", small_scenario, "--out", str(out), "--seed", "-1", verb])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --seed")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_solve_respects_scenario_output_dir(tmp_path, monkeypatch, small_scenario):

@@ -1,8 +1,10 @@
-"""Golden-output gate: every file-writing verb on both built-in scenarios.
+"""Golden-output gate: every verb on both built-in scenarios.
 
 Each case runs one verb through ``cli.main`` into an empty directory and
 compares, byte for byte, the exit code, stdout, stderr and every file the
-verb wrote against ``tests/golden/<scenario>/<verb>/``.  The output
+verb wrote against ``tests/golden/<scenario>/<verb>/``.  ``validate`` writes
+no file and runs with the default ``--trials 1000 --seed 0``, so its case
+pins the six check lines.  The output
 directory in stdout is replaced by ``<out>`` so the files do not depend on
 where the test runs.
 
@@ -29,7 +31,14 @@ from aapdeploy.scenario import builtin_scenario_path
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = ("baseline", "no_vehicle_energy")
-VERBS = ("solve", "place", "density-sweep", "altitude-sweep", "threshold-sweep")
+VERBS = (
+    "solve",
+    "place",
+    "density-sweep",
+    "altitude-sweep",
+    "threshold-sweep",
+    "validate",
+)
 
 
 def run_verb(scenario: str, verb: str, out: Path) -> dict[str, bytes]:

@@ -274,23 +274,3 @@ def test_error_shrinks_with_trials(suburban_env, baseline_system):
     small, large = rms_error(20), rms_error(2000)
     # 100x the trials: expect about 10x the accuracy, allow a factor of 2.5
     assert large < small / 4.0
-
-
-def test_approximation_gap_report(suburban_env, baseline_system):
-    report = montecarlo.approximation_gap_report(
-        15.0, 0.9, baseline_system, suburban_env, trials=500, base_seed=2
-    )
-    assert report.relative_gap > 0.0  # closed form is a strict upper bound
-    assert report.closed_form > report.exact_quadrature
-    assert report.empirical_mean == pytest.approx(report.exact_quadrature, rel=0.05)
-    # every UE in the cell meets the LoS threshold; the edge UE is the worst
-    assert report.min_ue_los_probability >= report.delta - 1e-9
-    assert report.max_ue_los_probability <= 1.0
-    assert report.edge_los_probability == pytest.approx(0.9, abs=1e-9)
-
-
-def test_approximation_gap_report_rejects_zero_trials(suburban_env, baseline_system):
-    with pytest.raises(ValueError):
-        montecarlo.approximation_gap_report(
-            15.0, 0.9, baseline_system, suburban_env, trials=0
-        )

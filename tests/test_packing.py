@@ -79,12 +79,12 @@ def test_void_center_closed_form():
     ],
 )
 def test_max_count_examples(ratio, expected):
-    assert packing.max_count_per_level(ratio, 1.0) == expected
+    assert packing.ring_count(ratio, 1.0)[0] == expected
 
 
 def test_max_count_scale_invariance():
     for scale in (0.01, 1.0, 38.57, 1e4):
-        assert packing.max_count_per_level(3.0 * scale, scale) == 6
+        assert packing.ring_count(3.0 * scale, scale)[0] == 6
 
 
 def test_count_bounds_respect_geometry():
@@ -205,7 +205,7 @@ def test_verify_levels_detects_containment_violation():
 @given(st.floats(min_value=1.0, max_value=12.0))
 def test_plans_always_feasible(ratio):
     plan = packing.run_algorithm1(ratio, 1.0)
-    report = packing.verify_plan(plan)
+    report = packing.verify_levels(plan.levels, plan.r_a, plan.area_radius)
     assert report.all_ok
     assert plan.total_aaps >= 1
     assert plan.packing_density <= 1.0
@@ -261,7 +261,7 @@ def test_pinned_level_counts_and_bounds(ratio, expected):
         for level in levels
     ]
     assert got == expected
-    assert packing.max_count_per_level(ratio, 1.0) == expected[0][0]
+    assert packing.ring_count(ratio, 1.0)[0] == expected[0][0]
 
 
 @pytest.mark.parametrize("r_a", [341.8936712461485, 0.1, 38.5724, 123.456789])
@@ -282,20 +282,20 @@ def test_whole_ratio_keeps_the_last_level(ratio, last_count, r_a):
 def test_levels_follow_the_count_rule(ratio, r_a):
     levels = packing._build_levels(ratio * r_a, r_a)
     for level in levels:
-        assert level.count == packing.max_count_per_level(level.ring_radius, r_a)
+        assert level.count == packing.ring_count(level.ring_radius, r_a)[0]
         assert len(level.centers) == level.count
         if level.count >= 3:
             bounds = packing.count_bounds(level.ring_radius, r_a)
             assert level.area_count_bound == bounds.area_bound
             assert level.geometric_count_bound == bounds.geometric_bound
     next_ring = levels[-1].ring_radius - 2.0 * r_a
-    assert packing.max_count_per_level(next_ring, r_a) == 0
+    assert packing.ring_count(next_ring, r_a)[0] == 0
 
 
-def reference_report(levels, r_a, area_radius, tolerance=None):
+def reference_report(levels, r_a, area_radius):
     """The brute-force verifier: math.hypot over all N (N - 1) / 2 pairs and
     over every centre against both the area radius and its ring radius."""
-    tol = packing.GEOMETRY_REL_TOL * r_a if tolerance is None else tolerance
+    tol = packing.GEOMETRY_REL_TOL * r_a
     centers = [(c, level.ring_radius) for level in levels for c in level.centers]
 
     worst_pair = math.inf

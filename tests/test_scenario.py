@@ -163,6 +163,26 @@ def test_non_finite_value_rejected(tmp_path, old, new):
         load_scenario(write(tmp_path, BASE.replace(old, new)))
 
 
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("num_interferers = 6", "num_interferers = 2.7"),
+        ("num_interferers = 6", "num_interferers = -0.5"),
+        ("num_interferers = 6", "num_interferers = 6\nresource_blocks = 1.5"),
+    ],
+)
+def test_fractional_count_rejected(tmp_path, old, new):
+    # int() would truncate: 2.7 interferers would load as M = 2, -0.5 as M = 0
+    with pytest.raises(ConfigError, match="whole number"):
+        load_scenario(write(tmp_path, BASE.replace(old, new)))
+
+
+def test_whole_number_counts_accepted(tmp_path):
+    text = BASE.replace("num_interferers = 6", "num_interferers = 6.0\nresource_blocks = 2")
+    system = load_scenario(write(tmp_path, text)).system
+    assert (system.num_interferers_m, system.resource_blocks_b) == (6, 2)
+
+
 def test_non_finite_list_entry_rejected(tmp_path):
     text = BASE + "\n[sweeps]\ngamma_list = 10, nan, 1000\n"
     with pytest.raises(ConfigError, match="finite numbers only"):

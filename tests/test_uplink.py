@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aapdeploy import channel, uplink
+from aapdeploy import channel, montecarlo, uplink
 from aapdeploy.errors import DegenerateCoverageError
 from aapdeploy.params import EnvironmentParams
 
@@ -11,40 +11,41 @@ from conftest import make_system
 
 
 def test_cell_load_consistency(baseline_system):
-    load = uplink.cell_load(50.0, baseline_system)
-    assert load.n_ue == pytest.approx(1e-2 * math.pi * 2500.0)
-    assert load.per_ue_bandwidth * load.n_ue == pytest.approx(
-        baseline_system.bandwidth_w
+    assert uplink.cell_ue_count(50.0, baseline_system) == pytest.approx(
+        1e-2 * math.pi * 2500.0
     )
+
+
+def ue_transmit_power(r, h, sys, env):
+    """Power-controlled transmit power min{P_max, P_a B L^beta} of one UE, as
+    the Monte-Carlo oracle computes it for every sampled UE."""
+    return float(montecarlo._ue_powers(np.array([r]), h, sys, env)[1][0])
 
 
 def test_ue_transmit_power_cap(baseline_system, suburban_env):
     # far UE: controlled power far above the cap
-    geom = channel.UeAapGeometry(r=5000.0, h=300.0)
     assert (
-        uplink.ue_transmit_power(geom, baseline_system, suburban_env)
+        ue_transmit_power(5000.0, 300.0, baseline_system, suburban_env)
         == baseline_system.p_max
     )
 
 
 def test_ue_transmit_power_unit_path_loss(baseline_system, suburban_env):
     # engineered unit mean path loss via a direct product check
-    geom = channel.UeAapGeometry(r=10.0, h=15.0)
-    loss = channel.mean_path_loss(geom, suburban_env)
+    loss = float(channel.mean_path_loss_rh(10.0, 15.0, suburban_env))
     expected = min(baseline_system.p_max, baseline_system.p_target_pa * loss)
-    assert uplink.ue_transmit_power(geom, baseline_system, suburban_env) == pytest.approx(
+    assert ue_transmit_power(10.0, 15.0, baseline_system, suburban_env) == pytest.approx(
         expected
     )
 
 
 def test_ue_transmit_power_direct_substitution(baseline_system, suburban_env):
-    geom = channel.UeAapGeometry(r=50.0, h=15.0)
     phi = math.degrees(math.atan2(15.0, 50.0))
     p = 1.0 / (1.0 + 4.88 * math.exp(-0.43 * (phi - 4.88)))
     eta_m = 10**2.1 + p * (10**0.01 - 10**2.1)
     loss = eta_m * (50.0**2 + 15.0**2) / 1.42e-4
     expected = min(1e-3, baseline_system.p_target_pa * loss)
-    assert uplink.ue_transmit_power(geom, baseline_system, suburban_env) == pytest.approx(
+    assert ue_transmit_power(50.0, 15.0, baseline_system, suburban_env) == pytest.approx(
         expected, rel=1e-12
     )
 
@@ -107,9 +108,8 @@ def test_per_ue_rate_no_interference_limit(suburban_env):
     n_ue = uplink.cell_ue_count(r_a, sysp)
     snr = sysp.p_target_pa * n_ue / (sysp.noise_psd_sigma0sq * sysp.bandwidth_w)
     expected = (sysp.bandwidth_w / n_ue) * math.log2(1.0 + snr)
-    assert uplink.per_ue_rate(15.0, 0.9, sysp, suburban_env) == pytest.approx(
-        expected, rel=1e-12
-    )
+    per_ue = uplink.sum_rate(15.0, 0.9, sysp, suburban_env) / n_ue
+    assert per_ue == pytest.approx(expected, rel=1e-12)
 
 
 def test_per_ue_rate_interference_limited(suburban_env):
@@ -118,18 +118,19 @@ def test_per_ue_rate_interference_limited(suburban_env):
     r_a = channel.coverage_radius(15.0, 0.9, suburban_env)
     n_ue = uplink.cell_ue_count(r_a, sysp)
     expected = (sysp.bandwidth_w / n_ue) * math.log2(7.0 / 6.0)
-    assert uplink.per_ue_rate(15.0, 0.9, sysp, suburban_env) == pytest.approx(
-        expected, rel=1e-6
-    )
+    per_ue = uplink.sum_rate(15.0, 0.9, sysp, suburban_env) / n_ue
+    assert per_ue == pytest.approx(expected, rel=1e-6)
 
 
 def test_rate_equalization_reduction(baseline_system, suburban_env):
     """The general SINR form with power-controlled arrived powers reduces to
-    the r-independent rate expression for any covered UE."""
+    the r-independent rate expression for any covered UE: W / n of the sum
+    rate."""
     h, delta = 15.0, 0.9
     r_a = channel.coverage_radius(h, delta, suburban_env)
     n_ue = uplink.cell_ue_count(r_a, baseline_system)
     noise = baseline_system.noise_psd_sigma0sq * baseline_system.bandwidth_w
+    per_ue = uplink.sum_rate(h, delta, baseline_system, suburban_env) / n_ue
     for r in (0.0, 0.3 * r_a, r_a):
         loss = float(channel.mean_path_loss_rh(r, h, suburban_env))
         arrived = baseline_system.p_target_pa * loss / loss  # P̄_i / L̄
@@ -137,22 +138,29 @@ def test_rate_equalization_reduction(baseline_system, suburban_env):
         general = (baseline_system.bandwidth_w / n_ue) * math.log2(
             1.0 + arrived / (interference + noise / n_ue)
         )
-        assert general == pytest.approx(
-            uplink.per_ue_rate(h, delta, baseline_system, suburban_env), rel=1e-12
-        )
+        assert general == pytest.approx(per_ue, rel=1e-12)
 
 
 def test_sum_rate_equals_count_times_per_ue(baseline_system, suburban_env):
     h, delta = 15.0, 0.9
     r_a = channel.coverage_radius(h, delta, suburban_env)
     n_ue = uplink.cell_ue_count(r_a, baseline_system)
+    signal = baseline_system.p_target_pa * n_ue
+    sinr = signal / (
+        baseline_system.num_interferers_m * signal
+        + baseline_system.noise_psd_sigma0sq * baseline_system.bandwidth_w
+    )
+    per_ue = baseline_system.bandwidth_w / n_ue * math.log2(1.0 + sinr)
     assert uplink.sum_rate(h, delta, baseline_system, suburban_env) == pytest.approx(
-        n_ue * uplink.per_ue_rate(h, delta, baseline_system, suburban_env), rel=1e-12
+        n_ue * per_ue, rel=1e-12
     )
 
 
 def test_sum_rate_saturation(baseline_system, suburban_env):
-    limit = uplink.sum_rate_saturation(baseline_system)
+    # large-cell limit W log2(1 + 1/M)
+    limit = baseline_system.bandwidth_w * math.log2(
+        1.0 + 1.0 / baseline_system.num_interferers_m
+    )
     assert limit == pytest.approx(20e6 * math.log2(1 + 1 / 6))
     values = [
         uplink.sum_rate(h, 0.9, baseline_system, suburban_env)
@@ -206,7 +214,7 @@ def test_edge_power_round_trip(baseline_system, suburban_env):
     delta = 0.9
     h_lim = uplink.h_max_power_constraint(delta, baseline_system, suburban_env)
     r_a = channel.coverage_radius(h_lim, delta, suburban_env)
-    loss = channel.mean_path_loss(channel.UeAapGeometry(r_a, h_lim), suburban_env)
+    loss = float(channel.mean_path_loss_rh(r_a, h_lim, suburban_env))
     assert baseline_system.p_target_pa * loss == pytest.approx(
         baseline_system.p_max, rel=1e-9
     )
@@ -219,7 +227,7 @@ def test_degenerate_coverage_raises(baseline_system):
     delta_90 = float(channel.los_probability(90.0, env))
     assert channel.coverage_radius(15.0, delta_90, env) == 0.0
     with pytest.raises(DegenerateCoverageError):
-        uplink.per_ue_rate(15.0, delta_90, baseline_system, env)
+        uplink.sum_rate(15.0, delta_90, baseline_system, env)
     h = np.array([15.0, 30.0])
     assert list(channel.coverage_radius(h, delta_90, env)) == [0.0, 0.0]
     with pytest.raises(DegenerateCoverageError):
