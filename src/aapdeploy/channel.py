@@ -6,10 +6,14 @@ place (``elevation_deg``) to keep the classic unit bug out.
 
 All functions accept numpy arrays for the geometric arguments and broadcast:
 the Monte-Carlo oracle passes arrays of UE distances, and the GEE chain
-passes a whole altitude grid ``h`` with the threshold ``delta`` a scalar.
-Range checks use ``np.count_nonzero`` rather than ``np.any``: both accept
+passes a whole altitude grid ``h`` with the elevation threshold ``phi_deg``
+a scalar.  The cell edge is that elevation angle, R_a = h cot(phi); the LoS
+threshold delta is the S-curve's value there, and ``phi_from_delta`` inverts
+it only where a threshold enters as delta.  Range checks on arguments that
+may be arrays use ``np.count_nonzero`` rather than ``np.any``: both accept
 scalars and arrays, but on a scalar comparison ``np.any`` costs about ten
-times more, and the scalar path still runs once per threshold.
+times more, and the scalar path still runs once per threshold.  The scalar
+``phi_deg`` is checked with plain comparisons.
 """
 
 from __future__ import annotations
@@ -82,26 +86,29 @@ def mean_path_loss_rh(r, h, env: EnvironmentParams):
     return eta_m * (np.asarray(r, dtype=float) ** 2 + h**2) / env.g0
 
 
-def coverage_radius(h, delta: float, env: EnvironmentParams):
-    """Coverage radius h * cot(phi(delta)); 0.0 when the cell degenerates.
+def coverage_radius(h, phi_deg: float, env: EnvironmentParams):
+    """Coverage radius h * cot(phi) for the edge elevation phi (degrees); 0.0
+    when the cell degenerates.
 
     ``h`` may be a scalar or an altitude array (the result has its shape).
-    A zero return marks the nadir-only (degenerate) cell; callers that cannot
-    proceed with an empty cell raise DegenerateCoverageError.
+    A zero return marks the nadir-only (degenerate) cell at phi = 90 deg;
+    callers that cannot proceed with an empty cell raise
+    DegenerateCoverageError.
     """
     if np.count_nonzero(h <= 0):
         raise ValueError("altitude h must be strictly positive")
-    phi = phi_from_delta(delta, env)
-    if phi >= 90.0 - 1e-9:  # numerically nadir-only
+    if not 0.0 < phi_deg <= 90.0:
+        raise ValueError("elevation angle must lie in (0, 90] degrees")
+    if phi_deg >= 90.0 - 1e-9:  # numerically nadir-only
         return np.zeros(np.shape(h)) if np.ndim(h) else 0.0
-    return h / math.tan(math.radians(phi))
+    return h / math.tan(math.radians(phi_deg))
 
 
-def require_coverage(h, delta: float, env: EnvironmentParams):
+def require_coverage(h, phi_deg: float, env: EnvironmentParams):
     """Coverage radius, raising DegenerateCoverageError when it is zero."""
-    r_a = coverage_radius(h, delta, env)
+    r_a = coverage_radius(h, phi_deg, env)
     if np.count_nonzero(r_a <= 0.0):
         raise DegenerateCoverageError(
-            f"coverage region degenerate at h={np.min(h):g} m, delta={delta:g}"
+            f"coverage region degenerate at h={np.min(h):g} m, phi={phi_deg:g} deg"
         )
     return r_a

@@ -70,13 +70,14 @@ def altitude_sweep_rows(scn: Scenario) -> list[list]:
     """One row per (gamma, h); each gamma's altitude grid is one array call."""
     rows = []
     delta = scn.sweeps.delta
+    phi = channel.phi_from_delta(delta, scn.environment)
     zero_uav = UavEnergyParams.zero()
     h_list = scn.sweeps.altitude_grid()
     h = np.array(h_list)
     for gamma in scn.sweeps.gamma_list:
         sys_g = scn.system.with_gamma(gamma)
-        rate = uplink.sum_rate(h, delta, sys_g, scn.environment)
-        power = uplink.expected_sum_power_closed_form(h, delta, sys_g, scn.environment)
+        rate = uplink.sum_rate(h, phi, sys_g, scn.environment)
+        power = uplink.expected_sum_power_closed_form(h, phi, sys_g, scn.environment)
         e_uav = energy.uav_only_energy(h, sys_g, scn.uav)
         e_total = energy.total_energy(h, power, sys_g, scn.uav)
         e_total_zero = energy.total_energy(h, power, sys_g, zero_uav)
@@ -109,18 +110,17 @@ def threshold_sweep_rows(scn: Scenario) -> list[list]:
     h = scn.system.h_min
     zero_uav = UavEnergyParams.zero()
     for phi in scn.sweeps.phi_grid():
-        delta = float(channel.los_probability(phi, scn.environment))
-        r_a = channel.coverage_radius(h, delta, scn.environment)
+        r_a = channel.coverage_radius(h, phi, scn.environment)
         if r_a <= 0.0:
             continue
         rows.append(
             [
                 phi,
-                delta,
-                gee.gee_value(h, delta, scn.system, scn.environment, scn.uav),
+                float(channel.los_probability(phi, scn.environment)),
+                gee.gee_value(h, phi, scn.system, scn.environment, scn.uav),
                 r_a,
                 uplink.cell_ue_count(r_a, scn.system),
-                gee.gee_value(h, delta, scn.system, scn.environment, zero_uav),
+                gee.gee_value(h, phi, scn.system, scn.environment, zero_uav),
             ]
         )
     return rows
@@ -151,8 +151,7 @@ def solution_to_dict(solution: gee.DeploymentSolution) -> dict:
 def solve_scenario(scn: Scenario) -> gee.DeploymentSolution:
     """Solve P1 on the scenario's threshold grid; the one solve path shared
     by solve, place and density-sweep."""
-    delta_grid = gee.default_delta_grid(scn.environment, scn.sweeps.phi_grid())
-    return gee.solve_p1(scn.system, scn.environment, scn.uav, delta_grid)
+    return gee.solve_p1(scn.system, scn.environment, scn.uav, scn.sweeps.phi_grid())
 
 
 def cmd_solve(scn: Scenario, out_dir: Path) -> int:
@@ -253,7 +252,7 @@ def validation_checks(scn: Scenario, trials: int, seed: int) -> list[tuple[str, 
     """Run the oracle suite; returns (name, passed, detail) triples."""
     checks: list[tuple[str, bool, str]] = []
     env, sys_p = scn.environment, scn.system
-    h, delta = sys_p.h_min, scn.sweeps.delta
+    h, phi = sys_p.h_min, channel.phi_from_delta(scn.sweeps.delta, env)
 
     worst = 0.0
     for n in range(3, 51):
@@ -264,16 +263,16 @@ def validation_checks(scn: Scenario, trials: int, seed: int) -> list[tuple[str, 
 
     worst = 0.0
     for d in np.linspace(0.2, 0.999, 25):
-        phi = channel.phi_from_delta(float(d), env)
-        worst = max(worst, abs(float(channel.los_probability(phi, env)) - float(d)))
+        phi_d = channel.phi_from_delta(float(d), env)
+        worst = max(worst, abs(float(channel.los_probability(phi_d, env)) - float(d)))
     checks.append(("LoS threshold inversion round-trip", worst < 1e-9, f"worst |diff|={worst:.3e}"))
 
-    closed = uplink.expected_sum_power_closed_form(h, delta, sys_p, env)
-    edge_quad = uplink.expected_sum_power_edge_quadrature(h, delta, sys_p, env)
+    closed = uplink.expected_sum_power_closed_form(h, phi, sys_p, env)
+    edge_quad = uplink.expected_sum_power_edge_quadrature(h, phi, sys_p, env)
     rel = abs(closed - edge_quad) / closed
     checks.append(("closed form vs edge-frozen quadrature", rel < 1e-9, f"rel diff={rel:.3e}"))
 
-    exact = uplink.expected_sum_power_exact(h, delta, sys_p, env)
+    exact = uplink.expected_sum_power_exact(h, phi, sys_p, env)
     checks.append(
         (
             "exact sum power bounded by closed form",
@@ -282,7 +281,7 @@ def validation_checks(scn: Scenario, trials: int, seed: int) -> list[tuple[str, 
         )
     )
 
-    empirical = montecarlo.mean_sum_power(h, delta, sys_p, env, trials, seed).uncapped
+    empirical = montecarlo.mean_sum_power(h, phi, sys_p, env, trials, seed).uncapped
     rel = abs(empirical - exact) / exact
     checks.append(
         (
@@ -292,8 +291,8 @@ def validation_checks(scn: Scenario, trials: int, seed: int) -> list[tuple[str, 
         )
     )
 
-    repeat = montecarlo.mean_sum_power(h, delta, sys_p, env, min(trials, 100), seed)
-    repeat2 = montecarlo.mean_sum_power(h, delta, sys_p, env, min(trials, 100), seed)
+    repeat = montecarlo.mean_sum_power(h, phi, sys_p, env, min(trials, 100), seed)
+    repeat2 = montecarlo.mean_sum_power(h, phi, sys_p, env, min(trials, 100), seed)
     checks.append(("seeded determinism", repeat == repeat2, "bit-exact re-run"))
     return checks
 

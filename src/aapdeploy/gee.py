@@ -5,11 +5,12 @@ audits monotonicity on a coarse altitude grid and falls back to a fine grid
 search when the audit fails (which happens for zeroed vehicle energy at low
 SNR).
 
-``gee_value`` broadcasts over an altitude array ``h`` with the threshold
-``delta`` a scalar, so the solver evaluates each threshold's audit grid and
-fallback grid in one array call.  Thresholds are still visited one at a time,
-which keeps memory at one altitude row rather than the full
-(threshold x altitude) matrix.
+``gee_value`` broadcasts over an altitude array ``h`` with the elevation
+threshold ``phi_deg`` a scalar, so the solver evaluates each threshold's
+audit grid and fallback grid in one array call.  Thresholds are still visited
+one at a time, which keeps memory at one altitude row rather than the full
+(threshold x altitude) matrix.  The LoS threshold delta is derived once, for
+the reported optimum.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class DeploymentSolution:
 
 def gee_value(
     h,
-    delta: float,
+    phi_deg: float,
     sys: SystemParams,
     env: EnvironmentParams,
     uav: UavEnergyParams,
@@ -61,26 +62,21 @@ def gee_value(
 
     ``h`` may be a scalar or an altitude array; the result has its shape.
     """
-    rate = uplink.sum_rate(h, delta, sys, env)
-    comm_power = uplink.expected_sum_power_closed_form(h, delta, sys, env)
+    rate = uplink.sum_rate(h, phi_deg, sys, env)
+    comm_power = uplink.expected_sum_power_closed_form(h, phi_deg, sys, env)
     total = energy.total_energy(h, comm_power, sys, uav)
     return sys.service_time_t * rate / total
 
 
-def default_delta_grid(env: EnvironmentParams, phi_grid_deg) -> list[float]:
-    """LoS thresholds corresponding to an elevation-angle grid (degrees)."""
-    return [float(channel.los_probability(phi, env)) for phi in phi_grid_deg]
-
-
 def _feasible_altitude_ceiling(
-    delta: float, sys: SystemParams, env: EnvironmentParams
+    phi_deg: float, sys: SystemParams, env: EnvironmentParams
 ) -> float:
     """min(h_max, power-translated altitude bound) for one threshold."""
-    return min(sys.h_max, uplink.h_max_power_constraint(delta, sys, env))
+    return min(sys.h_max, uplink.h_max_power_constraint(phi_deg, sys, env))
 
 
 def _audit_monotone_decreasing(
-    delta: float,
+    phi_deg: float,
     sys: SystemParams,
     env: EnvironmentParams,
     uav: UavEnergyParams,
@@ -88,7 +84,7 @@ def _audit_monotone_decreasing(
 ) -> bool:
     """True when GEE is non-increasing on a coarse altitude grid."""
     grid = np.linspace(sys.h_min, h_ceiling, AUDIT_POINTS)
-    values = gee_value(grid, delta, sys, env, uav)
+    values = gee_value(grid, phi_deg, sys, env, uav)
     return bool(np.all(values[1:] <= values[:-1] * (1.0 + 1e-12)))
 
 
@@ -96,32 +92,33 @@ def solve_p1(
     sys: SystemParams,
     env: EnvironmentParams,
     uav: UavEnergyParams,
-    delta_grid: Sequence[float],
+    phi_grid: Sequence[float],
 ) -> DeploymentSolution:
-    """Energy-efficiency-optimal altitude and LoS threshold.
+    """Energy-efficiency-optimal altitude and edge elevation threshold.
 
+    ``phi_grid`` holds the candidate edge elevation angles in degrees.
     Thresholds whose cell degenerates to the nadir at h_min, or whose
     power-translated altitude ceiling lies below h_min, are excluded as
-    infeasible; a threshold outside the LoS S-curve's image raises
-    ValueError.  When the decreasing-GEE audit passes for every
-    feasible threshold the altitude is pinned at h_min and only the threshold
-    is searched; otherwise both are grid searched, one array call per
-    threshold over its altitude row.  Threshold ties break toward the larger
-    elevation angle (smaller cell); within the grid search the first maximum
-    in (threshold, altitude) order wins.
+    infeasible; an angle outside (0, 90] raises ValueError.  When the
+    decreasing-GEE audit passes for every feasible threshold the altitude is
+    pinned at h_min and only the threshold is searched; otherwise both are
+    grid searched, one array call per threshold over its altitude row.
+    Threshold ties break toward the larger elevation angle (smaller cell);
+    within the grid search the first maximum in (threshold, altitude) order
+    wins.
     """
-    if not delta_grid:
+    if not phi_grid:
         raise InfeasibleError("empty threshold grid")
 
-    feasible: list[tuple[float, float]] = []  # (delta, altitude ceiling)
-    for delta in delta_grid:
+    feasible: list[tuple[float, float]] = []  # (phi, altitude ceiling)
+    for phi in phi_grid:
         try:
-            channel.require_coverage(sys.h_min, delta, env)
+            channel.require_coverage(sys.h_min, phi, env)
         except DegenerateCoverageError:
             continue
-        ceiling = _feasible_altitude_ceiling(delta, sys, env)
+        ceiling = _feasible_altitude_ceiling(phi, sys, env)
         if ceiling >= sys.h_min:
-            feasible.append((delta, ceiling))
+            feasible.append((phi, ceiling))
     if not feasible:
         raise InfeasibleError(
             "no LoS threshold admits an altitude within both the regulatory "
@@ -129,29 +126,29 @@ def solve_p1(
         )
 
     audit_passed = all(
-        _audit_monotone_decreasing(delta, sys, env, uav, ceiling)
-        for delta, ceiling in feasible
+        _audit_monotone_decreasing(phi, sys, env, uav, ceiling)
+        for phi, ceiling in feasible
     )
 
     # Sort by elevation angle so >= comparisons break ties toward larger phi.
-    feasible.sort(key=lambda dc: channel.phi_from_delta(dc[0], env))
+    feasible.sort()
 
-    best: tuple[float, float, float] | None = None  # (gee, h, delta)
+    best: tuple[float, float, float] | None = None  # (gee, h, phi)
     if audit_passed:
-        for delta, _ceiling in feasible:
-            value = float(gee_value(sys.h_min, delta, sys, env, uav))
+        for phi, _ceiling in feasible:
+            value = float(gee_value(sys.h_min, phi, sys, env, uav))
             if best is None or value >= best[0]:
-                best = (value, sys.h_min, delta)
+                best = (value, sys.h_min, phi)
     else:
-        for delta, ceiling in feasible:
+        for phi, ceiling in feasible:
             grid = np.linspace(sys.h_min, ceiling, FALLBACK_POINTS)
-            values = gee_value(grid, delta, sys, env, uav)
+            values = gee_value(grid, phi, sys, env, uav)
             i = int(np.argmax(values))
             if best is None or values[i] > best[0]:
-                best = (float(values[i]), float(grid[i]), delta)
+                best = (float(values[i]), float(grid[i]), phi)
 
-    gee_opt, h_opt, delta_opt = best
-    ceiling_opt = _feasible_altitude_ceiling(delta_opt, sys, env)
+    gee_opt, h_opt, phi_opt = best
+    ceiling_opt = _feasible_altitude_ceiling(phi_opt, sys, env)
     tol = 1e-9 * max(1.0, h_opt)
     if abs(h_opt - sys.h_min) <= tol:
         binding = BindingConstraint.MIN_ALTITUDE
@@ -162,12 +159,11 @@ def solve_p1(
     else:
         binding = BindingConstraint.INTERIOR
 
-    phi_opt = channel.phi_from_delta(delta_opt, env)
     return DeploymentSolution(
         h_opt=h_opt,
-        delta_opt=delta_opt,
+        delta_opt=float(channel.los_probability(phi_opt, env)),
         phi_opt_deg=phi_opt,
-        r_a=channel.coverage_radius(h_opt, delta_opt, env),
+        r_a=channel.coverage_radius(h_opt, phi_opt, env),
         gee=gee_opt,
         binding_constraint=binding,
         monotone_audit_passed=audit_passed,

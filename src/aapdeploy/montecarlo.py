@@ -6,11 +6,12 @@ pair reproduces bit-identical populations on any platform.  Each trial draws,
 in this order, its Poisson UE count and then one (2, count) array of
 uniforms: the first row sets the radius r_a sqrt(u), the second the angle.
 
-``mean_sum_power`` seeds one generator per trial (seed base_seed + i), but
-runs the power arithmetic once per block of trials holding at least
-``BLOCK_UES`` UEs (the last block may hold fewer), so the per-trial Python
-work is the draw alone.  Every step is elementwise, so a UE's power is the
-same float whichever block it lands in.  Aggregation uses compensated
+``mean_sum_power`` samples the cell of altitude ``h`` and edge elevation
+``phi_deg``, both scalars.  It seeds one generator per trial (seed
+base_seed + i), but runs the power arithmetic once per block of trials
+holding at least ``BLOCK_UES`` UEs (the last block may hold fewer), so the
+per-trial Python work is the draw alone.  Every step is elementwise, so a
+UE's power is the same float whichever block it lands in.  Aggregation uses compensated
 summation (math.fsum): each trial's sum over its own UEs, then the sum over
 trials, so results do not depend on evaluation order or on the block size.
 """
@@ -38,13 +39,7 @@ class UeSample:
 
     r_a: float
     draws: np.ndarray  # shape (2, n): area uniforms, then angle uniforms
-    seed: int
     realized_count: int
-
-    @property
-    def positions(self) -> np.ndarray:
-        """UE positions, shape (n, 2), metres, cell-centred."""
-        return np.column_stack(_cartesian(self.r_a, self.draws))
 
     def radii(self) -> np.ndarray:
         return np.hypot(*_cartesian(self.r_a, self.draws))
@@ -81,7 +76,7 @@ def sample_ues(
     else:
         count = int(fixed_count)
     draws = rng.random((2, count))
-    return UeSample(r_a=r_a, draws=draws, seed=seed, realized_count=count)
+    return UeSample(r_a=r_a, draws=draws, realized_count=count)
 
 
 class SumPower(NamedTuple):
@@ -133,7 +128,7 @@ def _block_sums(
 
 def mean_sum_power(
     h: float,
-    delta: float,
+    phi_deg: float,
     sys: SystemParams,
     env: EnvironmentParams,
     trials: int,
@@ -147,7 +142,7 @@ def mean_sum_power(
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    r_a = channel.require_coverage(h, delta, env)
+    r_a = channel.require_coverage(h, phi_deg, env)
     uncapped: list[float] = []
     capped: list[float] = []
     block: list[UeSample] = []

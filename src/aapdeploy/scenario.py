@@ -6,8 +6,8 @@ misspelled constant can never silently fall back to a default.  Every number
 must be finite, each count (num_interferers, resource_blocks) a whole number,
 and the sweeps must lie where the model is defined: the
 altitude grid inside [h_min, h_max], the elevation grid inside (0, 90] deg
-and the LoS thresholds inside the S-curve's image; each grid needs a positive
-step and a start no greater than its stop.  A violation is a
+and the LoS threshold delta inside the S-curve's image; each grid needs a
+positive step and a start no greater than its stop.  A violation is a
 ConfigError when the file is loaded, never a failure halfway through a verb.
 The Monte-Carlo seed comes from the command line only.
 """
@@ -150,8 +150,7 @@ def _check_sweeps(
     sweeps: SweepSpec, system: SystemParams, env: EnvironmentParams
 ) -> None:
     """Reject sweeps outside the model's domain.  The grids never pass their
-    stop value and the LoS probability rises with elevation, so checking the
-    end points covers every grid point."""
+    stop value, so checking the end points covers every grid point."""
     for name, value in (("h_start_m", sweeps.h_start), ("h_stop_m", sweeps.h_stop)):
         if not system.h_min <= value <= system.h_max:
             raise ConfigError(
@@ -164,10 +163,6 @@ def _check_sweeps(
     ):
         if not 0.0 < value <= 90.0:
             raise ConfigError(f"sweep {name}={value:g} outside (0, 90] deg")
-        try:
-            channel.phi_from_delta(float(channel.los_probability(value, env)), env)
-        except ValueError as exc:
-            raise ConfigError(f"sweep {name}={value:g}: {exc}") from exc
     try:
         channel.phi_from_delta(sweeps.delta, env)
     except ValueError as exc:
@@ -235,20 +230,15 @@ def load_scenario(path: str | Path) -> Scenario:
     has_gamma = "gamma" in sys_sec
     if has_target == has_gamma:
         raise ConfigError("exactly one of p_target_w or gamma must be given")
-    bandwidth = _get_float(sys_sec, "bandwidth_hz")
-    noise = _get_float(sys_sec, "noise_psd_w_per_hz")
-    if has_target:
-        p_target = _get_float(sys_sec, "p_target_w")
-    else:
-        p_target = _get_float(sys_sec, "gamma") * noise * bandwidth
     system = SystemParams(
-        bandwidth_w=bandwidth,
+        bandwidth_w=_get_float(sys_sec, "bandwidth_hz"),
         num_interferers_m=_get_int(sys_sec, "num_interferers"),
         circuit_power_pc=_get_float(sys_sec, "circuit_power_w"),
         service_time_t=_get_float(sys_sec, "service_time_s"),
         p_max=_get_float(sys_sec, "p_max_w"),
-        p_target_pa=p_target,
-        noise_psd_sigma0sq=noise,
+        # with_gamma below replaces this placeholder when the file gives gamma
+        p_target_pa=_get_float(sys_sec, "p_target_w") if has_target else 1.0,
+        noise_psd_sigma0sq=_get_float(sys_sec, "noise_psd_w_per_hz"),
         ue_density_rho=_get_float(sys_sec, "ue_density_per_m2"),
         h_min=_get_float(sys_sec, "h_min_m"),
         h_max=_get_float(sys_sec, "h_max_m"),
@@ -256,6 +246,8 @@ def load_scenario(path: str | Path) -> Scenario:
         resource_blocks_b=_get_int(sys_sec, "resource_blocks", 1),
         tpc_beta=_get_float(sys_sec, "tpc_beta", 1.0),
     )
+    if has_gamma:
+        system = system.with_gamma(_get_float(sys_sec, "gamma"))
 
     uav_sec = parser["uav"]
     uav = UavEnergyParams(

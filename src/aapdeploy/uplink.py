@@ -5,8 +5,8 @@ elevation (the edge-UE approximation); the exact variant integrates the
 r-dependent mean path loss numerically and is always <= the closed form.
 
 The closed-form sum power and the sum rate broadcast over an altitude array
-``h`` (the threshold ``delta`` stays a scalar), so a whole altitude grid is
-one call.
+``h`` (the edge elevation ``phi_deg`` stays a scalar), so a whole altitude
+grid is one call.
 """
 
 from __future__ import annotations
@@ -28,23 +28,17 @@ def cell_ue_count(r_a: float, sys: SystemParams) -> float:
     return sys.ue_density_rho * math.pi * r_a**2
 
 
-def edge_mean_additional_loss(delta: float, env: EnvironmentParams) -> float:
-    """Mean excess path loss evaluated at the cell-edge elevation phi(delta)."""
-    return float(channel.mean_additional_path_loss(channel.phi_from_delta(delta, env), env))
-
-
 def expected_sum_power_closed_form(
-    h, delta: float, sys: SystemParams, env: EnvironmentParams
+    h, phi_deg: float, sys: SystemParams, env: EnvironmentParams
 ):
     """Closed-form upper bound on the expected sum UE transmit power (W).
 
     2 pi rho P_a eta_m cot^2(phi) h^4 (cot^2(phi) + 2) / (4 g0), with eta_m
     frozen at the edge elevation.  Strictly increasing in h.
     """
-    channel.require_coverage(h, delta, env)
-    phi = channel.phi_from_delta(delta, env)
-    cot2 = 1.0 / math.tan(math.radians(phi)) ** 2
-    eta_m = edge_mean_additional_loss(delta, env)
+    channel.require_coverage(h, phi_deg, env)
+    cot2 = 1.0 / math.tan(math.radians(phi_deg)) ** 2
+    eta_m = float(channel.mean_additional_path_loss(phi_deg, env))
     return (
         2.0
         * math.pi
@@ -69,7 +63,7 @@ def _sum_power_quadrature(r_a: float, integrand) -> float:
 
 def expected_sum_power_exact(
     h: float,
-    delta: float,
+    phi_deg: float,
     sys: SystemParams,
     env: EnvironmentParams,
 ) -> float:
@@ -78,7 +72,7 @@ def expected_sum_power_exact(
     Numerical quadrature of rho * 2 pi P_a L̄(r, h) r over the cell; always
     <= the closed-form bound, with equality when eta_los == eta_nlos.
     """
-    r_a = channel.require_coverage(h, delta, env)
+    r_a = channel.require_coverage(h, phi_deg, env)
 
     def integrand(r: float) -> float:
         return (
@@ -95,7 +89,7 @@ def expected_sum_power_exact(
 
 def expected_sum_power_edge_quadrature(
     h: float,
-    delta: float,
+    phi_deg: float,
     sys: SystemParams,
     env: EnvironmentParams,
 ) -> float:
@@ -104,8 +98,8 @@ def expected_sum_power_edge_quadrature(
     Independent cross-check of the closed form: same integrand family but a
     constant eta_m, so the two must agree to quadrature tolerance.
     """
-    r_a = channel.require_coverage(h, delta, env)
-    eta_m = edge_mean_additional_loss(delta, env)
+    r_a = channel.require_coverage(h, phi_deg, env)
+    eta_m = float(channel.mean_additional_path_loss(phi_deg, env))
 
     def integrand(r: float) -> float:
         return (
@@ -136,23 +130,23 @@ def sum_rate_from_count(n_ue, sys: SystemParams):
     return sys.bandwidth_w * np.log2(1.0 + sinr(n_ue, sys))
 
 
-def sum_rate(h, delta: float, sys: SystemParams, env: EnvironmentParams):
+def sum_rate(h, phi_deg: float, sys: SystemParams, env: EnvironmentParams):
     """Cell sum uplink rate (bit/s); saturates at W log2(1 + 1/M)."""
-    r_a = channel.require_coverage(h, delta, env)
+    r_a = channel.require_coverage(h, phi_deg, env)
     return sum_rate_from_count(cell_ue_count(r_a, sys), sys)
 
 
 def h_max_power_constraint(
-    delta: float, sys: SystemParams, env: EnvironmentParams
+    phi_deg: float, sys: SystemParams, env: EnvironmentParams
 ) -> float:
     """Altitude above which the cell-edge UE would exceed its power cap.
 
-    sqrt(P_max g0 / (P_a eta_m (1 + cot^2(phi(delta))))); at this altitude
-    the edge UE's power-controlled transmit power equals P_max exactly.
+    sqrt(P_max g0 / (P_a eta_m (1 + cot^2(phi)))); at this altitude the edge
+    UE's power-controlled transmit power equals P_max exactly.
     """
-    phi = channel.phi_from_delta(delta, env)
-    cot2 = 0.0 if phi >= 90.0 - 1e-9 else 1.0 / math.tan(math.radians(phi)) ** 2
-    eta_m = edge_mean_additional_loss(delta, env)
+    nadir = phi_deg >= 90.0 - 1e-9
+    cot2 = 0.0 if nadir else 1.0 / math.tan(math.radians(phi_deg)) ** 2
+    eta_m = float(channel.mean_additional_path_loss(phi_deg, env))
     return math.sqrt(
         sys.p_max * env.g0 / (sys.p_target_pa * eta_m * (1.0 + cot2))
     )

@@ -1,5 +1,6 @@
 import pytest
 
+from aapdeploy import channel
 from aapdeploy.params import EnvironmentParams, SystemParams, UavEnergyParams
 
 # One line per acceptance criterion, echoed after the test summary so the
@@ -17,6 +18,12 @@ def pytest_terminal_summary(config, terminalreporter):
 @pytest.fixture
 def suburban_env():
     return EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
+
+
+@pytest.fixture
+def edge_phi(suburban_env):
+    """Edge elevation (deg) at which the suburban LoS probability is 0.9."""
+    return channel.phi_from_delta(0.9, suburban_env)
 
 
 def make_system(gamma=100.0, **overrides):

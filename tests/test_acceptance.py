@@ -32,14 +32,14 @@ def test_criterion_1_gee_strictly_decreasing_in_altitude():
     """With full vehicle energy, GEE decreases strictly in altitude for every
     threshold and every SNR regime."""
     start = time.monotonic()
-    delta_grid = [float(channel.los_probability(phi, ENV)) for phi in np.linspace(10.0, 75.0, 10)]
+    phi_grid = np.linspace(10.0, 75.0, 10).tolist()
     altitudes = np.arange(15.0, 300.0 + 1e-9, 1.0)
     assert len(altitudes) == 286
     violations = 0
     for gamma in (10.0, 100.0, 1000.0):
         sysp = make_system(gamma=gamma)
-        for delta in delta_grid:
-            values = [gee.gee_value(float(h), delta, sysp, ENV, UAV) for h in altitudes]
+        for phi in phi_grid:
+            values = [gee.gee_value(float(h), phi, sysp, ENV, UAV) for h in altitudes]
             if not all(b < a for a, b in zip(values, values[1:])):
                 violations += 1
     elapsed = time.monotonic() - start
@@ -56,14 +56,14 @@ def test_criterion_2_zero_vehicle_energy_plateau():
     altitude (never above the h_min value by 1%) and eventually decreases."""
     sysp = make_system(gamma=10.0)
     zero = UavEnergyParams.zero()
-    delta = 0.9
-    g15 = gee.gee_value(15.0, delta, sysp, ENV, zero)
+    phi = channel.phi_from_delta(0.9, ENV)
+    g15 = gee.gee_value(15.0, phi, sysp, ENV, zero)
     values = [
-        gee.gee_value(float(h), delta, sysp, ENV, zero)
+        gee.gee_value(float(h), phi, sysp, ENV, zero)
         for h in np.arange(15.0, 100.0 + 1e-9, 1.0)
     ]
     rise = (max(values) - g15) / g15
-    g300 = gee.gee_value(300.0, delta, sysp, ENV, zero)
+    g300 = gee.gee_value(300.0, phi, sysp, ENV, zero)
     record(
         2,
         rise < 0.01 and g300 < g15,
@@ -81,9 +81,10 @@ def test_criterion_3_sum_power_closed_form_oracle():
     min_gap = math.inf
     for h in np.linspace(15.0, 300.0, 5):
         for delta in (0.3, 0.5, 0.7, 0.9, 0.95):
-            closed = uplink.expected_sum_power_closed_form(float(h), delta, sysp, ENV)
-            edge = uplink.expected_sum_power_edge_quadrature(float(h), delta, sysp, ENV)
-            exact = uplink.expected_sum_power_exact(float(h), delta, sysp, ENV)
+            phi = channel.phi_from_delta(delta, ENV)
+            closed = uplink.expected_sum_power_closed_form(float(h), phi, sysp, ENV)
+            edge = uplink.expected_sum_power_edge_quadrature(float(h), phi, sysp, ENV)
+            exact = uplink.expected_sum_power_exact(float(h), phi, sysp, ENV)
             worst_rel = max(worst_rel, abs(closed - edge) / closed)
             min_gap = min(min_gap, (closed - exact) / closed)
     elapsed = time.monotonic() - start
@@ -190,8 +191,9 @@ def test_criterion_8_inversion_and_power_round_trips():
     sysp = make_system()
     worst_pow = 0.0
     for delta in np.linspace(0.3, 0.99, 20):
-        h_lim = uplink.h_max_power_constraint(float(delta), sysp, ENV)
-        r_a = channel.coverage_radius(h_lim, float(delta), ENV)
+        phi = channel.phi_from_delta(float(delta), ENV)
+        h_lim = uplink.h_max_power_constraint(phi, sysp, ENV)
+        r_a = channel.coverage_radius(h_lim, phi, ENV)
         edge_power = sysp.p_target_pa * float(channel.mean_path_loss_rh(r_a, h_lim, ENV))
         worst_pow = max(worst_pow, abs(edge_power - sysp.p_max) / sysp.p_max)
     record(
@@ -208,13 +210,13 @@ def test_criterion_9_monte_carlo_convergence():
     estimator is bit-exact under a repeated seed."""
     start = time.monotonic()
     sysp = make_system()
-    h, delta = 15.0, 0.9
-    exact = uplink.expected_sum_power_exact(h, delta, sysp, ENV)
-    mc = montecarlo.mean_sum_power(h, delta, sysp, ENV, trials=10_000, base_seed=1)
+    h, phi = 15.0, channel.phi_from_delta(0.9, ENV)
+    exact = uplink.expected_sum_power_exact(h, phi, sysp, ENV)
+    mc = montecarlo.mean_sum_power(h, phi, sysp, ENV, trials=10_000, base_seed=1)
     rel = abs(mc.uncapped - exact) / exact
 
-    again = montecarlo.mean_sum_power(h, delta, sysp, ENV, trials=200, base_seed=1)
-    again2 = montecarlo.mean_sum_power(h, delta, sysp, ENV, trials=200, base_seed=1)
+    again = montecarlo.mean_sum_power(h, phi, sysp, ENV, trials=200, base_seed=1)
+    again2 = montecarlo.mean_sum_power(h, phi, sysp, ENV, trials=200, base_seed=1)
     elapsed = time.monotonic() - start
     record(
         9,
@@ -240,12 +242,7 @@ def test_criterion_10_threshold_saturation_knee():
     sysp = make_system(gamma=10.0)
     knees = {}
     for label, uav in (("full", UAV), ("zero", UavEnergyParams.zero())):
-        values = [
-            gee.gee_value(
-                sysp.h_min, float(channel.los_probability(phi, ENV)), sysp, ENV, uav
-            )
-            for phi in phi_grid
-        ]
+        values = [gee.gee_value(sysp.h_min, phi, sysp, ENV, uav) for phi in phi_grid]
         knees[label] = _knee_phi(list(phi_grid), values)
     ok = knees["full"] <= knees["zero"]
     record(

@@ -66,7 +66,7 @@ def test_infeasible_place_exit_code(small_scenario, tmp_path, capsys):
 @pytest.mark.parametrize(
     "old,new,verb",
     [
-        # NaN passes "a <= 0" and the solver then finds no threshold (exit 1)
+        # NaN passed "a <= 0" and the solver then found no threshold (exit 1)
         ("a = 4.88", "a = nan", "solve"),
         # each of these raises ValueError deep inside the verb if not caught
         ("delta = 0.9", "delta = 0.01", "altitude-sweep"),
@@ -81,6 +81,9 @@ def test_infeasible_place_exit_code(small_scenario, tmp_path, capsys):
         ("phi_step_deg = 5", "phi_step_deg = -5", "altitude-sweep"),
         # a fractional count was truncated: 2.7 interferers ran as M = 2
         ("num_interferers = 6", "num_interferers = 2.7", "solve"),
+        # gamma was turned into a target power before any check and the error
+        # named p_target_pa, a key the file does not hold
+        ("gamma = 100", "gamma = -1", "solve"),
     ],
 )
 def test_bad_scenario_value_exits_config_error(
@@ -94,6 +97,7 @@ def test_bad_scenario_value_exits_config_error(
     assert run(["--scenario", str(path), "--out", str(out), verb]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error:")
+    assert new.split(" = ")[0] in err[0]  # the message names the bad key
     assert not out.exists()
 
 
@@ -170,6 +174,31 @@ def test_threshold_sweep_output(small_scenario, tmp_path):
     gees = [float(row[2]) for row in rows]
     peak = gees.index(max(gees))
     assert 0 < peak < len(gees) - 1
+
+
+def test_threshold_sweep_radius_is_h_cot_phi_up_to_the_zenith(tmp_path):
+    # the S-curve is flat near 90 deg, so a radius rebuilt from the LoS
+    # probability there lost most of its digits; the nadir-only 90 deg cell
+    # has no row
+    text = builtin_scenario_path("baseline").read_text()
+    path = tmp_path / "phi90.ini"
+    path.write_text(text.replace("phi_stop_deg = 60", "phi_stop_deg = 90"))
+    scn = load_scenario(path)
+    out = tmp_path / "out"
+    code = run(["--scenario", str(path), "--out", str(out), "threshold-sweep"])
+    assert code == cli.EXIT_OK
+    lines = (out / "threshold_sweep.csv").read_text().splitlines()[1:]
+    rows = [[float(cell) for cell in line.split(",")] for line in lines]
+    assert [row[0] for row in rows] == scn.sweeps.phi_grid()[:-1]
+    for phi, _delta, _gee, r_a, *_ in rows:
+        expected = scn.system.h_min / math.tan(math.radians(phi))
+        assert r_a == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["baseline", "no_vehicle_energy"])
+def test_solved_phi_is_a_grid_point(name):
+    scn = load_scenario(builtin_scenario_path(name))
+    assert cli.solve_scenario(scn).phi_opt_deg in scn.sweeps.phi_grid()
 
 
 def test_density_sweep_output(small_scenario, tmp_path, capsys):

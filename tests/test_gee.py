@@ -11,15 +11,17 @@ from aapdeploy.params import EnvironmentParams, UavEnergyParams
 from conftest import make_system
 
 
-def test_gee_value_decomposition(suburban_env, baseline_system, baseline_uav):
-    h, delta = 15.0, 0.9
-    rate = uplink.sum_rate(h, delta, baseline_system, suburban_env)
+def test_gee_value_decomposition(
+    suburban_env, baseline_system, baseline_uav, edge_phi
+):
+    h = 15.0
+    rate = uplink.sum_rate(h, edge_phi, baseline_system, suburban_env)
     power = uplink.expected_sum_power_closed_form(
-        h, delta, baseline_system, suburban_env
+        h, edge_phi, baseline_system, suburban_env
     )
     total = energy.total_energy(h, power, baseline_system, baseline_uav)
     expected = baseline_system.service_time_t * rate / total
-    assert gee.gee_value(h, delta, baseline_system, suburban_env, baseline_uav) == (
+    assert gee.gee_value(h, edge_phi, baseline_system, suburban_env, baseline_uav) == (
         pytest.approx(expected, rel=1e-12)
     )
 
@@ -40,11 +42,10 @@ def test_gee_value_broadcast_matches_scalar_calls(phi, gamma, zero_uav, heights)
         if zero_uav
         else UavEnergyParams(315.0, -211.261, 4.917, 275.204)
     )
-    delta = float(channel.los_probability(phi, env))
-    values = gee.gee_value(np.array(heights), delta, sysp, env, uav)
+    values = gee.gee_value(np.array(heights), phi, sysp, env, uav)
     assert values.shape == (len(heights),)
     for h, value in zip(heights, values):
-        scalar = gee.gee_value(h, delta, sysp, env, uav)
+        scalar = gee.gee_value(h, phi, sysp, env, uav)
         assert value == pytest.approx(scalar, rel=1e-12, abs=0.0)
 
 
@@ -52,40 +53,28 @@ def test_gee_decreasing_in_altitude_baseline(
     suburban_env, baseline_system, baseline_uav
 ):
     for delta in (0.5, 0.9):
+        phi = channel.phi_from_delta(delta, suburban_env)
         values = [
-            gee.gee_value(h, delta, baseline_system, suburban_env, baseline_uav)
+            gee.gee_value(h, phi, baseline_system, suburban_env, baseline_uav)
             for h in np.linspace(15.0, 300.0, 40)
         ]
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
-def test_default_delta_grid_round_trip(suburban_env):
-    # high elevations are excluded: 1 - delta underflows relative precision
-    # there and the inversion is intrinsically ill-conditioned
-    grid = gee.default_delta_grid(suburban_env, phi_grid_deg=[10.0, 45.0, 60.0])
-    for phi, delta in zip([10.0, 45.0, 60.0], grid):
-        assert channel.phi_from_delta(delta, suburban_env) == pytest.approx(
-            phi, abs=1e-6
-        )
-
-
 def test_solve_p1_baseline_pins_min_altitude(
     suburban_env, baseline_system, baseline_uav
 ):
-    grid = gee.default_delta_grid(
-        suburban_env, phi_grid_deg=np.arange(5.0, 60.0 + 1e-9, 0.25)
-    )
-    sol = gee.solve_p1(baseline_system, suburban_env, baseline_uav, delta_grid=grid)
+    grid = np.arange(5.0, 60.0 + 1e-9, 0.25).tolist()
+    sol = gee.solve_p1(baseline_system, suburban_env, baseline_uav, phi_grid=grid)
     assert sol.h_opt == baseline_system.h_min
     assert sol.binding_constraint is gee.BindingConstraint.MIN_ALTITUDE
     assert sol.monotone_audit_passed
-    assert sol.r_a == pytest.approx(
-        channel.coverage_radius(sol.h_opt, sol.delta_opt, suburban_env)
-    )
+    assert sol.r_a == sol.h_opt / math.tan(math.radians(sol.phi_opt_deg))
+    assert sol.delta_opt == float(channel.los_probability(sol.phi_opt_deg, suburban_env))
     # the returned threshold really is the per-threshold argmax at h_min
     others = [
-        gee.gee_value(sol.h_opt, d, baseline_system, suburban_env, baseline_uav)
-        for d in grid
+        gee.gee_value(sol.h_opt, phi, baseline_system, suburban_env, baseline_uav)
+        for phi in grid
     ]
     assert sol.gee == pytest.approx(max(others), rel=1e-12)
 
@@ -95,34 +84,33 @@ def test_solve_p1_tie_break_toward_larger_phi(
 ):
     # duplicate thresholds: the reported optimum keeps a single phi but the
     # solver must not crash or prefer the first occurrence arbitrarily
-    delta = float(channel.los_probability(30.0, suburban_env))
     sol = gee.solve_p1(
-        baseline_system, suburban_env, baseline_uav, delta_grid=[delta, delta]
+        baseline_system, suburban_env, baseline_uav, phi_grid=[30.0, 30.0]
     )
-    assert sol.phi_opt_deg == pytest.approx(30.0, abs=1e-9)
+    assert sol.phi_opt_deg == 30.0
 
 
 def test_solve_p1_infeasible_empty_grid(suburban_env, baseline_system, baseline_uav):
     with pytest.raises(InfeasibleError):
-        gee.solve_p1(baseline_system, suburban_env, baseline_uav, delta_grid=[])
+        gee.solve_p1(baseline_system, suburban_env, baseline_uav, phi_grid=[])
 
 
 def test_solve_p1_infeasible_power_limit(suburban_env, baseline_uav):
     # tiny P_max: every threshold's power ceiling drops below h_min
     sysp = make_system(p_max=1e-15)
-    grid = gee.default_delta_grid(suburban_env, phi_grid_deg=[20.0, 40.0, 60.0])
     with pytest.raises(InfeasibleError):
-        gee.solve_p1(sysp, suburban_env, baseline_uav, delta_grid=grid)
+        gee.solve_p1(sysp, suburban_env, baseline_uav, phi_grid=[20.0, 40.0, 60.0])
 
 
-@pytest.mark.parametrize("bad_delta", [0.001, 1.0, 1.5])
-def test_solve_p1_rejects_threshold_outside_s_curve(
-    suburban_env, baseline_system, baseline_uav, bad_delta
+@pytest.mark.parametrize("bad_phi", [0.0, -20.0, 90.5, math.nan])
+def test_solve_p1_rejects_phi_outside_domain(
+    suburban_env, baseline_system, baseline_uav, bad_phi
 ):
     # only a degenerate cell is skipped; a bad threshold is an error, not a gap
-    grid = gee.default_delta_grid(suburban_env, phi_grid_deg=[20.0, 40.0]) + [bad_delta]
-    with pytest.raises(ValueError):
-        gee.solve_p1(baseline_system, suburban_env, baseline_uav, delta_grid=grid)
+    with pytest.raises(ValueError, match=r"\(0, 90\]"):
+        gee.solve_p1(
+            baseline_system, suburban_env, baseline_uav, phi_grid=[20.0, 40.0, bad_phi]
+        )
 
 
 def test_solve_p1_fallback_interior(suburban_env):
@@ -133,9 +121,7 @@ def test_solve_p1_fallback_interior(suburban_env):
         sysp,
         suburban_env,
         UavEnergyParams.zero(),
-        delta_grid=gee.default_delta_grid(
-            suburban_env, phi_grid_deg=np.arange(5.0, 60.0 + 1e-9, 1.0)
-        ),
+        phi_grid=np.arange(5.0, 60.0 + 1e-9, 1.0).tolist(),
     )
     assert not sol.monotone_audit_passed
     assert sol.h_opt > sysp.h_min
@@ -146,7 +132,7 @@ def test_solve_p1_fallback_interior(suburban_env):
     )
     # the interior point genuinely beats both endpoint altitudes
     assert sol.gee > gee.gee_value(
-        sysp.h_min, sol.delta_opt, sysp, suburban_env, UavEnergyParams.zero()
+        sysp.h_min, sol.phi_opt_deg, sysp, suburban_env, UavEnergyParams.zero()
     )
 
 
@@ -154,27 +140,23 @@ def test_solve_p1_fallback_matches_scalar_loop(suburban_env):
     # reference: the scalar (threshold, altitude) loop with a strict '>' that
     # the broadcast grid search replaced; same first maximum, same value
     sysp, uav = make_system(gamma=0.01), UavEnergyParams.zero()
-    phis = np.arange(5.0, 60.0 + 1e-9, 5.0)
-    sol = gee.solve_p1(
-        sysp, suburban_env, uav, gee.default_delta_grid(suburban_env, phis)
-    )
+    phis = np.arange(5.0, 60.0 + 1e-9, 5.0).tolist()
+    sol = gee.solve_p1(sysp, suburban_env, uav, phis)
     best = None
     for phi in phis:
-        delta = float(channel.los_probability(phi, suburban_env))
-        ceiling = gee._feasible_altitude_ceiling(delta, sysp, suburban_env)
+        ceiling = gee._feasible_altitude_ceiling(phi, sysp, suburban_env)
         for h in np.linspace(sysp.h_min, ceiling, gee.FALLBACK_POINTS):
-            value = gee.gee_value(float(h), delta, sysp, suburban_env, uav)
+            value = gee.gee_value(float(h), phi, sysp, suburban_env, uav)
             if best is None or value > best[0]:
-                best = (value, float(h), delta)
-    assert (sol.gee, sol.h_opt, sol.delta_opt) == best
+                best = (value, float(h), phi)
+    assert (sol.gee, sol.h_opt, sol.phi_opt_deg) == best
 
 
-def sum_rate_slope(h, delta, sysp, env, rel_step=1e-5):
+def sum_rate_slope(h, phi, sysp, env, rel_step=1e-5):
     """d(sum_rate)/dh / W two ways: the two-term analytic form
     2 kappa h log2(e) [1 / (kappa h^2 + N / (M + 1)) - 1 / (kappa h^2 + N / M)]
     with kappa = P_a rho pi cot^2(phi) and N = sigma0^2 W, and a central
     finite difference of uplink.sum_rate."""
-    phi = channel.phi_from_delta(delta, env)
     cot2 = 1.0 / math.tan(math.radians(phi)) ** 2
     kappa = sysp.p_target_pa * sysp.ue_density_rho * math.pi * cot2
     noise = sysp.noise_psd_sigma0sq * sysp.bandwidth_w
@@ -184,22 +166,22 @@ def sum_rate_slope(h, delta, sysp, env, rel_step=1e-5):
     )
     dh = rel_step * h
     fd = (
-        uplink.sum_rate(h + dh, delta, sysp, env)
-        - uplink.sum_rate(h - dh, delta, sysp, env)
+        uplink.sum_rate(h + dh, phi, sysp, env)
+        - uplink.sum_rate(h - dh, phi, sysp, env)
     ) / (2.0 * dh * sysp.bandwidth_w)
     return term(m + 1) - term(m), fd
 
 
-def test_derivative_diag_matches_finite_difference(suburban_env):
+def test_derivative_diag_matches_finite_difference(suburban_env, edge_phi):
     # low-SNR regimes where the FD of the saturating rate stays well
     # conditioned; the analytic two-term form must agree tightly
     for gamma in (0.1, 1.0):
         sysp = make_system(gamma=gamma)
         for h in (20.0, 80.0, 150.0):
-            analytic, finite_difference = sum_rate_slope(h, 0.9, sysp, suburban_env)
+            analytic, finite_difference = sum_rate_slope(h, edge_phi, sysp, suburban_env)
             assert finite_difference == pytest.approx(analytic, rel=2.5e-6)
 
 
-def test_derivative_diag_sign(suburban_env, baseline_system):
-    analytic, _ = sum_rate_slope(15.0, 0.9, baseline_system, suburban_env)
+def test_derivative_diag_sign(suburban_env, baseline_system, edge_phi):
+    analytic, _ = sum_rate_slope(15.0, edge_phi, baseline_system, suburban_env)
     assert analytic > 0.0  # rate still climbing toward saturation

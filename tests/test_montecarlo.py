@@ -10,24 +10,29 @@ from aapdeploy.params import EnvironmentParams
 from conftest import make_system
 
 
-def reference_positions(r_a, rho, seed, fixed_count=None):
-    """The per-trial sampler: Poisson count, then two separate uniform draws,
-    stacked into an (n, 2) array of positions."""
+def reference_draws(r_a, rho, seed, fixed_count=None):
+    """The per-trial sampler's uniforms: Poisson count, then two separate
+    uniform draws, area first and angle second."""
     rng = np.random.default_rng(seed)
     if fixed_count is None:
         count = int(rng.poisson(rho * math.pi * r_a**2))
     else:
         count = int(fixed_count)
-    u = rng.random(count)
-    angles = rng.random(count) * 2.0 * math.pi
+    return rng.random(count), rng.random(count)
+
+
+def reference_positions(r_a, rho, seed, fixed_count=None):
+    """The reference draws as an (n, 2) array of cell-centred positions."""
+    u, v = reference_draws(r_a, rho, seed, fixed_count)
     radii = r_a * np.sqrt(u)
+    angles = v * 2.0 * math.pi
     return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
 
 
-def reference_mean_sum_power(h, delta, sys, env, trials, base_seed=0, fixed_count=None):
+def reference_mean_sum_power(h, phi, sys, env, trials, base_seed=0, fixed_count=None):
     """The per-trial loop: sample, power and fsum one population at a time,
     then fsum the per-trial sums."""
-    r_a = channel.require_coverage(h, delta, env)
+    r_a = channel.require_coverage(h, phi, env)
     uncapped = []
     capped = []
     for i in range(trials):
@@ -52,10 +57,10 @@ BLOCK_EDGE_COUNTS = [
 ]
 
 
-def _system_with_mean_count(h, delta, env, mean_ues):
+def _system_with_mean_count(h, phi, env, mean_ues):
     """The baseline system with the UE density that puts mean_ues UEs in the
-    cell, so Poisson populations stay small at any (h, delta)."""
-    r_a = channel.require_coverage(h, delta, env)
+    cell, so Poisson populations stay small at any (h, phi)."""
+    r_a = channel.require_coverage(h, phi, env)
     return make_system(ue_density_rho=mean_ues / (math.pi * r_a**2))
 
 
@@ -63,9 +68,9 @@ def test_sample_determinism():
     a = montecarlo.sample_ues(40.0, 1e-2, seed=7)
     b = montecarlo.sample_ues(40.0, 1e-2, seed=7)
     assert a.realized_count == b.realized_count
-    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a.draws, b.draws)
     c = montecarlo.sample_ues(40.0, 1e-2, seed=8)
-    assert not np.array_equal(a.positions, c.positions)
+    assert not np.array_equal(a.draws, c.draws)
 
 
 def test_sample_counts_poisson_mean():
@@ -82,7 +87,7 @@ def test_sample_counts_poisson_mean():
 def test_sample_fixed_count():
     sample = montecarlo.sample_ues(40.0, 1e-2, seed=1, fixed_count=123)
     assert sample.realized_count == 123
-    assert sample.positions.shape == (123, 2)
+    assert sample.draws.shape == (2, 123)
 
 
 def test_sample_radial_distribution_uniform_in_area():
@@ -131,10 +136,11 @@ def test_sample_rejects_negative_fixed_count():
 def test_sample_positions_equal_the_reference(r_a, mean_ues, seed, fixed_count):
     rho = mean_ues / (math.pi * r_a**2)
     sample = montecarlo.sample_ues(r_a, rho, seed, fixed_count)
+    u, v = reference_draws(r_a, rho, seed, fixed_count)
+    assert sample.realized_count == len(u)
+    assert np.array_equal(sample.draws[0], u)
+    assert np.array_equal(sample.draws[1], v)
     expected = reference_positions(r_a, rho, seed, fixed_count)
-    assert sample.seed == seed
-    assert sample.realized_count == len(expected)
-    assert np.array_equal(sample.positions, expected)
     assert np.array_equal(sample.radii(), np.hypot(expected[:, 0], expected[:, 1]))
 
 
@@ -153,46 +159,48 @@ def test_empirical_capped_below_uncapped(suburban_env):
     assert result.capped <= 500 * sysp.p_max + 1e-15
 
 
-def test_mean_sum_power_matches_quadrature(suburban_env, baseline_system):
-    h, delta = 15.0, 0.9
-    exact = uplink.expected_sum_power_exact(h, delta, baseline_system, suburban_env)
+def test_mean_sum_power_matches_quadrature(suburban_env, baseline_system, edge_phi):
+    h = 15.0
+    exact = uplink.expected_sum_power_exact(h, edge_phi, baseline_system, suburban_env)
     mc = montecarlo.mean_sum_power(
-        h, delta, baseline_system, suburban_env, trials=2000, base_seed=11
+        h, edge_phi, baseline_system, suburban_env, trials=2000, base_seed=11
     )
     assert mc.uncapped == pytest.approx(exact, rel=0.03)
 
 
-def test_mean_sum_power_deterministic(suburban_env, baseline_system):
+def test_mean_sum_power_deterministic(suburban_env, baseline_system, edge_phi):
     a = montecarlo.mean_sum_power(
-        15.0, 0.9, baseline_system, suburban_env, trials=50, base_seed=4
+        15.0, edge_phi, baseline_system, suburban_env, trials=50, base_seed=4
     )
     b = montecarlo.mean_sum_power(
-        15.0, 0.9, baseline_system, suburban_env, trials=50, base_seed=4
+        15.0, edge_phi, baseline_system, suburban_env, trials=50, base_seed=4
     )
     assert a == b  # bit-exact
 
 
-def test_mean_sum_power_rejects_no_trials(suburban_env, baseline_system):
+def test_mean_sum_power_rejects_no_trials(suburban_env, baseline_system, edge_phi):
     for trials in (0, -1):
         with pytest.raises(ValueError, match="trial"):
-            montecarlo.mean_sum_power(15.0, 0.9, baseline_system, suburban_env, trials)
+            montecarlo.mean_sum_power(
+                15.0, edge_phi, baseline_system, suburban_env, trials
+            )
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(min_value=15.0, max_value=300.0),
-    st.floats(min_value=0.05, max_value=0.999999),
+    st.floats(min_value=1.0, max_value=89.0),
     st.floats(min_value=0.1, max_value=3000.0),
     st.integers(min_value=0, max_value=2**62),
     st.integers(min_value=1, max_value=40),
     st.sampled_from(BLOCK_EDGE_COUNTS),
 )
 def test_mean_sum_power_equals_the_per_trial_loop(
-    h, delta, mean_ues, seed, trials, fixed_count
+    h, phi, mean_ues, seed, trials, fixed_count
 ):
     env = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
-    sysp = _system_with_mean_count(h, delta, env, mean_ues)
-    args = (h, delta, sysp, env, trials, seed, fixed_count)
+    sysp = _system_with_mean_count(h, phi, env, mean_ues)
+    args = (h, phi, sysp, env, trials, seed, fixed_count)
     assert montecarlo.mean_sum_power(*args) == reference_mean_sum_power(*args)
 
 
@@ -218,19 +226,19 @@ def test_block_sums_equal_each_trials_own_sum(fixed_counts, seed):
 
 @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**62])
 def test_mean_sum_power_equals_the_per_trial_loop_at_10k_trials(
-    suburban_env, baseline_system, seed
+    suburban_env, baseline_system, edge_phi, seed
 ):
-    args = (15.0, 0.9, baseline_system, suburban_env, 10_000, seed)
+    args = (15.0, edge_phi, baseline_system, suburban_env, 10_000, seed)
     assert montecarlo.mean_sum_power(*args) == reference_mean_sum_power(*args)
 
 
 @pytest.mark.parametrize("fixed_count", [None, 0, montecarlo.BLOCK_UES + 1])
 def test_traced_sampler_sees_every_trial_and_ue(
-    monkeypatch, suburban_env, baseline_system, fixed_count
+    monkeypatch, suburban_env, baseline_system, edge_phi, fixed_count
 ):
     # An outside tracer counts trials and UEs by wrapping the module's
     # sample_ues attribute; those counts must match the UEs that are powered.
-    args = (15.0, 0.9, baseline_system, suburban_env, 300, 7, fixed_count)
+    args = (15.0, edge_phi, baseline_system, suburban_env, 300, 7, fixed_count)
     expected = montecarlo.mean_sum_power(*args)
     sampled = []
     powered = []
@@ -252,17 +260,17 @@ def test_traced_sampler_sees_every_trial_and_ue(
     assert sum(sampled) == sum(powered)
 
 
-def test_error_shrinks_with_trials(suburban_env, baseline_system):
+def test_error_shrinks_with_trials(suburban_env, baseline_system, edge_phi):
     """Monte-Carlo error roughly follows 1/sqrt(trials)."""
-    h, delta = 15.0, 0.9
-    exact = uplink.expected_sum_power_exact(h, delta, baseline_system, suburban_env)
+    h = 15.0
+    exact = uplink.expected_sum_power_exact(h, edge_phi, baseline_system, suburban_env)
 
     def rms_error(trials, reps=12):
         errors = []
         for rep in range(reps):
             mc = montecarlo.mean_sum_power(
                 h,
-                delta,
+                edge_phi,
                 baseline_system,
                 suburban_env,
                 trials=trials,

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from aapdeploy import cli
 from aapdeploy.errors import ConfigError
 from aapdeploy.scenario import builtin_scenario_path, load_scenario
 
@@ -210,11 +213,18 @@ def test_phi_sweep_outside_range_rejected(tmp_path, key, value):
         load_scenario(write(tmp_path, BASE + f"\n[sweeps]\n{key} = {value}\n"))
 
 
-def test_phi_sweep_end_point_without_a_threshold_rejected(tmp_path):
-    # with b = 1 the LoS probability at 90 deg rounds to exactly 1.0
+def test_phi_sweep_end_point_at_the_zenith_accepted(tmp_path, capsys):
+    # with b = 1 the LoS probability at 90 deg rounds to exactly 1.0, which
+    # no threshold inverts; the grid holds angles, so nothing inverts it and
+    # the solver skips the nadir-only 90 deg cell
     text = BASE.replace("b = 0.43", "b = 1") + "\n[sweeps]\nphi_stop_deg = 90\n"
-    with pytest.raises(ConfigError, match="phi_stop_deg=90"):
-        load_scenario(write(tmp_path, text))
+    path = write(tmp_path, text)
+    assert load_scenario(path).sweeps.phi_grid()[-1] == 90.0
+    out = tmp_path / "out"
+    for verb in ("solve", "place"):
+        assert cli.main(["--scenario", str(path), "--out", str(out), verb]) == cli.EXIT_OK
+    assert json.loads((out / "solution.json").read_text())["phi_opt_deg"] == 18.25
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("key", ["gamma_list", "area_radius_list_m"])

@@ -50,15 +50,18 @@ def test_ue_transmit_power_direct_substitution(baseline_system, suburban_env):
     )
 
 
-def test_sum_power_closed_form_scales_with_density(suburban_env, baseline_system):
+def test_sum_power_closed_form_scales_with_density(
+    suburban_env, baseline_system, edge_phi
+):
     sparse = make_system(ue_density_rho=1e-9)
-    value = uplink.expected_sum_power_closed_form(15.0, 0.9, sparse, suburban_env)
-    dense = uplink.expected_sum_power_closed_form(15.0, 0.9, baseline_system, suburban_env)
+    value = uplink.expected_sum_power_closed_form(15.0, edge_phi, sparse, suburban_env)
+    dense = uplink.expected_sum_power_closed_form(
+        15.0, edge_phi, baseline_system, suburban_env
+    )
     assert value == pytest.approx(dense * 1e-9 / 1e-2, rel=1e-12)
 
 
 def test_sum_power_closed_form_cot45(suburban_env, baseline_system):
-    delta_45 = float(channel.los_probability(45.0, suburban_env))
     eta_m = float(channel.mean_additional_path_loss(45.0, suburban_env))
     h = 20.0
     expected = (
@@ -72,13 +75,13 @@ def test_sum_power_closed_form_cot45(suburban_env, baseline_system):
         / (4.0 * suburban_env.g0)
     )
     assert uplink.expected_sum_power_closed_form(
-        h, delta_45, baseline_system, suburban_env
+        h, 45.0, baseline_system, suburban_env
     ) == pytest.approx(expected, rel=1e-9)
 
 
-def test_sum_power_closed_form_increasing_in_h(baseline_system, suburban_env):
+def test_sum_power_closed_form_increasing_in_h(baseline_system, suburban_env, edge_phi):
     values = [
-        uplink.expected_sum_power_closed_form(h, 0.9, baseline_system, suburban_env)
+        uplink.expected_sum_power_closed_form(h, edge_phi, baseline_system, suburban_env)
         for h in np.linspace(15, 300, 30)
     ]
     assert all(b > a for a, b in zip(values, values[1:]))
@@ -87,9 +90,10 @@ def test_sum_power_closed_form_increasing_in_h(baseline_system, suburban_env):
 def test_exact_bounded_by_closed_form(baseline_system, suburban_env):
     for h in (15.0, 60.0, 150.0):
         for delta in (0.5, 0.9, 0.99):
-            exact = uplink.expected_sum_power_exact(h, delta, baseline_system, suburban_env)
+            phi = channel.phi_from_delta(delta, suburban_env)
+            exact = uplink.expected_sum_power_exact(h, phi, baseline_system, suburban_env)
             closed = uplink.expected_sum_power_closed_form(
-                h, delta, baseline_system, suburban_env
+                h, phi, baseline_system, suburban_env
             )
             assert exact <= closed * (1.0 + 1e-12)
             assert closed - exact > 0.0
@@ -97,40 +101,41 @@ def test_exact_bounded_by_closed_form(baseline_system, suburban_env):
 
 def test_exact_equals_closed_form_when_excess_loss_constant(baseline_system):
     env = EnvironmentParams(a=4.88, b=0.43, eta_los=5.0, eta_nlos=5.0, g0=1.42e-4)
-    exact = uplink.expected_sum_power_exact(15.0, 0.9, baseline_system, env)
-    closed = uplink.expected_sum_power_closed_form(15.0, 0.9, baseline_system, env)
+    phi = channel.phi_from_delta(0.9, env)
+    exact = uplink.expected_sum_power_exact(15.0, phi, baseline_system, env)
+    closed = uplink.expected_sum_power_closed_form(15.0, phi, baseline_system, env)
     assert exact == pytest.approx(closed, rel=1e-9)
 
 
-def test_per_ue_rate_no_interference_limit(suburban_env):
+def test_per_ue_rate_no_interference_limit(suburban_env, edge_phi):
     sysp = make_system(num_interferers_m=0)
-    r_a = channel.coverage_radius(15.0, 0.9, suburban_env)
+    r_a = channel.coverage_radius(15.0, edge_phi, suburban_env)
     n_ue = uplink.cell_ue_count(r_a, sysp)
     snr = sysp.p_target_pa * n_ue / (sysp.noise_psd_sigma0sq * sysp.bandwidth_w)
     expected = (sysp.bandwidth_w / n_ue) * math.log2(1.0 + snr)
-    per_ue = uplink.sum_rate(15.0, 0.9, sysp, suburban_env) / n_ue
+    per_ue = uplink.sum_rate(15.0, edge_phi, sysp, suburban_env) / n_ue
     assert per_ue == pytest.approx(expected, rel=1e-12)
 
 
-def test_per_ue_rate_interference_limited(suburban_env):
+def test_per_ue_rate_interference_limited(suburban_env, edge_phi):
     # huge density: SINR -> 1/M
     sysp = make_system(ue_density_rho=1e3)
-    r_a = channel.coverage_radius(15.0, 0.9, suburban_env)
+    r_a = channel.coverage_radius(15.0, edge_phi, suburban_env)
     n_ue = uplink.cell_ue_count(r_a, sysp)
     expected = (sysp.bandwidth_w / n_ue) * math.log2(7.0 / 6.0)
-    per_ue = uplink.sum_rate(15.0, 0.9, sysp, suburban_env) / n_ue
+    per_ue = uplink.sum_rate(15.0, edge_phi, sysp, suburban_env) / n_ue
     assert per_ue == pytest.approx(expected, rel=1e-6)
 
 
-def test_rate_equalization_reduction(baseline_system, suburban_env):
+def test_rate_equalization_reduction(baseline_system, suburban_env, edge_phi):
     """The general SINR form with power-controlled arrived powers reduces to
     the r-independent rate expression for any covered UE: W / n of the sum
     rate."""
-    h, delta = 15.0, 0.9
-    r_a = channel.coverage_radius(h, delta, suburban_env)
+    h = 15.0
+    r_a = channel.coverage_radius(h, edge_phi, suburban_env)
     n_ue = uplink.cell_ue_count(r_a, baseline_system)
     noise = baseline_system.noise_psd_sigma0sq * baseline_system.bandwidth_w
-    per_ue = uplink.sum_rate(h, delta, baseline_system, suburban_env) / n_ue
+    per_ue = uplink.sum_rate(h, edge_phi, baseline_system, suburban_env) / n_ue
     for r in (0.0, 0.3 * r_a, r_a):
         loss = float(channel.mean_path_loss_rh(r, h, suburban_env))
         arrived = baseline_system.p_target_pa * loss / loss  # P̄_i / L̄
@@ -141,9 +146,9 @@ def test_rate_equalization_reduction(baseline_system, suburban_env):
         assert general == pytest.approx(per_ue, rel=1e-12)
 
 
-def test_sum_rate_equals_count_times_per_ue(baseline_system, suburban_env):
-    h, delta = 15.0, 0.9
-    r_a = channel.coverage_radius(h, delta, suburban_env)
+def test_sum_rate_equals_count_times_per_ue(baseline_system, suburban_env, edge_phi):
+    h = 15.0
+    r_a = channel.coverage_radius(h, edge_phi, suburban_env)
     n_ue = uplink.cell_ue_count(r_a, baseline_system)
     signal = baseline_system.p_target_pa * n_ue
     sinr = signal / (
@@ -151,19 +156,19 @@ def test_sum_rate_equals_count_times_per_ue(baseline_system, suburban_env):
         + baseline_system.noise_psd_sigma0sq * baseline_system.bandwidth_w
     )
     per_ue = baseline_system.bandwidth_w / n_ue * math.log2(1.0 + sinr)
-    assert uplink.sum_rate(h, delta, baseline_system, suburban_env) == pytest.approx(
+    assert uplink.sum_rate(h, edge_phi, baseline_system, suburban_env) == pytest.approx(
         n_ue * per_ue, rel=1e-12
     )
 
 
-def test_sum_rate_saturation(baseline_system, suburban_env):
+def test_sum_rate_saturation(baseline_system, suburban_env, edge_phi):
     # large-cell limit W log2(1 + 1/M)
     limit = baseline_system.bandwidth_w * math.log2(
         1.0 + 1.0 / baseline_system.num_interferers_m
     )
     assert limit == pytest.approx(20e6 * math.log2(1 + 1 / 6))
     values = [
-        uplink.sum_rate(h, 0.9, baseline_system, suburban_env)
+        uplink.sum_rate(h, edge_phi, baseline_system, suburban_env)
         for h in np.linspace(15, 300, 30)
     ]
     gaps = [limit - v for v in values]
@@ -171,34 +176,29 @@ def test_sum_rate_saturation(baseline_system, suburban_env):
     assert all(b <= a * (1 + 1e-12) for a, b in zip(gaps, gaps[1:]))
 
 
-def test_sum_rate_unbounded_without_interference_or_noise(suburban_env):
+def test_sum_rate_unbounded_without_interference_or_noise(suburban_env, edge_phi):
     sysp = make_system(num_interferers_m=0)
-    small = uplink.sum_rate(15.0, 0.9, sysp, suburban_env)
-    large = uplink.sum_rate(150.0, 0.9, sysp, suburban_env)
+    small = uplink.sum_rate(15.0, edge_phi, sysp, suburban_env)
+    large = uplink.sum_rate(150.0, edge_phi, sysp, suburban_env)
     assert large > small
 
 
 def test_h_max_power_constraint_nadir_form(baseline_system, suburban_env):
     # phi = 90 deg: cot term vanishes
-    delta_90 = float(channel.los_probability(90.0, suburban_env))
     eta_m = float(channel.mean_additional_path_loss(90.0, suburban_env))
     expected = math.sqrt(
         baseline_system.p_max
         * suburban_env.g0
         / (baseline_system.p_target_pa * eta_m)
     )
-    # delta_90 rounds to an elevation slightly below 90 deg, so the cot term
-    # is ~1e-5 rather than exactly zero
     assert uplink.h_max_power_constraint(
-        delta_90, baseline_system, suburban_env
-    ) == pytest.approx(expected, rel=1e-4)
+        90.0, baseline_system, suburban_env
+    ) == pytest.approx(expected, rel=1e-15)
 
 
-def test_h_max_power_constraint_engineered_unit(suburban_env):
-    delta = 0.9
-    phi = channel.phi_from_delta(delta, suburban_env)
-    cot2 = 1.0 / math.tan(math.radians(phi)) ** 2
-    eta_m = float(channel.mean_additional_path_loss(phi, suburban_env))
+def test_h_max_power_constraint_engineered_unit(suburban_env, edge_phi):
+    cot2 = 1.0 / math.tan(math.radians(edge_phi)) ** 2
+    eta_m = float(channel.mean_additional_path_loss(edge_phi, suburban_env))
     sysp = make_system()
     # choose P_a so that h'_max is exactly 1 m
     p_a = sysp.p_max * suburban_env.g0 / (eta_m * (1.0 + cot2))
@@ -206,29 +206,25 @@ def test_h_max_power_constraint_engineered_unit(suburban_env):
         gamma=p_a / (sysp.noise_psd_sigma0sq * sysp.bandwidth_w)
     )
     assert uplink.h_max_power_constraint(
-        delta, engineered, suburban_env
+        edge_phi, engineered, suburban_env
     ) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_edge_power_round_trip(baseline_system, suburban_env):
-    delta = 0.9
-    h_lim = uplink.h_max_power_constraint(delta, baseline_system, suburban_env)
-    r_a = channel.coverage_radius(h_lim, delta, suburban_env)
+def test_edge_power_round_trip(baseline_system, suburban_env, edge_phi):
+    h_lim = uplink.h_max_power_constraint(edge_phi, baseline_system, suburban_env)
+    r_a = channel.coverage_radius(h_lim, edge_phi, suburban_env)
     loss = float(channel.mean_path_loss_rh(r_a, h_lim, suburban_env))
     assert baseline_system.p_target_pa * loss == pytest.approx(
         baseline_system.p_max, rel=1e-9
     )
 
 
-def test_degenerate_coverage_raises(baseline_system):
-    # gentle S-curve whose zenith LoS probability is representable, so the
-    # threshold maps back to (numerically) 90 degrees exactly
-    env = EnvironmentParams(a=4.88, b=0.05, eta_los=1.1, eta_nlos=100.0, g0=1.42e-4)
-    delta_90 = float(channel.los_probability(90.0, env))
-    assert channel.coverage_radius(15.0, delta_90, env) == 0.0
+def test_degenerate_coverage_raises(baseline_system, suburban_env):
+    # an edge at the zenith leaves a nadir-only cell
+    assert channel.coverage_radius(15.0, 90.0, suburban_env) == 0.0
     with pytest.raises(DegenerateCoverageError):
-        uplink.sum_rate(15.0, delta_90, baseline_system, env)
+        uplink.sum_rate(15.0, 90.0, baseline_system, suburban_env)
     h = np.array([15.0, 30.0])
-    assert list(channel.coverage_radius(h, delta_90, env)) == [0.0, 0.0]
+    assert list(channel.coverage_radius(h, 90.0, suburban_env)) == [0.0, 0.0]
     with pytest.raises(DegenerateCoverageError):
-        uplink.sum_rate(h, delta_90, baseline_system, env)
+        uplink.sum_rate(h, 90.0, baseline_system, suburban_env)
