@@ -86,7 +86,7 @@ def mean_path_loss_rh(r, h, env: EnvironmentParams):
     return eta_m * (np.asarray(r, dtype=float) ** 2 + h**2) / env.g0
 
 
-def coverage_radius(h, phi_deg: float, env: EnvironmentParams):
+def coverage_radius(h, phi_deg: float):
     """Coverage radius h * cot(phi) for the edge elevation phi (degrees); 0.0
     when the cell degenerates.
 
@@ -104,9 +104,9 @@ def coverage_radius(h, phi_deg: float, env: EnvironmentParams):
     return h / math.tan(math.radians(phi_deg))
 
 
-def require_coverage(h, phi_deg: float, env: EnvironmentParams):
+def require_coverage(h, phi_deg: float):
     """Coverage radius, raising DegenerateCoverageError when it is zero."""
-    r_a = coverage_radius(h, phi_deg, env)
+    r_a = coverage_radius(h, phi_deg)
     if np.count_nonzero(r_a <= 0.0):
         raise DegenerateCoverageError(
             f"coverage region degenerate at h={np.min(h):g} m, phi={phi_deg:g} deg"

@@ -76,7 +76,7 @@ def altitude_sweep_rows(scn: Scenario) -> list[list]:
     h = np.array(h_list)
     for gamma in scn.sweeps.gamma_list:
         sys_g = scn.system.with_gamma(gamma)
-        rate = uplink.sum_rate(h, phi, sys_g, scn.environment)
+        rate = uplink.sum_rate(h, phi, sys_g)
         power = uplink.expected_sum_power_closed_form(h, phi, sys_g, scn.environment)
         e_uav = energy.uav_only_energy(h, sys_g, scn.uav)
         e_total = energy.total_energy(h, power, sys_g, scn.uav)
@@ -110,7 +110,7 @@ def threshold_sweep_rows(scn: Scenario) -> list[list]:
     h = scn.system.h_min
     zero_uav = UavEnergyParams.zero()
     for phi in scn.sweeps.phi_grid():
-        r_a = channel.coverage_radius(h, phi, scn.environment)
+        r_a = channel.coverage_radius(h, phi)
         if r_a <= 0.0:
             continue
         rows.append(
@@ -348,19 +348,22 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--ra must be a positive finite radius, got {args.ra}")
         scn = load_scenario(args.scenario)
         out_dir = Path(args.out) if args.out is not None else scn.output_dir
-        if args.command == "altitude-sweep":
-            return cmd_altitude_sweep(scn, out_dir)
-        if args.command == "threshold-sweep":
-            return cmd_threshold_sweep(scn, out_dir)
-        if args.command == "solve":
-            return cmd_solve(scn, out_dir)
-        if args.command == "place":
-            return cmd_place(scn, out_dir, args.ra)
-        if args.command == "density-sweep":
-            return cmd_density_sweep(scn, out_dir, args.ra)
-        if args.command == "validate":
-            return cmd_validate(scn, args.trials, args.seed)
-        raise AssertionError(f"unhandled command {args.command}")
+        try:
+            if args.command == "altitude-sweep":
+                return cmd_altitude_sweep(scn, out_dir)
+            if args.command == "threshold-sweep":
+                return cmd_threshold_sweep(scn, out_dir)
+            if args.command == "solve":
+                return cmd_solve(scn, out_dir)
+            if args.command == "place":
+                return cmd_place(scn, out_dir, args.ra)
+            if args.command == "density-sweep":
+                return cmd_density_sweep(scn, out_dir, args.ra)
+            if args.command == "validate":
+                return cmd_validate(scn, args.trials, args.seed)
+            raise AssertionError(f"unhandled command {args.command}")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output to {out_dir}: {exc}") from exc
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -62,7 +62,7 @@ def gee_value(
 
     ``h`` may be a scalar or an altitude array; the result has its shape.
     """
-    rate = uplink.sum_rate(h, phi_deg, sys, env)
+    rate = uplink.sum_rate(h, phi_deg, sys)
     comm_power = uplink.expected_sum_power_closed_form(h, phi_deg, sys, env)
     total = energy.total_energy(h, comm_power, sys, uav)
     return sys.service_time_t * rate / total
@@ -113,7 +113,7 @@ def solve_p1(
     feasible: list[tuple[float, float]] = []  # (phi, altitude ceiling)
     for phi in phi_grid:
         try:
-            channel.require_coverage(sys.h_min, phi, env)
+            channel.require_coverage(sys.h_min, phi)
         except DegenerateCoverageError:
             continue
         ceiling = _feasible_altitude_ceiling(phi, sys, env)
@@ -163,7 +163,7 @@ def solve_p1(
         h_opt=h_opt,
         delta_opt=float(channel.los_probability(phi_opt, env)),
         phi_opt_deg=phi_opt,
-        r_a=channel.coverage_radius(h_opt, phi_opt, env),
+        r_a=channel.coverage_radius(h_opt, phi_opt),
         gee=gee_opt,
         binding_constraint=binding,
         monotone_audit_passed=audit_passed,

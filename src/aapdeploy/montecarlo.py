@@ -142,7 +142,7 @@ def mean_sum_power(
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    r_a = channel.require_coverage(h, phi_deg, env)
+    r_a = channel.require_coverage(h, phi_deg)
     uncapped: list[float] = []
     capped: list[float] = []
     block: list[UeSample] = []

@@ -9,7 +9,9 @@ the non-overlap constraint.  Levels stop at the first ring with count 0.
 
 Every plan is re-verified by ``verify_levels``, a KD-tree neighbour search,
 O(N log N) in the number of circles, that reports the same margins as a loop
-over every pair.
+over every pair.  ``cKDTree`` is imported inside ``verify_levels``, so
+``scipy.spatial`` is loaded only by the verbs that place AAPs (``place`` and
+``density-sweep``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InfeasibleError
 
@@ -92,9 +93,11 @@ class LevelCountBounds(NamedTuple):
 
 def count_bounds(ring_radius: float, r_a: float) -> LevelCountBounds:
     """Both count bounds for a ring of radius ring_radius (>= 2.1547 r_a)."""
-    ratio = ring_radius / r_a
-    if ratio < THREE_CIRCLE_RATIO:
+    # The same comparison as ring_count's: the quotient ring_radius / r_a can
+    # round below THREE_CIRCLE_RATIO where this product does not.
+    if ring_radius < THREE_CIRCLE_RATIO * r_a:
         raise ValueError("ring too small for a three-circle level")
+    ratio = ring_radius / r_a
     budget = math.pi * ratio**2 * (1.0 + 1e-12)
     # Largest n >= 3 with n * prop2_bracket(n) <= budget, by bisection: the
     # product is strictly increasing in n.  lo always qualifies (or is 3),
@@ -231,6 +234,8 @@ def verify_levels(
 
     worst_pair = math.inf
     if len(centers) > 1:
+        from scipy.spatial import cKDTree
+
         xy = np.array(centers, dtype=float)
         tree = cKDTree(xy)
         d_min = float(tree.query(xy, k=2)[0][:, 1].min())

@@ -193,9 +193,18 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ConfigError(f"scenario file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read(path)
+        with path.open(encoding="utf-8") as handle:
+            parser.read_file(handle)
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse scenario file: {exc}") from exc
+        # configparser spreads some messages over several lines
+        detail = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"cannot parse scenario file: {detail}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"scenario file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read scenario file {path}: {exc.strerror}") from exc
 
     for section in parser.sections():
         if section not in _KNOWN_KEYS:

@@ -7,6 +7,10 @@ r-dependent mean path loss numerically and is always <= the closed form.
 The closed-form sum power and the sum rate broadcast over an altitude array
 ``h`` (the edge elevation ``phi_deg`` stays a scalar), so a whole altitude
 grid is one call.
+
+Only the two quadratures need scipy.  ``quad`` is imported inside
+``_sum_power_quadrature``, so ``scipy.integrate`` is loaded by the oracles
+behind ``validate`` and by no other verb.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import channel
 from .errors import QuadratureError
@@ -36,7 +39,7 @@ def expected_sum_power_closed_form(
     2 pi rho P_a eta_m cot^2(phi) h^4 (cot^2(phi) + 2) / (4 g0), with eta_m
     frozen at the edge elevation.  Strictly increasing in h.
     """
-    channel.require_coverage(h, phi_deg, env)
+    channel.require_coverage(h, phi_deg)
     cot2 = 1.0 / math.tan(math.radians(phi_deg)) ** 2
     eta_m = float(channel.mean_additional_path_loss(phi_deg, env))
     return (
@@ -53,6 +56,8 @@ def expected_sum_power_closed_form(
 
 
 def _sum_power_quadrature(r_a: float, integrand) -> float:
+    from scipy.integrate import quad
+
     value, abserr = quad(integrand, 0.0, r_a, epsabs=0.0, epsrel=QUAD_REL_TOL, limit=200)
     if value != 0.0 and abserr > 10.0 * QUAD_REL_TOL * abs(value):
         raise QuadratureError(
@@ -72,7 +77,7 @@ def expected_sum_power_exact(
     Numerical quadrature of rho * 2 pi P_a L̄(r, h) r over the cell; always
     <= the closed-form bound, with equality when eta_los == eta_nlos.
     """
-    r_a = channel.require_coverage(h, phi_deg, env)
+    r_a = channel.require_coverage(h, phi_deg)
 
     def integrand(r: float) -> float:
         return (
@@ -98,7 +103,7 @@ def expected_sum_power_edge_quadrature(
     Independent cross-check of the closed form: same integrand family but a
     constant eta_m, so the two must agree to quadrature tolerance.
     """
-    r_a = channel.require_coverage(h, phi_deg, env)
+    r_a = channel.require_coverage(h, phi_deg)
     eta_m = float(channel.mean_additional_path_loss(phi_deg, env))
 
     def integrand(r: float) -> float:
@@ -130,9 +135,9 @@ def sum_rate_from_count(n_ue, sys: SystemParams):
     return sys.bandwidth_w * np.log2(1.0 + sinr(n_ue, sys))
 
 
-def sum_rate(h, phi_deg: float, sys: SystemParams, env: EnvironmentParams):
+def sum_rate(h, phi_deg: float, sys: SystemParams):
     """Cell sum uplink rate (bit/s); saturates at W log2(1 + 1/M)."""
-    r_a = channel.require_coverage(h, phi_deg, env)
+    r_a = channel.require_coverage(h, phi_deg)
     return sum_rate_from_count(cell_ue_count(r_a, sys), sys)
 
 

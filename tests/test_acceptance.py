@@ -193,7 +193,7 @@ def test_criterion_8_inversion_and_power_round_trips():
     for delta in np.linspace(0.3, 0.99, 20):
         phi = channel.phi_from_delta(float(delta), ENV)
         h_lim = uplink.h_max_power_constraint(phi, sysp, ENV)
-        r_a = channel.coverage_radius(h_lim, phi, ENV)
+        r_a = channel.coverage_radius(h_lim, phi)
         edge_power = sysp.p_target_pa * float(channel.mean_path_loss_rh(r_a, h_lim, ENV))
         worst_pow = max(worst_pow, abs(edge_power - sysp.p_max) / sysp.p_max)
     record(

@@ -34,13 +34,13 @@ def test_environment_invariants():
         EnvironmentParams(a=4.88, b=0.43, eta_los=1.0, eta_nlos=2.0, g0=1.5)
 
 
-def test_geometry_validation(suburban_env):
+def test_geometry_validation():
     assert float(channel.elevation_deg(0.0, 1.0)) == pytest.approx(90.0)  # nadir UE
     assert float(channel.elevation_deg(3.0, 4.0)) == pytest.approx(
         math.degrees(math.atan2(4.0, 3.0)), rel=1e-15
     )
     with pytest.raises(ValueError):
-        channel.coverage_radius(0.0, 30.0, suburban_env)
+        channel.coverage_radius(0.0, 30.0)
 
 
 def path_loss(r, h, eta, g0):
@@ -186,11 +186,11 @@ def test_mean_path_loss_recomputation(suburban_env):
     )
 
 
-def test_coverage_radius_cot_identities(suburban_env):
-    assert channel.coverage_radius(20.0, 45.0, suburban_env) == pytest.approx(
+def test_coverage_radius_cot_identities():
+    assert channel.coverage_radius(20.0, 45.0) == pytest.approx(
         20.0, rel=1e-15
     )
-    assert channel.coverage_radius(15.0, 30.0, suburban_env) == pytest.approx(
+    assert channel.coverage_radius(15.0, 30.0) == pytest.approx(
         15.0 * math.sqrt(3.0), rel=1e-15
     )
 
@@ -199,28 +199,28 @@ def test_coverage_radius_composition(suburban_env):
     phi = bisect_phi(0.9, suburban_env)
     expected = 15.0 / math.tan(math.radians(phi))
     assert channel.coverage_radius(
-        15.0, channel.phi_from_delta(0.9, suburban_env), suburban_env
+        15.0, channel.phi_from_delta(0.9, suburban_env)
     ) == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("phi", [0.0, -30.0, 90.5, math.nan])
-def test_coverage_radius_rejects_angle_outside_domain(suburban_env, phi):
+def test_coverage_radius_rejects_angle_outside_domain(phi):
     with pytest.raises(ValueError, match=r"\(0, 90\]"):
-        channel.coverage_radius(15.0, phi, suburban_env)
+        channel.coverage_radius(15.0, phi)
 
 
-def test_coverage_radius_broadcasts_over_altitude(suburban_env):
+def test_coverage_radius_broadcasts_over_altitude():
     h = np.array([15.0, 40.0, 300.0])
-    radii = channel.coverage_radius(h, 30.0, suburban_env)
-    assert list(radii) == [channel.coverage_radius(float(x), 30.0, suburban_env) for x in h]
+    radii = channel.coverage_radius(h, 30.0)
+    assert list(radii) == [channel.coverage_radius(float(x), 30.0) for x in h]
     with pytest.raises(ValueError):
-        channel.coverage_radius(np.array([15.0, 0.0]), 30.0, suburban_env)
+        channel.coverage_radius(np.array([15.0, 0.0]), 30.0)
 
 
 def test_boundary_ue_property(suburban_env):
     h, delta = 15.0, 0.9
     edge_phi = channel.phi_from_delta(delta, suburban_env)
-    r_a = channel.coverage_radius(h, edge_phi, suburban_env)
+    r_a = channel.coverage_radius(h, edge_phi)
     for r in np.linspace(0.0, r_a, 50):
         phi = channel.elevation_deg(r, h)
         assert float(channel.los_probability(phi, suburban_env)) >= delta - 1e-12

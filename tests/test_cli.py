@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +273,63 @@ def test_solve_respects_scenario_output_dir(tmp_path, monkeypatch, small_scenari
     scn = load_scenario(small_scenario)
     assert run(["--scenario", small_scenario, "solve"]) == cli.EXIT_OK
     assert (tmp_path / scn.output_dir / "solution.json").is_file()
+
+
+def config_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error:"), err
+    return err[0]
+
+
+def test_non_utf8_scenario_exits_config_error(tmp_path, capsys):
+    # a UTF-16 byte-order mark used to end in a UnicodeDecodeError traceback
+    path = tmp_path / "utf16.ini"
+    path.write_bytes(b"\xff\xfe" + Path(BASELINE).read_bytes())
+    out = tmp_path / "o"
+    assert run(["--scenario", str(path), "--out", str(out), "solve"]) == cli.EXIT_CONFIG
+    assert "not UTF-8" in config_error_line(capsys)
+    assert not out.exists()
+
+
+def test_unreadable_scenario_exits_config_error(small_scenario, tmp_path, monkeypatch, capsys):
+    # ConfigParser.read skipped a file it could not open, so the error named
+    # a missing [environment] section.  Permission bits do not stop a
+    # superuser, so the refusal is simulated.
+    locked = Path(small_scenario)
+    real_open = Path.open
+
+    def refuse(self, *args, **kwargs):
+        if self == locked:
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", refuse)
+    out = tmp_path / "o"
+    assert run(["--scenario", small_scenario, "--out", str(out), "solve"]) == cli.EXIT_CONFIG
+    line = config_error_line(capsys)
+    assert "cannot read scenario file" in line and "Permission denied" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["a = 1\n", "[uav]\n[uav]\n", "[uav]\ngarbage\n"],
+    ids=["no-section-header", "duplicate-section", "line-without-key"],
+)
+def test_unparsable_scenario_exits_with_one_line(tmp_path, capsys, text):
+    # configparser's own messages span up to three lines
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert run(["--scenario", str(path), "solve"]) == cli.EXIT_CONFIG
+    assert "cannot parse scenario file" in config_error_line(capsys)
+
+
+@pytest.mark.parametrize("verb", ["solve", "place"])
+def test_out_that_is_a_file_exits_config_error(small_scenario, tmp_path, capsys, verb):
+    # creating the output directory raised FileExistsError: a traceback and
+    # exit 1, the code for an infeasible scenario
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert run(["--scenario", small_scenario, "--out", str(out), verb]) == cli.EXIT_CONFIG
+    assert str(out) in config_error_line(capsys)
+    assert out.read_text() == "not a directory\n"

@@ -15,7 +15,7 @@ def test_gee_value_decomposition(
     suburban_env, baseline_system, baseline_uav, edge_phi
 ):
     h = 15.0
-    rate = uplink.sum_rate(h, edge_phi, baseline_system, suburban_env)
+    rate = uplink.sum_rate(h, edge_phi, baseline_system)
     power = uplink.expected_sum_power_closed_form(
         h, edge_phi, baseline_system, suburban_env
     )
@@ -152,7 +152,7 @@ def test_solve_p1_fallback_matches_scalar_loop(suburban_env):
     assert (sol.gee, sol.h_opt, sol.phi_opt_deg) == best
 
 
-def sum_rate_slope(h, phi, sysp, env, rel_step=1e-5):
+def sum_rate_slope(h, phi, sysp, rel_step=1e-5):
     """d(sum_rate)/dh / W two ways: the two-term analytic form
     2 kappa h log2(e) [1 / (kappa h^2 + N / (M + 1)) - 1 / (kappa h^2 + N / M)]
     with kappa = P_a rho pi cot^2(phi) and N = sigma0^2 W, and a central
@@ -166,8 +166,8 @@ def sum_rate_slope(h, phi, sysp, env, rel_step=1e-5):
     )
     dh = rel_step * h
     fd = (
-        uplink.sum_rate(h + dh, phi, sysp, env)
-        - uplink.sum_rate(h - dh, phi, sysp, env)
+        uplink.sum_rate(h + dh, phi, sysp)
+        - uplink.sum_rate(h - dh, phi, sysp)
     ) / (2.0 * dh * sysp.bandwidth_w)
     return term(m + 1) - term(m), fd
 
@@ -178,10 +178,10 @@ def test_derivative_diag_matches_finite_difference(suburban_env, edge_phi):
     for gamma in (0.1, 1.0):
         sysp = make_system(gamma=gamma)
         for h in (20.0, 80.0, 150.0):
-            analytic, finite_difference = sum_rate_slope(h, edge_phi, sysp, suburban_env)
+            analytic, finite_difference = sum_rate_slope(h, edge_phi, sysp)
             assert finite_difference == pytest.approx(analytic, rel=2.5e-6)
 
 
 def test_derivative_diag_sign(suburban_env, baseline_system, edge_phi):
-    analytic, _ = sum_rate_slope(15.0, edge_phi, baseline_system, suburban_env)
+    analytic, _ = sum_rate_slope(15.0, edge_phi, baseline_system)
     assert analytic > 0.0  # rate still climbing toward saturation

@@ -1,0 +1,89 @@
+"""Which scipy modules each CLI path loads, checked in a fresh interpreter.
+
+The planner itself is closed-form numpy; scipy serves only the quadrature
+oracle behind ``validate`` and the KD-tree placement verifier.  Each check
+starts a new interpreter, because this test process has scipy loaded
+already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import aapdeploy
+
+SRC = Path(aapdeploy.__file__).resolve().parent.parent
+
+PRELUDE = """\
+import json, sys
+import aapdeploy
+import aapdeploy.cli
+from aapdeploy.scenario import builtin_scenario_path, load_scenario
+baseline = str(builtin_scenario_path("baseline"))
+load_scenario(baseline)
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+"""
+
+
+def loaded_scipy(tmp_path, body: str):
+    """Run PRELUDE + body in a new interpreter and parse the JSON that body
+    prints last."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PRELUDE + body],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_load_and_solver_verbs_load_no_scipy(tmp_path):
+    seen = loaded_scipy(
+        tmp_path,
+        """\
+seen = {"import + load_scenario": scipy_modules()}
+for verb in ("solve", "altitude-sweep", "threshold-sweep"):
+    assert aapdeploy.cli.main(["--scenario", baseline, "--out", verb, verb]) == 0
+    seen[verb] = scipy_modules()
+print(json.dumps(seen))
+""",
+    )
+    assert seen == {
+        "import + load_scenario": [],
+        "solve": [],
+        "altitude-sweep": [],
+        "threshold-sweep": [],
+    }
+
+
+def test_place_loads_the_kd_tree_only(tmp_path):
+    seen = loaded_scipy(
+        tmp_path,
+        """\
+assert aapdeploy.cli.main(["--scenario", baseline, "--out", "o", "place"]) == 0
+print(json.dumps(scipy_modules()))
+""",
+    )
+    assert "scipy.spatial" in seen
+    assert "scipy.integrate" not in seen
+
+
+def test_validate_loads_quadrature(tmp_path):
+    # Ten trials are too few for the 3% Monte-Carlo check, so validate may
+    # exit 3; the quadrature checks run before it either way.
+    seen = loaded_scipy(
+        tmp_path,
+        """\
+aapdeploy.cli.main(["--scenario", baseline, "--trials", "10", "validate"])
+print(json.dumps(scipy_modules()))
+""",
+    )
+    assert "scipy.integrate" in seen

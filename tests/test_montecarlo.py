@@ -32,7 +32,7 @@ def reference_positions(r_a, rho, seed, fixed_count=None):
 def reference_mean_sum_power(h, phi, sys, env, trials, base_seed=0, fixed_count=None):
     """The per-trial loop: sample, power and fsum one population at a time,
     then fsum the per-trial sums."""
-    r_a = channel.require_coverage(h, phi, env)
+    r_a = channel.require_coverage(h, phi)
     uncapped = []
     capped = []
     for i in range(trials):
@@ -57,10 +57,10 @@ BLOCK_EDGE_COUNTS = [
 ]
 
 
-def _system_with_mean_count(h, phi, env, mean_ues):
+def _system_with_mean_count(h, phi, mean_ues):
     """The baseline system with the UE density that puts mean_ues UEs in the
     cell, so Poisson populations stay small at any (h, phi)."""
-    r_a = channel.require_coverage(h, phi, env)
+    r_a = channel.require_coverage(h, phi)
     return make_system(ue_density_rho=mean_ues / (math.pi * r_a**2))
 
 
@@ -199,7 +199,7 @@ def test_mean_sum_power_equals_the_per_trial_loop(
     h, phi, mean_ues, seed, trials, fixed_count
 ):
     env = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
-    sysp = _system_with_mean_count(h, phi, env, mean_ues)
+    sysp = _system_with_mean_count(h, phi, mean_ues)
     args = (h, phi, sysp, env, trials, seed, fixed_count)
     assert montecarlo.mean_sum_power(*args) == reference_mean_sum_power(*args)
 

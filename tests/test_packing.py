@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aapdeploy import packing
 from aapdeploy.errors import InfeasibleError
@@ -400,6 +400,9 @@ def test_verifier_rejects_nonpositive_radius():
     st.floats(min_value=packing.THREE_CIRCLE_RATIO, max_value=60.0),
     st.floats(min_value=0.01, max_value=500.0),
 )
+# ratio * r_a reached the three-circle threshold while (ratio * r_a) / r_a
+# rounded below it, so ring_count asked count_bounds for a ring it rejected
+@example(ratio=2.1547005383792515, r_a=495.27724360514566)
 def test_verifier_agrees_with_the_adjacent_chord(ratio, r_a):
     # Adjacent centres of an n-circle ring are 2 (R_l - r_a) sin(pi / n)
     # apart, a closed form independent of the neighbour search.

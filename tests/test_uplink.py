@@ -107,23 +107,23 @@ def test_exact_equals_closed_form_when_excess_loss_constant(baseline_system):
     assert exact == pytest.approx(closed, rel=1e-9)
 
 
-def test_per_ue_rate_no_interference_limit(suburban_env, edge_phi):
+def test_per_ue_rate_no_interference_limit(edge_phi):
     sysp = make_system(num_interferers_m=0)
-    r_a = channel.coverage_radius(15.0, edge_phi, suburban_env)
+    r_a = channel.coverage_radius(15.0, edge_phi)
     n_ue = uplink.cell_ue_count(r_a, sysp)
     snr = sysp.p_target_pa * n_ue / (sysp.noise_psd_sigma0sq * sysp.bandwidth_w)
     expected = (sysp.bandwidth_w / n_ue) * math.log2(1.0 + snr)
-    per_ue = uplink.sum_rate(15.0, edge_phi, sysp, suburban_env) / n_ue
+    per_ue = uplink.sum_rate(15.0, edge_phi, sysp) / n_ue
     assert per_ue == pytest.approx(expected, rel=1e-12)
 
 
-def test_per_ue_rate_interference_limited(suburban_env, edge_phi):
+def test_per_ue_rate_interference_limited(edge_phi):
     # huge density: SINR -> 1/M
     sysp = make_system(ue_density_rho=1e3)
-    r_a = channel.coverage_radius(15.0, edge_phi, suburban_env)
+    r_a = channel.coverage_radius(15.0, edge_phi)
     n_ue = uplink.cell_ue_count(r_a, sysp)
     expected = (sysp.bandwidth_w / n_ue) * math.log2(7.0 / 6.0)
-    per_ue = uplink.sum_rate(15.0, edge_phi, sysp, suburban_env) / n_ue
+    per_ue = uplink.sum_rate(15.0, edge_phi, sysp) / n_ue
     assert per_ue == pytest.approx(expected, rel=1e-6)
 
 
@@ -132,10 +132,10 @@ def test_rate_equalization_reduction(baseline_system, suburban_env, edge_phi):
     the r-independent rate expression for any covered UE: W / n of the sum
     rate."""
     h = 15.0
-    r_a = channel.coverage_radius(h, edge_phi, suburban_env)
+    r_a = channel.coverage_radius(h, edge_phi)
     n_ue = uplink.cell_ue_count(r_a, baseline_system)
     noise = baseline_system.noise_psd_sigma0sq * baseline_system.bandwidth_w
-    per_ue = uplink.sum_rate(h, edge_phi, baseline_system, suburban_env) / n_ue
+    per_ue = uplink.sum_rate(h, edge_phi, baseline_system) / n_ue
     for r in (0.0, 0.3 * r_a, r_a):
         loss = float(channel.mean_path_loss_rh(r, h, suburban_env))
         arrived = baseline_system.p_target_pa * loss / loss  # P̄_i / L̄
@@ -146,9 +146,9 @@ def test_rate_equalization_reduction(baseline_system, suburban_env, edge_phi):
         assert general == pytest.approx(per_ue, rel=1e-12)
 
 
-def test_sum_rate_equals_count_times_per_ue(baseline_system, suburban_env, edge_phi):
+def test_sum_rate_equals_count_times_per_ue(baseline_system, edge_phi):
     h = 15.0
-    r_a = channel.coverage_radius(h, edge_phi, suburban_env)
+    r_a = channel.coverage_radius(h, edge_phi)
     n_ue = uplink.cell_ue_count(r_a, baseline_system)
     signal = baseline_system.p_target_pa * n_ue
     sinr = signal / (
@@ -156,19 +156,19 @@ def test_sum_rate_equals_count_times_per_ue(baseline_system, suburban_env, edge_
         + baseline_system.noise_psd_sigma0sq * baseline_system.bandwidth_w
     )
     per_ue = baseline_system.bandwidth_w / n_ue * math.log2(1.0 + sinr)
-    assert uplink.sum_rate(h, edge_phi, baseline_system, suburban_env) == pytest.approx(
+    assert uplink.sum_rate(h, edge_phi, baseline_system) == pytest.approx(
         n_ue * per_ue, rel=1e-12
     )
 
 
-def test_sum_rate_saturation(baseline_system, suburban_env, edge_phi):
+def test_sum_rate_saturation(baseline_system, edge_phi):
     # large-cell limit W log2(1 + 1/M)
     limit = baseline_system.bandwidth_w * math.log2(
         1.0 + 1.0 / baseline_system.num_interferers_m
     )
     assert limit == pytest.approx(20e6 * math.log2(1 + 1 / 6))
     values = [
-        uplink.sum_rate(h, edge_phi, baseline_system, suburban_env)
+        uplink.sum_rate(h, edge_phi, baseline_system)
         for h in np.linspace(15, 300, 30)
     ]
     gaps = [limit - v for v in values]
@@ -176,10 +176,10 @@ def test_sum_rate_saturation(baseline_system, suburban_env, edge_phi):
     assert all(b <= a * (1 + 1e-12) for a, b in zip(gaps, gaps[1:]))
 
 
-def test_sum_rate_unbounded_without_interference_or_noise(suburban_env, edge_phi):
+def test_sum_rate_unbounded_without_interference_or_noise(edge_phi):
     sysp = make_system(num_interferers_m=0)
-    small = uplink.sum_rate(15.0, edge_phi, sysp, suburban_env)
-    large = uplink.sum_rate(150.0, edge_phi, sysp, suburban_env)
+    small = uplink.sum_rate(15.0, edge_phi, sysp)
+    large = uplink.sum_rate(150.0, edge_phi, sysp)
     assert large > small
 
 
@@ -212,19 +212,19 @@ def test_h_max_power_constraint_engineered_unit(suburban_env, edge_phi):
 
 def test_edge_power_round_trip(baseline_system, suburban_env, edge_phi):
     h_lim = uplink.h_max_power_constraint(edge_phi, baseline_system, suburban_env)
-    r_a = channel.coverage_radius(h_lim, edge_phi, suburban_env)
+    r_a = channel.coverage_radius(h_lim, edge_phi)
     loss = float(channel.mean_path_loss_rh(r_a, h_lim, suburban_env))
     assert baseline_system.p_target_pa * loss == pytest.approx(
         baseline_system.p_max, rel=1e-9
     )
 
 
-def test_degenerate_coverage_raises(baseline_system, suburban_env):
+def test_degenerate_coverage_raises(baseline_system):
     # an edge at the zenith leaves a nadir-only cell
-    assert channel.coverage_radius(15.0, 90.0, suburban_env) == 0.0
+    assert channel.coverage_radius(15.0, 90.0) == 0.0
     with pytest.raises(DegenerateCoverageError):
-        uplink.sum_rate(15.0, 90.0, baseline_system, suburban_env)
+        uplink.sum_rate(15.0, 90.0, baseline_system)
     h = np.array([15.0, 30.0])
-    assert list(channel.coverage_radius(h, 90.0, suburban_env)) == [0.0, 0.0]
+    assert list(channel.coverage_radius(h, 90.0)) == [0.0, 0.0]
     with pytest.raises(DegenerateCoverageError):
-        uplink.sum_rate(h, 90.0, baseline_system, suburban_env)
+        uplink.sum_rate(h, 90.0, baseline_system)
