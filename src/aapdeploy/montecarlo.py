@@ -7,11 +7,15 @@ in this order, its Poisson UE count and then one (2, count) array of
 uniforms: the first row sets the radius r_a sqrt(u), the second the angle.
 
 ``mean_sum_power`` samples the cell of altitude ``h`` and edge elevation
-``phi_deg``, both scalars.  It seeds one generator per trial (seed
-base_seed + i), but runs the power arithmetic once per block of trials
-holding at least ``BLOCK_UES`` UEs (the last block may hold fewer), so the
-per-trial Python work is the draw alone.  Every step is elementwise, so a
-UE's power is the same float whichever block it lands in.  Aggregation uses compensated
+``phi_deg``, both scalars.  Trial i draws from the exact state that
+``np.random.default_rng(base_seed + i)`` starts from, but no generator is
+built per trial: one generator is reused and set to that state before each
+trial, and the states are computed ``SEED_CHUNK`` seeds at a time, with
+numpy's SeedSequence hash run as uint32 array passes over the chunk.  The
+power arithmetic runs once per block of trials holding at least
+``BLOCK_UES`` UEs (the last block may hold fewer), so the per-trial Python
+work is the draw alone.  Every step is elementwise, so a UE's power is the
+same float whichever block it lands in.  Aggregation uses compensated
 summation (math.fsum): each trial's sum over its own UEs, then the sum over
 trials, so results do not depend on evaluation order or on the block size.
 """
@@ -19,6 +23,7 @@ trials, so results do not depend on evaluation order or on the block size.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,6 +36,23 @@ from .params import EnvironmentParams, SystemParams
 # per-call overhead is spread over many UEs, small enough that the block's
 # arrays stay a few tens of kilobytes.
 BLOCK_UES = 2048
+
+# Seeds whose generator states are computed in one array pass: enough to
+# spread numpy's per-call overhead, few enough that memory does not grow
+# with the trial count.
+SEED_CHUNK = 256
+
+# np.random.default_rng(seed) hashes the seed's 32-bit words into a pool of
+# four uint32 words (numpy's SeedSequence, after O'Neill's seed_seq), then
+# seeds PCG64 from the pool's first four uint64 outputs.  These are the
+# constants of both steps; none depends on the seed.
+_POOL_WORDS = 4
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -55,10 +77,11 @@ def _cartesian(r_a: float, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sample_ues(
     r_a: float,
     rho: float,
-    seed: int,
+    rng: np.random.Generator,
     fixed_count: int | None = None,
 ) -> UeSample:
-    """Sample a UE population uniformly on the disk of radius r_a.
+    """Sample a UE population uniformly on the disk of radius r_a, drawing
+    from rng.
 
     The count is Poisson(rho * pi * r_a^2) unless fixed_count is given.
     Radial positions use r = r_a * sqrt(u) so the distribution is uniform in
@@ -70,7 +93,6 @@ def sample_ues(
         raise ValueError("cell radius and UE density must be strictly positive")
     if fixed_count is not None and fixed_count < 0:
         raise ValueError(f"fixed UE count must be non-negative, got {fixed_count}")
-    rng = np.random.default_rng(seed)
     if fixed_count is None:
         count = int(rng.poisson(rho * math.pi * r_a**2))
     else:
@@ -84,6 +106,16 @@ class SumPower(NamedTuple):
 
     uncapped: float
     capped: float
+
+
+class MeanSumPower(NamedTuple):
+    """Mean sum transmit power over trials, with and without the power cap,
+    and the standard error of the uncapped mean (inf for a single trial,
+    which has no spread)."""
+
+    uncapped: float
+    capped: float
+    stderr: float
 
 
 def _ue_powers(
@@ -126,6 +158,90 @@ def _block_sums(
     return uncapped_sums, capped_sums
 
 
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
+    """The (xor, multiplier) pair of each successive SeedSequence hashmix
+    call: the running hash constant before and after its update."""
+    while True:
+        updated = init * mult & _MASK32
+        yield init, updated
+        init = updated
+
+
+def _hashmix(words: np.ndarray, constants: tuple[int, int]) -> np.ndarray:
+    xor, mult = constants
+    words = (words ^ xor) * mult
+    return words ^ (words >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return mixed ^ (mixed >> 16)
+
+
+def _pcg64_states(first_seed: int, count: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) that np.random.default_rng(s) starts from, for
+    each seed s = first_seed, ..., first_seed + count - 1.
+
+    SeedSequence's pool mixing and generate_state(4, uint64) run as uint32
+    array passes over the seeds, where wrapping is the arithmetic the hash
+    defines; PCG64's seeding runs on Python ints.
+    """
+    states = []
+    stop = first_seed + count
+    while first_seed < stop:
+        # A seed enters as its little-endian 32-bit words.  A missing pool
+        # word is hashed as 0, so every seed below 2**128 takes the same
+        # four-word path; each further word adds one mixing round.
+        width = max(_POOL_WORDS, -(-first_seed.bit_length() // 32))
+        end = min(stop, 1 << (32 * width))
+        seeds = range(first_seed, end)
+        raw = b"".join(seed.to_bytes(4 * width, "little") for seed in seeds)
+        words = np.frombuffer(raw, "<u4").reshape(-1, width).T.astype(np.uint32)
+        hashes = _hash_constants(_INIT_A, _MULT_A)
+        pool = [_hashmix(word, next(hashes)) for word in words[:_POOL_WORDS]]
+        for src in range(_POOL_WORDS):
+            for dst in range(_POOL_WORDS):
+                if dst != src:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(hashes)))
+        for word in words[_POOL_WORDS:]:
+            for dst in range(_POOL_WORDS):
+                pool[dst] = _mix(pool[dst], _hashmix(word, next(hashes)))
+        hashes = _hash_constants(_INIT_B, _MULT_B)
+        out = [
+            _hashmix(pool[i % _POOL_WORDS], next(hashes)).astype(np.uint64)
+            for i in range(8)
+        ]
+        # Little-endian word pairs: the high and low halves of the initial
+        # state, then of the stream selector.
+        halves = [(out[i] | out[i + 1] << 32).tolist() for i in range(0, 8, 2)]
+        for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
+            # PCG64 srandom: state 0, inc = 2 seq + 1, one LCG step, add the
+            # initial state, one more LCG step.
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+            state = (inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc
+            states.append((state & _MASK128, inc))
+        first_seed = end
+    return states
+
+
+def _trial_generators(base_seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """For each trial i, one shared Generator set to the state that
+    np.random.default_rng(base_seed + i) starts from; each yielded state
+    holds until the next is drawn."""
+    bit_generator = np.random.PCG64(0)  # placeholder state, replaced per trial
+    rng = np.random.Generator(bit_generator)
+    stop = base_seed + trials
+    for first in range(base_seed, stop, SEED_CHUNK):
+        for state, inc in _pcg64_states(first, min(SEED_CHUNK, stop - first)):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+
+
 def mean_sum_power(
     h: float,
     phi_deg: float,
@@ -134,21 +250,25 @@ def mean_sum_power(
     trials: int,
     base_seed: int = 0,
     fixed_count: int | None = None,
-) -> SumPower:
+) -> MeanSumPower:
     """Mean empirical sum power over seeded trials (seeds base_seed + i).
 
     Equal, float for float, to the mean of ``empirical_sum_power`` over the
-    trials' samples.
+    trials' samples, each drawn by ``np.random.default_rng(base_seed + i)``.
+    The standard error is the sample standard deviation of the trials'
+    uncapped sums over sqrt(trials).
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
+    if base_seed < 0:
+        raise ValueError(f"the base seed must be non-negative, got {base_seed}")
     r_a = channel.require_coverage(h, phi_deg)
     uncapped: list[float] = []
     capped: list[float] = []
     block: list[UeSample] = []
     pending = 0
-    for i in range(trials):
-        sample = sample_ues(r_a, sys.ue_density_rho, base_seed + i, fixed_count)
+    for i, rng in enumerate(_trial_generators(base_seed, trials)):
+        sample = sample_ues(r_a, sys.ue_density_rho, rng, fixed_count)
         block.append(sample)
         pending += sample.realized_count
         if pending >= BLOCK_UES or i == trials - 1:
@@ -156,4 +276,9 @@ def mean_sum_power(
             uncapped += block_uncapped
             capped += block_capped
             block, pending = [], 0
-    return SumPower(math.fsum(uncapped) / trials, math.fsum(capped) / trials)
+    mean = math.fsum(uncapped) / trials
+    stderr = math.inf
+    if trials > 1:
+        variance = math.fsum((x - mean) ** 2 for x in uncapped) / (trials - 1)
+        stderr = math.sqrt(variance / trials)
+    return MeanSumPower(mean, math.fsum(capped) / trials, stderr)

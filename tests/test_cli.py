@@ -246,7 +246,7 @@ def test_place_deploys_the_solved_radius(tmp_path):
     assert all(float(row.split(",")[1]) == pytest.approx(solved, rel=1e-11) for row in rows)
 
 
-@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("trials", ["1", "0", "-3"])
 def test_nonpositive_trials_exits_config_error(small_scenario, trials, capsys):
     code = run(["--scenario", small_scenario, "--trials", trials, "validate"])
     assert code == cli.EXIT_CONFIG

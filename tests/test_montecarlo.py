@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 from hypothesis import given, settings, strategies as st
 
 from aapdeploy import channel, montecarlo, uplink
@@ -30,8 +32,9 @@ def reference_positions(r_a, rho, seed, fixed_count=None):
 
 
 def reference_mean_sum_power(h, phi, sys, env, trials, base_seed=0, fixed_count=None):
-    """The per-trial loop: sample, power and fsum one population at a time,
-    then fsum the per-trial sums."""
+    """The per-trial loop: sample, power and fsum one population at a time
+    from its own default_rng(base_seed + i), then fsum the per-trial sums;
+    the standard error is the sample SD of those sums over sqrt(trials)."""
     r_a = channel.require_coverage(h, phi)
     uncapped = []
     capped = []
@@ -48,7 +51,12 @@ def reference_mean_sum_power(h, phi, sys, env, trials, base_seed=0, fixed_count=
         powers = sys.p_target_pa * sys.resource_blocks_b * loss**sys.tpc_beta
         uncapped.append(math.fsum(powers))
         capped.append(math.fsum(np.minimum(powers, sys.p_max)))
-    return montecarlo.SumPower(math.fsum(uncapped) / trials, math.fsum(capped) / trials)
+    mean = math.fsum(uncapped) / trials
+    stderr = math.inf
+    if trials > 1:
+        variance = math.fsum((x - mean) ** 2 for x in uncapped) / (trials - 1)
+        stderr = math.sqrt(variance / trials)
+    return montecarlo.MeanSumPower(mean, math.fsum(capped) / trials, stderr)
 
 
 # Fixed counts on both sides of the batched pass's block edge.
@@ -65,11 +73,11 @@ def _system_with_mean_count(h, phi, mean_ues):
 
 
 def test_sample_determinism():
-    a = montecarlo.sample_ues(40.0, 1e-2, seed=7)
-    b = montecarlo.sample_ues(40.0, 1e-2, seed=7)
+    a = montecarlo.sample_ues(40.0, 1e-2, default_rng(7))
+    b = montecarlo.sample_ues(40.0, 1e-2, default_rng(7))
     assert a.realized_count == b.realized_count
     assert np.array_equal(a.draws, b.draws)
-    c = montecarlo.sample_ues(40.0, 1e-2, seed=8)
+    c = montecarlo.sample_ues(40.0, 1e-2, default_rng(8))
     assert not np.array_equal(a.draws, c.draws)
 
 
@@ -77,7 +85,8 @@ def test_sample_counts_poisson_mean():
     r_a, rho = 40.0, 1e-2
     lam = rho * math.pi * r_a**2
     counts = [
-        montecarlo.sample_ues(r_a, rho, seed=s).realized_count for s in range(400)
+        montecarlo.sample_ues(r_a, rho, default_rng(s)).realized_count
+        for s in range(400)
     ]
     mean = np.mean(counts)
     # 3-sigma band around the Poisson mean
@@ -85,14 +94,14 @@ def test_sample_counts_poisson_mean():
 
 
 def test_sample_fixed_count():
-    sample = montecarlo.sample_ues(40.0, 1e-2, seed=1, fixed_count=123)
+    sample = montecarlo.sample_ues(40.0, 1e-2, default_rng(1), fixed_count=123)
     assert sample.realized_count == 123
     assert sample.draws.shape == (2, 123)
 
 
 def test_sample_radial_distribution_uniform_in_area():
     # P(r <= r_a / 2) = 1/4 for area-uniform points
-    sample = montecarlo.sample_ues(40.0, 1e-2, seed=3, fixed_count=20000)
+    sample = montecarlo.sample_ues(40.0, 1e-2, default_rng(3), fixed_count=20000)
     frac = np.mean(sample.radii() <= 20.0)
     sigma = math.sqrt(0.25 * 0.75 / 20000)
     assert abs(frac - 0.25) < 3.0 * sigma
@@ -101,9 +110,9 @@ def test_sample_radial_distribution_uniform_in_area():
 
 def test_sample_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        montecarlo.sample_ues(0.0, 1e-2, seed=1)
+        montecarlo.sample_ues(0.0, 1e-2, default_rng(1))
     with pytest.raises(ValueError):
-        montecarlo.sample_ues(40.0, 0.0, seed=1)
+        montecarlo.sample_ues(40.0, 0.0, default_rng(1))
 
 
 @pytest.mark.parametrize(
@@ -118,24 +127,24 @@ def test_sample_rejects_bad_inputs():
 )
 def test_sample_rejects_non_finite_inputs(r_a, rho):
     with pytest.raises(ValueError, match="finite"):
-        montecarlo.sample_ues(r_a, rho, seed=1, fixed_count=3)
+        montecarlo.sample_ues(r_a, rho, default_rng(1), fixed_count=3)
 
 
 def test_sample_rejects_negative_fixed_count():
     with pytest.raises(ValueError, match="non-negative"):
-        montecarlo.sample_ues(40.0, 1e-2, seed=1, fixed_count=-1)
+        montecarlo.sample_ues(40.0, 1e-2, default_rng(1), fixed_count=-1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(min_value=0.01, max_value=5000.0),
     st.floats(min_value=0.1, max_value=3000.0),
-    st.integers(min_value=0, max_value=2**62),
+    st.integers(min_value=0, max_value=2**140),
     st.sampled_from(BLOCK_EDGE_COUNTS),
 )
 def test_sample_positions_equal_the_reference(r_a, mean_ues, seed, fixed_count):
     rho = mean_ues / (math.pi * r_a**2)
-    sample = montecarlo.sample_ues(r_a, rho, seed, fixed_count)
+    sample = montecarlo.sample_ues(r_a, rho, default_rng(seed), fixed_count)
     u, v = reference_draws(r_a, rho, seed, fixed_count)
     assert sample.realized_count == len(u)
     assert np.array_equal(sample.draws[0], u)
@@ -145,7 +154,7 @@ def test_sample_positions_equal_the_reference(r_a, mean_ues, seed, fixed_count):
 
 
 def test_empirical_sum_power_empty_population(suburban_env, baseline_system):
-    sample = montecarlo.sample_ues(40.0, 1e-2, seed=1, fixed_count=0)
+    sample = montecarlo.sample_ues(40.0, 1e-2, default_rng(1), fixed_count=0)
     result = montecarlo.empirical_sum_power(sample, 15.0, baseline_system, suburban_env)
     assert result == montecarlo.SumPower(0.0, 0.0)
 
@@ -153,7 +162,7 @@ def test_empirical_sum_power_empty_population(suburban_env, baseline_system):
 def test_empirical_capped_below_uncapped(suburban_env):
     # push far UEs above the cap with a large altitude
     sysp = make_system()
-    sample = montecarlo.sample_ues(80.0, 1e-2, seed=5, fixed_count=500)
+    sample = montecarlo.sample_ues(80.0, 1e-2, default_rng(5), fixed_count=500)
     result = montecarlo.empirical_sum_power(sample, 250.0, sysp, suburban_env)
     assert result.capped < result.uncapped
     assert result.capped <= 500 * sysp.p_max + 1e-15
@@ -191,7 +200,7 @@ def test_mean_sum_power_rejects_no_trials(suburban_env, baseline_system, edge_ph
     st.floats(min_value=15.0, max_value=300.0),
     st.floats(min_value=1.0, max_value=89.0),
     st.floats(min_value=0.1, max_value=3000.0),
-    st.integers(min_value=0, max_value=2**62),
+    st.integers(min_value=0, max_value=2**140),
     st.integers(min_value=1, max_value=40),
     st.sampled_from(BLOCK_EDGE_COUNTS),
 )
@@ -207,14 +216,14 @@ def test_mean_sum_power_equals_the_per_trial_loop(
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(st.sampled_from(BLOCK_EDGE_COUNTS), min_size=1, max_size=8),
-    st.integers(min_value=0, max_value=2**62),
+    st.integers(min_value=0, max_value=2**140),
 )
 def test_block_sums_equal_each_trials_own_sum(fixed_counts, seed):
     # Every trial's sums, not only their mean, are the per-population sums.
     env = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
     sysp = make_system()
     block = [
-        montecarlo.sample_ues(40.0, sysp.ue_density_rho, seed + i, count)
+        montecarlo.sample_ues(40.0, sysp.ue_density_rho, default_rng(seed + i), count)
         for i, count in enumerate(fixed_counts)
     ]
     sums = [montecarlo.empirical_sum_power(sample, 15.0, sysp, env) for sample in block]
@@ -230,6 +239,51 @@ def test_mean_sum_power_equals_the_per_trial_loop_at_10k_trials(
 ):
     args = (15.0, edge_phi, baseline_system, suburban_env, 10_000, seed)
     assert montecarlo.mean_sum_power(*args) == reference_mean_sum_power(*args)
+
+
+# Seeds around the edges of 32-bit words; from 2**128 on, SeedSequence hashes
+# more than its four pool words.
+SEED_WORD_EDGES = [
+    0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**160 - 1, 2**200
+]
+
+
+@pytest.mark.parametrize("seed", SEED_WORD_EDGES)
+def test_pcg64_states_equal_default_rng(seed):
+    # three consecutive seeds, so 2**k - 1 straddles the edge in one pass
+    expected = [default_rng(seed + i).bit_generator.state["state"] for i in range(3)]
+    states = montecarlo._pcg64_states(seed, 3)
+    assert states == [(e["state"], e["inc"]) for e in expected]
+
+
+@pytest.mark.parametrize("edge", [2**32, 2**64, 2**128])
+def test_mean_sum_power_equals_the_per_trial_loop_across_seed_edges(
+    suburban_env, baseline_system, edge_phi, edge
+):
+    # the second chunk of seeds straddles the edge
+    trials = montecarlo.SEED_CHUNK + 10
+    base_seed = edge - montecarlo.SEED_CHUNK - 5
+    args = (15.0, edge_phi, baseline_system, suburban_env, trials, base_seed)
+    assert montecarlo.mean_sum_power(*args) == reference_mean_sum_power(*args)
+
+
+def test_mean_sum_power_needs_no_scalar_overflow(
+    suburban_env, baseline_system, edge_phi
+):
+    # Only the hash's uint32 array arithmetic may wrap; a numpy scalar that
+    # overflowed would raise here.
+    args = (15.0, edge_phi, baseline_system, suburban_env, 30, 2**130 + 7)
+    expected = reference_mean_sum_power(*args)
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert montecarlo.mean_sum_power(*args) == expected
+
+
+def test_mean_sum_power_rejects_negative_seed(suburban_env, baseline_system, edge_phi):
+    with pytest.raises(ValueError, match="non-negative"):
+        montecarlo.mean_sum_power(
+            15.0, edge_phi, baseline_system, suburban_env, 3, base_seed=-1
+        )
 
 
 @pytest.mark.parametrize("fixed_count", [None, 0, montecarlo.BLOCK_UES + 1])
