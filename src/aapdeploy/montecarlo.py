@@ -3,8 +3,9 @@ transmit power.
 
 Sampling uses numpy's default PCG64 bit generator so that a (seed, params)
 pair reproduces bit-identical populations on any platform.  Each trial draws,
-in this order, its Poisson UE count and then one (2, count) array of
-uniforms: the first row sets the radius r_a sqrt(u), the second the angle.
+in this order, its Poisson UE count and then one area uniform u per UE; the
+UE lies at distance r_a sqrt(u) from the cell centre.  No angle is drawn: a
+UE's power under full power control depends on its distance alone.
 
 ``mean_sum_power`` samples the cell of altitude ``h`` and edge elevation
 ``phi_deg``, both scalars.  Trial i draws from the exact state that
@@ -60,18 +61,11 @@ class UeSample:
     """One realized UE population inside a cell disk."""
 
     r_a: float
-    draws: np.ndarray  # shape (2, n): area uniforms, then angle uniforms
+    draws: np.ndarray  # shape (n,): one area uniform per UE
     realized_count: int
 
     def radii(self) -> np.ndarray:
-        return np.hypot(*_cartesian(self.r_a, self.draws))
-
-
-def _cartesian(r_a: float, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of the UEs whose uniforms are the columns of draws."""
-    radii = r_a * np.sqrt(draws[0])
-    angles = draws[1] * 2.0 * math.pi
-    return radii * np.cos(angles), radii * np.sin(angles)
+        return self.r_a * np.sqrt(self.draws)
 
 
 def sample_ues(
@@ -97,43 +91,34 @@ def sample_ues(
         count = int(rng.poisson(rho * math.pi * r_a**2))
     else:
         count = int(fixed_count)
-    draws = rng.random((2, count))
-    return UeSample(r_a=r_a, draws=draws, realized_count=count)
-
-
-class SumPower(NamedTuple):
-    """Sum transmit power of one population, with and without the power cap."""
-
-    uncapped: float
-    capped: float
+    return UeSample(r_a=r_a, draws=rng.random(count), realized_count=count)
 
 
 class MeanSumPower(NamedTuple):
-    """Mean sum transmit power over trials, with and without the power cap,
-    and the standard error of the uncapped mean (inf for a single trial,
-    which has no spread)."""
+    """Mean sum transmit power over trials and its standard error (inf for a
+    single trial, which has no spread).
+
+    No P_max cap is applied: the planner keeps h at or below the power
+    ceiling h'_max, where the cell-edge UE transmits exactly P_max, and the
+    mean path loss grows with r, so no UE of a deployed cell exceeds the cap.
+    """
 
     uncapped: float
-    capped: float
     stderr: float
 
 
 def _ue_powers(
     radii: np.ndarray, h: float, sys: SystemParams, env: EnvironmentParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-UE power-controlled transmit power P_a B L^beta (W), and the same
-    capped at P_max."""
-    loss = np.asarray(channel.mean_path_loss_rh(radii, h, env))
-    powers = sys.p_target_pa * sys.resource_blocks_b * loss**sys.tpc_beta
-    return powers, np.minimum(powers, sys.p_max)
+) -> np.ndarray:
+    """Per-UE transmit power P_a L(r, h) under full power control (W)."""
+    return sys.p_target_pa * np.asarray(channel.mean_path_loss_rh(radii, h, env))
 
 
 def empirical_sum_power(
     sample: UeSample, h: float, sys: SystemParams, env: EnvironmentParams
-) -> SumPower:
+) -> float:
     """Sum of power-controlled UE transmit powers for one population (W)."""
-    powers, capped = _ue_powers(sample.radii(), h, sys, env)
-    return SumPower(uncapped=math.fsum(powers), capped=math.fsum(capped))
+    return math.fsum(_ue_powers(sample.radii(), h, sys, env))
 
 
 def _block_sums(
@@ -142,20 +127,17 @@ def _block_sums(
     h: float,
     sys: SystemParams,
     env: EnvironmentParams,
-) -> tuple[list[float], list[float]]:
-    """Each trial's uncapped and capped sum power for a block of samples,
-    with one array pass."""
-    draws = np.concatenate([sample.draws for sample in block], axis=1)
-    powers, capped = _ue_powers(np.hypot(*_cartesian(r_a, draws)), h, sys, env)
-    powers, capped = powers.tolist(), capped.tolist()
-    uncapped_sums, capped_sums = [], []
+) -> list[float]:
+    """Each trial's sum power for a block of samples, with one array pass."""
+    draws = np.concatenate([sample.draws for sample in block])
+    powers = _ue_powers(r_a * np.sqrt(draws), h, sys, env).tolist()
+    sums = []
     start = 0
     for sample in block:
         stop = start + sample.realized_count
-        uncapped_sums.append(math.fsum(powers[start:stop]))
-        capped_sums.append(math.fsum(capped[start:stop]))
+        sums.append(math.fsum(powers[start:stop]))
         start = stop
-    return uncapped_sums, capped_sums
+    return sums
 
 
 def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
@@ -255,16 +237,15 @@ def mean_sum_power(
 
     Equal, float for float, to the mean of ``empirical_sum_power`` over the
     trials' samples, each drawn by ``np.random.default_rng(base_seed + i)``.
-    The standard error is the sample standard deviation of the trials'
-    uncapped sums over sqrt(trials).
+    The standard error is the sample standard deviation of the trials' sums
+    over sqrt(trials).
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
     if base_seed < 0:
         raise ValueError(f"the base seed must be non-negative, got {base_seed}")
     r_a = channel.require_coverage(h, phi_deg)
-    uncapped: list[float] = []
-    capped: list[float] = []
+    sums: list[float] = []
     block: list[UeSample] = []
     pending = 0
     for i, rng in enumerate(_trial_generators(base_seed, trials)):
@@ -272,13 +253,11 @@ def mean_sum_power(
         block.append(sample)
         pending += sample.realized_count
         if pending >= BLOCK_UES or i == trials - 1:
-            block_uncapped, block_capped = _block_sums(block, r_a, h, sys, env)
-            uncapped += block_uncapped
-            capped += block_capped
+            sums += _block_sums(block, r_a, h, sys, env)
             block, pending = [], 0
-    mean = math.fsum(uncapped) / trials
+    mean = math.fsum(sums) / trials
     stderr = math.inf
     if trials > 1:
-        variance = math.fsum((x - mean) ** 2 for x in uncapped) / (trials - 1)
+        variance = math.fsum((x - mean) ** 2 for x in sums) / (trials - 1)
         stderr = math.sqrt(variance / trials)
-    return MeanSumPower(mean, math.fsum(capped) / trials, stderr)
+    return MeanSumPower(mean, stderr)

@@ -104,8 +104,10 @@ class SystemParams:
     ue_density_rho       UE density, 1/m^2
     h_min, h_max         permitted altitude range, m
     area_radius_r        radius of the target area, m
-    resource_blocks_b    allocated resource blocks (analysis assumes 1)
-    tpc_beta             fractional power-control exponent (analysis assumes 1)
+
+    Each UE is allocated one resource block and transmits P_a L(r, h) under
+    full power control, as the closed forms and the Monte-Carlo oracle both
+    assume.
     """
 
     bandwidth_w: float
@@ -119,8 +121,6 @@ class SystemParams:
     h_min: float
     h_max: float
     area_radius_r: float
-    resource_blocks_b: int = 1
-    tpc_beta: float = 1.0
 
     def __post_init__(self) -> None:
         positives = {
@@ -143,10 +143,6 @@ class SystemParams:
             raise ConfigError("h_min must not exceed h_max")
         if self.num_interferers_m < 0:
             raise ConfigError("num_interferers_m must be non-negative")
-        if not (0.0 < self.tpc_beta <= 1.0):
-            raise ConfigError("tpc_beta must lie in (0, 1]")
-        if self.resource_blocks_b < 1:
-            raise ConfigError("resource_blocks_b must be at least 1")
 
     @property
     def gamma(self) -> float:

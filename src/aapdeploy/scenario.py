@@ -3,8 +3,8 @@
 The format is INI-style with four physics sections (environment, system,
 uav, sweeps) plus output.  Unknown sections or keys are hard errors so a
 misspelled constant can never silently fall back to a default.  Every number
-must be finite, each count (num_interferers, resource_blocks) a whole number,
-and the sweeps must lie where the model is defined: the
+must be finite, the interferer count a whole number, each sweep list
+non-empty, and the sweeps must lie where the model is defined: the
 altitude grid inside [h_min, h_max], the elevation grid inside (0, 90] deg
 and the LoS threshold delta inside the S-curve's image; each grid needs a
 positive step and a start no greater than its stop.  A violation is a
@@ -46,8 +46,6 @@ _KNOWN_KEYS: dict[str, set[str]] = {
         "h_min_m",
         "h_max_m",
         "area_radius_m",
-        "resource_blocks",
-        "tpc_beta",
     },
     "uav": {
         "alpha_climb_j_per_m",
@@ -127,20 +125,22 @@ def _get_float(section, key, default=None):
     return value
 
 
-def _get_int(section, key, default=None):
-    value = _get_float(section, key, default)
+def _get_int(section, key):
+    value = _get_float(section, key)
     if not float(value).is_integer():
         raise ConfigError(f"key '{key}' must be a whole number, got {section[key]!r}")
     return int(value)
 
 
-def _get_list(section, key, default=()):
+def _get_list(section, key, default):
     if key not in section:
         return tuple(default)
     try:
         values = tuple(float(part) for part in section[key].split(",") if part.strip())
     except ValueError as exc:
         raise ConfigError(f"key '{key}' is not a number list") from exc
+    if not values:
+        raise ConfigError(f"key '{key}' holds no numbers")
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"key '{key}' must hold finite numbers only")
     return values
@@ -252,8 +252,6 @@ def load_scenario(path: str | Path) -> Scenario:
         h_min=_get_float(sys_sec, "h_min_m"),
         h_max=_get_float(sys_sec, "h_max_m"),
         area_radius_r=_get_float(sys_sec, "area_radius_m"),
-        resource_blocks_b=_get_int(sys_sec, "resource_blocks", 1),
-        tpc_beta=_get_float(sys_sec, "tpc_beta", 1.0),
     )
     if has_gamma:
         system = system.with_gamma(_get_float(sys_sec, "gamma"))

@@ -86,6 +86,9 @@ def test_infeasible_place_exit_code(small_scenario, tmp_path, capsys):
         # gamma was turned into a target power before any check and the error
         # named p_target_pa, a key the file does not hold
         ("gamma = 100", "gamma = -1", "solve"),
+        # an empty sweep list wrote a header-only CSV and exited 0
+        ("gamma_list = 10, 100, 1000", "gamma_list = ", "altitude-sweep"),
+        ("area_radius_list_m = 180.48, 252.68", "area_radius_list_m = ,", "density-sweep"),
     ],
 )
 def test_bad_scenario_value_exits_config_error(
@@ -101,6 +104,23 @@ def test_bad_scenario_value_exits_config_error(
     assert len(err) == 1 and err[0].startswith("configuration error:")
     assert new.split(" = ")[0] in err[0]  # the message names the bad key
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["solve", "validate"])
+@pytest.mark.parametrize("line", ["resource_blocks = 2", "tpc_beta = 0.5"])
+def test_oracle_only_power_keys_are_unknown(small_scenario, tmp_path, capsys, line, verb):
+    # The closed forms assume one resource block and full power control.
+    # These keys once changed only the Monte-Carlo side, so solve accepted a
+    # file (exit 0) that validate then failed (exit 3).
+    path = tmp_path / "bad.ini"
+    text = (tmp_path / "small.ini").read_text()
+    path.write_text(text.replace("num_interferers = 6", f"num_interferers = 6\n{line}"))
+    out = tmp_path / "o"
+    assert run(["--scenario", str(path), "--out", str(out), verb]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"configuration error: unknown key(s) in [system]: {line.split(' = ')[0]}"
+    ]
 
 
 @pytest.mark.parametrize("ra", ["0", "-5", "nan", "inf"])

@@ -32,15 +32,16 @@ BASE = (
 KEYS = re.findall(r"(?m)^(\w+) = ", BASE.split("[output]")[0])
 
 # Values outside the sweeps' domain: the altitude range is [15, 300] m, the
-# elevation range (0, 90] deg and the LoS thresholds (0.026, 1).
+# elevation range (0, 90] deg and the LoS thresholds (0.026, 1); a sweep list
+# must hold at least one number.
 OUT_OF_RANGE = {
     "h_start_m": ["10", "301"],
     "h_stop_m": ["400", "14"],
     "phi_start_deg": ["0", "95"],
     "phi_stop_deg": ["-60", "90.5"],
     "delta": ["0.01", "1", "1.5"],
-    "gamma_list": ["10, -100"],
-    "area_radius_list_m": ["0, 180.48"],
+    "gamma_list": ["10, -100", ""],
+    "area_radius_list_m": ["0, 180.48", ""],
 }
 NON_FINITE = ["nan", "inf", "-inf", "NaN"]
 # A negative step is rejected at load, whichever grid the verb builds.

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.random import default_rng
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from aapdeploy import channel, montecarlo, uplink
 from aapdeploy.params import EnvironmentParams
@@ -13,22 +13,19 @@ from conftest import make_system
 
 
 def reference_draws(r_a, rho, seed, fixed_count=None):
-    """The per-trial sampler's uniforms: Poisson count, then two separate
-    uniform draws, area first and angle second."""
+    """The per-trial sampler's uniforms: Poisson count, then one area uniform
+    per UE."""
     rng = np.random.default_rng(seed)
     if fixed_count is None:
         count = int(rng.poisson(rho * math.pi * r_a**2))
     else:
         count = int(fixed_count)
-    return rng.random(count), rng.random(count)
+    return rng.random(count)
 
 
-def reference_positions(r_a, rho, seed, fixed_count=None):
-    """The reference draws as an (n, 2) array of cell-centred positions."""
-    u, v = reference_draws(r_a, rho, seed, fixed_count)
-    radii = r_a * np.sqrt(u)
-    angles = v * 2.0 * math.pi
-    return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+def reference_radii(r_a, rho, seed, fixed_count=None):
+    """The reference draws as distances from the cell centre."""
+    return r_a * np.sqrt(reference_draws(r_a, rho, seed, fixed_count))
 
 
 def reference_mean_sum_power(h, phi, sys, env, trials, base_seed=0, fixed_count=None):
@@ -36,27 +33,20 @@ def reference_mean_sum_power(h, phi, sys, env, trials, base_seed=0, fixed_count=
     from its own default_rng(base_seed + i), then fsum the per-trial sums;
     the standard error is the sample SD of those sums over sqrt(trials)."""
     r_a = channel.require_coverage(h, phi)
-    uncapped = []
-    capped = []
+    sums = []
     for i in range(trials):
-        positions = reference_positions(
-            r_a, sys.ue_density_rho, base_seed + i, fixed_count
-        )
-        if len(positions) == 0:
-            uncapped.append(0.0)
-            capped.append(0.0)
+        radii = reference_radii(r_a, sys.ue_density_rho, base_seed + i, fixed_count)
+        if len(radii) == 0:
+            sums.append(0.0)
             continue
-        radii = np.hypot(positions[:, 0], positions[:, 1])
         loss = np.asarray(channel.mean_path_loss_rh(radii, h, env))
-        powers = sys.p_target_pa * sys.resource_blocks_b * loss**sys.tpc_beta
-        uncapped.append(math.fsum(powers))
-        capped.append(math.fsum(np.minimum(powers, sys.p_max)))
-    mean = math.fsum(uncapped) / trials
+        sums.append(math.fsum(sys.p_target_pa * loss))
+    mean = math.fsum(sums) / trials
     stderr = math.inf
     if trials > 1:
-        variance = math.fsum((x - mean) ** 2 for x in uncapped) / (trials - 1)
+        variance = math.fsum((x - mean) ** 2 for x in sums) / (trials - 1)
         stderr = math.sqrt(variance / trials)
-    return montecarlo.MeanSumPower(mean, math.fsum(capped) / trials, stderr)
+    return montecarlo.MeanSumPower(mean, stderr)
 
 
 # Fixed counts on both sides of the batched pass's block edge.
@@ -96,7 +86,7 @@ def test_sample_counts_poisson_mean():
 def test_sample_fixed_count():
     sample = montecarlo.sample_ues(40.0, 1e-2, default_rng(1), fixed_count=123)
     assert sample.realized_count == 123
-    assert sample.draws.shape == (2, 123)
+    assert sample.draws.shape == (123,)
 
 
 def test_sample_radial_distribution_uniform_in_area():
@@ -145,27 +135,16 @@ def test_sample_rejects_negative_fixed_count():
 def test_sample_positions_equal_the_reference(r_a, mean_ues, seed, fixed_count):
     rho = mean_ues / (math.pi * r_a**2)
     sample = montecarlo.sample_ues(r_a, rho, default_rng(seed), fixed_count)
-    u, v = reference_draws(r_a, rho, seed, fixed_count)
+    u = reference_draws(r_a, rho, seed, fixed_count)
     assert sample.realized_count == len(u)
-    assert np.array_equal(sample.draws[0], u)
-    assert np.array_equal(sample.draws[1], v)
-    expected = reference_positions(r_a, rho, seed, fixed_count)
-    assert np.array_equal(sample.radii(), np.hypot(expected[:, 0], expected[:, 1]))
+    assert np.array_equal(sample.draws, u)
+    assert np.array_equal(sample.radii(), reference_radii(r_a, rho, seed, fixed_count))
 
 
 def test_empirical_sum_power_empty_population(suburban_env, baseline_system):
     sample = montecarlo.sample_ues(40.0, 1e-2, default_rng(1), fixed_count=0)
     result = montecarlo.empirical_sum_power(sample, 15.0, baseline_system, suburban_env)
-    assert result == montecarlo.SumPower(0.0, 0.0)
-
-
-def test_empirical_capped_below_uncapped(suburban_env):
-    # push far UEs above the cap with a large altitude
-    sysp = make_system()
-    sample = montecarlo.sample_ues(80.0, 1e-2, default_rng(5), fixed_count=500)
-    result = montecarlo.empirical_sum_power(sample, 250.0, sysp, suburban_env)
-    assert result.capped < result.uncapped
-    assert result.capped <= 500 * sysp.p_max + 1e-15
+    assert result == 0.0
 
 
 def test_mean_sum_power_matches_quadrature(suburban_env, baseline_system, edge_phi):
@@ -219,7 +198,7 @@ def test_mean_sum_power_equals_the_per_trial_loop(
     st.integers(min_value=0, max_value=2**140),
 )
 def test_block_sums_equal_each_trials_own_sum(fixed_counts, seed):
-    # Every trial's sums, not only their mean, are the per-population sums.
+    # Every trial's sum, not only their mean, is the per-population sum.
     env = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
     sysp = make_system()
     block = [
@@ -227,10 +206,34 @@ def test_block_sums_equal_each_trials_own_sum(fixed_counts, seed):
         for i, count in enumerate(fixed_counts)
     ]
     sums = [montecarlo.empirical_sum_power(sample, 15.0, sysp, env) for sample in block]
-    assert montecarlo._block_sums(block, 40.0, 15.0, sysp, env) == (
-        [s.uncapped for s in sums],
-        [s.capped for s in sums],
-    )
+    assert montecarlo._block_sums(block, 40.0, 15.0, sysp, env) == sums
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=0.5, max_value=89.5),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=1.0, max_value=1000.0),
+    st.floats(min_value=1.0, max_value=20.0),
+    st.floats(min_value=0.05, max_value=1.0),
+    st.floats(min_value=0.0, max_value=5.0),
+    st.floats(min_value=0.0, max_value=30.0),
+)
+def test_no_ue_of_a_deployable_cell_exceeds_p_max(
+    phi, h_frac, r_frac, gamma, a, b, eta_los_db, eta_gap_db
+):
+    # The oracle applies no P_max cap.  None is needed where the planner
+    # deploys, h <= h'_max(phi): the edge UE transmits P_max there, and the
+    # mean path loss grows with r because eta_los <= eta_nlos.
+    env = EnvironmentParams.from_db(a, b, eta_los_db, eta_los_db + eta_gap_db, g0=1.42e-4)
+    sysp = make_system(gamma=gamma)
+    ceiling = min(sysp.h_max, uplink.h_max_power_constraint(phi, sysp, env))
+    assume(ceiling >= sysp.h_min)
+    h = sysp.h_min + h_frac * (ceiling - sysp.h_min)
+    radii = channel.coverage_radius(h, phi) * np.array([0.0, r_frac, 1.0])
+    powers = montecarlo._ue_powers(radii, h, sysp, env)
+    assert np.all(powers <= sysp.p_max * (1.0 + 1e-12))
 
 
 @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**62])

@@ -171,7 +171,6 @@ def test_non_finite_value_rejected(tmp_path, old, new):
     [
         ("num_interferers = 6", "num_interferers = 2.7"),
         ("num_interferers = 6", "num_interferers = -0.5"),
-        ("num_interferers = 6", "num_interferers = 6\nresource_blocks = 1.5"),
     ],
 )
 def test_fractional_count_rejected(tmp_path, old, new):
@@ -181,9 +180,8 @@ def test_fractional_count_rejected(tmp_path, old, new):
 
 
 def test_whole_number_counts_accepted(tmp_path):
-    text = BASE.replace("num_interferers = 6", "num_interferers = 6.0\nresource_blocks = 2")
-    system = load_scenario(write(tmp_path, text)).system
-    assert (system.num_interferers_m, system.resource_blocks_b) == (6, 2)
+    text = BASE.replace("num_interferers = 6", "num_interferers = 6.0")
+    assert load_scenario(write(tmp_path, text)).system.num_interferers_m == 6
 
 
 def test_non_finite_list_entry_rejected(tmp_path):
@@ -231,6 +229,15 @@ def test_phi_sweep_end_point_at_the_zenith_accepted(tmp_path, capsys):
 def test_non_positive_sweep_list_rejected(tmp_path, key):
     text = BASE + f"\n[sweeps]\n{key} = 10, -20\n"
     with pytest.raises(ConfigError, match=f"sweep {key} must hold positive"):
+        load_scenario(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("key", ["gamma_list", "area_radius_list_m"])
+@pytest.mark.parametrize("value", ["", ",", " , ,"])
+def test_empty_sweep_list_rejected(tmp_path, key, value):
+    # an empty list once loaded and the sweep wrote a header-only CSV
+    text = BASE + f"\n[sweeps]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=f"key '{key}' holds no numbers"):
         load_scenario(write(tmp_path, text))
 
 

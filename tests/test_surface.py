@@ -1,5 +1,5 @@
 """Library-surface guard: every public top-level name in ``aapdeploy`` is used
-by the package itself.
+by the package itself, and so is every field of its records.
 
 A public function, class or constant that nothing in ``src/aapdeploy``
 refers to is surface that no CLI verb reaches: a name a reader must learn and
@@ -7,6 +7,12 @@ later changes must carry along.  Such a name is either wired into a verb or
 deleted together with its tests.  A reference is a bare name or
 ``module.name``; the definition itself (including recursion inside its own
 body), imports and ``__all__`` strings do not count.
+
+The same holds one level down: a field of a dataclass or NamedTuple must be
+read as an attribute (``x.field``) somewhere in the package, outside
+``__post_init__``, where a field that is only validated is still unused.
+The match is by attribute name, not by type, so a field that shares its
+name with an attribute read elsewhere can escape.
 """
 
 from __future__ import annotations
@@ -25,6 +31,17 @@ ALLOWED_UNREFERENCED = {
     "empirical_sum_power": "perfbench tracing target and test reference",
     # perfbench and the tests locate the shipped scenario files through it.
     "builtin_scenario_path": "perfbench and tests locate built-in scenarios",
+}
+
+
+# Records whose fields the package reads other than as attributes.
+ALLOWED_UNREAD_FIELDS = {
+    # verify_levels' report reaches the plan JSON through dataclasses.asdict,
+    # which reads every field by name.
+    "FeasibilityReport": "serialised with dataclasses.asdict",
+    # ring_count takes the min of count_bounds' result, and the plan builder
+    # unpacks it as an (area, geometric) pair.
+    "LevelCountBounds": "read as a tuple",
 }
 
 
@@ -100,3 +117,90 @@ def test_guard_flags_an_unused_helper():
     assert _references(tree, "mod", "X", defs["X"]) == 1
     other = ast.parse("from . import mod\nmod.helper()\n")
     assert _references(other, "mod", "helper", None) == 1
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A class decorated with ``dataclass`` or derived from ``NamedTuple``."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators
+    ) or any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
+
+
+def _record_fields(tree: ast.Module) -> dict[str, list[str]]:
+    """Field names of each top-level record class."""
+    return {
+        node.name: [
+            stmt.target.id
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        ]
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and _is_record(node)
+    }
+
+
+def _attribute_reads(tree: ast.Module) -> set[str]:
+    """Names read as ``x.name`` in tree, outside ``__post_init__`` bodies."""
+    skip = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+        for inner in ast.walk(node)
+    }
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in skip
+    }
+
+
+def unread_fields(allowed=ALLOWED_UNREAD_FIELDS) -> list[str]:
+    """``module.Record.field`` of every record field, outside the ``allowed``
+    records, that no module of the package reads as an attribute."""
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    reads = set().union(*map(_attribute_reads, trees.values()))
+    return [
+        f"{module}.{record}.{field}"
+        for module, tree in trees.items()
+        for record, fields in _record_fields(tree).items()
+        if record not in allowed
+        for field in fields
+        if field not in reads
+    ]
+
+
+def test_every_record_field_is_read_by_the_package():
+    assert unread_fields() == []
+
+
+def test_field_allowlist_is_not_stale():
+    # each allowed record still exists and still has a field no module reads
+    flagged = {entry.split(".")[1] for entry in unread_fields(allowed={})}
+    assert set(ALLOWED_UNREAD_FIELDS) <= flagged
+
+
+def test_guard_flags_an_unread_field():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class Rec:\n"
+        "    used: int\n"
+        "    checked: int\n"
+        "    def __post_init__(self):\n"
+        "        assert self.checked > 0\n"
+        "\n"
+        "class Pair(NamedTuple):\n"
+        "    left: int\n"
+        "\n"
+        "class Plain:\n"
+        "    ignored: int\n"
+        "\n"
+        "print(Rec(1, 2).used)\n"
+    )
+    assert _record_fields(tree) == {"Rec": ["used", "checked"], "Pair": ["left"]}
+    assert {"used", "checked", "left"} & _attribute_reads(tree) == {"used"}
