@@ -6,14 +6,21 @@ place (``elevation_deg``) to keep the classic unit bug out.
 
 All functions accept numpy arrays for the geometric arguments and broadcast:
 the Monte-Carlo oracle passes arrays of UE distances, and the GEE chain
-passes a whole altitude grid ``h`` with the elevation threshold ``phi_deg``
-a scalar.  The cell edge is that elevation angle, R_a = h cot(phi); the LoS
-threshold delta is the S-curve's value there, and ``phi_from_delta`` inverts
-it only where a threshold enters as delta.  Range checks on arguments that
-may be arrays use ``np.count_nonzero`` rather than ``np.any``: both accept
-scalars and arrays, but on a scalar comparison ``np.any`` costs about ten
-times more, and the scalar path still runs once per threshold.  The scalar
-``phi_deg`` is checked with plain comparisons.
+passes an altitude ``h`` (a scalar, a row or a block) with the edge
+elevation ``phi_deg`` a scalar or a 1-D array.  A 1-D ``phi_deg`` is a
+column (``phi_column``): row i of every result belongs to threshold i, so one
+call covers a whole (threshold x altitude) block.  The per-angle
+trigonometry (tan and cot^2) comes from ``math`` one angle at a time
+(``_per_angle``), never from ``np.tan``, whose SIMD loop differs from
+``math.tan`` in the last bit on about 0.5% of angles; a scalar ``phi_deg``
+is the size-1 case of the same code, so a column call gives exactly the
+floats of the per-angle scalar calls.
+
+The cell edge is that elevation angle, R_a = h cot(phi); the LoS threshold
+delta is the S-curve's value there, and ``phi_from_delta`` inverts it only
+where a threshold enters as delta.  Range checks on arguments that may be
+arrays use ``np.count_nonzero`` rather than ``np.any``: both accept scalars
+and arrays, but on a scalar comparison ``np.any`` costs about ten times more.
 """
 
 from __future__ import annotations
@@ -86,29 +93,68 @@ def mean_path_loss_rh(r, h, env: EnvironmentParams):
     return eta_m * (np.asarray(r, dtype=float) ** 2 + h**2) / env.g0
 
 
-def coverage_radius(h, phi_deg: float):
+# Edge elevations this close to 90 deg leave a nadir-only cell.
+NADIR_TOL_DEG = 1e-9
+
+
+def phi_column(phi_deg):
+    """A 1-D ``phi_deg`` as an (n, 1) float column; a scalar unchanged."""
+    if np.ndim(phi_deg) == 0:
+        return phi_deg
+    return np.asarray(phi_deg, dtype=float).reshape(-1, 1)
+
+
+def _per_angle(fn, phi_deg):
+    """``fn`` (plain float arithmetic) applied to each angle in turn: a float
+    for a scalar ``phi_deg``, an (n, 1) column for a 1-D one."""
+    if np.ndim(phi_deg) == 0:
+        return fn(phi_deg)
+    return np.array([fn(phi) for phi in np.ravel(phi_deg).tolist()]).reshape(-1, 1)
+
+
+def _tan(phi_deg: float) -> float:
+    return math.tan(math.radians(phi_deg))
+
+
+def _cot_squared(phi_deg: float) -> float:
+    if phi_deg >= 90.0 - NADIR_TOL_DEG:
+        return 0.0
+    return 1.0 / _tan(phi_deg) ** 2
+
+
+def cot_squared(phi_deg):
+    """cot^2(phi) for an edge elevation phi (degrees), 0 for a nadir-only
+    edge; a 1-D ``phi_deg`` gives an (n, 1) column."""
+    return _per_angle(_cot_squared, phi_deg)
+
+
+def coverage_radius(h, phi_deg):
     """Coverage radius h * cot(phi) for the edge elevation phi (degrees); 0.0
     when the cell degenerates.
 
-    ``h`` may be a scalar or an altitude array (the result has its shape).
-    A zero return marks the nadir-only (degenerate) cell at phi = 90 deg;
-    callers that cannot proceed with an empty cell raise
-    DegenerateCoverageError.
+    ``h`` may be a scalar or an array, and ``phi_deg`` a scalar or a 1-D
+    column (``phi_column``); the result has their broadcast shape.  A zero
+    marks the nadir-only (degenerate) cell at phi = 90 deg; callers that
+    cannot proceed with an empty cell raise DegenerateCoverageError.
     """
     if np.count_nonzero(h <= 0):
         raise ValueError("altitude h must be strictly positive")
-    if not 0.0 < phi_deg <= 90.0:
+    phi = phi_column(phi_deg)
+    if np.count_nonzero(np.logical_not((0.0 < phi) & (phi <= 90.0))):
         raise ValueError("elevation angle must lie in (0, 90] degrees")
-    if phi_deg >= 90.0 - 1e-9:  # numerically nadir-only
-        return np.zeros(np.shape(h)) if np.ndim(h) else 0.0
-    return h / math.tan(math.radians(phi_deg))
+    r_a = h / _per_angle(_tan, phi)
+    nadir = phi >= 90.0 - NADIR_TOL_DEG
+    if np.count_nonzero(nadir):
+        return np.where(nadir, 0.0, r_a)[()]
+    return r_a
 
 
-def require_coverage(h, phi_deg: float):
-    """Coverage radius, raising DegenerateCoverageError when it is zero."""
+def require_coverage(h, phi_deg):
+    """Coverage radius, raising DegenerateCoverageError when any is zero."""
     r_a = coverage_radius(h, phi_deg)
     if np.count_nonzero(r_a <= 0.0):
         raise DegenerateCoverageError(
-            f"coverage region degenerate at h={np.min(h):g} m, phi={phi_deg:g} deg"
+            f"coverage region degenerate at h={np.min(h):g} m, "
+            f"phi={np.max(phi_deg):g} deg"
         )
     return r_a

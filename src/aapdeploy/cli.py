@@ -52,6 +52,7 @@ THRESHOLD_SWEEP_COLUMNS = [
     "r_a_m",
     "n_ue",
     "gee_ea_zero_bits_per_j",
+    "h_ceiling_m",
 ]
 
 DENSITY_SWEEP_COLUMNS = [
@@ -106,24 +107,26 @@ def cmd_altitude_sweep(scn: Scenario, out_dir: Path) -> int:
 
 
 def threshold_sweep_rows(scn: Scenario) -> list[list]:
-    rows = []
+    """One row per non-degenerate threshold at h_min, from two GEE array
+    calls over the threshold column.  ``h_ceiling_m`` is the altitude
+    ceiling the solver uses, min(h_max, h'_max(phi)): a row whose ceiling
+    lies below h_min is a threshold that ``solve`` rejects as infeasible."""
     h = scn.system.h_min
-    zero_uav = UavEnergyParams.zero()
-    for phi in scn.sweeps.phi_grid():
-        r_a = channel.coverage_radius(h, phi)
-        if r_a <= 0.0:
-            continue
-        rows.append(
-            [
-                phi,
-                float(channel.los_probability(phi, scn.environment)),
-                gee.gee_value(h, phi, scn.system, scn.environment, scn.uav),
-                r_a,
-                uplink.cell_ue_count(r_a, scn.system),
-                gee.gee_value(h, phi, scn.system, scn.environment, zero_uav),
-            ]
-        )
-    return rows
+    phis = np.array(scn.sweeps.phi_grid())
+    r_a = channel.coverage_radius(h, phis)[:, 0]
+    covered = r_a > 0.0
+    phis, r_a = phis[covered], r_a[covered]
+    env, zero_uav = scn.environment, UavEnergyParams.zero()
+    columns = (
+        phis,
+        channel.los_probability(phis, env),
+        gee.gee_value(h, phis, scn.system, env, scn.uav)[:, 0],
+        r_a,
+        uplink.cell_ue_count(r_a, scn.system),
+        gee.gee_value(h, phis, scn.system, env, zero_uav)[:, 0],
+        gee._feasible_altitude_ceiling(phis, scn.system, env)[:, 0],
+    )
+    return [list(row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def cmd_threshold_sweep(scn: Scenario, out_dir: Path) -> int:

@@ -3,8 +3,10 @@ period.
 
 Climb energy is a one-shot cost; hover power accrues for the whole period T,
 as does the data-communication power (sum transmit power plus circuit power).
-Every function broadcasts over an altitude array ``h``; the checks count
-with ``np.count_nonzero``, which is cheaper than ``np.any`` on scalars.
+Every function broadcasts over an altitude array ``h`` and a communication
+power of any shape (the GEE chain passes an (n, 1) threshold column or an
+(n, m) block); the checks count with ``np.count_nonzero``, which is cheaper
+than ``np.any`` on scalars.
 """
 
 from __future__ import annotations

@@ -4,9 +4,13 @@ The closed-form sum power evaluates the mean excess loss at the cell-edge
 elevation (the edge-UE approximation); the exact variant integrates the
 r-dependent mean path loss numerically and is always <= the closed form.
 
-The closed-form sum power and the sum rate broadcast over an altitude array
-``h`` (the edge elevation ``phi_deg`` stays a scalar), so a whole altitude
-grid is one call.
+The closed-form sum power, the sum rate and the power-translated altitude
+ceiling take the edge elevation ``phi_deg`` as a scalar or as a 1-D column
+(see ``channel``), and the first two broadcast it against an altitude ``h``
+that may be a scalar, a row or a block, so a whole (threshold x altitude)
+block is one call.  cot^2(phi) comes from ``channel.cot_squared``, one angle
+at a time, and the same arithmetic serves a scalar and a column, so a column
+call gives exactly the floats of the per-angle scalar calls.
 
 Only the two quadratures need scipy.  ``quad`` is imported inside
 ``_sum_power_quadrature``, so ``scipy.integrate`` is loaded by the oracles
@@ -26,13 +30,18 @@ from .params import EnvironmentParams, SystemParams
 QUAD_REL_TOL = 1e-10
 
 
-def cell_ue_count(r_a: float, sys: SystemParams) -> float:
-    """Expected number of UEs in a cell of radius r_a (real-valued)."""
-    return sys.ue_density_rho * math.pi * r_a**2
+def cell_ue_count(r_a, sys: SystemParams):
+    """Expected number of UEs in a cell of radius r_a (real-valued, or an array).
+
+    r_a * r_a rather than r_a**2: numpy squares an array exactly, while
+    Python's float ** calls pow, which differs in the last bit on ~0.1% of
+    radii, so a scalar and an array radius would give different counts.
+    """
+    return sys.ue_density_rho * math.pi * (r_a * r_a)
 
 
 def expected_sum_power_closed_form(
-    h, phi_deg: float, sys: SystemParams, env: EnvironmentParams
+    h, phi_deg, sys: SystemParams, env: EnvironmentParams
 ):
     """Closed-form upper bound on the expected sum UE transmit power (W).
 
@@ -40,8 +49,8 @@ def expected_sum_power_closed_form(
     frozen at the edge elevation.  Strictly increasing in h.
     """
     channel.require_coverage(h, phi_deg)
-    cot2 = 1.0 / math.tan(math.radians(phi_deg)) ** 2
-    eta_m = float(channel.mean_additional_path_loss(phi_deg, env))
+    cot2 = channel.cot_squared(phi_deg)
+    eta_m = channel.mean_additional_path_loss(channel.phi_column(phi_deg), env)
     return (
         2.0
         * math.pi
@@ -135,23 +144,19 @@ def sum_rate_from_count(n_ue, sys: SystemParams):
     return sys.bandwidth_w * np.log2(1.0 + sinr(n_ue, sys))
 
 
-def sum_rate(h, phi_deg: float, sys: SystemParams):
+def sum_rate(h, phi_deg, sys: SystemParams):
     """Cell sum uplink rate (bit/s); saturates at W log2(1 + 1/M)."""
     r_a = channel.require_coverage(h, phi_deg)
     return sum_rate_from_count(cell_ue_count(r_a, sys), sys)
 
 
-def h_max_power_constraint(
-    phi_deg: float, sys: SystemParams, env: EnvironmentParams
-) -> float:
+def h_max_power_constraint(phi_deg, sys: SystemParams, env: EnvironmentParams):
     """Altitude above which the cell-edge UE would exceed its power cap.
 
     sqrt(P_max g0 / (P_a eta_m (1 + cot^2(phi)))); at this altitude the edge
-    UE's power-controlled transmit power equals P_max exactly.
+    UE's power-controlled transmit power equals P_max exactly.  A 1-D
+    ``phi_deg`` gives an (n, 1) column of ceilings.
     """
-    nadir = phi_deg >= 90.0 - 1e-9
-    cot2 = 0.0 if nadir else 1.0 / math.tan(math.radians(phi_deg)) ** 2
-    eta_m = float(channel.mean_additional_path_loss(phi_deg, env))
-    return math.sqrt(
-        sys.p_max * env.g0 / (sys.p_target_pa * eta_m * (1.0 + cot2))
-    )
+    cot2 = channel.cot_squared(phi_deg)
+    eta_m = channel.mean_additional_path_loss(channel.phi_column(phi_deg), env)
+    return np.sqrt(sys.p_max * env.g0 / (sys.p_target_pa * eta_m * (1.0 + cot2)))
