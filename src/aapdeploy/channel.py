@@ -39,7 +39,8 @@ def elevation_deg(r, h):
 
 
 def _check_phi(phi_deg) -> None:
-    if np.count_nonzero(phi_deg <= 0) or np.count_nonzero(phi_deg > 90):
+    """Reject an angle outside (0, 90] degrees, NaN included."""
+    if np.count_nonzero(np.logical_not((0.0 < phi_deg) & (phi_deg <= 90.0))):
         raise ValueError("elevation angle must lie in (0, 90] degrees")
 
 
@@ -50,8 +51,11 @@ def los_probability(phi_deg, env: EnvironmentParams):
 
 
 def delta_lower_bound(env: EnvironmentParams) -> float:
-    """Infimum of LoS probabilities reachable at positive elevation."""
-    return 1.0 / (1.0 + env.a * math.exp(env.a * env.b))
+    """Infimum of LoS probabilities reachable at positive elevation,
+    1 / (1 + a exp(a b)), written with exp(-a b) so a steep curve cannot
+    overflow."""
+    tail = math.exp(-env.a * env.b)
+    return tail / (tail + env.a)
 
 
 def phi_from_delta(delta: float, env: EnvironmentParams) -> float:
@@ -140,8 +144,7 @@ def coverage_radius(h, phi_deg):
     if np.count_nonzero(h <= 0):
         raise ValueError("altitude h must be strictly positive")
     phi = phi_column(phi_deg)
-    if np.count_nonzero(np.logical_not((0.0 < phi) & (phi <= 90.0))):
-        raise ValueError("elevation angle must lie in (0, 90] degrees")
+    _check_phi(phi)
     r_a = h / _per_angle(_tan, phi)
     nadir = phi >= 90.0 - NADIR_TOL_DEG
     if np.count_nonzero(nadir):

@@ -68,28 +68,26 @@ CENTERS_COLUMNS = ["level", "ring_radius_m", "index_in_level", "x_m", "y_m"]
 
 
 def altitude_sweep_rows(scn: Scenario) -> list[list]:
-    """One row per (gamma, h); each gamma's altitude grid is one array call."""
+    """One row per (gamma, h); each gamma's altitude grid is one array call
+    per column, and both GEE columns come from ``gee.gee_value``."""
     rows = []
     delta = scn.sweeps.delta
-    phi = channel.phi_from_delta(delta, scn.environment)
+    env = scn.environment
+    phi = channel.phi_from_delta(delta, env)
     zero_uav = UavEnergyParams.zero()
     h_list = scn.sweeps.altitude_grid()
     h = np.array(h_list)
     for gamma in scn.sweeps.gamma_list:
         sys_g = scn.system.with_gamma(gamma)
-        rate = uplink.sum_rate(h, phi, sys_g)
-        power = uplink.expected_sum_power_closed_form(h, phi, sys_g, scn.environment)
-        e_uav = energy.uav_only_energy(h, sys_g, scn.uav)
-        e_total = energy.total_energy(h, power, sys_g, scn.uav)
-        e_total_zero = energy.total_energy(h, power, sys_g, zero_uav)
+        power = uplink.expected_sum_power_closed_form(h, phi, sys_g, env)
         columns = (
-            sys_g.service_time_t * rate / e_total,
-            rate,
-            e_total,
-            e_uav,
+            gee.gee_value(h, phi, sys_g, env, scn.uav),
+            uplink.sum_rate(h, phi, sys_g),
+            energy.total_energy(h, power, sys_g, scn.uav),
+            energy.uav_only_energy(h, sys_g, scn.uav),
             power,
-            sys_g.service_time_t * rate / e_total_zero,
-            e_total_zero,
+            gee.gee_value(h, phi, sys_g, env, zero_uav),
+            energy.total_energy(h, power, sys_g, zero_uav),
         )
         rows.extend(
             [gamma, h_m, delta, *values]

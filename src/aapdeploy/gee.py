@@ -9,12 +9,15 @@ SNR).
 ``phi_deg`` as a scalar or as a 1-D column (row i belongs to threshold i)
 and broadcasts it against an altitude ``h`` that may be a scalar, a row or a
 (threshold x altitude) block, so the solver evaluates its thresholds in a few
-array calls: the pinned h_min column, the audit block and the fallback
-block.  The fallback block is built and evaluated ``FALLBACK_BLOCK``
-thresholds at a time, which keeps peak memory near that of one altitude row.
-A column call gives exactly the floats of the per-threshold scalar calls
-(see ``channel``), so the grid search picks the same optimum as a scalar
-loop.  The LoS threshold delta is derived once, for the reported optimum.
+array calls: the audit block, then one search loop over blocks of a
+(threshold x altitude) grid with one point per threshold (h_min) when the
+audit passes and ``FALLBACK_POINTS`` when it fails.  A block holds
+``FALLBACK_BLOCK * FALLBACK_POINTS`` grid points, which keeps peak memory
+near that of one altitude row and makes a pinned search on a built-in grid
+one call.  A column call gives exactly the floats of the per-threshold scalar
+calls (see ``channel``), so the grid search picks the same optimum as a
+scalar loop.  The LoS threshold delta is derived once, for the reported
+optimum.
 """
 
 from __future__ import annotations
@@ -103,15 +106,16 @@ def solve_p1(
     infeasible; an angle outside (0, 90] raises ValueError.  When the
     decreasing-GEE audit passes for every feasible threshold the altitude is
     pinned at h_min and only the threshold is searched; otherwise both are
-    grid searched, ``FALLBACK_BLOCK`` thresholds per array call.  Threshold
-    ties break toward the larger elevation angle (smaller cell); within the
-    grid search the first maximum in (threshold, altitude) order wins.
+    grid searched.  Either way the search is the same loop over blocks of a
+    (threshold x altitude) grid, and one tie rule holds: the larger elevation
+    angle (smaller cell) wins, then the lower altitude.
     """
     if not phi_grid:
         raise InfeasibleError("empty threshold grid")
 
-    # Sorted by elevation angle, so ties can break toward larger phi.
-    phis = np.sort(np.asarray(phi_grid, dtype=float))
+    # Sorted by descending elevation angle, so the first maximum in (phi, h)
+    # order is the larger phi, then the lower h.
+    phis = np.sort(np.asarray(phi_grid, dtype=float))[::-1]
     covered = channel.coverage_radius(sys.h_min, phis)[:, 0] > 0.0
     ceilings = _feasible_altitude_ceiling(phis, sys, env)[:, 0]
     feasible = covered & (ceilings >= sys.h_min)
@@ -131,20 +135,19 @@ def solve_p1(
     # perfbench's gee.audit_pass_ratio covers them all.
     audit_passed = all([_audit_monotone_decreasing(row) for row in audit])
 
-    if audit_passed:
-        values = gee_value(sys.h_min, phis, sys, env, uav)[:, 0]
-        k = len(values) - 1 - int(np.argmax(values[::-1]))  # last maximum
-        gee_opt, h_opt = float(values[k]), sys.h_min
-    else:
-        best: tuple[float, float, int] | None = None  # (gee, h, threshold index)
-        for start in range(0, len(phis), FALLBACK_BLOCK):
-            block = slice(start, start + FALLBACK_BLOCK)
-            grid = np.linspace(sys.h_min, ceilings[block], FALLBACK_POINTS, axis=1)
-            values = gee_value(grid, phis[block], sys, env, uav)
-            i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-            if best is None or values[i, j] > best[0]:
-                best = (float(values[i, j]), float(grid[i, j]), start + int(i))
-        gee_opt, h_opt, k = best
+    # A passed audit pins h at h_min: the one-point case of the grid search,
+    # whose blocks then hold FALLBACK_POINTS times as many thresholds.
+    points = 1 if audit_passed else FALLBACK_POINTS
+    rows = FALLBACK_BLOCK * FALLBACK_POINTS // points
+    best: tuple[float, float, int] | None = None  # (gee, h, threshold index)
+    for start in range(0, len(phis), rows):
+        block = slice(start, start + rows)
+        grid = np.linspace(sys.h_min, ceilings[block], points, axis=1)
+        values = gee_value(grid, phis[block], sys, env, uav)
+        i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+        if best is None or values[i, j] > best[0]:
+            best = (float(values[i, j]), float(grid[i, j]), start + int(i))
+    gee_opt, h_opt, k = best
     phi_opt, ceiling_opt = float(phis[k]), float(ceilings[k])
 
     tol = 1e-9 * max(1.0, h_opt)

@@ -15,11 +15,7 @@ from typing import Iterable, Sequence
 
 
 def fmt_value(value) -> str:
-    """Render a cell: floats at 12 significant digits, ints verbatim."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
+    """Render a cell: floats at 12 significant digits, anything else as str."""
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)

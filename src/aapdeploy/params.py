@@ -1,30 +1,22 @@
 """Immutable parameter records for the propagation environment, the radio
 system and the UAV energy model.
 
-All excess-loss figures are stored as linear power ratios; helpers accept the
-usual dB inputs and convert once, at construction time.
+All excess-loss figures are stored as linear power ratios; ``from_db``
+accepts the usual dB inputs and converts once, at construction time.  The
+reference gain is given as g0 only, and the target power is set from gamma
+only through ``SystemParams.with_gamma``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
-
-SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 
 def db_to_linear(value_db: float) -> float:
     """Convert a dB power quantity to a linear ratio."""
     return 10.0 ** (value_db / 10.0)
-
-
-def reference_gain_from_frequency(carrier_frequency_hz: float) -> float:
-    """Free-space channel gain at 1 m for the given carrier frequency."""
-    if carrier_frequency_hz <= 0:
-        raise ConfigError("carrier frequency must be positive")
-    return (SPEED_OF_LIGHT / (4.0 * math.pi * carrier_frequency_hz)) ** 2
 
 
 @dataclass(frozen=True)
@@ -55,38 +47,15 @@ class EnvironmentParams:
 
     @classmethod
     def from_db(
-        cls,
-        a: float,
-        b: float,
-        eta_los_db: float,
-        eta_nlos_db: float,
-        g0: float | None = None,
-        carrier_frequency_hz: float | None = None,
+        cls, a: float, b: float, eta_los_db: float, eta_nlos_db: float, g0: float
     ) -> "EnvironmentParams":
-        """Build from dB excess losses and either g0 or a carrier frequency.
-
-        If both g0 and the frequency are supplied they must agree to 1%
-        (catches unit mistakes in scenario files).
-        """
-        if g0 is None and carrier_frequency_hz is None:
-            raise ConfigError("one of g0 or carrier frequency is required")
-        derived = (
-            reference_gain_from_frequency(carrier_frequency_hz)
-            if carrier_frequency_hz is not None
-            else None
-        )
-        if g0 is not None and derived is not None:
-            if abs(g0 - derived) > 0.01 * g0:
-                raise ConfigError(
-                    f"g0={g0:g} inconsistent with carrier frequency "
-                    f"(implies g0={derived:g})"
-                )
+        """Build from dB excess losses and the linear reference gain g0."""
         return cls(
             a=a,
             b=b,
             eta_los=db_to_linear(eta_los_db),
             eta_nlos=db_to_linear(eta_nlos_db),
-            g0=g0 if g0 is not None else derived,
+            g0=g0,
         )
 
 
@@ -126,6 +95,7 @@ class SystemParams:
         positives = {
             "bandwidth_w": self.bandwidth_w,
             "circuit_power_pc": self.circuit_power_pc,
+            "service_time_t": self.service_time_t,
             "p_max": self.p_max,
             "p_target_pa": self.p_target_pa,
             "noise_psd_sigma0sq": self.noise_psd_sigma0sq,
@@ -137,8 +107,6 @@ class SystemParams:
         for name, value in positives.items():
             if value <= 0:
                 raise ConfigError(f"{name} must be strictly positive, got {value!r}")
-        if self.service_time_t < 0:
-            raise ConfigError("service_time_t must be non-negative")
         if self.h_min > self.h_max:
             raise ConfigError("h_min must not exceed h_max")
         if self.num_interferers_m < 0:

@@ -2,9 +2,11 @@
 
 The format is INI-style with four physics sections (environment, system,
 uav, sweeps) plus output.  Unknown sections or keys are hard errors so a
-misspelled constant can never silently fall back to a default.  Every number
-must be finite, the interferer count a whole number, each sweep list
-non-empty, and the sweeps must lie where the model is defined: the
+misspelled constant can never silently fall back to a default.  Each
+quantity has one spelling: the target power is given as ``gamma`` and the
+reference gain as ``g0``, and both are required.  Every number must be
+finite, the interferer count a whole number, each sweep list non-empty,
+and the sweeps must lie where the model is defined: the
 altitude grid inside [h_min, h_max], the elevation grid inside (0, 90] deg
 and the LoS threshold delta inside the S-curve's image; each grid needs a
 positive step and a start no greater than its stop.  A violation is a
@@ -31,7 +33,6 @@ _KNOWN_KEYS: dict[str, set[str]] = {
         "eta_los_db",
         "eta_nlos_db",
         "g0",
-        "carrier_frequency_hz",
     },
     "system": {
         "bandwidth_hz",
@@ -39,7 +40,6 @@ _KNOWN_KEYS: dict[str, set[str]] = {
         "circuit_power_w",
         "service_time_s",
         "p_max_w",
-        "p_target_w",
         "gamma",
         "noise_psd_w_per_hz",
         "ue_density_per_m2",
@@ -219,42 +219,28 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ConfigError(f"missing scenario section [{required}]")
 
     env_sec = parser["environment"]
-    g0 = _get_float(env_sec, "g0") if "g0" in env_sec else None
-    fc = (
-        _get_float(env_sec, "carrier_frequency_hz")
-        if "carrier_frequency_hz" in env_sec
-        else None
-    )
     environment = EnvironmentParams.from_db(
         a=_get_float(env_sec, "a"),
         b=_get_float(env_sec, "b"),
         eta_los_db=_get_float(env_sec, "eta_los_db"),
         eta_nlos_db=_get_float(env_sec, "eta_nlos_db"),
-        g0=g0,
-        carrier_frequency_hz=fc,
+        g0=_get_float(env_sec, "g0"),
     )
 
     sys_sec = parser["system"]
-    has_target = "p_target_w" in sys_sec
-    has_gamma = "gamma" in sys_sec
-    if has_target == has_gamma:
-        raise ConfigError("exactly one of p_target_w or gamma must be given")
     system = SystemParams(
         bandwidth_w=_get_float(sys_sec, "bandwidth_hz"),
         num_interferers_m=_get_int(sys_sec, "num_interferers"),
         circuit_power_pc=_get_float(sys_sec, "circuit_power_w"),
         service_time_t=_get_float(sys_sec, "service_time_s"),
         p_max=_get_float(sys_sec, "p_max_w"),
-        # with_gamma below replaces this placeholder when the file gives gamma
-        p_target_pa=_get_float(sys_sec, "p_target_w") if has_target else 1.0,
+        p_target_pa=1.0,  # placeholder; with_gamma sets it from gamma
         noise_psd_sigma0sq=_get_float(sys_sec, "noise_psd_w_per_hz"),
         ue_density_rho=_get_float(sys_sec, "ue_density_per_m2"),
         h_min=_get_float(sys_sec, "h_min_m"),
         h_max=_get_float(sys_sec, "h_max_m"),
         area_radius_r=_get_float(sys_sec, "area_radius_m"),
-    )
-    if has_gamma:
-        system = system.with_gamma(_get_float(sys_sec, "gamma"))
+    ).with_gamma(_get_float(sys_sec, "gamma"))
 
     uav_sec = parser["uav"]
     uav = UavEnergyParams(

@@ -139,15 +139,11 @@ def sinr(n_ue: float, sys: SystemParams) -> float:
     )
 
 
-def sum_rate_from_count(n_ue, sys: SystemParams):
-    """Cell sum rate W log2(1 + SINR) for an expected UE count (or array)."""
-    return sys.bandwidth_w * np.log2(1.0 + sinr(n_ue, sys))
-
-
 def sum_rate(h, phi_deg, sys: SystemParams):
-    """Cell sum uplink rate (bit/s); saturates at W log2(1 + 1/M)."""
+    """Cell sum uplink rate W log2(1 + SINR) (bit/s) for the expected UE
+    count; saturates at W log2(1 + 1/M)."""
     r_a = channel.require_coverage(h, phi_deg)
-    return sum_rate_from_count(cell_ue_count(r_a, sys), sys)
+    return sys.bandwidth_w * np.log2(1.0 + sinr(cell_ue_count(r_a, sys), sys))
 
 
 def h_max_power_constraint(phi_deg, sys: SystemParams, env: EnvironmentParams):

@@ -95,6 +95,12 @@ def test_los_probability_domain(suburban_env):
         channel.los_probability(0.0, suburban_env)
     with pytest.raises(ValueError):
         channel.los_probability(90.5, suburban_env)
+    # NaN fails both "<= 0" and "> 90", so it must be rejected as not inside
+    for bad in (math.nan, np.array([30.0, math.nan])):
+        with pytest.raises(ValueError):
+            channel.los_probability(bad, suburban_env)
+        with pytest.raises(ValueError):
+            channel.mean_additional_path_loss(bad, suburban_env)
 
 
 def test_phi_from_delta_trivial_inverse(suburban_env):

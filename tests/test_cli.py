@@ -10,6 +10,14 @@ from aapdeploy.io_utils import fmt_value, write_csv_atomic
 from aapdeploy.scenario import builtin_scenario_path, load_scenario
 
 BASELINE = str(builtin_scenario_path("baseline"))
+ALL_VERBS = [
+    "altitude-sweep",
+    "threshold-sweep",
+    "solve",
+    "place",
+    "density-sweep",
+    "validate",
+]
 ABLATION = str(builtin_scenario_path("no_vehicle_energy"))
 
 
@@ -29,8 +37,6 @@ def small_scenario(tmp_path):
 
 
 def test_fmt_value():
-    assert fmt_value(True) == "true"
-    assert fmt_value(False) == "false"
     assert fmt_value(7) == "7"
     assert fmt_value(0.1) == "0.1"
     assert fmt_value(1.0 / 3.0) == "0.333333333333"
@@ -107,11 +113,14 @@ def test_bad_scenario_value_exits_config_error(
 
 
 @pytest.mark.parametrize("verb", ["solve", "validate"])
-@pytest.mark.parametrize("line", ["resource_blocks = 2", "tpc_beta = 0.5"])
+@pytest.mark.parametrize(
+    "line", ["resource_blocks = 2", "tpc_beta = 0.5", "p_target_w = 8e-12"]
+)
 def test_oracle_only_power_keys_are_unknown(small_scenario, tmp_path, capsys, line, verb):
     # The closed forms assume one resource block and full power control.
-    # These keys once changed only the Monte-Carlo side, so solve accepted a
-    # file (exit 0) that validate then failed (exit 3).
+    # The first two keys once changed only the Monte-Carlo side, so solve
+    # accepted a file (exit 0) that validate then failed (exit 3).  gamma is
+    # the one way to set the target power, so p_target_w is unknown too.
     path = tmp_path / "bad.ini"
     text = (tmp_path / "small.ini").read_text()
     path.write_text(text.replace("num_interferers = 6", f"num_interferers = 6\n{line}"))
@@ -121,6 +130,65 @@ def test_oracle_only_power_keys_are_unknown(small_scenario, tmp_path, capsys, li
     assert err == [
         f"configuration error: unknown key(s) in [system]: {line.split(' = ')[0]}"
     ]
+
+
+@pytest.mark.parametrize("verb", ["solve", "validate"])
+def test_carrier_frequency_key_is_unknown(small_scenario, tmp_path, capsys, verb):
+    # g0 is the one way to set the reference gain
+    path = tmp_path / "bad.ini"
+    text = (tmp_path / "small.ini").read_text()
+    assert "g0 = 1.42e-4" in text
+    path.write_text(
+        text.replace("g0 = 1.42e-4", "g0 = 1.42e-4\ncarrier_frequency_hz = 2e9")
+    )
+    out = tmp_path / "o"
+    assert run(["--scenario", str(path), "--out", str(out), verb]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "configuration error: unknown key(s) in [environment]: carrier_frequency_hz"
+    ]
+
+
+@pytest.mark.parametrize("verb", ALL_VERBS)
+def test_zero_service_time_exits_config_error(small_scenario, tmp_path, capsys, verb):
+    # T = 0 made the zero-vehicle-energy GEE 0/0: the sweeps wrote nan, exit 0
+    path = tmp_path / "bad.ini"
+    text = (tmp_path / "small.ini").read_text()
+    assert "service_time_s = 500" in text
+    path.write_text(text.replace("service_time_s = 500", "service_time_s = 0"))
+    out = tmp_path / "o"
+    assert run(["--scenario", str(path), "--out", str(out), verb]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error:")
+    assert "service_time" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("verb", ALL_VERBS)
+def test_steep_s_curve_runs_every_verb(small_scenario, tmp_path, capsys, verb):
+    # a * b = 720: exp(a * b) in the S-curve's infimum overflowed, and every
+    # verb died with a traceback while the scenario loaded
+    path = tmp_path / "steep.ini"
+    text = (tmp_path / "small.ini").read_text()
+    assert "a = 4.88\nb = 0.43" in text
+    path.write_text(text.replace("a = 4.88\nb = 0.43", "a = 30\nb = 24"))
+    assert run(["--scenario", str(path), "--out", str(tmp_path / "o"), verb]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("verb", ALL_VERBS)
+def test_huge_s_curve_offset_exits_config_error(small_scenario, tmp_path, capsys, verb):
+    # a = 1e300 puts the whole S-curve beyond 90 deg: the sweep delta has no
+    # elevation angle, which is a configuration error, not an overflow
+    path = tmp_path / "huge.ini"
+    text = (tmp_path / "small.ini").read_text()
+    path.write_text(text.replace("a = 4.88", "a = 1e300"))
+    out = tmp_path / "o"
+    assert run(["--scenario", str(path), "--out", str(out), verb]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: sweep delta: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("ra", ["0", "-5", "nan", "inf"])

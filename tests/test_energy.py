@@ -22,11 +22,11 @@ def test_total_energy_with_zero_comm_power(baseline_system, baseline_uav):
     assert total == pytest.approx(178993.239 + 5.0 * 500.0, abs=1e-9)
 
 
-def test_zero_service_time(baseline_uav):
-    sysp = make_system(service_time_t=0.0)
-    assert energy.total_energy(15.0, 1.0, sysp, baseline_uav) == pytest.approx(
-        315.0 * 15.0 - 211.261
-    )
+def test_zero_service_time_rejected():
+    # with zero vehicle energy a zero service period makes the GEE 0/0
+    for bad in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="service_time_t must be strictly positive"):
+            make_system(service_time_t=bad)
 
 
 def test_ablation_zero_params(baseline_system):

@@ -288,6 +288,33 @@ def test_solve_p1_pinned_ties_break_toward_larger_phi(
     assert sorted(phis)[edge - 1] == sorted(phis)[edge] == 48.0
 
 
+def test_solve_p1_fallback_ties_break_toward_larger_phi(suburban_env, monkeypatch):
+    # GEE rounded to 100 bit/J ties the row maxima of phi = 25-28 deg on the
+    # fallback path, with a block edge between 28 and 27 deg; as on the
+    # pinned path the largest tied angle wins, then the lowest altitude
+    sysp, uav = make_system(gamma=0.01), UavEnergyParams.zero()
+    phis = np.arange(5.0, 59.0 + 1e-9, 1.0).tolist()
+    exact = gee.gee_value
+    monkeypatch.setattr(gee, "gee_value", lambda *args: np.round(exact(*args), -2))
+
+    sol = gee.solve_p1(sysp, suburban_env, uav, phis)
+    row_max = {}
+    best = None
+    for phi in sorted(phis, reverse=True):
+        ceiling = gee._feasible_altitude_ceiling(phi, sysp, suburban_env)
+        for h in np.linspace(sysp.h_min, ceiling, gee.FALLBACK_POINTS):
+            value = gee.gee_value(float(h), phi, sysp, suburban_env, uav)
+            row_max[phi] = max(row_max.get(phi, value), value)
+            if best is None or value > best[0]:
+                best = (value, float(h), phi)
+    tied = [phi for phi, v in row_max.items() if v == best[0]]
+    assert not sol.monotone_audit_passed
+    assert sorted(tied) == [25.0, 26.0, 27.0, 28.0]  # a real tie across angles
+    assert sorted(phis, reverse=True).index(27.0) == 2 * gee.FALLBACK_BLOCK
+    assert (sol.gee, sol.h_opt, sol.phi_opt_deg) == best
+    assert sol.phi_opt_deg == max(tied) == 28.0
+
+
 @pytest.mark.parametrize("name", ["baseline", "no_vehicle_energy"])
 def test_gee_call_counts_on_builtins(name, monkeypatch):
     # the solver evaluates thresholds in blocks and the sweep in two calls;

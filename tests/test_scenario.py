@@ -79,13 +79,10 @@ def test_unknown_section_rejected(tmp_path):
         load_scenario(write(tmp_path, BASE + "\n[extras]\nfoo = 1\n"))
 
 
-def test_gamma_and_p_target_mutually_exclusive(tmp_path):
-    both = BASE.replace("gamma = 100", "gamma = 100\np_target_w = 8e-12")
-    with pytest.raises(ConfigError, match="exactly one"):
-        load_scenario(write(tmp_path, both))
-    neither = BASE.replace("gamma = 100\n", "")
-    with pytest.raises(ConfigError, match="exactly one"):
-        load_scenario(write(tmp_path, neither))
+def test_missing_gamma_rejected(tmp_path):
+    # gamma is the only way to set the target power
+    with pytest.raises(ConfigError, match="missing required key 'gamma'"):
+        load_scenario(write(tmp_path, BASE.replace("gamma = 100\n", "")))
 
 
 def test_missing_required_section(tmp_path):
@@ -105,11 +102,10 @@ def test_excess_loss_ordering_enforced(tmp_path):
         load_scenario(write(tmp_path, bad))
 
 
-def test_carrier_frequency_cross_check(tmp_path):
-    # a wildly inconsistent (g0, carrier) pair must be rejected
-    bad = BASE.replace("g0 = 1.42e-4", "g0 = 1.42e-4\ncarrier_frequency_hz = 60e9")
-    with pytest.raises(ConfigError):
-        load_scenario(write(tmp_path, bad))
+def test_missing_g0_rejected(tmp_path):
+    # g0 is the only way to set the reference gain
+    with pytest.raises(ConfigError, match="missing required key 'g0'"):
+        load_scenario(write(tmp_path, BASE.replace("g0 = 1.42e-4\n", "")))
 
 
 def test_sweep_grid_construction(tmp_path):
