@@ -4,6 +4,13 @@ Verbs: altitude-sweep | threshold-sweep | solve | place | density-sweep |
 validate.  Sweep commands emit CSV, solve/place emit JSON (+ a centres CSV);
 validate runs the Monte-Carlo oracle suite.  Exit codes: 0 success,
 1 infeasible scenario, 2 configuration error, 3 validation failure.
+
+``place`` writes each AAP centre once, to the centres CSV: ``plan.json``
+keeps each level's count n and centre radius c, which fix centre m as
+(c cos(2 pi m / n), c sin(2 pi m / n)).  Verbs run with numpy's overflow,
+division by zero and invalid operations raised, so scenario values that
+take a result beyond the floating-point range exit 2 instead of writing a
+NaN or an infinity.
 """
 
 from __future__ import annotations
@@ -180,7 +187,6 @@ def plan_to_dict(plan: packing.PlacementPlan) -> dict:
                 "ring_radius_m": level.ring_radius,
                 "count": level.count,
                 "center_radius_m": level.center_radius,
-                "centers": [list(c) for c in level.centers],
                 "area_count_bound": level.area_count_bound,
                 "geometric_count_bound": level.geometric_count_bound,
             }
@@ -318,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Energy-efficient 3D deployment planner for aerial access points",
     )
     parser.add_argument("--scenario", required=True, help="scenario file path")
-    parser.add_argument("--out", default=None, help="output directory override")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument(
         "--trials", type=int, default=1000, help="Monte-Carlo trial count"
@@ -351,23 +357,31 @@ def main(argv: list[str] | None = None) -> int:
         if args.ra is not None and not (math.isfinite(args.ra) and args.ra > 0):
             raise ConfigError(f"--ra must be a positive finite radius, got {args.ra}")
         scn = load_scenario(args.scenario)
-        out_dir = Path(args.out) if args.out is not None else scn.output_dir
+        out_dir = Path(args.out)
         try:
-            if args.command == "altitude-sweep":
-                return cmd_altitude_sweep(scn, out_dir)
-            if args.command == "threshold-sweep":
-                return cmd_threshold_sweep(scn, out_dir)
-            if args.command == "solve":
-                return cmd_solve(scn, out_dir)
-            if args.command == "place":
-                return cmd_place(scn, out_dir, args.ra)
-            if args.command == "density-sweep":
-                return cmd_density_sweep(scn, out_dir, args.ra)
-            if args.command == "validate":
-                return cmd_validate(scn, args.trials, args.seed)
-            raise AssertionError(f"unhandled command {args.command}")
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                if args.command == "altitude-sweep":
+                    return cmd_altitude_sweep(scn, out_dir)
+                if args.command == "threshold-sweep":
+                    return cmd_threshold_sweep(scn, out_dir)
+                if args.command == "solve":
+                    return cmd_solve(scn, out_dir)
+                if args.command == "place":
+                    return cmd_place(scn, out_dir, args.ra)
+                if args.command == "density-sweep":
+                    return cmd_density_sweep(scn, out_dir, args.ra)
+                if args.command == "validate":
+                    return cmd_validate(scn, args.trials, args.seed)
+                raise AssertionError(f"unhandled command {args.command}")
         except OSError as exc:
             raise ConfigError(f"cannot write output to {out_dir}: {exc}") from exc
+        except ArithmeticError as exc:
+            # numpy's FloatingPointError, or Python's OverflowError (message
+            # last, after an errno) and ZeroDivisionError
+            raise ConfigError(
+                "scenario values take a result out of the floating-point range: "
+                f"{exc.args[-1]}"
+            ) from exc
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

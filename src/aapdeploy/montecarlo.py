@@ -31,12 +31,19 @@ from typing import NamedTuple
 import numpy as np
 
 from . import channel
+from .errors import ConfigError
 from .params import EnvironmentParams, SystemParams
 
 # Minimum UEs per block of the batched power pass: large enough that numpy's
 # per-call overhead is spread over many UEs, small enough that the block's
 # arrays stay a few tens of kilobytes.
 BLOCK_UES = 2048
+
+# Largest expected UE count per trial that mean_sum_power samples: 150 times
+# the most populous cell either built-in deploys (6,450 UEs), and far below
+# the ~9.2e18 at which numpy's Poisson draw fails.  One trial's draws and
+# powers must fit in memory at once.
+MAX_MEAN_UES = 1e6
 
 # Seeds whose generator states are computed in one array pass: enough to
 # spread numpy's per-call overhead, few enough that memory does not grow
@@ -68,29 +75,18 @@ class UeSample:
         return self.r_a * np.sqrt(self.draws)
 
 
-def sample_ues(
-    r_a: float,
-    rho: float,
-    rng: np.random.Generator,
-    fixed_count: int | None = None,
-) -> UeSample:
+def sample_ues(r_a: float, rho: float, rng: np.random.Generator) -> UeSample:
     """Sample a UE population uniformly on the disk of radius r_a, drawing
     from rng.
 
-    The count is Poisson(rho * pi * r_a^2) unless fixed_count is given.
-    Radial positions use r = r_a * sqrt(u) so the distribution is uniform in
-    area.
+    The count is Poisson(rho * pi * r_a^2).  Radial positions use
+    r = r_a * sqrt(u) so the distribution is uniform in area.
     """
     if not (math.isfinite(r_a) and math.isfinite(rho)):
         raise ValueError("cell radius and UE density must be finite")
     if r_a <= 0 or rho <= 0:
         raise ValueError("cell radius and UE density must be strictly positive")
-    if fixed_count is not None and fixed_count < 0:
-        raise ValueError(f"fixed UE count must be non-negative, got {fixed_count}")
-    if fixed_count is None:
-        count = int(rng.poisson(rho * math.pi * r_a**2))
-    else:
-        count = int(fixed_count)
+    count = int(rng.poisson(rho * math.pi * r_a**2))
     return UeSample(r_a=r_a, draws=rng.random(count), realized_count=count)
 
 
@@ -231,7 +227,6 @@ def mean_sum_power(
     env: EnvironmentParams,
     trials: int,
     base_seed: int = 0,
-    fixed_count: int | None = None,
 ) -> MeanSumPower:
     """Mean empirical sum power over seeded trials (seeds base_seed + i).
 
@@ -245,11 +240,17 @@ def mean_sum_power(
     if base_seed < 0:
         raise ValueError(f"the base seed must be non-negative, got {base_seed}")
     r_a = channel.require_coverage(h, phi_deg)
+    mean_ues = sys.ue_density_rho * math.pi * r_a**2
+    if mean_ues > MAX_MEAN_UES:
+        raise ConfigError(
+            f"the Monte-Carlo cell holds {mean_ues:.3g} UEs on average, "
+            f"more than the {MAX_MEAN_UES:.0e} the oracle samples"
+        )
     sums: list[float] = []
     block: list[UeSample] = []
     pending = 0
     for i, rng in enumerate(_trial_generators(base_seed, trials)):
-        sample = sample_ues(r_a, sys.ue_density_rho, rng, fixed_count)
+        sample = sample_ues(r_a, sys.ue_density_rho, rng)
         block.append(sample)
         pending += sample.realized_count
         if pending >= BLOCK_UES or i == trials - 1:

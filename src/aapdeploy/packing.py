@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import ConfigError, InfeasibleError
 
 # Smallest ring-to-circle radius ratio admitting three circles: 1 + sec(30 deg).
 THREE_CIRCLE_RATIO = 1.0 + 1.0 / math.cos(math.pi / 6.0)
@@ -42,6 +42,11 @@ NEAR_MIN_ABS = 1e-12
 # level's circles at whole-number R/R_a.  Well inside GEOMETRY_REL_TOL, so the
 # verifier still accepts the resulting plans.
 RING_COUNT_SLACK = 1e-10
+
+# Largest target-to-coverage radius ratio R / r_a that run_algorithm1 plans
+# for: at most about 10^6 AAPs by area.  A larger ratio (a mistyped --ra or
+# target radius) would build tens of millions of centres and exhaust memory.
+MAX_AREA_RATIO = 1000.0
 
 
 def polygon_half_angle(n: int) -> float:
@@ -275,7 +280,8 @@ def run_algorithm1(area_radius: float, r_a: float) -> PlacementPlan:
     Levels shrink by 2 r_a per step; each multi-circle level's centres sit on
     a circle of radius R_l - r_a at uniform angles starting on the +x axis.
     A terminal ring smaller than 2.1547 r_a holds two diametrically opposite
-    circles or a single one at the origin.
+    circles or a single one at the origin.  A ratio R / r_a above
+    MAX_AREA_RATIO is refused before any level is built.
     """
     if r_a <= 0:
         raise ValueError("coverage radius must be strictly positive")
@@ -283,6 +289,11 @@ def run_algorithm1(area_radius: float, r_a: float) -> PlacementPlan:
         raise InfeasibleError(
             f"target radius {area_radius:g} m smaller than the coverage "
             f"radius {r_a:g} m"
+        )
+    if area_radius > MAX_AREA_RATIO * r_a:
+        raise ConfigError(
+            f"target radius {area_radius:g} m is more than {MAX_AREA_RATIO:g} "
+            f"coverage radii ({r_a:g} m): too many AAPs to plan"
         )
     levels = _build_levels(area_radius, r_a)
     total = sum(level.count for level in levels)

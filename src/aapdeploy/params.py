@@ -9,6 +9,7 @@ only through ``SystemParams.with_gamma``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
@@ -16,7 +17,12 @@ from .errors import ConfigError
 
 def db_to_linear(value_db: float) -> float:
     """Convert a dB power quantity to a linear ratio."""
-    return 10.0 ** (value_db / 10.0)
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ConfigError(
+            f"{value_db:g} dB overflows the floating-point range"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -121,9 +127,12 @@ class SystemParams:
         """Copy of these parameters with the target power set from gamma."""
         if gamma <= 0:
             raise ConfigError("gamma must be strictly positive")
-        return replace(
-            self, p_target_pa=gamma * self.noise_psd_sigma0sq * self.bandwidth_w
-        )
+        p_target_pa = gamma * self.noise_psd_sigma0sq * self.bandwidth_w
+        if not math.isfinite(p_target_pa):
+            raise ConfigError(
+                "gamma * noise_psd * bandwidth overflows the floating-point range"
+            )
+        return replace(self, p_target_pa=p_target_pa)
 
 
 @dataclass(frozen=True)

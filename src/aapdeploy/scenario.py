@@ -1,17 +1,18 @@
 """Scenario files: sectioned key-value configuration for the CLI.
 
-The format is INI-style with four physics sections (environment, system,
-uav, sweeps) plus output.  Unknown sections or keys are hard errors so a
-misspelled constant can never silently fall back to a default.  Each
-quantity has one spelling: the target power is given as ``gamma`` and the
-reference gain as ``g0``, and both are required.  Every number must be
-finite, the interferer count a whole number, each sweep list non-empty,
-and the sweeps must lie where the model is defined: the
+The format is INI-style with four sections (environment, system, uav,
+sweeps): the physics and the sweeps only.  Unknown sections or keys are
+hard errors so a misspelled constant can never silently fall back to a
+default.  Each quantity has one spelling: the target power is given as
+``gamma`` and the reference gain as ``g0``, and both are required.  Every
+number must be finite, the interferer count a whole number, each sweep
+list non-empty, and the sweeps must lie where the model is defined: the
 altitude grid inside [h_min, h_max], the elevation grid inside (0, 90] deg
 and the LoS threshold delta inside the S-curve's image; each grid needs a
 positive step and a start no greater than its stop.  A violation is a
 ConfigError when the file is loaded, never a failure halfway through a verb.
-The Monte-Carlo seed comes from the command line only.
+The Monte-Carlo seed and the output directory come from the command line
+only.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ _KNOWN_KEYS: dict[str, set[str]] = {
         "gamma_list",
         "area_radius_list_m",
     },
-    "output": {"directory"},
 }
 
 
@@ -108,7 +108,6 @@ class Scenario:
     system: SystemParams
     uav: UavEnergyParams
     sweeps: SweepSpec
-    output_dir: Path
 
 
 def _get_float(section, key, default=None):
@@ -268,16 +267,11 @@ def load_scenario(path: str | Path) -> Scenario:
 
     _check_sweeps(sweeps, system, environment)
 
-    out_dir = Path("out")
-    if "output" in parser and "directory" in parser["output"]:
-        out_dir = Path(parser["output"]["directory"])
-
     return Scenario(
         environment=environment,
         system=system,
         uav=uav,
         sweeps=sweeps,
-        output_dir=out_dir,
     )
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from aapdeploy import channel
 from aapdeploy.errors import ConfigError
-from aapdeploy.params import EnvironmentParams
+from aapdeploy.params import EnvironmentParams, db_to_linear
 
 
 def bisect_phi(delta, env, lo=1e-6, hi=90.0, iters=200):
@@ -23,6 +23,11 @@ def bisect_phi(delta, env, lo=1e-6, hi=90.0, iters=200):
 def test_db_conversion(suburban_env):
     assert suburban_env.eta_los == pytest.approx(1.02329, rel=1e-4)
     assert suburban_env.eta_nlos == pytest.approx(125.893, rel=1e-4)
+
+
+def test_db_conversion_refuses_overflow():
+    with pytest.raises(ConfigError, match="4000 dB overflows"):
+        db_to_linear(4000.0)
 
 
 def test_environment_invariants():

@@ -178,6 +178,17 @@ def test_steep_s_curve_runs_every_verb(small_scenario, tmp_path, capsys, verb):
 
 
 @pytest.mark.parametrize("verb", ALL_VERBS)
+def test_steeper_s_curve_runs_every_verb(small_scenario, tmp_path, capsys, verb):
+    # a = b = 30: exp(b (a - phi)) overflows below the knee, where the LoS
+    # probability is 0; verbs run with overflow raised, and this one must
+    # not count as a scenario beyond the floating-point range
+    path = Path(small_scenario)
+    path.write_text(path.read_text().replace("a = 4.88\nb = 0.43", "a = 30\nb = 30"))
+    assert run(["--scenario", small_scenario, "--out", str(tmp_path / "o"), verb]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("verb", ALL_VERBS)
 def test_huge_s_curve_offset_exits_config_error(small_scenario, tmp_path, capsys, verb):
     # a = 1e300 puts the whole S-curve beyond 90 deg: the sweep delta has no
     # elevation angle, which is a configuration error, not an overflow
@@ -355,12 +366,25 @@ def test_negative_seed_exits_config_error(small_scenario, tmp_path, capsys, verb
     assert not out.exists()
 
 
-def test_solve_respects_scenario_output_dir(tmp_path, monkeypatch, small_scenario):
-    # without --out the scenario's own output directory is used
+def test_place_without_out_writes_to_out(tmp_path, monkeypatch, small_scenario):
+    # the output directory comes from --out only, and defaults to ./out
     monkeypatch.chdir(tmp_path)
-    scn = load_scenario(small_scenario)
-    assert run(["--scenario", small_scenario, "solve"]) == cli.EXIT_OK
-    assert (tmp_path / scn.output_dir / "solution.json").is_file()
+    assert run(["--scenario", small_scenario, "place"]) == cli.EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "small.ini"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "centers.csv",
+        "plan.json",
+    ]
+
+
+def test_output_section_exits_config_error(small_scenario, tmp_path, capsys):
+    path = Path(small_scenario)
+    path.write_text(path.read_text() + "\n[output]\ndirectory = results\n")
+    out = tmp_path / "o"
+    assert run(["--scenario", small_scenario, "--out", str(out), "place"]) == cli.EXIT_CONFIG
+    line = config_error_line(capsys)
+    assert line == "configuration error: unknown scenario section [output]"
+    assert not out.exists()
 
 
 def config_error_line(capsys) -> str:
@@ -421,3 +445,141 @@ def test_out_that_is_a_file_exits_config_error(small_scenario, tmp_path, capsys,
     assert run(["--scenario", small_scenario, "--out", str(out), verb]) == cli.EXIT_CONFIG
     assert str(out) in config_error_line(capsys)
     assert out.read_text() == "not a directory\n"
+
+
+# Finite values so extreme that a result leaves the floating-point range,
+# each with the verbs where it once escaped: an OverflowError or ValueError
+# traceback from validate's oracle, NaN or infinite CSV cells with exit 0,
+# or a validate run that failed (exit 3) on NaN figures.  A RuntimeWarning
+# fails these tests too: pyproject.toml turns every warning into an error.
+EXTREME_VALUES = {
+    "gamma = 100": ("gamma = 1e300", {"validate"}),
+    "g0 = 1.42e-4": ("g0 = 1e-300", {"validate"}),
+    "bandwidth_hz = 20e6": ("bandwidth_hz = 1e300", {"validate"}),
+    "eta_nlos_db = 21": ("eta_nlos_db = 3000", {"validate"}),
+    "ue_density_per_m2 = 1e-2": (
+        "ue_density_per_m2 = 1e300",
+        {"validate", "altitude-sweep"},
+    ),
+    "noise_psd_w_per_hz = 4e-21": (
+        "noise_psd_w_per_hz = 1e300",
+        {"validate", "altitude-sweep", "threshold-sweep"},
+    ),
+}
+
+
+def _assert_finite_outputs(out: Path) -> None:
+    for path in out.iterdir():
+        text = path.read_text()
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=pytest.fail)
+        else:
+            for cell in ",".join(text.splitlines()[1:]).split(","):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (path.name, cell)
+
+
+@pytest.mark.parametrize("verb", ALL_VERBS)
+@pytest.mark.parametrize("old", EXTREME_VALUES)
+def test_extreme_finite_value_fails_closed(
+    small_scenario, tmp_path, capsys, old, verb
+):
+    new, refused = EXTREME_VALUES[old]
+    path = Path(small_scenario)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    out = tmp_path / "o"
+    code = run(
+        ["--scenario", small_scenario, "--out", str(out), "--trials", "100", verb]
+    )
+    err = capsys.readouterr().err.splitlines()
+    if verb in refused:
+        assert code == cli.EXIT_CONFIG
+    if code == cli.EXIT_OK:
+        _assert_finite_outputs(out)
+        return
+    # solve, place and density-sweep may still find no feasible threshold
+    prefix = {cli.EXIT_CONFIG: "configuration error:", cli.EXIT_INFEASIBLE: "infeasible"}
+    assert len(err) == 1 and err[0].startswith(prefix[code]), (code, err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        # 10 ** 400 raised OverflowError while the file was loaded
+        ("eta_los_db = 0.1", "eta_los_db = 4000"),
+        # cot^2 of the first grid angle divided by a tan^2 that underflows to 0
+        ("phi_start_deg = 5", "phi_start_deg = 1e-300"),
+    ],
+)
+def test_value_beyond_float_range_exits_config_error(
+    small_scenario, tmp_path, capsys, old, new
+):
+    path = Path(small_scenario)
+    path.write_text(path.read_text().replace(old, new))
+    out = tmp_path / "o"
+    assert run(["--scenario", small_scenario, "--out", str(out), "solve"]) == cli.EXIT_CONFIG
+    assert "floating-point range" in config_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # R/R_a = 9,024: tens of millions of AAPs
+        ["--ra", "0.02", "place"],
+        ["--ra", "0.02", "density-sweep"],
+    ],
+)
+def test_absurd_area_ratio_exits_config_error(
+    small_scenario, tmp_path, capsys, monkeypatch, args
+):
+    def never(*_args):
+        raise AssertionError("levels built for a refused ratio")
+
+    monkeypatch.setattr(packing, "_build_levels", never)
+    out = tmp_path / "o"
+    assert run(["--scenario", small_scenario, "--out", str(out), *args]) == cli.EXIT_CONFIG
+    assert "too many AAPs" in config_error_line(capsys)
+    assert not out.exists()
+
+
+def test_absurd_sweep_radius_exits_config_error(small_scenario, tmp_path, capsys):
+    # the first radius is planned (R/R_a = 7), the second refused
+    path = Path(small_scenario)
+    old = "area_radius_list_m = 180.48, 252.68"
+    path.write_text(path.read_text().replace(old, "area_radius_list_m = 180.48, 1e9"))
+    out = tmp_path / "o"
+    code = run(["--scenario", small_scenario, "--out", str(out), "density-sweep"])
+    assert code == cli.EXIT_CONFIG
+    assert "too many AAPs" in config_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ratio", [None, 10, 80])
+def test_plan_json_fixes_every_centre(tmp_path, ratio):
+    # plan.json holds no coordinates: a level's count n and centre radius c
+    # give centre m as (c cos(2 pi m / n), c sin(2 pi m / n))
+    out = tmp_path / "o"
+    ra = [] if ratio is None else ["--ra", repr(180.48 / ratio)]
+    assert run(["--scenario", BASELINE, "--out", str(out), *ra, "place"]) == cli.EXIT_OK
+    plan = json.loads((out / "plan.json").read_text())
+    expected = packing.run_algorithm1(plan["area_radius_m"], plan["r_a_m"])
+    rebuilt = []
+    for level, reference in zip(plan["levels"], expected.levels, strict=True):
+        assert "centers" not in level
+        n, c = level["count"], level["center_radius_m"]
+        centers = tuple(
+            (c * math.cos(2.0 * math.pi * m / n), c * math.sin(2.0 * math.pi * m / n))
+            for m in range(n)
+        )
+        assert centers == reference.centers
+        rebuilt.extend(centers)
+    table = (out / "centers.csv").read_text().splitlines()[1:]
+    rows = [row.split(",")[3:] for row in table]
+    assert rows == [[fmt_value(x), fmt_value(y)] for x, y in rebuilt]

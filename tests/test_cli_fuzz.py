@@ -29,7 +29,7 @@ BASE = (
     .replace("h_step_m = 1", "h_step_m = 95")
     .replace("phi_step_deg = 0.25", "phi_step_deg = 5")
 )
-KEYS = re.findall(r"(?m)^(\w+) = ", BASE.split("[output]")[0])
+KEYS = re.findall(r"(?m)^(\w+) = ", BASE)
 
 # Values outside the sweeps' domain: the altitude range is [15, 300] m, the
 # elevation range (0, 90] deg and the LoS thresholds (0.026, 1); a sweep list

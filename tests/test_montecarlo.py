@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,35 +8,33 @@ from numpy.random import default_rng
 from hypothesis import assume, given, settings, strategies as st
 
 from aapdeploy import channel, montecarlo, uplink
+from aapdeploy.errors import ConfigError
 from aapdeploy.params import EnvironmentParams
 
 from conftest import make_system
 
 
-def reference_draws(r_a, rho, seed, fixed_count=None):
+def reference_draws(r_a, rho, seed):
     """The per-trial sampler's uniforms: Poisson count, then one area uniform
     per UE."""
     rng = np.random.default_rng(seed)
-    if fixed_count is None:
-        count = int(rng.poisson(rho * math.pi * r_a**2))
-    else:
-        count = int(fixed_count)
+    count = int(rng.poisson(rho * math.pi * r_a**2))
     return rng.random(count)
 
 
-def reference_radii(r_a, rho, seed, fixed_count=None):
+def reference_radii(r_a, rho, seed):
     """The reference draws as distances from the cell centre."""
-    return r_a * np.sqrt(reference_draws(r_a, rho, seed, fixed_count))
+    return r_a * np.sqrt(reference_draws(r_a, rho, seed))
 
 
-def reference_mean_sum_power(h, phi, sys, env, trials, base_seed=0, fixed_count=None):
+def reference_mean_sum_power(h, phi, sys, env, trials, base_seed=0):
     """The per-trial loop: sample, power and fsum one population at a time
     from its own default_rng(base_seed + i), then fsum the per-trial sums;
     the standard error is the sample SD of those sums over sqrt(trials)."""
     r_a = channel.require_coverage(h, phi)
     sums = []
     for i in range(trials):
-        radii = reference_radii(r_a, sys.ue_density_rho, base_seed + i, fixed_count)
+        radii = reference_radii(r_a, sys.ue_density_rho, base_seed + i)
         if len(radii) == 0:
             sums.append(0.0)
             continue
@@ -49,10 +48,15 @@ def reference_mean_sum_power(h, phi, sys, env, trials, base_seed=0, fixed_count=
     return montecarlo.MeanSumPower(mean, stderr)
 
 
-# Fixed counts on both sides of the batched pass's block edge.
-BLOCK_EDGE_COUNTS = [
-    None, 0, 1, montecarlo.BLOCK_UES - 1, montecarlo.BLOCK_UES + 1, 5000
+# Mean UEs per trial: mostly empty trials, small ones, and populations on
+# both sides of the default block edge.
+MEAN_COUNTS = [
+    0.05, 1.0, 50.0, montecarlo.BLOCK_UES - 1, montecarlo.BLOCK_UES + 1, 5000.0
 ]
+
+# Block sizes for the batched power pass: every non-empty trial its own block,
+# blocks of a few UEs, and the default.
+BLOCK_SIZES = [1, 2, 7, montecarlo.BLOCK_UES]
 
 
 def _system_with_mean_count(h, phi, mean_ues):
@@ -83,17 +87,13 @@ def test_sample_counts_poisson_mean():
     assert abs(mean - lam) < 3.0 * math.sqrt(lam / len(counts))
 
 
-def test_sample_fixed_count():
-    sample = montecarlo.sample_ues(40.0, 1e-2, default_rng(1), fixed_count=123)
-    assert sample.realized_count == 123
-    assert sample.draws.shape == (123,)
-
-
 def test_sample_radial_distribution_uniform_in_area():
-    # P(r <= r_a / 2) = 1/4 for area-uniform points
-    sample = montecarlo.sample_ues(40.0, 1e-2, default_rng(3), fixed_count=20000)
+    # P(r <= r_a / 2) = 1/4 for area-uniform points; a mean of 20,000 UEs
+    rho = 20000 / (math.pi * 40.0**2)
+    sample = montecarlo.sample_ues(40.0, rho, default_rng(3))
+    assert sample.draws.shape == (sample.realized_count,)
     frac = np.mean(sample.radii() <= 20.0)
-    sigma = math.sqrt(0.25 * 0.75 / 20000)
+    sigma = math.sqrt(0.25 * 0.75 / sample.realized_count)
     assert abs(frac - 0.25) < 3.0 * sigma
     assert sample.radii().max() <= 40.0
 
@@ -117,12 +117,7 @@ def test_sample_rejects_bad_inputs():
 )
 def test_sample_rejects_non_finite_inputs(r_a, rho):
     with pytest.raises(ValueError, match="finite"):
-        montecarlo.sample_ues(r_a, rho, default_rng(1), fixed_count=3)
-
-
-def test_sample_rejects_negative_fixed_count():
-    with pytest.raises(ValueError, match="non-negative"):
-        montecarlo.sample_ues(40.0, 1e-2, default_rng(1), fixed_count=-1)
+        montecarlo.sample_ues(r_a, rho, default_rng(1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,19 +125,18 @@ def test_sample_rejects_negative_fixed_count():
     st.floats(min_value=0.01, max_value=5000.0),
     st.floats(min_value=0.1, max_value=3000.0),
     st.integers(min_value=0, max_value=2**140),
-    st.sampled_from(BLOCK_EDGE_COUNTS),
 )
-def test_sample_positions_equal_the_reference(r_a, mean_ues, seed, fixed_count):
+def test_sample_positions_equal_the_reference(r_a, mean_ues, seed):
     rho = mean_ues / (math.pi * r_a**2)
-    sample = montecarlo.sample_ues(r_a, rho, default_rng(seed), fixed_count)
-    u = reference_draws(r_a, rho, seed, fixed_count)
+    sample = montecarlo.sample_ues(r_a, rho, default_rng(seed))
+    u = reference_draws(r_a, rho, seed)
     assert sample.realized_count == len(u)
     assert np.array_equal(sample.draws, u)
-    assert np.array_equal(sample.radii(), reference_radii(r_a, rho, seed, fixed_count))
+    assert np.array_equal(sample.radii(), reference_radii(r_a, rho, seed))
 
 
 def test_empirical_sum_power_empty_population(suburban_env, baseline_system):
-    sample = montecarlo.sample_ues(40.0, 1e-2, default_rng(1), fixed_count=0)
+    sample = montecarlo.UeSample(40.0, np.empty(0), 0)
     result = montecarlo.empirical_sum_power(sample, 15.0, baseline_system, suburban_env)
     assert result == 0.0
 
@@ -181,29 +175,33 @@ def test_mean_sum_power_rejects_no_trials(suburban_env, baseline_system, edge_ph
     st.floats(min_value=0.1, max_value=3000.0),
     st.integers(min_value=0, max_value=2**140),
     st.integers(min_value=1, max_value=40),
-    st.sampled_from(BLOCK_EDGE_COUNTS),
+    st.sampled_from(BLOCK_SIZES),
 )
 def test_mean_sum_power_equals_the_per_trial_loop(
-    h, phi, mean_ues, seed, trials, fixed_count
+    h, phi, mean_ues, seed, trials, block_ues
 ):
+    # Small block sizes put block edges inside and between small populations;
+    # means near 0.1 give runs of empty trials.
     env = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
     sysp = _system_with_mean_count(h, phi, mean_ues)
-    args = (h, phi, sysp, env, trials, seed, fixed_count)
-    assert montecarlo.mean_sum_power(*args) == reference_mean_sum_power(*args)
+    args = (h, phi, sysp, env, trials, seed)
+    with mock.patch.object(montecarlo, "BLOCK_UES", block_ues):
+        result = montecarlo.mean_sum_power(*args)
+    assert result == reference_mean_sum_power(*args)
 
 
 @settings(max_examples=30, deadline=None)
 @given(
-    st.lists(st.sampled_from(BLOCK_EDGE_COUNTS), min_size=1, max_size=8),
+    st.lists(st.sampled_from(MEAN_COUNTS), min_size=1, max_size=8),
     st.integers(min_value=0, max_value=2**140),
 )
-def test_block_sums_equal_each_trials_own_sum(fixed_counts, seed):
+def test_block_sums_equal_each_trials_own_sum(mean_counts, seed):
     # Every trial's sum, not only their mean, is the per-population sum.
     env = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
     sysp = make_system()
     block = [
-        montecarlo.sample_ues(40.0, sysp.ue_density_rho, default_rng(seed + i), count)
-        for i, count in enumerate(fixed_counts)
+        montecarlo.sample_ues(40.0, mean / (math.pi * 40.0**2), default_rng(seed + i))
+        for i, mean in enumerate(mean_counts)
     ]
     sums = [montecarlo.empirical_sum_power(sample, 15.0, sysp, env) for sample in block]
     assert montecarlo._block_sums(block, 40.0, 15.0, sysp, env) == sums
@@ -282,6 +280,21 @@ def test_mean_sum_power_needs_no_scalar_overflow(
         assert montecarlo.mean_sum_power(*args) == expected
 
 
+def test_mean_sum_power_refuses_a_population_it_cannot_draw(
+    monkeypatch, suburban_env, edge_phi
+):
+    # numpy's Poisson draw fails above ~9.2e18; far below that, one trial's
+    # UEs would not fit in memory
+    def never(*_args):
+        raise AssertionError("sampled a refused cell")
+
+    monkeypatch.setattr(montecarlo, "sample_ues", never)
+    for mean_ues in (montecarlo.MAX_MEAN_UES * 1.01, 1e300):
+        sysp = _system_with_mean_count(15.0, edge_phi, mean_ues)
+        with pytest.raises(ConfigError, match="UEs on average"):
+            montecarlo.mean_sum_power(15.0, edge_phi, sysp, suburban_env, 10)
+
+
 def test_mean_sum_power_rejects_negative_seed(suburban_env, baseline_system, edge_phi):
     with pytest.raises(ValueError, match="non-negative"):
         montecarlo.mean_sum_power(
@@ -289,13 +302,18 @@ def test_mean_sum_power_rejects_negative_seed(suburban_env, baseline_system, edg
         )
 
 
-@pytest.mark.parametrize("fixed_count", [None, 0, montecarlo.BLOCK_UES + 1])
+# Mean UEs per trial: the baseline density (None), mostly empty trials (0,
+# drawn at a mean of 0.05) and trials that each fill a block.
+@pytest.mark.parametrize("mean_ues", [None, 0, montecarlo.BLOCK_UES + 1])
 def test_traced_sampler_sees_every_trial_and_ue(
-    monkeypatch, suburban_env, baseline_system, edge_phi, fixed_count
+    monkeypatch, suburban_env, baseline_system, edge_phi, mean_ues
 ):
     # An outside tracer counts trials and UEs by wrapping the module's
     # sample_ues attribute; those counts must match the UEs that are powered.
-    args = (15.0, edge_phi, baseline_system, suburban_env, 300, 7, fixed_count)
+    sysp = baseline_system
+    if mean_ues is not None:
+        sysp = _system_with_mean_count(15.0, edge_phi, mean_ues or 0.05)
+    args = (15.0, edge_phi, sysp, suburban_env, 300, 7)
     expected = montecarlo.mean_sum_power(*args)
     sampled = []
     powered = []

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from aapdeploy import packing
-from aapdeploy.errors import InfeasibleError
+from aapdeploy.errors import ConfigError, InfeasibleError
 
 
 def test_three_circle_ratio_constant():
@@ -425,3 +425,13 @@ def test_fleet_scale_plans(ratio, total):
     plan = packing.run_algorithm1(1000.0, 1000.0 / ratio)
     assert plan.total_aaps == total
     assert plan.feasibility.all_ok
+
+
+def test_run_algorithm1_refuses_a_huge_ratio_before_building(monkeypatch):
+    def never(*_args):
+        raise AssertionError("levels built for a refused ratio")
+
+    monkeypatch.setattr(packing, "_build_levels", never)
+    for area_radius, r_a in ((1000.001, 1.0), (1e9, 0.02), (1e300, 1e-300)):
+        with pytest.raises(ConfigError, match="too many AAPs"):
+            packing.run_algorithm1(area_radius, r_a)

@@ -140,12 +140,11 @@ def test_sweep_start_above_stop(tmp_path, sweep):
 
 
 def test_seeds_and_output(tmp_path):
-    scn = load_scenario(write(tmp_path, BASE + "\n[output]\ndirectory = results\n"))
-    assert str(scn.output_dir) == "results"
-    # the Monte-Carlo seed is the --seed flag; a [seeds] section would be ignored
-    text = BASE + "\n[seeds]\nseeds = 1, 2, 3\n"
-    with pytest.raises(ConfigError, match="unknown scenario section"):
-        load_scenario(write(tmp_path, text))
+    # the Monte-Carlo seed is the --seed flag and the output directory the
+    # --out flag; a section that would be ignored is an error
+    for name, body in (("seeds", "seeds = 1, 2, 3"), ("output", "directory = results")):
+        with pytest.raises(ConfigError, match=rf"unknown scenario section \[{name}\]"):
+            load_scenario(write(tmp_path, BASE + f"\n[{name}]\n{body}\n"))
 
 
 @pytest.mark.parametrize(

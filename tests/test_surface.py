@@ -13,6 +13,11 @@ read as an attribute (``x.field``) somewhere in the package, outside
 ``__post_init__``, where a field that is only validated is still unused.
 The match is by attribute name, not by type, so a field that shares its
 name with an attribute read elsewhere can escape.
+
+Optional parameters get the same rule: a public top-level function's
+parameter with a default must be passed, by keyword or by position, by at
+least one call inside the package.  A knob that no caller sets is a second
+code path that only tests reach.
 """
 
 from __future__ import annotations
@@ -34,6 +39,13 @@ ALLOWED_UNREFERENCED = {
 }
 
 
+# Functions whose optional parameters no call in the package passes.
+ALLOWED_UNPASSED = {
+    # the entry point: argv comes from the command line, or from tests
+    "main": "cli entry point",
+}
+
+
 # Records whose fields the package reads other than as attributes.
 ALLOWED_UNREAD_FIELDS = {
     # verify_levels' report reaches the plan JSON through dataclasses.asdict,
@@ -43,6 +55,14 @@ ALLOWED_UNREAD_FIELDS = {
     # unpacks it as an (area, geometric) pair.
     "LevelCountBounds": "read as a tuple",
 }
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    """Each module of the package, parsed, by module name."""
+    return {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
 
 
 def _public_definitions(tree: ast.Module) -> dict[str, ast.AST]:
@@ -81,10 +101,7 @@ def _references(tree: ast.Module, module: str, name: str, own: ast.AST | None) -
 def unreferenced_names(allowed=ALLOWED_UNREFERENCED) -> list[str]:
     """``module.name`` of every public name, outside ``allowed``, that no
     module of the package refers to."""
-    trees = {
-        path.stem: ast.parse(path.read_text(), filename=str(path))
-        for path in sorted(PACKAGE.glob("*.py"))
-    }
+    trees = _package_trees()
     unused = []
     for module, tree in trees.items():
         for name, node in _public_definitions(tree).items():
@@ -160,10 +177,7 @@ def _attribute_reads(tree: ast.Module) -> set[str]:
 def unread_fields(allowed=ALLOWED_UNREAD_FIELDS) -> list[str]:
     """``module.Record.field`` of every record field, outside the ``allowed``
     records, that no module of the package reads as an attribute."""
-    trees = {
-        path.stem: ast.parse(path.read_text(), filename=str(path))
-        for path in sorted(PACKAGE.glob("*.py"))
-    }
+    trees = _package_trees()
     reads = set().union(*map(_attribute_reads, trees.values()))
     return [
         f"{module}.{record}.{field}"
@@ -204,3 +218,99 @@ def test_guard_flags_an_unread_field():
     )
     assert _record_fields(tree) == {"Rec": ["used", "checked"], "Pair": ["left"]}
     assert {"used", "checked", "left"} & _attribute_reads(tree) == {"used"}
+
+
+def _optional_parameters(node: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """(name, position) of each parameter with a default; the position is
+    None for a keyword-only parameter."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = [(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+    found += [
+        (arg.arg, None)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return found
+
+
+def _calls(node: ast.AST, module: str, name: str) -> bool:
+    """Whether node is a call of ``name`` (bare) or ``module.name``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == name) or (
+        isinstance(func, ast.Attribute)
+        and func.attr == name
+        and isinstance(func.value, ast.Name)
+        and func.value.id == module
+    )
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether call sets the parameter: by keyword, through ``**kwargs`` or
+    ``*args``, or with at least position + 1 positional arguments."""
+    if any(keyword.arg in (name, None) for keyword in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(
+        isinstance(arg, ast.Starred) for arg in call.args
+    )
+
+
+def unpassed_parameters(
+    trees: dict[str, ast.Module], allowed=ALLOWED_UNPASSED
+) -> list[str]:
+    """``module.function(parameter)`` of every optional parameter of a public
+    top-level function, outside ``allowed``, that no call in trees passes."""
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    unpassed = []
+    for module, tree in trees.items():
+        for name, node in _public_definitions(tree).items():
+            if not isinstance(node, ast.FunctionDef) or name in allowed:
+                continue
+            callers = [call for call in nodes if _calls(call, module, name)]
+            for parameter, position in _optional_parameters(node):
+                if not any(_passes(call, parameter, position) for call in callers):
+                    unpassed.append(f"{module}.{name}({parameter})")
+    return unpassed
+
+
+
+def test_every_optional_parameter_is_passed_by_the_package():
+    assert unpassed_parameters(_package_trees()) == []
+
+
+def test_parameter_allowlist_is_not_stale():
+    flagged = {
+        entry.split(".")[1].split("(")[0]
+        for entry in unpassed_parameters(_package_trees(), allowed={})
+    }
+    assert set(ALLOWED_UNPASSED) <= flagged
+
+
+def test_guard_flags_an_unpassed_parameter():
+    mod = ast.parse(
+        "def f(a, b=1, *, c=2, d):\n"
+        "    return f(a, d=0)\n"
+        "\n"
+        "def g(x=0):\n"
+        "    return x\n"
+        "\n"
+        "def h(y=0):\n"
+        "    return y\n"
+        "\n"
+        "def _private(z=0):\n"
+        "    return z\n"
+    )
+    other = ast.parse(
+        "from . import mod\n"
+        "mod.f(1, 2, d=3)\n"
+        "mod.g(*values)\n"
+        "mod.h(**options)\n"
+        "other.f(1, c=4)\n"  # another module's f passes nothing to mod.f
+    )
+    assert _optional_parameters(mod.body[0]) == [("b", 1), ("c", None)]
+    assert unpassed_parameters({"mod": mod, "other": other}, allowed={}) == ["mod.f(c)"]
