@@ -7,6 +7,7 @@ temp-file + rename so interrupted runs never leave partial outputs.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -14,11 +15,11 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 
-def fmt_value(value) -> str:
-    """Render a cell: floats at 12 significant digits, anything else as str."""
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+@functools.cache
+def _row_template(types: tuple[type, ...]) -> str:
+    """The %-template of a row whose cells have these types: floats (and
+    float subclasses) at 12 significant digits, anything else as str."""
+    return ",".join("%.12g" if issubclass(kind, float) else "%s" for kind in types)
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -38,7 +39,9 @@ def write_csv_atomic(
     path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
 ) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(fmt_value(v) for v in row) for row in rows)
+    for row in rows:
+        cells = tuple(row)
+        lines.append(_row_template(tuple(map(type, cells))) % cells)
     _atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 

@@ -7,11 +7,10 @@ three-circle ratio 2.1547, otherwise the area (void-algebra) bound clamped by
 the geometric pairwise-distance bound, so that emitted plans always satisfy
 the non-overlap constraint.  Levels stop at the first ring with count 0.
 
-Every plan is re-verified by ``verify_levels``, a KD-tree neighbour search,
+Every plan is re-verified by ``verify_levels``, a uniform-grid neighbour
+search (the cell list of Bentley, Stanat and Williams, 1977) in numpy alone,
 O(N log N) in the number of circles, that reports the same margins as a loop
-over every pair.  ``cKDTree`` is imported inside ``verify_levels``, so
-``scipy.spatial`` is loaded only by the verbs that place AAPs (``place`` and
-``density-sweep``).
+over every pair.
 """
 
 from __future__ import annotations
@@ -35,6 +34,16 @@ GEOMETRY_REL_TOL = 1e-9
 # squares underflow.
 NEAR_MIN_REL = 1e-9
 NEAR_MIN_ABS = 1e-12
+
+# The neighbour grid of verify_levels.  Its first cell is
+# 2 r_a (1 + GRID_FIRST_SLACK), so a tangent pair and its near-minimal slack
+# fit inside one cell.  A grid has at most GRID_MAX_CELLS cells per axis: cell
+# keys stay far inside int64, a cell coordinate (x - lo) / cell stays finite,
+# and its rounding, under GRID_MAX_CELLS * 2^-51 cells, stays below
+# GRID_ROUNDING.
+GRID_FIRST_SLACK = 1e-6
+GRID_MAX_CELLS = 2**20
+GRID_ROUNDING = 1e-9
 
 # Slack, in multiples of r_a, on the one- and two-circle thresholds of the
 # count rule.  A ring R - 2 (l - 1) r_a that is exactly r_a or 2 r_a in real
@@ -218,6 +227,32 @@ def _build_levels(area_radius: float, r_a: float) -> list[PackingLevel]:
         )
 
 
+def _grid_pairs(rel: np.ndarray, cell: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) of the points in the same or in adjacent cells of
+    a uniform grid, each unordered pair once.
+
+    rel holds the points' (x, y) rows, shifted to be non-negative.  Every
+    pair within cell / (1 + GRID_ROUNDING) of each other is among them.
+    Cells are keyed row by row, so two runs of the sorted keys hold a
+    point's partners: the later points of its own cell with the cell
+    (1, 0), and the cells (-1, 1), (0, 1) and (1, 1) of the row ahead.
+    """
+    col, row = (rel / cell).astype(np.int64)  # truncation floors rel >= 0
+    # A spare column, which holds no point, takes the neighbours past
+    # either end of a row.
+    width = int(col.max()) + 2
+    keys = row * width + col
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    n = len(keys)
+    starts = np.concatenate((np.arange(1, n + 1), keys.searchsorted(keys + (width - 1))))
+    ends = keys.searchsorted(np.concatenate((keys + 1, keys + (width + 1))), "right")
+    counts = ends - starts
+    # The k-th pair of a run pairs its point with sorted position start + k.
+    ranks = np.arange(counts.sum()) + (starts - counts.cumsum() + counts).repeat(counts)
+    return np.tile(order, 2).repeat(counts), order[ranks]
+
+
 def verify_levels(
     levels: Sequence[PackingLevel],
     r_a: float,
@@ -225,29 +260,57 @@ def verify_levels(
 ) -> FeasibilityReport:
     """Check pairwise separation and containment for a set of levels.
 
-    A KD-tree gives the minimum pair distance d_min up to its rounding; only
-    the pairs within d_min (1 + NEAR_MIN_REL) + NEAR_MIN_ABS r_a, a slack far
-    wider than that rounding, are recomputed with math.hypot.  Containment
-    takes each level's largest centre norm against the smaller of its two
-    limits.  Rounding is monotone, so both margins are the same floats as
-    the minima over every pair and every centre.
+    A uniform-grid neighbour search (a cell list) gives the minimum pair
+    distance d_min up to its rounding.  The cell grows until the
+    near-minimal radius d_min (1 + NEAR_MIN_REL) + NEAR_MIN_ABS r_a, a slack
+    far wider than that rounding, fits inside one cell; only the pairs
+    within that radius are recomputed with math.hypot.  Containment takes
+    each level's largest centre norm against the smaller of its two limits.
+    Rounding is monotone, so both margins are the same floats as the minima
+    over every pair and every centre.
+
+    The first cell is 2 r_a (1 + GRID_FIRST_SLACK), which holds a tangent
+    pair, or up to twice that when the closest consecutive centres, an upper
+    bound on d_min, need it; a plan then takes a single pass.  Every further
+    pass doubles the cell.
     """
     if r_a <= 0:
         raise ValueError("circle radius must be strictly positive")
     tol = GEOMETRY_REL_TOL * r_a
     centers = [c for level in levels for c in level.centers]
 
+    def near_radius(d: float) -> float:
+        return d * (1.0 + NEAR_MIN_REL) + NEAR_MIN_ABS * r_a
+
     worst_pair = math.inf
     if len(centers) > 1:
-        from scipy.spatial import cKDTree
-
-        xy = np.array(centers, dtype=float)
-        tree = cKDTree(xy)
-        d_min = float(tree.query(xy, k=2)[0][:, 1].min())
-        radius = d_min * (1.0 + NEAR_MIN_REL) + NEAR_MIN_ABS * r_a
-        for i, j in tree.query_pairs(radius, output_type="ndarray").tolist():
-            (xi, yi), (xj, yj) = centers[i], centers[j]
-            worst_pair = min(worst_pair, math.hypot(xi - xj, yi - yj) - 2.0 * r_a)
+        xy = np.fromiter(
+            itertools.chain.from_iterable(centers), float, 2 * len(centers)
+        ).reshape(-1, 2).T.copy()
+        x, y = xy
+        rel = xy - xy.min(axis=1, keepdims=True)
+        first = 2.0 * r_a * (1.0 + GRID_FIRST_SLACK)
+        # A cell coordinate or a distance of far-apart tiny values can
+        # underflow to zero, which changes neither a cell nor a minimum.
+        with np.errstate(under="ignore"):
+            d_up = float(np.hypot(x[1:] - x[:-1], y[1:] - y[:-1]).min())
+            cell = max(
+                first,
+                min(near_radius(d_up) * (1.0 + GRID_ROUNDING), 2.0 * first),
+                float(rel.max()) / GRID_MAX_CELLS,
+            )
+            while True:
+                i, j = _grid_pairs(rel, cell)
+                dist = np.hypot(x[i] - x[j], y[i] - y[j])
+                if len(dist):
+                    radius = near_radius(float(dist.min()))
+                    if radius * (1.0 + GRID_ROUNDING) <= cell:
+                        break
+                cell *= 2.0
+        near = dist <= radius
+        for p, q in zip(i[near].tolist(), j[near].tolist()):
+            (xp, yp), (xq, yq) = centers[p], centers[q]
+            worst_pair = min(worst_pair, math.hypot(xp - xq, yp - yq) - 2.0 * r_a)
 
     worst_contain = min(
         (

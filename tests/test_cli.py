@@ -3,10 +3,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aapdeploy import cli, packing
-from aapdeploy.io_utils import fmt_value, write_csv_atomic
+from aapdeploy.io_utils import write_csv_atomic
 from aapdeploy.scenario import builtin_scenario_path, load_scenario
 
 BASELINE = str(builtin_scenario_path("baseline"))
@@ -36,11 +37,13 @@ def small_scenario(tmp_path):
     return str(path)
 
 
-def test_fmt_value():
-    assert fmt_value(7) == "7"
-    assert fmt_value(0.1) == "0.1"
-    assert fmt_value(1.0 / 3.0) == "0.333333333333"
-    assert fmt_value("6;1") == "6;1"
+def test_csv_cell_format(tmp_path):
+    # floats and float subclasses at 12 significant digits, the rest as str
+    path = tmp_path / "cells.csv"
+    cells = [7, 0.1, 1.0 / 3.0, "6;1", np.float64(2.0 / 3.0), True, "", 1e-300]
+    write_csv_atomic(path, list("abcdefgh"), [cells, cells[::-1]])
+    row = "7,0.1,0.333333333333,6;1,0.666666666667,True,,1e-300"
+    assert path.read_text().splitlines()[1:] == [row, ",".join(row.split(",")[::-1])]
 
 
 def test_write_csv_atomic_format(tmp_path):
@@ -582,4 +585,4 @@ def test_plan_json_fixes_every_centre(tmp_path, ratio):
         rebuilt.extend(centers)
     table = (out / "centers.csv").read_text().splitlines()[1:]
     rows = [row.split(",")[3:] for row in table]
-    assert rows == [[fmt_value(x), fmt_value(y)] for x, y in rebuilt]
+    assert rows == [[format(x, ".12g"), format(y, ".12g")] for x, y in rebuilt]

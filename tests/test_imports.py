@@ -1,7 +1,7 @@
 """Which scipy modules each CLI path loads, checked in a fresh interpreter.
 
-The planner itself is closed-form numpy; scipy serves only the quadrature
-oracle behind ``validate`` and the KD-tree placement verifier.  Each check
+The planner itself is closed-form numpy, and so is the placement verifier;
+scipy serves only the quadrature oracle behind ``validate``.  Each check
 starts a new interpreter, because this test process has scipy loaded
 already.
 """
@@ -64,16 +64,18 @@ print(json.dumps(seen))
     }
 
 
-def test_place_loads_the_kd_tree_only(tmp_path):
+def test_placement_verbs_load_no_scipy(tmp_path):
     seen = loaded_scipy(
         tmp_path,
         """\
-assert aapdeploy.cli.main(["--scenario", baseline, "--out", "o", "place"]) == 0
-print(json.dumps(scipy_modules()))
+seen = {}
+for verb in ("place", "density-sweep"):
+    assert aapdeploy.cli.main(["--scenario", baseline, "--out", verb, verb]) == 0
+    seen[verb] = scipy_modules()
+print(json.dumps(seen))
 """,
     )
-    assert "scipy.spatial" in seen
-    assert "scipy.integrate" not in seen
+    assert seen == {"place": [], "density-sweep": []}
 
 
 def test_validate_loads_quadrature(tmp_path):

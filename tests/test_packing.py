@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from aapdeploy import packing
 from aapdeploy.errors import ConfigError, InfeasibleError
@@ -292,25 +294,17 @@ def test_levels_follow_the_count_rule(ratio, r_a):
     assert packing.ring_count(next_ring, r_a)[0] == 0
 
 
-def reference_report(levels, r_a, area_radius):
-    """The brute-force verifier: math.hypot over all N (N - 1) / 2 pairs and
-    over every centre against both the area radius and its ring radius."""
+def _report(levels, r_a, area_radius, worst_pair):
+    """A report from a pairwise margin (inf for no pair) and every centre's
+    containment margin against both the area radius and its ring radius."""
     tol = packing.GEOMETRY_REL_TOL * r_a
-    centers = [(c, level.ring_radius) for level in levels for c in level.centers]
-
-    worst_pair = math.inf
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            (xi, yi), _ = centers[i]
-            (xj, yj), _ = centers[j]
-            worst_pair = min(worst_pair, math.hypot(xi - xj, yi - yj) - 2.0 * r_a)
-
     worst_contain = math.inf
-    for (x, y), ring in centers:
-        norm = math.hypot(x, y)
-        worst_contain = min(
-            worst_contain, area_radius - norm - r_a, ring - norm - r_a
-        )
+    for level in levels:
+        for x, y in level.centers:
+            norm = math.hypot(x, y)
+            worst_contain = min(
+                worst_contain, area_radius - norm - r_a, level.ring_radius - norm - r_a
+            )
 
     return packing.FeasibilityReport(
         pairwise_ok=worst_pair >= -tol,
@@ -319,6 +313,35 @@ def reference_report(levels, r_a, area_radius):
         worst_containment_margin=worst_contain if worst_contain != math.inf else 0.0,
         tolerance=tol,
     )
+
+
+def reference_report(levels, r_a, area_radius):
+    """The brute-force verifier: math.hypot over all N (N - 1) / 2 pairs and
+    over every centre against both the area radius and its ring radius."""
+    centers = [c for level in levels for c in level.centers]
+    worst_pair = math.inf
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            (xi, yi), (xj, yj) = centers[i], centers[j]
+            worst_pair = min(worst_pair, math.hypot(xi - xj, yi - yj) - 2.0 * r_a)
+    return _report(levels, r_a, area_radius, worst_pair)
+
+
+def kd_tree_report(levels, r_a, area_radius):
+    """The verifier for sizes the pair loop cannot reach: a KD-tree gives
+    d_min, and math.hypot recomputes every pair within the near-minimal
+    radius d_min (1 + NEAR_MIN_REL) + NEAR_MIN_ABS r_a."""
+    centers = [c for level in levels for c in level.centers]
+    worst_pair = math.inf
+    if len(centers) > 1:
+        xy = np.array(centers, dtype=float)
+        tree = cKDTree(xy)
+        d_min = float(tree.query(xy, k=2)[0][:, 1].min())
+        radius = d_min * (1.0 + packing.NEAR_MIN_REL) + packing.NEAR_MIN_ABS * r_a
+        for i, j in tree.query_pairs(radius, output_type="ndarray").tolist():
+            (xi, yi), (xj, yj) = centers[i], centers[j]
+            worst_pair = min(worst_pair, math.hypot(xi - xj, yi - yj) - 2.0 * r_a)
+    return _report(levels, r_a, area_radius, worst_pair)
 
 
 def _level(centers, ring_radius=4.0):
@@ -425,6 +448,67 @@ def test_fleet_scale_plans(ratio, total):
     plan = packing.run_algorithm1(1000.0, 1000.0 / ratio)
     assert plan.total_aaps == total
     assert plan.feasibility.all_ok
+
+
+@pytest.mark.parametrize("ratio,total", [(80, 5005), (100, 7828), (300, 70609)])
+def test_verifier_equals_the_kd_tree_at_fleet_scale(ratio, total):
+    plan = packing.run_algorithm1(1000.0, 1000.0 / ratio)
+    assert plan.total_aaps == total
+    assert plan.feasibility == kd_tree_report(plan.levels, plan.r_a, plan.area_radius)
+
+
+def test_verifier_doubles_the_cell_past_a_farther_pair():
+    # Consecutive centres lie over 4 r_a apart, so the first cell is 4 r_a.
+    # In it the pair 5.25 apart shares adjacent cells, while the closest
+    # pair, 4.2 apart, spans three columns; a doubled cell finds it.
+    centers = [(0.0, 0.0), (3.9, 20.0), (20.5, 40.5), (8.1, 20.0), (23.9, 44.5)]
+    levels = [_level(centers, 60.0)]
+    report = packing.verify_levels(levels, 1.0, 60.0)
+    assert report == reference_report(levels, 1.0, 60.0)
+    assert report.worst_pairwise_margin == pytest.approx(2.2)
+
+
+# Coordinates up to 1e300 in magnitude: differences, norms and every cell
+# coordinate of the grid stay finite.
+COORDINATE = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@st.composite
+def extreme_centre_sets(draw):
+    """(centres, r_a) with r_a from 1e-300 to 1e300.  The centres are drawn
+    anywhere, or within r_a / 4 of one point on each axis, so that all share
+    one grid cell; some are then repeated and the whole set shuffled."""
+    r_a = draw(st.floats(min_value=1e-300, max_value=1e300))
+    if draw(st.booleans()):
+        points = draw(st.lists(st.tuples(COORDINATE, COORDINATE), max_size=12))
+    else:
+        cx, cy = draw(COORDINATE), draw(COORDINATE)
+        offset = st.floats(min_value=-0.25, max_value=0.25)
+        points = [
+            (cx + u * r_a, cy + v * r_a)
+            for u, v in draw(st.lists(st.tuples(offset, offset), max_size=12))
+        ]
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=4))
+    return draw(st.permutations(points)), r_a
+
+
+@settings(max_examples=200, deadline=None)
+@given(extreme_centre_sets())
+@example(([(1e300, 1e300), (-1e300, -1e300), (1e300, -1e300)], 1e-300))
+@example(([(1e300, 1e300), (-1e300, -1e300), (1e300, -1e300)], 1e300))
+@example(([(5e-324, 0.0), (0.0, 5e-324), (0.0, 0.0), (-5e-324, 0.0)], 1e-300))
+@example(([(1.0, 2.0), (1.0, 2.0), (1.0, 2.0)], 1e-300))
+@example(([(1e300, 0.0), (1e300, 1e-300), (1e300, 0.0)], 1e300))
+@example(([(0.0, 0.0), (1e300, 1e300), (2e-300, 0.0), (0.0, 3e-300)], 1e-300))
+def test_verifier_equals_the_pair_loop_at_extreme_scales(case):
+    # The CLI raises numpy overflow, divide and invalid errors; this raises
+    # underflow too.
+    points, r_a = case
+    levels = [_level(points[: len(points) // 2], 1e300), _level(points[len(points) // 2 :], 1.0)]
+    with np.errstate(all="raise"):
+        report = packing.verify_levels(levels, r_a, 1e299)
+    assert report == reference_report(levels, r_a, 1e299)
 
 
 def test_run_algorithm1_refuses_a_huge_ratio_before_building(monkeypatch):
