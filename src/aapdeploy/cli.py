@@ -289,6 +289,14 @@ def validation_checks(scn: Scenario, trials: int, seed: int) -> list[tuple[str, 
     )
 
     empirical = montecarlo.mean_sum_power(h, phi, sys_p, env, trials, seed)
+    if empirical.uncapped == 0.0:
+        # Every UE transmits a positive power, so no trial drew one: a mean
+        # and a spread of 0 say nothing about the integral.
+        mean_ues = uplink.cell_ue_count(channel.coverage_radius(h, phi), sys_p)
+        raise ConfigError(
+            f"the Monte-Carlo check drew no UE in {trials} trials: the cell "
+            f"holds {mean_ues:.3g} UEs per trial on average"
+        )
     rel = abs(empirical.uncapped - exact) / exact
     # 3%, or five standard errors when too few trials pin the mean that well.
     bound = max(0.03, 5.0 * empirical.stderr / exact)

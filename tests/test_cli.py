@@ -331,6 +331,39 @@ def test_validate_passes(small_scenario, capsys):
     assert "[FAIL]" not in out
 
 
+# Seeds spread over [0, 2**31), the range the benchmark draws validate's
+# --seed from: the ends, and fifteen evenly spaced points between them.
+BENCHMARK_RANGE_SEEDS = [0, 1, 2, 3, 2**31 - 1] + [
+    (2**31 - 1) // 16 * k for k in range(1, 16)
+]
+
+
+@pytest.mark.parametrize("seed", BENCHMARK_RANGE_SEEDS)
+@pytest.mark.parametrize("name", ["baseline", "no_vehicle_energy"])
+def test_monte_carlo_check_passes_across_the_benchmark_seeds(name, seed):
+    scn = load_scenario(builtin_scenario_path(name))
+    checks = {check: ok for check, ok, _ in cli.validation_checks(scn, 1000, seed)}
+    assert checks["Monte-Carlo mean over 1000 trials vs quadrature"]
+
+
+def test_validate_with_no_ue_drawn_exits_config_error(small_scenario, capsys):
+    # At 1e-150 UEs/m^2 no trial draws a UE; a mean and a stderr of 0 used to
+    # fail the Monte-Carlo check (exit 3) with rel diff 1.0.
+    path = Path(small_scenario)
+    old = "ue_density_per_m2 = 1e-2"
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, "ue_density_per_m2 = 1e-150"))
+    code = run(["--scenario", small_scenario, "--trials", "100", "validate"])
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "[FAIL]" not in captured.out
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error:"), err
+    assert "drew no UE in 100 trials" in err[0]
+    assert "1.19e-146 UEs per trial on average" in err[0]
+
+
 def test_place_deploys_the_solved_radius(tmp_path):
     # place and density-sweep must solve on the scenario's own threshold
     # grid, not a built-in default: with phi starting at 30 deg the solved

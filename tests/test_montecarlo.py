@@ -14,27 +14,27 @@ from aapdeploy.params import EnvironmentParams
 from conftest import make_system
 
 
-def reference_draws(r_a, rho, seed):
-    """The per-trial sampler's uniforms: Poisson count, then one area uniform
-    per UE."""
-    rng = np.random.default_rng(seed)
+def reference_draws(r_a, rho, rng):
+    """The sampler's uniforms: Poisson count, then one area uniform per UE,
+    drawn from rng where its last draw stopped."""
     count = int(rng.poisson(rho * math.pi * r_a**2))
     return rng.random(count)
 
 
-def reference_radii(r_a, rho, seed):
+def reference_radii(r_a, rho, rng):
     """The reference draws as distances from the cell centre."""
-    return r_a * np.sqrt(reference_draws(r_a, rho, seed))
+    return r_a * np.sqrt(reference_draws(r_a, rho, rng))
 
 
 def reference_mean_sum_power(h, phi, sys, env, trials, base_seed=0):
-    """The per-trial loop: sample, power and fsum one population at a time
-    from its own default_rng(base_seed + i), then fsum the per-trial sums;
+    """The per-trial loop over one stream, default_rng(base_seed): sample,
+    power and fsum one population at a time, then fsum the per-trial sums;
     the standard error is the sample SD of those sums over sqrt(trials)."""
     r_a = channel.require_coverage(h, phi)
+    rng = np.random.default_rng(base_seed)
     sums = []
-    for i in range(trials):
-        radii = reference_radii(r_a, sys.ue_density_rho, base_seed + i)
+    for _ in range(trials):
+        radii = reference_radii(r_a, sys.ue_density_rho, rng)
         if len(radii) == 0:
             sums.append(0.0)
             continue
@@ -129,10 +129,11 @@ def test_sample_rejects_non_finite_inputs(r_a, rho):
 def test_sample_positions_equal_the_reference(r_a, mean_ues, seed):
     rho = mean_ues / (math.pi * r_a**2)
     sample = montecarlo.sample_ues(r_a, rho, default_rng(seed))
-    u = reference_draws(r_a, rho, seed)
+    u = reference_draws(r_a, rho, default_rng(seed))
     assert sample.realized_count == len(u)
     assert np.array_equal(sample.draws, u)
-    assert np.array_equal(sample.radii(), reference_radii(r_a, rho, seed))
+    radii = reference_radii(r_a, rho, default_rng(seed))
+    assert np.array_equal(sample.radii(), radii)
 
 
 def test_empirical_sum_power_empty_population(suburban_env, baseline_system):
@@ -199,9 +200,10 @@ def test_block_sums_equal_each_trials_own_sum(mean_counts, seed):
     # Every trial's sum, not only their mean, is the per-population sum.
     env = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
     sysp = make_system()
+    rng = default_rng(seed)
     block = [
-        montecarlo.sample_ues(40.0, mean / (math.pi * 40.0**2), default_rng(seed + i))
-        for i, mean in enumerate(mean_counts)
+        montecarlo.sample_ues(40.0, mean / (math.pi * 40.0**2), rng)
+        for mean in mean_counts
     ]
     sums = [montecarlo.empirical_sum_power(sample, 15.0, sysp, env) for sample in block]
     assert montecarlo._block_sums(block, 40.0, 15.0, sysp, env) == sums
@@ -242,37 +244,22 @@ def test_mean_sum_power_equals_the_per_trial_loop_at_10k_trials(
     assert montecarlo.mean_sum_power(*args) == reference_mean_sum_power(*args)
 
 
-# Seeds around the edges of 32-bit words; from 2**128 on, SeedSequence hashes
-# more than its four pool words.
-SEED_WORD_EDGES = [
-    0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**160 - 1, 2**200
-]
-
-
-@pytest.mark.parametrize("seed", SEED_WORD_EDGES)
-def test_pcg64_states_equal_default_rng(seed):
-    # three consecutive seeds, so 2**k - 1 straddles the edge in one pass
-    expected = [default_rng(seed + i).bit_generator.state["state"] for i in range(3)]
-    states = montecarlo._pcg64_states(seed, 3)
-    assert states == [(e["state"], e["inc"]) for e in expected]
-
-
-@pytest.mark.parametrize("edge", [2**32, 2**64, 2**128])
+@pytest.mark.parametrize("edge", [2**32, 2**64, 2**128, 2**200])
 def test_mean_sum_power_equals_the_per_trial_loop_across_seed_edges(
     suburban_env, baseline_system, edge_phi, edge
 ):
-    # the second chunk of seeds straddles the edge
-    trials = montecarlo.SEED_CHUNK + 10
-    base_seed = edge - montecarlo.SEED_CHUNK - 5
-    args = (15.0, edge_phi, baseline_system, suburban_env, trials, base_seed)
+    # Seeds at the edges of 32-bit words: from 2**128 on, numpy's
+    # SeedSequence hashes more than its four pool words.
+    args = (15.0, edge_phi, baseline_system, suburban_env, 300, edge)
     assert montecarlo.mean_sum_power(*args) == reference_mean_sum_power(*args)
 
 
 def test_mean_sum_power_needs_no_scalar_overflow(
     suburban_env, baseline_system, edge_phi
 ):
-    # Only the hash's uint32 array arithmetic may wrap; a numpy scalar that
-    # overflowed would raise here.
+    # A seed beyond 64 bits goes to numpy's seeding as a Python int, and the
+    # power pass runs on float arrays; a numpy scalar that overflowed would
+    # raise here.
     args = (15.0, edge_phi, baseline_system, suburban_env, 30, 2**130 + 7)
     expected = reference_mean_sum_power(*args)
     with np.errstate(all="raise"), warnings.catch_warnings():
