@@ -47,11 +47,11 @@ def _check_phi(phi_deg) -> None:
 def los_probability(phi_deg, env: EnvironmentParams):
     """LoS probability at elevation angle phi (degrees): the S-curve model."""
     _check_phi(phi_deg)
-    # Far below a steep curve's knee exp overflows to inf, and 1 / (1 + inf)
-    # is the LoS probability there to double precision: 0.
+    # Far below a steep curve's knee exp, or a times it, overflows to inf,
+    # and 1 / (1 + inf) is the LoS probability there to double precision: 0.
     with np.errstate(over="ignore"):
-        tail = np.exp(-env.b * (np.asarray(phi_deg, dtype=float) - env.a))
-    return 1.0 / (1.0 + env.a * tail)
+        tail = env.a * np.exp(-env.b * (np.asarray(phi_deg, dtype=float) - env.a))
+    return 1.0 / (1.0 + tail)
 
 
 def delta_lower_bound(env: EnvironmentParams) -> float:

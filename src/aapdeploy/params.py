@@ -10,6 +10,7 @@ only through ``SystemParams.with_gamma``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
@@ -117,6 +118,7 @@ class SystemParams:
             raise ConfigError("h_min must not exceed h_max")
         if self.num_interferers_m < 0:
             raise ConfigError("num_interferers_m must be non-negative")
+        _require_normal("noise_psd * bandwidth", self.noise_psd_sigma0sq * self.bandwidth_w)
 
     @property
     def gamma(self) -> float:
@@ -132,7 +134,18 @@ class SystemParams:
             raise ConfigError(
                 "gamma * noise_psd * bandwidth overflows the floating-point range"
             )
+        _require_normal("gamma * noise_psd * bandwidth", p_target_pa)
         return replace(self, p_target_pa=p_target_pa)
+
+
+def _require_normal(name: str, power_w: float) -> None:
+    """Refuse a power below the smallest normal float: a subnormal keeps
+    fewer significant digits, so every figure computed from it loses them."""
+    if power_w < sys.float_info.min:
+        raise ConfigError(
+            f"{name} = {power_w:g} W lies below the smallest normal float "
+            f"{sys.float_info.min:g}"
+        )
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ sweeps): the physics and the sweeps only.  Unknown sections or keys are
 hard errors so a misspelled constant can never silently fall back to a
 default.  Each quantity has one spelling: the target power is given as
 ``gamma`` and the reference gain as ``g0``, and both are required.  Every
-number must be finite, the interferer count a whole number, each sweep
-list non-empty, and the sweeps must lie where the model is defined: the
+number must be finite, the interferer count a whole number, and the noise
+power noise_psd * bandwidth, like the target power that gamma and each
+``gamma_list`` entry make of it, a normal float.  Each sweep list must be
+non-empty, and the sweeps must lie where the model is defined: the
 altitude grid inside [h_min, h_max], the elevation grid inside (0, 90] deg
 and the LoS threshold delta inside the S-curve's image; each grid needs a
 positive step and a start no greater than its stop.  A violation is a
@@ -172,6 +174,11 @@ def _check_sweeps(
     ):
         if not all(v > 0 for v in values):
             raise ConfigError(f"sweep {name} must hold positive values only")
+    for gamma in sweeps.gamma_list:
+        try:
+            system.with_gamma(gamma)
+        except ConfigError as exc:
+            raise ConfigError(f"sweep gamma_list: {exc}") from None
     for axis, unit, start, stop, step in (
         ("h", "m", sweeps.h_start, sweeps.h_stop, sweeps.h_step),
         ("phi", "deg", sweeps.phi_start_deg, sweeps.phi_stop_deg, sweeps.phi_step_deg),

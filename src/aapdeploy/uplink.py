@@ -12,13 +12,19 @@ block is one call.  cot^2(phi) comes from ``channel.cot_squared``, one angle
 at a time, and the same arithmetic serves a scalar and a column, so a column
 call gives exactly the floats of the per-angle scalar calls.
 
-Only the two quadratures need scipy.  ``quad`` is imported inside
-``_sum_power_quadrature``, so ``scipy.integrate`` is loaded by the oracles
-behind ``validate`` and by no other verb.
+The two quadratures behind ``validate`` share one numpy rule: adaptive
+composite Gauss-Legendre on [0, r_a] (``_sum_power_quadrature``).  Each round
+integrates both halves of every open panel in one vectorised integrand call
+and accepts a panel whose halves agree with the whole to its width's share
+of ``QUAD_REL_TOL``; the rest are bisected, up to ``QUAD_MAX_PANELS`` panels.
+The exact quadrature's first panels start where the LoS S-curve turns
+(``los_break_radii``).  The Legendre nodes are built on first use, since
+``numpy.polynomial`` is not loaded by ``import numpy``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,6 +34,13 @@ from .errors import QuadratureError
 from .params import EnvironmentParams, SystemParams
 
 QUAD_REL_TOL = 1e-10
+# Gauss-Legendre nodes per panel, and the most panels one quadrature may use.
+QUAD_NODES = 16
+QUAD_MAX_PANELS = 200
+# Offsets from the LoS S-curve's middle, in units of its scale, that start a
+# panel of the exact quadrature; 36 scales out the curve is within e^-36
+# (2e-16) of its limits.
+LOS_BREAKS = (-36.0, -12.0, -4.0, -1.0, 0.0, 1.0, 4.0, 12.0, 36.0)
 
 
 def cell_ue_count(r_a, sys: SystemParams):
@@ -64,15 +77,79 @@ def expected_sum_power_closed_form(
     )
 
 
-def _sum_power_quadrature(r_a: float, integrand) -> float:
-    from scipy.integrate import quad
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """QUAD_NODES-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    from numpy.polynomial.legendre import leggauss
 
-    value, abserr = quad(integrand, 0.0, r_a, epsabs=0.0, epsrel=QUAD_REL_TOL, limit=200)
+    return leggauss(QUAD_NODES)
+
+
+def _panel_integrals(integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre integral of ``integrand`` over each panel [lo, hi],
+    from one call on every node of every panel."""
+    nodes, weights = _legendre_rule()
+    half = 0.5 * (hi - lo)
+    r = (lo + half)[:, None] + half[:, None] * nodes
+    return half * np.sum(integrand(r) * weights, axis=1)
+
+
+def _sum_power_quadrature(r_a: float, integrand, breaks=()) -> float:
+    """Integral of a positive, array-valued ``integrand`` over [0, r_a].
+
+    Each of ``breaks`` inside (0, r_a) starts a panel.  A feature narrower
+    than the gaps between a panel's nodes is seen by neither the panel nor
+    its halves, so the first panels must be no wider than such a feature's
+    surroundings.  A panel's error estimate is |left + right - whole|: its
+    halves' sum against its own rule, which the round that made the panel
+    computed as a half of its parent.  An accepted panel contributes its
+    halves.  When bisecting would take the count past QUAD_MAX_PANELS,
+    every open panel is kept as it is, and QuadratureError is raised if the
+    summed estimate exceeds 10 QUAD_REL_TOL of the result.
+    """
+    edges = [0.0, *sorted(x for x in breaks if 0.0 < x < r_a), float(r_a)]
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    whole = _panel_integrals(integrand, lo, hi)
+    parts: list[float] = []  # the halves of every accepted panel
+    errors: list[float] = []
+    panels = lo.size
+    while lo.size:
+        mid = lo + 0.5 * (hi - lo)
+        halves = _panel_integrals(
+            integrand, np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        )
+        left, right = np.split(halves, 2)
+        err = np.abs(left + right - whole)
+        estimate = math.fsum(parts) + math.fsum(halves.tolist())
+        bisect = err > QUAD_REL_TOL * abs(estimate) * ((hi - lo) / r_a)
+        if panels + np.count_nonzero(bisect) > QUAD_MAX_PANELS:
+            bisect[:] = False
+        keep = ~bisect
+        parts += left[keep].tolist() + right[keep].tolist()
+        errors += err[keep].tolist()
+        panels += int(np.count_nonzero(bisect))
+        lo, mid, hi = lo[bisect], mid[bisect], hi[bisect]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        whole = np.concatenate([left[bisect], right[bisect]])
+    value = math.fsum(parts)
+    abserr = math.fsum(errors)
     if value != 0.0 and abserr > 10.0 * QUAD_REL_TOL * abs(value):
         raise QuadratureError(
             f"sum-power quadrature achieved only {abserr / abs(value):.2e} relative"
         )
     return value
+
+
+def los_break_radii(h: float, env: EnvironmentParams) -> list[float]:
+    """Horizontal distances, seen from altitude h, that split the LoS
+    S-curve's turn into panels no wider than the curve there.
+
+    The S-curve is a logistic in the elevation: 1/2 at a + ln(a) / b, with
+    scale 1/b deg.  The elevations LOS_BREAKS scales from its middle map to
+    r = h cot(phi); those outside (0, 90) deg are left out."""
+    middle = env.a + math.log(env.a) / env.b
+    elevations = (middle + k / env.b for k in LOS_BREAKS)
+    return [h / math.tan(math.radians(phi)) for phi in elevations if 0.0 < phi < 90.0]
 
 
 def expected_sum_power_exact(
@@ -84,21 +161,23 @@ def expected_sum_power_exact(
     """Expected sum UE transmit power (W) with the r-dependent excess loss.
 
     Numerical quadrature of rho * 2 pi P_a L̄(r, h) r over the cell; always
-    <= the closed-form bound, with equality when eta_los == eta_nlos.
+    <= the closed-form bound, with equality when eta_los == eta_nlos.  A
+    steep S-curve turns within metres of a cell kilometres wide, so the
+    first panels start at ``los_break_radii``.
     """
     r_a = channel.require_coverage(h, phi_deg)
 
-    def integrand(r: float) -> float:
+    def integrand(r: np.ndarray) -> np.ndarray:
         return (
             sys.ue_density_rho
             * 2.0
             * math.pi
             * sys.p_target_pa
-            * float(channel.mean_path_loss_rh(r, h, env))
+            * channel.mean_path_loss_rh(r, h, env)
             * r
         )
 
-    return _sum_power_quadrature(r_a, integrand)
+    return _sum_power_quadrature(r_a, integrand, los_break_radii(h, env))
 
 
 def expected_sum_power_edge_quadrature(
@@ -115,7 +194,7 @@ def expected_sum_power_edge_quadrature(
     r_a = channel.require_coverage(h, phi_deg)
     eta_m = float(channel.mean_additional_path_loss(phi_deg, env))
 
-    def integrand(r: float) -> float:
+    def integrand(r: np.ndarray) -> np.ndarray:
         return (
             sys.ue_density_rho
             * 2.0

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aapdeploy import cli, packing
+from aapdeploy import cli, packing, uplink
 from aapdeploy.io_utils import write_csv_atomic
 from aapdeploy.scenario import builtin_scenario_path, load_scenario
 
@@ -189,6 +189,37 @@ def test_steeper_s_curve_runs_every_verb(small_scenario, tmp_path, capsys, verb)
     path.write_text(path.read_text().replace("a = 4.88\nb = 0.43", "a = 30\nb = 30"))
     assert run(["--scenario", small_scenario, "--out", str(tmp_path / "o"), verb]) == cli.EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("verb", ALL_VERBS)
+def test_s_curve_tail_past_the_float_range_runs_every_verb(
+    small_scenario, tmp_path, capsys, verb
+):
+    # a = b = 30 at phi = 6.4 deg: exp(b (a - phi)) is finite, but a times
+    # it overflowed outside the ignored region, and the verbs that evaluate
+    # that threshold exited 2 naming the floating-point range
+    path = Path(small_scenario)
+    text = path.read_text().replace("a = 4.88\nb = 0.43", "a = 30\nb = 30")
+    path.write_text(text.replace("phi_start_deg = 5", "phi_start_deg = 6.4"))
+    assert run(["--scenario", small_scenario, "--out", str(tmp_path / "o"), verb]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_exhausted_quadrature_budget_fails_validate(
+    small_scenario, capsys, monkeypatch
+):
+    # one panel cannot resolve the steep S-curve's turn inside the cell
+    path = Path(small_scenario)
+    path.write_text(path.read_text().replace("a = 4.88\nb = 0.43", "a = 30\nb = 24"))
+    monkeypatch.setattr(uplink, "LOS_BREAKS", ())
+    monkeypatch.setattr(uplink, "QUAD_MAX_PANELS", 1)
+    code = run(["--scenario", small_scenario, "--trials", "100", "validate"])
+    assert code == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: sum-power quadrature achieved only")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("verb", ALL_VERBS)
@@ -541,6 +572,41 @@ def test_extreme_finite_value_fails_closed(
     # solve, place and density-sweep may still find no feasible threshold
     prefix = {cli.EXIT_CONFIG: "configuration error:", cli.EXIT_INFEASIBLE: "infeasible"}
     assert len(err) == 1 and err[0].startswith(prefix[code]), (code, err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ALL_VERBS)
+@pytest.mark.parametrize(
+    "edits,power",
+    [
+        # P_a = 4e-319: validate failed its quadrature check at 2.7e-7
+        ({"bandwidth_hz = 20e6": "bandwidth_hz = 1e-300"}, "noise_psd * bandwidth"),
+        # sigma0^2 W = 4e-321 with a normal P_a = 4e-301
+        (
+            {"bandwidth_hz = 20e6": "bandwidth_hz = 1e-300", "gamma = 100": "gamma = 1e20"},
+            "noise_psd * bandwidth",
+        ),
+        # a sweep gamma whose target power is subnormal
+        (
+            {"gamma_list = 10, 100, 1000": "gamma_list = 10, 1e-300"},
+            "sweep gamma_list: gamma * noise_psd * bandwidth",
+        ),
+    ],
+    ids=["bandwidth", "noise-power-only", "gamma-list"],
+)
+def test_subnormal_power_exits_config_error(small_scenario, tmp_path, capsys, verb, edits, power):
+    path = Path(small_scenario)
+    text = path.read_text()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    path.write_text(text)
+    out = tmp_path / "o"
+    code = run(["--scenario", small_scenario, "--out", str(out), "--trials", "100", verb])
+    assert code == cli.EXIT_CONFIG
+    line = config_error_line(capsys)
+    assert line.startswith(f"configuration error: {power} = ")
+    assert "below the smallest normal float" in line
     assert not out.exists()
 
 

@@ -1,9 +1,11 @@
-"""Which scipy modules each CLI path loads, checked in a fresh interpreter.
+"""Which optional modules each CLI path loads, checked in a fresh interpreter.
 
-The planner itself is closed-form numpy, and so is the placement verifier;
-scipy serves only the quadrature oracle behind ``validate``.  Each check
-starts a new interpreter, because this test process has scipy loaded
-already.
+The planner, the placement verifier and the quadrature oracle behind
+``validate`` are all numpy: no verb loads scipy, which serves the tests as
+a reference only.  The quadrature builds its Legendre nodes on first use, so
+importing the package and loading a scenario leave ``numpy.polynomial``
+unloaded.  Each check starts a new interpreter, because this test process
+has scipy loaded already.
 """
 
 import json
@@ -23,12 +25,12 @@ import aapdeploy.cli
 from aapdeploy.scenario import builtin_scenario_path, load_scenario
 baseline = str(builtin_scenario_path("baseline"))
 load_scenario(baseline)
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def modules(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 """
 
 
-def loaded_scipy(tmp_path, body: str):
+def run_fresh(tmp_path, body: str):
     """Run PRELUDE + body in a new interpreter and parse the JSON that body
     prints last."""
     env = dict(os.environ)
@@ -46,13 +48,13 @@ def loaded_scipy(tmp_path, body: str):
 
 
 def test_import_load_and_solver_verbs_load_no_scipy(tmp_path):
-    seen = loaded_scipy(
+    seen = run_fresh(
         tmp_path,
         """\
-seen = {"import + load_scenario": scipy_modules()}
+seen = {"import + load_scenario": modules("scipy")}
 for verb in ("solve", "altitude-sweep", "threshold-sweep"):
     assert aapdeploy.cli.main(["--scenario", baseline, "--out", verb, verb]) == 0
-    seen[verb] = scipy_modules()
+    seen[verb] = modules("scipy")
 print(json.dumps(seen))
 """,
     )
@@ -65,27 +67,32 @@ print(json.dumps(seen))
 
 
 def test_placement_verbs_load_no_scipy(tmp_path):
-    seen = loaded_scipy(
+    seen = run_fresh(
         tmp_path,
         """\
 seen = {}
 for verb in ("place", "density-sweep"):
     assert aapdeploy.cli.main(["--scenario", baseline, "--out", verb, verb]) == 0
-    seen[verb] = scipy_modules()
+    seen[verb] = modules("scipy")
 print(json.dumps(seen))
 """,
     )
     assert seen == {"place": [], "density-sweep": []}
 
 
-def test_validate_loads_quadrature(tmp_path):
+def test_import_and_load_leave_numpy_polynomial_unloaded(tmp_path):
+    seen = run_fresh(tmp_path, 'print(json.dumps(modules("numpy.polynomial")))\n')
+    assert seen == []
+
+
+def test_validate_loads_no_scipy(tmp_path):
     # Ten trials keep the check fast; the Monte-Carlo bound widens to five
     # standard errors, so validate still passes.
-    seen = loaded_scipy(
+    seen = run_fresh(
         tmp_path,
         """\
 assert aapdeploy.cli.main(["--scenario", baseline, "--trials", "10", "validate"]) == 0
-print(json.dumps(scipy_modules()))
+print(json.dumps({"scipy": modules("scipy"), "legendre": "numpy.polynomial.legendre" in sys.modules}))
 """,
     )
-    assert "scipy.integrate" in seen
+    assert seen == {"scipy": [], "legendre": True}

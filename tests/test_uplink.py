@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import quad
 
 from aapdeploy import channel, montecarlo, uplink
-from aapdeploy.errors import DegenerateCoverageError
+from aapdeploy.errors import DegenerateCoverageError, QuadratureError
 from aapdeploy.params import EnvironmentParams
 
 from conftest import make_system
@@ -97,6 +99,77 @@ def test_exact_equals_closed_form_when_excess_loss_constant(baseline_system):
     exact = uplink.expected_sum_power_exact(15.0, phi, baseline_system, env)
     closed = uplink.expected_sum_power_closed_form(15.0, phi, baseline_system, env)
     assert exact == pytest.approx(closed, rel=1e-9)
+
+
+def reference_sum_power(h, r_a, eta_m, sys, env, breaks=()):
+    """scipy's adaptive Gauss-Kronrod quadrature (QUADPACK) of the sum-power
+    integrand, one float at a time, at 1e-13 relative: the reference for the
+    package's Gauss-Legendre rule.  ``eta_m`` None takes each UE's own mean
+    excess loss, as ``expected_sum_power_exact`` does; a float freezes it,
+    as ``expected_sum_power_edge_quadrature`` does.  ``breaks`` start
+    panels: a steep S-curve turns within metres of a cell kilometres wide,
+    and a turn that falls between the first nodes is missed."""
+
+    def integrand(r):
+        if eta_m is None:
+            loss = float(channel.mean_path_loss_rh(r, h, env))
+        else:
+            loss = eta_m * (r * r + h * h) / env.g0
+        return sys.ue_density_rho * 2.0 * math.pi * sys.p_target_pa * loss * r
+
+    value, _ = quad(
+        integrand, 0.0, r_a, epsabs=0.0, epsrel=1e-13, limit=1000, points=breaks or None
+    )
+    return value
+
+
+# The steep S-curves of the CLI tests, at validate's cell (h_min, delta = 0.9).
+STEEP_CELLS = [
+    dict(h=15.0, phi=30.233267581624933, a=30.0, b=24.0),
+    dict(h=15.0, phi=30.186614065299946, a=30.0, b=30.0),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    h=st.floats(min_value=1.0, max_value=1000.0),
+    phi=st.floats(min_value=0.5, max_value=89.5),
+    a=st.floats(min_value=0.5, max_value=80.0),
+    b=st.floats(min_value=0.05, max_value=30.0),
+    eta_los_db=st.floats(min_value=0.0, max_value=5.0),
+    eta_gap_db=st.floats(min_value=0.0, max_value=40.0),
+    gamma=st.floats(min_value=1e-3, max_value=1e4),
+)
+@example(**STEEP_CELLS[0], eta_los_db=0.1, eta_gap_db=20.9, gamma=100.0)
+@example(**STEEP_CELLS[1], eta_los_db=0.1, eta_gap_db=20.9, gamma=100.0)
+# A turn near the nadir of a wide cell: without panels started on the
+# S-curve the exact quadrature missed it, 8e-10 and 2e-9 off.
+@example(h=600.0, phi=0.5, a=75.0, b=20.0, eta_los_db=3.0, eta_gap_db=29.0, gamma=0.05)
+@example(h=250.0, phi=0.7, a=78.0, b=26.0, eta_los_db=2.0, eta_gap_db=35.0, gamma=0.003)
+def test_quadratures_match_the_scipy_reference(
+    h, phi, a, b, eta_los_db, eta_gap_db, gamma
+):
+    env = EnvironmentParams.from_db(a, b, eta_los_db, eta_los_db + eta_gap_db, g0=1.42e-4)
+    sysp = make_system(gamma=gamma)
+    r_a = float(channel.coverage_radius(h, phi))
+    eta_m = float(channel.mean_additional_path_loss(phi, env))
+    edge = uplink.expected_sum_power_edge_quadrature(h, phi, sysp, env)
+    reference = reference_sum_power(h, r_a, eta_m, sysp, env)
+    assert abs(edge - reference) <= 1e-12 * reference
+    exact = uplink.expected_sum_power_exact(h, phi, sysp, env)
+    breaks = [x for x in uplink.los_break_radii(h, env) if 0.0 < x < r_a]
+    reference = reference_sum_power(h, r_a, None, sysp, env, breaks)
+    assert abs(exact - reference) <= uplink.QUAD_REL_TOL * reference
+
+
+@pytest.mark.parametrize("cell", STEEP_CELLS, ids=["b24", "b30"])
+def test_exhausted_panel_budget_raises(baseline_system, monkeypatch, cell):
+    # one panel cannot resolve the S-curve's turn inside the cell
+    env = EnvironmentParams.from_db(cell["a"], cell["b"], 0.1, 21.0, g0=1.42e-4)
+    monkeypatch.setattr(uplink, "LOS_BREAKS", ())
+    monkeypatch.setattr(uplink, "QUAD_MAX_PANELS", 1)
+    with pytest.raises(QuadratureError, match="quadrature achieved only"):
+        uplink.expected_sum_power_exact(cell["h"], cell["phi"], baseline_system, env)
 
 
 def test_per_ue_rate_no_interference_limit(edge_phi):
