@@ -103,11 +103,10 @@ def altitude_sweep_rows(scn: Scenario) -> list[list]:
     return rows
 
 
-def cmd_altitude_sweep(scn: Scenario, out_dir: Path) -> int:
-    write_csv_atomic(
-        out_dir / "altitude_sweep.csv", ALTITUDE_SWEEP_COLUMNS, altitude_sweep_rows(scn)
-    )
-    print(f"wrote {out_dir / 'altitude_sweep.csv'}")
+def cmd_altitude_sweep(scn: Scenario, args: argparse.Namespace) -> int:
+    path = args.out / "altitude_sweep.csv"
+    write_csv_atomic(path, ALTITUDE_SWEEP_COLUMNS, altitude_sweep_rows(scn))
+    print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -129,18 +128,15 @@ def threshold_sweep_rows(scn: Scenario) -> list[list]:
         r_a,
         uplink.cell_ue_count(r_a, scn.system),
         gee.gee_value(h, phis, scn.system, env, zero_uav)[:, 0],
-        gee._feasible_altitude_ceiling(phis, scn.system, env)[:, 0],
+        gee.altitude_ceiling(phis, scn.system, env)[:, 0],
     )
     return [list(row) for row in zip(*(c.tolist() for c in columns))]
 
 
-def cmd_threshold_sweep(scn: Scenario, out_dir: Path) -> int:
-    write_csv_atomic(
-        out_dir / "threshold_sweep.csv",
-        THRESHOLD_SWEEP_COLUMNS,
-        threshold_sweep_rows(scn),
-    )
-    print(f"wrote {out_dir / 'threshold_sweep.csv'}")
+def cmd_threshold_sweep(scn: Scenario, args: argparse.Namespace) -> int:
+    path = args.out / "threshold_sweep.csv"
+    write_csv_atomic(path, THRESHOLD_SWEEP_COLUMNS, threshold_sweep_rows(scn))
+    print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -162,10 +158,10 @@ def solve_scenario(scn: Scenario) -> gee.DeploymentSolution:
     return gee.solve_p1(scn.system, scn.environment, scn.uav, scn.sweeps.phi_grid())
 
 
-def cmd_solve(scn: Scenario, out_dir: Path) -> int:
+def cmd_solve(scn: Scenario, args: argparse.Namespace) -> int:
     solution = solve_scenario(scn)
-    write_json_atomic(out_dir / "solution.json", solution_to_dict(solution))
-    print(f"wrote {out_dir / 'solution.json'}")
+    write_json_atomic(args.out / "solution.json", solution_to_dict(solution))
+    print(f"wrote {args.out / 'solution.json'}")
     print(
         f"h_opt={solution.h_opt:g} m  phi_opt={solution.phi_opt_deg:g} deg  "
         f"R_a={solution.r_a:g} m  GEE={solution.gee:g} bit/J  "
@@ -196,17 +192,17 @@ def plan_to_dict(plan: packing.PlacementPlan) -> dict:
     }
 
 
-def cmd_place(scn: Scenario, out_dir: Path, r_a_override: float | None) -> int:
-    r_a = r_a_override if r_a_override is not None else solve_scenario(scn).r_a
+def cmd_place(scn: Scenario, args: argparse.Namespace) -> int:
+    r_a = args.ra if args.ra is not None else solve_scenario(scn).r_a
     plan = packing.run_algorithm1(scn.system.area_radius_r, r_a)
-    write_json_atomic(out_dir / "plan.json", plan_to_dict(plan))
+    write_json_atomic(args.out / "plan.json", plan_to_dict(plan))
     centers_rows = [
         [level.index, level.ring_radius, m, c[0], c[1]]
         for level in plan.levels
         for m, c in enumerate(level.centers)
     ]
-    write_csv_atomic(out_dir / "centers.csv", CENTERS_COLUMNS, centers_rows)
-    print(f"wrote {out_dir / 'plan.json'} and {out_dir / 'centers.csv'}")
+    write_csv_atomic(args.out / "centers.csv", CENTERS_COLUMNS, centers_rows)
+    print(f"wrote {args.out / 'plan.json'} and {args.out / 'centers.csv'}")
     print(
         f"R={scn.system.area_radius_r:g} m  R_a={r_a:g} m  "
         f"levels={[level.count for level in plan.levels]}  "
@@ -241,11 +237,12 @@ def density_sweep_rows(scn: Scenario, r_a: float) -> list[list]:
     return rows
 
 
-def cmd_density_sweep(scn: Scenario, out_dir: Path, r_a_override: float | None) -> int:
-    r_a = r_a_override if r_a_override is not None else solve_scenario(scn).r_a
+def cmd_density_sweep(scn: Scenario, args: argparse.Namespace) -> int:
+    r_a = args.ra if args.ra is not None else solve_scenario(scn).r_a
     rows = density_sweep_rows(scn, r_a)
-    write_csv_atomic(out_dir / "density_sweep.csv", DENSITY_SWEEP_COLUMNS, rows)
-    print(f"wrote {out_dir / 'density_sweep.csv'}")
+    path = args.out / "density_sweep.csv"
+    write_csv_atomic(path, DENSITY_SWEEP_COLUMNS, rows)
+    print(f"wrote {path}")
     if any(row[5] != "" for row in rows):
         print(
             "note: reference_density values come from a reported deployment "
@@ -268,10 +265,15 @@ def validation_checks(scn: Scenario, trials: int, seed: int) -> list[tuple[str, 
         worst = max(worst, abs(lhs - rhs))
     checks.append(("void-algebra identity n in [3,50]", worst < 1e-12, f"worst |diff|={worst:.3e}"))
 
+    # The grid points inside the S-curve's image over (0, 90] deg, or the
+    # scenario's own delta when none is.
+    lowest = channel.delta_lower_bound(env)
+    highest = float(channel.los_probability(90.0, env))
+    deltas = [d for d in np.linspace(0.2, 0.999, 25).tolist() if lowest < d <= highest]
     worst = 0.0
-    for d in np.linspace(0.2, 0.999, 25):
-        phi_d = channel.phi_from_delta(float(d), env)
-        worst = max(worst, abs(float(channel.los_probability(phi_d, env)) - float(d)))
+    for d in deltas or [scn.sweeps.delta]:
+        phi_d = channel.phi_from_delta(d, env)
+        worst = max(worst, abs(float(channel.los_probability(phi_d, env)) - d))
     checks.append(("LoS threshold inversion round-trip", worst < 1e-9, f"worst |diff|={worst:.3e}"))
 
     closed = uplink.expected_sum_power_closed_form(h, phi, sys_p, env)
@@ -314,8 +316,8 @@ def validation_checks(scn: Scenario, trials: int, seed: int) -> list[tuple[str, 
     return checks
 
 
-def cmd_validate(scn: Scenario, trials: int, seed: int) -> int:
-    checks = validation_checks(scn, trials, seed)
+def cmd_validate(scn: Scenario, args: argparse.Namespace) -> int:
+    checks = validation_checks(scn, args.trials, args.seed)
     failed = [name for name, ok, _ in checks if not ok]
     for name, ok, detail in checks:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
@@ -326,13 +328,27 @@ def cmd_validate(scn: Scenario, trials: int, seed: int) -> int:
     return EXIT_OK
 
 
+# Each verb's handler, called with the loaded scenario and the parsed
+# command line; the keys are the command choices.
+VERBS = {
+    "altitude-sweep": cmd_altitude_sweep,
+    "threshold-sweep": cmd_threshold_sweep,
+    "solve": cmd_solve,
+    "place": cmd_place,
+    "density-sweep": cmd_density_sweep,
+    "validate": cmd_validate,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aapdeploy",
         description="Energy-efficient 3D deployment planner for aerial access points",
     )
     parser.add_argument("--scenario", required=True, help="scenario file path")
-    parser.add_argument("--out", default="out", help="output directory (default: out)")
+    parser.add_argument(
+        "--out", type=Path, default="out", help="output directory (default: out)"
+    )
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument(
         "--trials", type=int, default=1000, help="Monte-Carlo trial count"
@@ -340,17 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--ra", type=float, default=None, help="coverage radius override (m)"
     )
-    parser.add_argument(
-        "command",
-        choices=[
-            "altitude-sweep",
-            "threshold-sweep",
-            "solve",
-            "place",
-            "density-sweep",
-            "validate",
-        ],
-    )
+    parser.add_argument("command", choices=VERBS)
     return parser
 
 
@@ -365,24 +371,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.ra is not None and not (math.isfinite(args.ra) and args.ra > 0):
             raise ConfigError(f"--ra must be a positive finite radius, got {args.ra}")
         scn = load_scenario(args.scenario)
-        out_dir = Path(args.out)
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                if args.command == "altitude-sweep":
-                    return cmd_altitude_sweep(scn, out_dir)
-                if args.command == "threshold-sweep":
-                    return cmd_threshold_sweep(scn, out_dir)
-                if args.command == "solve":
-                    return cmd_solve(scn, out_dir)
-                if args.command == "place":
-                    return cmd_place(scn, out_dir, args.ra)
-                if args.command == "density-sweep":
-                    return cmd_density_sweep(scn, out_dir, args.ra)
-                if args.command == "validate":
-                    return cmd_validate(scn, args.trials, args.seed)
-                raise AssertionError(f"unhandled command {args.command}")
+                return VERBS[args.command](scn, args)
         except OSError as exc:
-            raise ConfigError(f"cannot write output to {out_dir}: {exc}") from exc
+            raise ConfigError(f"cannot write output to {args.out}: {exc}") from exc
         except ArithmeticError as exc:
             # numpy's FloatingPointError, or Python's OverflowError (message
             # last, after an errno) and ZeroDivisionError

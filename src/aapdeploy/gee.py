@@ -81,7 +81,7 @@ def gee_value(
     return sys.service_time_t * rate / total
 
 
-def _feasible_altitude_ceiling(phi_deg, sys: SystemParams, env: EnvironmentParams):
+def altitude_ceiling(phi_deg, sys: SystemParams, env: EnvironmentParams):
     """min(h_max, power-translated altitude bound): a scalar for one
     threshold, an (n, 1) column for a 1-D ``phi_deg``."""
     return np.minimum(sys.h_max, uplink.h_max_power_constraint(phi_deg, sys, env))
@@ -117,7 +117,7 @@ def solve_p1(
     # order is the larger phi, then the lower h.
     phis = np.sort(np.asarray(phi_grid, dtype=float))[::-1]
     covered = channel.coverage_radius(sys.h_min, phis)[:, 0] > 0.0
-    ceilings = _feasible_altitude_ceiling(phis, sys, env)[:, 0]
+    ceilings = altitude_ceiling(phis, sys, env)[:, 0]
     feasible = covered & (ceilings >= sys.h_min)
     phis, ceilings = phis[feasible], ceilings[feasible]
     if not phis.size:

@@ -10,9 +10,9 @@ UE's power under full power control depends on its distance alone.
 ``mean_sum_power`` samples the cell of altitude ``h`` and edge elevation
 ``phi_deg``, both scalars.  One stream, ``np.random.default_rng(base_seed)``,
 feeds every trial: trials draw from it in order, each taking its count and
-then its uniforms where the previous trial stopped.  The power arithmetic
-runs once per block of trials holding at least ``BLOCK_UES`` UEs (the last
-block may hold fewer), so the per-trial Python work is the draw alone.
+then its uniforms where the previous trial stopped.  The trials go in blocks
+of about ``BLOCK_UES`` expected UEs, and ``empirical_sum_power`` powers each
+block with one array pass, so the per-trial Python work is the draw alone.
 Every step is elementwise, so a UE's power is the same float whichever block
 it lands in.  Aggregation uses compensated summation (math.fsum): each
 trial's sum over its own UEs, then the sum over trials, so results do not
@@ -21,8 +21,8 @@ depend on evaluation order or on the block size.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,9 +31,9 @@ from . import channel
 from .errors import ConfigError
 from .params import EnvironmentParams, SystemParams
 
-# Minimum UEs per block of the batched power pass: large enough that numpy's
+# Expected UEs per block of the batched power pass: large enough that numpy's
 # per-call overhead is spread over many UEs, small enough that the block's
-# arrays stay a few tens of kilobytes.
+# arrays stay a few tens of kilobytes.  A block holds at least one trial.
 BLOCK_UES = 2048
 
 # Largest expected UE count per trial that mean_sum_power samples: 150 times
@@ -43,16 +43,11 @@ BLOCK_UES = 2048
 MAX_MEAN_UES = 1e6
 
 
-@dataclass(frozen=True)
-class UeSample:
+class UeSample(NamedTuple):
     """One realized UE population inside a cell disk."""
 
-    r_a: float
     draws: np.ndarray  # shape (n,): one area uniform per UE
     realized_count: int
-
-    def radii(self) -> np.ndarray:
-        return self.r_a * np.sqrt(self.draws)
 
 
 def sample_ues(r_a: float, rho: float, rng: np.random.Generator) -> UeSample:
@@ -67,7 +62,7 @@ def sample_ues(r_a: float, rho: float, rng: np.random.Generator) -> UeSample:
     if r_a <= 0 or rho <= 0:
         raise ValueError("cell radius and UE density must be strictly positive")
     count = int(rng.poisson(rho * math.pi * r_a**2))
-    return UeSample(r_a=r_a, draws=rng.random(count), realized_count=count)
+    return UeSample(draws=rng.random(count), realized_count=count)
 
 
 class MeanSumPower(NamedTuple):
@@ -91,29 +86,18 @@ def _ue_powers(
 
 
 def empirical_sum_power(
-    sample: UeSample, h: float, sys: SystemParams, env: EnvironmentParams
-) -> float:
-    """Sum of power-controlled UE transmit powers for one population (W)."""
-    return math.fsum(_ue_powers(sample.radii(), h, sys, env))
-
-
-def _block_sums(
-    block: list[UeSample],
+    samples: list[UeSample],
     r_a: float,
     h: float,
     sys: SystemParams,
     env: EnvironmentParams,
 ) -> list[float]:
-    """Each trial's sum power for a block of samples, with one array pass."""
-    draws = np.concatenate([sample.draws for sample in block])
+    """Sum of power-controlled UE transmit powers (W) for each population
+    drawn on the disk of radius r_a, from one array pass over them all."""
+    draws = np.concatenate([sample.draws for sample in samples])
     powers = _ue_powers(r_a * np.sqrt(draws), h, sys, env).tolist()
-    sums = []
-    start = 0
-    for sample in block:
-        stop = start + sample.realized_count
-        sums.append(math.fsum(powers[start:stop]))
-        start = stop
-    return sums
+    stops = list(itertools.accumulate(sample.realized_count for sample in samples))
+    return [math.fsum(powers[start:stop]) for start, stop in zip([0, *stops], stops)]
 
 
 def mean_sum_power(
@@ -127,8 +111,8 @@ def mean_sum_power(
     """Mean empirical sum power over trials drawn in order from one stream,
     ``np.random.default_rng(base_seed)``.
 
-    Equal, float for float, to the mean of ``empirical_sum_power`` over the
-    trials' samples, each drawn by ``sample_ues`` from that one generator.
+    Equal, float for float, to the mean of each trial's ``fsum`` over its own
+    UEs, with every trial drawn by ``sample_ues`` from that one generator.
     The standard error is the sample standard deviation of the trials' sums
     over sqrt(trials).
     """
@@ -144,16 +128,14 @@ def mean_sum_power(
             f"more than the {MAX_MEAN_UES:.0e} the oracle samples"
         )
     rng = np.random.default_rng(base_seed)
+    block = max(1, int(BLOCK_UES / max(mean_ues, 1.0)))
     sums: list[float] = []
-    block: list[UeSample] = []
-    pending = 0
-    for i in range(trials):
-        sample = sample_ues(r_a, sys.ue_density_rho, rng)
-        block.append(sample)
-        pending += sample.realized_count
-        if pending >= BLOCK_UES or i == trials - 1:
-            sums += _block_sums(block, r_a, h, sys, env)
-            block, pending = [], 0
+    for start in range(0, trials, block):
+        samples = [
+            sample_ues(r_a, sys.ue_density_rho, rng)
+            for _ in range(min(block, trials - start))
+        ]
+        sums += empirical_sum_power(samples, r_a, h, sys, env)
     mean = math.fsum(sums) / trials
     stderr = math.inf
     if trials > 1:

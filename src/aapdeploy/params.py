@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
@@ -99,21 +99,10 @@ class SystemParams:
     area_radius_r: float
 
     def __post_init__(self) -> None:
-        positives = {
-            "bandwidth_w": self.bandwidth_w,
-            "circuit_power_pc": self.circuit_power_pc,
-            "service_time_t": self.service_time_t,
-            "p_max": self.p_max,
-            "p_target_pa": self.p_target_pa,
-            "noise_psd_sigma0sq": self.noise_psd_sigma0sq,
-            "ue_density_rho": self.ue_density_rho,
-            "h_min": self.h_min,
-            "h_max": self.h_max,
-            "area_radius_r": self.area_radius_r,
-        }
-        for name, value in positives.items():
-            if value <= 0:
-                raise ConfigError(f"{name} must be strictly positive, got {value!r}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name != "num_interferers_m" and value <= 0:
+                raise ConfigError(f"{field.name} must be strictly positive, got {value!r}")
         if self.h_min > self.h_max:
             raise ConfigError("h_min must not exceed h_max")
         if self.num_interferers_m < 0:

@@ -11,8 +11,9 @@ power noise_psd * bandwidth, like the target power that gamma and each
 non-empty, and the sweeps must lie where the model is defined: the
 altitude grid inside [h_min, h_max], the elevation grid inside (0, 90] deg
 and the LoS threshold delta inside the S-curve's image; each grid needs a
-positive step and a start no greater than its stop.  A violation is a
-ConfigError when the file is loaded, never a failure halfway through a verb.
+positive step and a start no greater than its stop.  The S-curve's a * b
+may not exceed MAX_S_CURVE_AB.  A violation is a ConfigError when the file
+is loaded, never a failure halfway through a verb.
 The Monte-Carlo seed and the output directory come from the command line
 only.
 """
@@ -28,6 +29,11 @@ from pathlib import Path
 from . import channel
 from .errors import ConfigError
 from .params import EnvironmentParams, SystemParams, UavEnergyParams
+
+# Largest a * b of the LoS S-curve a scenario may set.  Inverting the curve
+# loses about 2e-17 a b of the threshold to rounding, so up to this cap the
+# LoS threshold round trip that validate checks stays within 2e-11.
+MAX_S_CURVE_AB = 1e6
 
 _KNOWN_KEYS: dict[str, set[str]] = {
     "environment": {
@@ -273,6 +279,13 @@ def load_scenario(path: str | Path) -> Scenario:
     )
 
     _check_sweeps(sweeps, system, environment)
+    # After the sweeps, so that a delta beyond the curve's image is named
+    # as such.
+    if environment.a * environment.b > MAX_S_CURVE_AB:
+        raise ConfigError(
+            f"LoS S-curve a * b = {environment.a * environment.b:g} exceeds "
+            f"{MAX_S_CURVE_AB:g}, beyond which its inversion loses precision"
+        )
 
     return Scenario(
         environment=environment,

@@ -152,6 +152,23 @@ def los_break_radii(h: float, env: EnvironmentParams) -> list[float]:
     return [h / math.tan(math.radians(phi)) for phi in elevations if 0.0 < phi < 90.0]
 
 
+def _sum_power_integral(
+    h: float,
+    phi_deg: float,
+    sys: SystemParams,
+    env: EnvironmentParams,
+    eta_m,
+    breaks=(),
+) -> float:
+    """Quadrature of rho 2 pi P_a eta_m(r) (r^2 + h^2) / g0 r over the cell,
+    where ``eta_m`` maps an array of distances to their mean excess loss."""
+    r_a = channel.require_coverage(h, phi_deg)
+    scale = sys.ue_density_rho * 2.0 * math.pi * sys.p_target_pa
+    return _sum_power_quadrature(
+        r_a, lambda r: scale * eta_m(r) * (r**2 + h**2) / env.g0 * r, breaks
+    )
+
+
 def expected_sum_power_exact(
     h: float,
     phi_deg: float,
@@ -160,24 +177,16 @@ def expected_sum_power_exact(
 ) -> float:
     """Expected sum UE transmit power (W) with the r-dependent excess loss.
 
-    Numerical quadrature of rho * 2 pi P_a L̄(r, h) r over the cell; always
+    Each distance's mean excess loss is taken at its own elevation; always
     <= the closed-form bound, with equality when eta_los == eta_nlos.  A
     steep S-curve turns within metres of a cell kilometres wide, so the
     first panels start at ``los_break_radii``.
     """
-    r_a = channel.require_coverage(h, phi_deg)
 
-    def integrand(r: np.ndarray) -> np.ndarray:
-        return (
-            sys.ue_density_rho
-            * 2.0
-            * math.pi
-            * sys.p_target_pa
-            * channel.mean_path_loss_rh(r, h, env)
-            * r
-        )
+    def eta_m(r: np.ndarray) -> np.ndarray:
+        return channel.mean_additional_path_loss(channel.elevation_deg(r, h), env)
 
-    return _sum_power_quadrature(r_a, integrand, los_break_radii(h, env))
+    return _sum_power_integral(h, phi_deg, sys, env, eta_m, los_break_radii(h, env))
 
 
 def expected_sum_power_edge_quadrature(
@@ -188,25 +197,11 @@ def expected_sum_power_edge_quadrature(
 ) -> float:
     """Quadrature of the sum-power integrand with the edge-frozen excess loss.
 
-    Independent cross-check of the closed form: same integrand family but a
+    Independent cross-check of the closed form: same integrand but a
     constant eta_m, so the two must agree to quadrature tolerance.
     """
-    r_a = channel.require_coverage(h, phi_deg)
     eta_m = float(channel.mean_additional_path_loss(phi_deg, env))
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        return (
-            sys.ue_density_rho
-            * 2.0
-            * math.pi
-            * sys.p_target_pa
-            * eta_m
-            * (r**2 + h**2)
-            / env.g0
-            * r
-        )
-
-    return _sum_power_quadrature(r_a, integrand)
+    return _sum_power_integral(h, phi_deg, sys, env, lambda r: eta_m)
 
 
 def sinr(n_ue: float, sys: SystemParams) -> float:

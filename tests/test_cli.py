@@ -6,19 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aapdeploy import cli, packing, uplink
+from aapdeploy import cli, packing, scenario, uplink
 from aapdeploy.io_utils import write_csv_atomic
 from aapdeploy.scenario import builtin_scenario_path, load_scenario
 
 BASELINE = str(builtin_scenario_path("baseline"))
-ALL_VERBS = [
-    "altitude-sweep",
-    "threshold-sweep",
-    "solve",
-    "place",
-    "density-sweep",
-    "validate",
-]
+ALL_VERBS = list(cli.VERBS)
 ABLATION = str(builtin_scenario_path("no_vehicle_energy"))
 
 
@@ -234,6 +227,45 @@ def test_huge_s_curve_offset_exits_config_error(small_scenario, tmp_path, capsys
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error: sweep delta: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "curve,delta",
+    [
+        # high-rise: P_LoS(90 deg) = 0.848, below the top of the check's grid
+        ("a = 27.23\nb = 0.08", "0.5"),
+        # P_LoS(90 deg) = 0.014: no grid threshold is reachable, so the
+        # check inverts the scenario's own delta
+        ("a = 80\nb = 0.01", "0.01"),
+    ],
+    ids=["high-rise", "no-grid-threshold"],
+)
+def test_s_curve_below_the_round_trip_grid_validates(tmp_path, capsys, curve, delta):
+    # the round-trip check inverted thresholds the curve never reaches and
+    # died with a traceback and the "infeasible" exit code
+    text = Path(BASELINE).read_text().replace("a = 4.88\nb = 0.43", curve)
+    path = tmp_path / "curve.ini"
+    path.write_text(text.replace("delta = 0.9", f"delta = {delta}"))
+    assert run(["--scenario", str(path), "validate"]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "[PASS] LoS threshold inversion round-trip" in captured.out
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 2e6), (4.0, 2.5e5), (80.0, 12500.0)])
+def test_s_curve_cap(small_scenario, tmp_path, capsys, a, b):
+    # at a * b = MAX_S_CURVE_AB the round trip keeps about 2e-11, well
+    # inside validate's 1e-9; a curve past the cap is refused at load
+    assert a * b == scenario.MAX_S_CURVE_AB
+    text = Path(small_scenario).read_text()
+    path = tmp_path / "cap.ini"
+    path.write_text(text.replace("a = 4.88\nb = 0.43", f"a = {a}\nb = {b}"))
+    assert run(["--scenario", str(path), "--trials", "100", "validate"]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    path.write_text(text.replace("a = 4.88\nb = 0.43", f"a = {a}\nb = {b * 1.001}"))
+    assert run(["--scenario", str(path), "--trials", "100", "validate"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: LoS S-curve a * b")
 
 
 @pytest.mark.parametrize("ra", ["0", "-5", "nan", "inf"])
@@ -532,6 +564,8 @@ EXTREME_VALUES = {
         "noise_psd_w_per_hz = 1e300",
         {"validate", "altitude-sweep", "threshold-sweep"},
     ),
+    # the LoS round trip loses about 2e-17 a b: validate failed it (exit 3)
+    "b = 0.43": ("b = 1e30", set(ALL_VERBS)),
 }
 
 

@@ -144,7 +144,7 @@ def test_solve_p1_fallback_matches_scalar_loop(suburban_env):
     sol = gee.solve_p1(sysp, suburban_env, uav, phis)
     best = None
     for phi in phis:
-        ceiling = gee._feasible_altitude_ceiling(phi, sysp, suburban_env)
+        ceiling = gee.altitude_ceiling(phi, sysp, suburban_env)
         for h in np.linspace(sysp.h_min, ceiling, gee.FALLBACK_POINTS):
             value = gee.gee_value(float(h), phi, sysp, suburban_env, uav)
             if best is None or value > best[0]:
@@ -247,7 +247,7 @@ def test_solve_p1_fallback_blocks_match_scalar_loop(suburban_env):
     sysp, uav = make_system(gamma=0.01), UavEnergyParams.zero()
     edge = 2 * gee.FALLBACK_BLOCK
     phis = np.arange(26.0 - 0.5 * (edge - 1), 60.0 + 1e-9, 0.5).tolist() + [26.0]
-    ceilings = gee._feasible_altitude_ceiling(np.array(phis), sysp, suburban_env)
+    ceilings = gee.altitude_ceiling(np.array(phis), sysp, suburban_env)
     assert np.all(ceilings >= sysp.h_min)  # every threshold feasible
     assert sorted(phis)[edge - 1] == sorted(phis)[edge] == 26.0
     assert len(phis) > edge + gee.FALLBACK_BLOCK
@@ -255,7 +255,7 @@ def test_solve_p1_fallback_blocks_match_scalar_loop(suburban_env):
     sol = gee.solve_p1(sysp, suburban_env, uav, phis)
     best = None
     for phi in sorted(phis):
-        ceiling = gee._feasible_altitude_ceiling(phi, sysp, suburban_env)
+        ceiling = gee.altitude_ceiling(phi, sysp, suburban_env)
         for h in np.linspace(sysp.h_min, ceiling, gee.FALLBACK_POINTS):
             value = gee.gee_value(float(h), phi, sysp, suburban_env, uav)
             if best is None or value > best[0]:
@@ -301,7 +301,7 @@ def test_solve_p1_fallback_ties_break_toward_larger_phi(suburban_env, monkeypatc
     row_max = {}
     best = None
     for phi in sorted(phis, reverse=True):
-        ceiling = gee._feasible_altitude_ceiling(phi, sysp, suburban_env)
+        ceiling = gee.altitude_ceiling(phi, sysp, suburban_env)
         for h in np.linspace(sysp.h_min, ceiling, gee.FALLBACK_POINTS):
             value = gee.gee_value(float(h), phi, sysp, suburban_env, uav)
             row_max[phi] = max(row_max.get(phi, value), value)
@@ -326,7 +326,7 @@ def test_gee_call_counts_on_builtins(name, monkeypatch):
     sysp, env = scn.system, scn.environment
     phis = np.array(scn.sweeps.phi_grid())
     covered = channel.coverage_radius(sysp.h_min, phis)[:, 0] > 0.0
-    ceilings = gee._feasible_altitude_ceiling(phis, sysp, env)[:, 0]
+    ceilings = gee.altitude_ceiling(phis, sysp, env)[:, 0]
     feasible = int(np.count_nonzero(covered & (ceilings >= sysp.h_min)))
 
     calls = {"gee_value": 0, "audit": 0}

@@ -1,12 +1,12 @@
 """Golden-output gate: every verb on both built-in scenarios.
 
-Each case runs one verb through ``cli.main`` into an empty directory and
-compares, byte for byte, the exit code, stdout, stderr and every file the
-verb wrote against ``tests/golden/<scenario>/<verb>/``.  ``validate`` writes
-no file and runs with the default ``--trials 1000 --seed 0``, so its case
-pins the six check lines.  The output
-directory in stdout is replaced by ``<out>`` so the files do not depend on
-where the test runs.
+Each case runs one verb of ``cli.VERBS`` through ``cli.main`` into an
+empty directory and compares, byte for byte, the exit code, stdout, stderr
+and every file the verb wrote against ``tests/golden/<scenario>/<verb>/``;
+a verb without golden files fails.  ``validate`` writes no file and runs
+with the default ``--trials 1000 --seed 0``, so its case pins the six check
+lines.  The output directory in stdout is replaced by ``<out>`` so the
+files do not depend on where the test runs.
 
 A change that alters an output on purpose re-blesses the files with::
 
@@ -31,14 +31,6 @@ from aapdeploy.scenario import builtin_scenario_path
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = ("baseline", "no_vehicle_energy")
-VERBS = (
-    "solve",
-    "place",
-    "density-sweep",
-    "altitude-sweep",
-    "threshold-sweep",
-    "validate",
-)
 
 
 def run_verb(scenario: str, verb: str, out: Path) -> dict[str, bytes]:
@@ -59,7 +51,7 @@ def read_golden(case_dir: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(case_dir.iterdir())}
 
 
-@pytest.mark.parametrize("verb", VERBS)
+@pytest.mark.parametrize("verb", cli.VERBS)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_golden_output(scenario, verb, tmp_path):
     out = tmp_path / "out"
@@ -75,7 +67,7 @@ def bless() -> None:
     """Rewrite every golden case from the current code."""
     with tempfile.TemporaryDirectory() as tmp:
         for scenario in SCENARIOS:
-            for verb in VERBS:
+            for verb in cli.VERBS:
                 out = Path(tmp) / scenario / verb
                 out.mkdir(parents=True)
                 case_dir = GOLDEN / scenario / verb

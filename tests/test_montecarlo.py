@@ -92,10 +92,11 @@ def test_sample_radial_distribution_uniform_in_area():
     rho = 20000 / (math.pi * 40.0**2)
     sample = montecarlo.sample_ues(40.0, rho, default_rng(3))
     assert sample.draws.shape == (sample.realized_count,)
-    frac = np.mean(sample.radii() <= 20.0)
+    radii = 40.0 * np.sqrt(sample.draws)
+    frac = np.mean(radii <= 20.0)
     sigma = math.sqrt(0.25 * 0.75 / sample.realized_count)
     assert abs(frac - 0.25) < 3.0 * sigma
-    assert sample.radii().max() <= 40.0
+    assert radii.max() <= 40.0
 
 
 def test_sample_rejects_bad_inputs():
@@ -132,14 +133,14 @@ def test_sample_positions_equal_the_reference(r_a, mean_ues, seed):
     u = reference_draws(r_a, rho, default_rng(seed))
     assert sample.realized_count == len(u)
     assert np.array_equal(sample.draws, u)
-    radii = reference_radii(r_a, rho, default_rng(seed))
-    assert np.array_equal(sample.radii(), radii)
 
 
 def test_empirical_sum_power_empty_population(suburban_env, baseline_system):
-    sample = montecarlo.UeSample(40.0, np.empty(0), 0)
-    result = montecarlo.empirical_sum_power(sample, 15.0, baseline_system, suburban_env)
-    assert result == 0.0
+    empty = montecarlo.UeSample(np.empty(0), 0)
+    result = montecarlo.empirical_sum_power(
+        [empty, empty], 40.0, 15.0, baseline_system, suburban_env
+    )
+    assert result == [0.0, 0.0]
 
 
 def test_mean_sum_power_matches_quadrature(suburban_env, baseline_system, edge_phi):
@@ -197,7 +198,8 @@ def test_mean_sum_power_equals_the_per_trial_loop(
     st.integers(min_value=0, max_value=2**140),
 )
 def test_block_sums_equal_each_trials_own_sum(mean_counts, seed):
-    # Every trial's sum, not only their mean, is the per-population sum.
+    # Every trial's sum, not only their mean, is the fsum of P_a L(r, h)
+    # over that population's own UEs.
     env = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
     sysp = make_system()
     rng = default_rng(seed)
@@ -205,8 +207,12 @@ def test_block_sums_equal_each_trials_own_sum(mean_counts, seed):
         montecarlo.sample_ues(40.0, mean / (math.pi * 40.0**2), rng)
         for mean in mean_counts
     ]
-    sums = [montecarlo.empirical_sum_power(sample, 15.0, sysp, env) for sample in block]
-    assert montecarlo._block_sums(block, 40.0, 15.0, sysp, env) == sums
+    def power(u):
+        loss = channel.mean_path_loss_rh(40.0 * math.sqrt(u), 15.0, env)
+        return sysp.p_target_pa * float(loss)
+
+    sums = [math.fsum(map(power, sample.draws.tolist())) for sample in block]
+    assert montecarlo.empirical_sum_power(block, 40.0, 15.0, sysp, env) == sums
 
 
 @settings(max_examples=200, deadline=None)

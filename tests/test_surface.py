@@ -18,6 +18,10 @@ Optional parameters get the same rule: a public top-level function's
 parameter with a default must be passed, by keyword or by position, by at
 least one call inside the package.  A knob that no caller sets is a second
 code path that only tests reach.
+
+Modules keep their private names to themselves: no module of the package
+reads another's ``_name``, by attribute or by import.  A name one module
+needs from another is public.
 """
 
 from __future__ import annotations
@@ -31,11 +35,6 @@ PACKAGE = Path(aapdeploy.__file__).parent
 
 # Public names kept although no module of the package refers to them.
 ALLOWED_UNREFERENCED = {
-    # perfbench wraps it by attribute as its montecarlo.power timer, but no
-    # code in the package calls it (mean_sum_power powers whole blocks), so
-    # that timer reads 0; tests/test_montecarlo.py uses it as the
-    # one-population reference.
-    "empirical_sum_power": "perfbench tracing target and test reference",
     # perfbench and the tests locate the shipped scenario files through it.
     "builtin_scenario_path": "perfbench and tests locate built-in scenarios",
 }
@@ -316,3 +315,50 @@ def test_guard_flags_an_unpassed_parameter():
     )
     assert _optional_parameters(mod.body[0]) == [("b", 1), ("c", None)]
     assert unpassed_parameters({"mod": mod, "other": other}, allowed={}) == ["mod.f(c)"]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(trees: dict[str, ast.Module]) -> list[str]:
+    """``module: other._name`` for each read of another package module's
+    private name, as ``other._name`` or ``from .other import _name``."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in trees
+                and node.value.id != module
+                and _is_private(node.attr)
+            ):
+                found.append(f"{module}: {node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.level and node.module:
+                found += [
+                    f"{module}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if _is_private(alias.name)
+                ]
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert private_reads(_package_trees()) == []
+
+
+def test_guard_flags_a_private_read():
+    mod = ast.parse("def _own():\n    return _own()\n\nmod._own()\n")
+    other = ast.parse(
+        "from . import mod\n"
+        "from .mod import _helper, public\n"
+        "mod._own()\n"
+        "mod.public()\n"
+        "np._private()\n"  # not a package module
+        "mod.__doc__\n"
+    )
+    assert private_reads({"mod": mod, "other": other}) == [
+        "other: mod._helper",
+        "other: mod._own",
+    ]
