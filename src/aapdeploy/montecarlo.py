@@ -8,11 +8,13 @@ UE lies at distance r_a sqrt(u) from the cell centre.  No angle is drawn: a
 UE's power under full power control depends on its distance alone.
 
 ``mean_sum_power`` samples the cell of altitude ``h`` and edge elevation
-``phi_deg``, both scalars.  One stream, ``np.random.default_rng(base_seed)``,
-feeds every trial: trials draw from it in order, each taking its count and
-then its uniforms where the previous trial stopped.  The trials go in blocks
-of about ``BLOCK_UES`` expected UEs, and ``empirical_sum_power`` powers each
-block with one array pass, so the per-trial Python work is the draw alone.
+``phi_deg``, both scalars, with ``uplink.cell_ue_count`` UEs on average, as
+the sum rate counts them; the cell is checked once, before the first draw.
+One stream, ``np.random.default_rng(base_seed)``, feeds every trial: trials
+draw from it in order, each taking its count and then its uniforms where the
+previous trial stopped.  The trials go in blocks of about ``BLOCK_UES``
+expected UEs, and ``empirical_sum_power`` powers each block with one array
+pass, so the per-trial Python work is the draw alone.
 Every step is elementwise, so a UE's power is the same float whichever block
 it lands in.  Aggregation uses compensated summation (math.fsum): each
 trial's sum over its own UEs, then the sum over trials, so results do not
@@ -27,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import channel
+from . import channel, uplink
 from .errors import ConfigError
 from .params import EnvironmentParams, SystemParams
 
@@ -50,18 +52,11 @@ class UeSample(NamedTuple):
     realized_count: int
 
 
-def sample_ues(r_a: float, rho: float, rng: np.random.Generator) -> UeSample:
-    """Sample a UE population uniformly on the disk of radius r_a, drawing
-    from rng.
-
-    The count is Poisson(rho * pi * r_a^2).  Radial positions use
-    r = r_a * sqrt(u) so the distribution is uniform in area.
-    """
-    if not (math.isfinite(r_a) and math.isfinite(rho)):
-        raise ValueError("cell radius and UE density must be finite")
-    if r_a <= 0 or rho <= 0:
-        raise ValueError("cell radius and UE density must be strictly positive")
-    count = int(rng.poisson(rho * math.pi * r_a**2))
+def sample_ues(mean_ues: float, rng: np.random.Generator) -> UeSample:
+    """Sample a UE population on a cell disk from rng: a Poisson(mean_ues)
+    count, then one area uniform per UE.  numpy rejects a negative, NaN or
+    infinite mean with a ValueError."""
+    count = int(rng.poisson(mean_ues))
     return UeSample(draws=rng.random(count), realized_count=count)
 
 
@@ -118,10 +113,8 @@ def mean_sum_power(
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    if base_seed < 0:
-        raise ValueError(f"the base seed must be non-negative, got {base_seed}")
     r_a = channel.require_coverage(h, phi_deg)
-    mean_ues = sys.ue_density_rho * math.pi * r_a**2
+    mean_ues = uplink.cell_ue_count(r_a, sys)
     if mean_ues > MAX_MEAN_UES:
         raise ConfigError(
             f"the Monte-Carlo cell holds {mean_ues:.3g} UEs on average, "
@@ -131,10 +124,7 @@ def mean_sum_power(
     block = max(1, int(BLOCK_UES / max(mean_ues, 1.0)))
     sums: list[float] = []
     for start in range(0, trials, block):
-        samples = [
-            sample_ues(r_a, sys.ue_density_rho, rng)
-            for _ in range(min(block, trials - start))
-        ]
+        samples = [sample_ues(mean_ues, rng) for _ in range(min(block, trials - start))]
         sums += empirical_sum_power(samples, r_a, h, sys, env)
     mean = math.fsum(sums) / trials
     stderr = math.inf

@@ -9,8 +9,8 @@ the non-overlap constraint.  Levels stop at the first ring with count 0.
 
 Every plan is re-verified by ``verify_levels``, a uniform-grid neighbour
 search (the cell list of Bentley, Stanat and Williams, 1977) in numpy alone,
-O(N log N) in the number of circles, that reports the same margins as a loop
-over every pair.
+one pass of O(N log N) in the number of circles, that reports the same
+margins as a loop over every pair.
 """
 
 from __future__ import annotations
@@ -35,13 +35,10 @@ GEOMETRY_REL_TOL = 1e-9
 NEAR_MIN_REL = 1e-9
 NEAR_MIN_ABS = 1e-12
 
-# The neighbour grid of verify_levels.  Its first cell is
-# 2 r_a (1 + GRID_FIRST_SLACK), so a tangent pair and its near-minimal slack
-# fit inside one cell.  A grid has at most GRID_MAX_CELLS cells per axis: cell
-# keys stay far inside int64, a cell coordinate (x - lo) / cell stays finite,
-# and its rounding, under GRID_MAX_CELLS * 2^-51 cells, stays below
-# GRID_ROUNDING.
-GRID_FIRST_SLACK = 1e-6
+# The neighbour grid of verify_levels.  A grid has at most GRID_MAX_CELLS
+# cells per axis: cell keys stay far inside int64, a cell coordinate
+# (x - lo) / cell stays finite, and its rounding, under
+# GRID_MAX_CELLS * 2^-51 cells, stays below GRID_ROUNDING.
 GRID_MAX_CELLS = 2**20
 GRID_ROUNDING = 1e-9
 
@@ -261,18 +258,19 @@ def verify_levels(
     """Check pairwise separation and containment for a set of levels.
 
     A uniform-grid neighbour search (a cell list) gives the minimum pair
-    distance d_min up to its rounding.  The cell grows until the
+    distance d_min up to its rounding; only the pairs within the
     near-minimal radius d_min (1 + NEAR_MIN_REL) + NEAR_MIN_ABS r_a, a slack
-    far wider than that rounding, fits inside one cell; only the pairs
-    within that radius are recomputed with math.hypot.  Containment takes
-    each level's largest centre norm against the smaller of its two limits.
-    Rounding is monotone, so both margins are the same floats as the minima
-    over every pair and every centre.
+    far wider than that rounding, are recomputed with math.hypot.
+    Containment takes each level's largest centre norm against the smaller
+    of its two limits.  Rounding is monotone, so both margins are the same
+    floats as the minima over every pair and every centre.
 
-    The first cell is 2 r_a (1 + GRID_FIRST_SLACK), which holds a tangent
-    pair, or up to twice that when the closest consecutive centres, an upper
-    bound on d_min, need it; a plan then takes a single pass.  Every further
-    pass doubles the cell.
+    The closest consecutive centres, d_up apart, bound d_min from above, so
+    one pass over cells that hold the near-minimal radius of d_up finds the
+    closest pair.  The cost is in that bound: centres whose consecutive
+    pairs all lie far apart while many of them cluster together get a
+    coarse grid, and the search is quadratic in the cluster.  A plan lists
+    each ring's centres in angular order, so its d_up is a ring's chord.
     """
     if r_a <= 0:
         raise ValueError("circle radius must be strictly positive")
@@ -289,24 +287,19 @@ def verify_levels(
         ).reshape(-1, 2).T.copy()
         x, y = xy
         rel = xy - xy.min(axis=1, keepdims=True)
-        first = 2.0 * r_a * (1.0 + GRID_FIRST_SLACK)
         # A cell coordinate or a distance of far-apart tiny values can
         # underflow to zero, which changes neither a cell nor a minimum.
         with np.errstate(under="ignore"):
             d_up = float(np.hypot(x[1:] - x[:-1], y[1:] - y[:-1]).min())
+            # r_a keeps the cell positive where NEAR_MIN_ABS * r_a underflows
             cell = max(
-                first,
-                min(near_radius(d_up) * (1.0 + GRID_ROUNDING), 2.0 * first),
+                near_radius(d_up) * (1.0 + GRID_ROUNDING),
                 float(rel.max()) / GRID_MAX_CELLS,
+                r_a,
             )
-            while True:
-                i, j = _grid_pairs(rel, cell)
-                dist = np.hypot(x[i] - x[j], y[i] - y[j])
-                if len(dist):
-                    radius = near_radius(float(dist.min()))
-                    if radius * (1.0 + GRID_ROUNDING) <= cell:
-                        break
-                cell *= 2.0
+            i, j = _grid_pairs(rel, cell)
+            dist = np.hypot(x[i] - x[j], y[i] - y[j])
+        radius = near_radius(float(dist.min()))
         near = dist <= radius
         for p, q in zip(i[near].tolist(), j[near].tolist()):
             (xp, yp), (xq, yq) = centers[p], centers[q]

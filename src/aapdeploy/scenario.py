@@ -11,9 +11,10 @@ power noise_psd * bandwidth, like the target power that gamma and each
 non-empty, and the sweeps must lie where the model is defined: the
 altitude grid inside [h_min, h_max], the elevation grid inside (0, 90] deg
 and the LoS threshold delta inside the S-curve's image; each grid needs a
-positive step and a start no greater than its stop.  The S-curve's a * b
-may not exceed MAX_S_CURVE_AB.  A violation is a ConfigError when the file
-is loaded, never a failure halfway through a verb.
+positive step, a start no greater than its stop and at most
+MAX_GRID_POINTS points.  The S-curve's a * b may not exceed MAX_S_CURVE_AB.
+A violation is a ConfigError when the file is loaded, never a failure
+halfway through a verb.
 The Monte-Carlo seed and the output directory come from the command line
 only.
 """
@@ -34,6 +35,10 @@ from .params import EnvironmentParams, SystemParams, UavEnergyParams
 # loses about 2e-17 a b of the threshold to rounding, so up to this cap the
 # LoS threshold round trip that validate checks stays within 2e-11.
 MAX_S_CURVE_AB = 1e6
+
+# Most points a sweep grid may hold; the built-in scenarios use 221 and 286.
+# At 10^5 points a grid verb already takes seconds.
+MAX_GRID_POINTS = 100_000
 
 _KNOWN_KEYS: dict[str, set[str]] = {
     "environment": {
@@ -196,6 +201,12 @@ def _check_sweeps(
         if start > stop:
             raise ConfigError(
                 f"sweep {axis}_start_{unit}={start:g} above {axis}_stop_{unit}={stop:g}"
+            )
+        points = (stop - start) / step + 1.0
+        if points > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"sweep {axis}_step_{unit}={step:g} gives {points:.3g} grid points, "
+                f"more than {MAX_GRID_POINTS:,}"
             )
 
 

@@ -644,6 +644,31 @@ def test_subnormal_power_exits_config_error(small_scenario, tmp_path, capsys, ve
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ALL_VERBS)
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        # 5.5e8 elevation thresholds: every grid verb ran until killed
+        ("phi_step_deg = 5", "phi_step_deg = 1e-7"),
+        ("h_step_m = 95", "h_step_m = 1e-9"),
+    ],
+)
+def test_too_fine_sweep_grid_exits_config_error(
+    small_scenario, tmp_path, capsys, monkeypatch, verb, old, new
+):
+    def never(*_args):
+        raise AssertionError("built a refused grid")
+
+    monkeypatch.setattr(scenario, "_grid", never)
+    path = Path(small_scenario)
+    path.write_text(path.read_text().replace(old, new))
+    out = tmp_path / "o"
+    assert run(["--scenario", small_scenario, "--out", str(out), verb]) == cli.EXIT_CONFIG
+    line = config_error_line(capsys)
+    assert new.split(" = ")[0] in line and "grid points" in line
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "old,new",
     [

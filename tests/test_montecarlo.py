@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -14,16 +15,18 @@ from aapdeploy.params import EnvironmentParams
 from conftest import make_system
 
 
-def reference_draws(r_a, rho, rng):
-    """The sampler's uniforms: Poisson count, then one area uniform per UE,
-    drawn from rng where its last draw stopped."""
-    count = int(rng.poisson(rho * math.pi * r_a**2))
+def reference_draws(mean_ues, rng):
+    """The sampler's uniforms: Poisson(mean_ues) count, then one area uniform
+    per UE, drawn from rng where its last draw stopped."""
+    count = int(rng.poisson(mean_ues))
     return rng.random(count)
 
 
-def reference_radii(r_a, rho, rng):
-    """The reference draws as distances from the cell centre."""
-    return r_a * np.sqrt(reference_draws(r_a, rho, rng))
+def reference_radii(r_a, sys, rng):
+    """The reference draws of a cell of radius r_a, holding
+    uplink.cell_ue_count(r_a, sys) UEs on average, as distances from the
+    cell centre."""
+    return r_a * np.sqrt(reference_draws(uplink.cell_ue_count(r_a, sys), rng))
 
 
 def reference_mean_sum_power(h, phi, sys, env, trials, base_seed=0):
@@ -34,7 +37,7 @@ def reference_mean_sum_power(h, phi, sys, env, trials, base_seed=0):
     rng = np.random.default_rng(base_seed)
     sums = []
     for _ in range(trials):
-        radii = reference_radii(r_a, sys.ue_density_rho, rng)
+        radii = reference_radii(r_a, sys, rng)
         if len(radii) == 0:
             sums.append(0.0)
             continue
@@ -67,20 +70,18 @@ def _system_with_mean_count(h, phi, mean_ues):
 
 
 def test_sample_determinism():
-    a = montecarlo.sample_ues(40.0, 1e-2, default_rng(7))
-    b = montecarlo.sample_ues(40.0, 1e-2, default_rng(7))
+    a = montecarlo.sample_ues(50.0, default_rng(7))
+    b = montecarlo.sample_ues(50.0, default_rng(7))
     assert a.realized_count == b.realized_count
     assert np.array_equal(a.draws, b.draws)
-    c = montecarlo.sample_ues(40.0, 1e-2, default_rng(8))
+    c = montecarlo.sample_ues(50.0, default_rng(8))
     assert not np.array_equal(a.draws, c.draws)
 
 
 def test_sample_counts_poisson_mean():
-    r_a, rho = 40.0, 1e-2
-    lam = rho * math.pi * r_a**2
+    lam = 50.0
     counts = [
-        montecarlo.sample_ues(r_a, rho, default_rng(s)).realized_count
-        for s in range(400)
+        montecarlo.sample_ues(lam, default_rng(s)).realized_count for s in range(400)
     ]
     mean = np.mean(counts)
     # 3-sigma band around the Poisson mean
@@ -89,8 +90,7 @@ def test_sample_counts_poisson_mean():
 
 def test_sample_radial_distribution_uniform_in_area():
     # P(r <= r_a / 2) = 1/4 for area-uniform points; a mean of 20,000 UEs
-    rho = 20000 / (math.pi * 40.0**2)
-    sample = montecarlo.sample_ues(40.0, rho, default_rng(3))
+    sample = montecarlo.sample_ues(20000.0, default_rng(3))
     assert sample.draws.shape == (sample.realized_count,)
     radii = 40.0 * np.sqrt(sample.draws)
     frac = np.mean(radii <= 20.0)
@@ -100,10 +100,10 @@ def test_sample_radial_distribution_uniform_in_area():
 
 
 def test_sample_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        montecarlo.sample_ues(0.0, 1e-2, default_rng(1))
-    with pytest.raises(ValueError):
-        montecarlo.sample_ues(40.0, 0.0, default_rng(1))
+    # numpy's Poisson draw rejects a negative mean
+    for mean_ues in (-1.0, -1e-300):
+        with pytest.raises(ValueError, match="lam < 0"):
+            montecarlo.sample_ues(mean_ues, default_rng(1))
 
 
 @pytest.mark.parametrize(
@@ -117,20 +117,22 @@ def test_sample_rejects_bad_inputs():
     ],
 )
 def test_sample_rejects_non_finite_inputs(r_a, rho):
-    with pytest.raises(ValueError, match="finite"):
-        montecarlo.sample_ues(r_a, rho, default_rng(1))
+    # The mean that mean_sum_power would form for a cell of this radius and
+    # density is infinite or NaN, and numpy's Poisson draw rejects it.
+    mean_ues = uplink.cell_ue_count(r_a, SimpleNamespace(ue_density_rho=rho))
+    assert not math.isfinite(mean_ues)
+    with pytest.raises(ValueError, match="lam"):
+        montecarlo.sample_ues(mean_ues, default_rng(1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.floats(min_value=0.01, max_value=5000.0),
-    st.floats(min_value=0.1, max_value=3000.0),
+    st.floats(min_value=0.0, max_value=3000.0),
     st.integers(min_value=0, max_value=2**140),
 )
-def test_sample_positions_equal_the_reference(r_a, mean_ues, seed):
-    rho = mean_ues / (math.pi * r_a**2)
-    sample = montecarlo.sample_ues(r_a, rho, default_rng(seed))
-    u = reference_draws(r_a, rho, default_rng(seed))
+def test_sample_positions_equal_the_reference(mean_ues, seed):
+    sample = montecarlo.sample_ues(mean_ues, default_rng(seed))
+    u = reference_draws(mean_ues, default_rng(seed))
     assert sample.realized_count == len(u)
     assert np.array_equal(sample.draws, u)
 
@@ -203,10 +205,7 @@ def test_block_sums_equal_each_trials_own_sum(mean_counts, seed):
     env = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
     sysp = make_system()
     rng = default_rng(seed)
-    block = [
-        montecarlo.sample_ues(40.0, mean / (math.pi * 40.0**2), rng)
-        for mean in mean_counts
-    ]
+    block = [montecarlo.sample_ues(mean, rng) for mean in mean_counts]
     def power(u):
         loss = channel.mean_path_loss_rh(40.0 * math.sqrt(u), 15.0, env)
         return sysp.p_target_pa * float(loss)
@@ -289,6 +288,7 @@ def test_mean_sum_power_refuses_a_population_it_cannot_draw(
 
 
 def test_mean_sum_power_rejects_negative_seed(suburban_env, baseline_system, edge_phi):
+    # numpy's default_rng refuses the seed ("expected non-negative integer")
     with pytest.raises(ValueError, match="non-negative"):
         montecarlo.mean_sum_power(
             15.0, edge_phi, baseline_system, suburban_env, 3, base_seed=-1

@@ -457,15 +457,46 @@ def test_verifier_equals_the_kd_tree_at_fleet_scale(ratio, total):
     assert plan.feasibility == kd_tree_report(plan.levels, plan.r_a, plan.area_radius)
 
 
-def test_verifier_doubles_the_cell_past_a_farther_pair():
-    # Consecutive centres lie over 4 r_a apart, so the first cell is 4 r_a.
-    # In it the pair 5.25 apart shares adjacent cells, while the closest
-    # pair, 4.2 apart, spans three columns; a doubled cell finds it.
-    centers = [(0.0, 0.0), (3.9, 20.0), (20.5, 40.5), (8.1, 20.0), (23.9, 44.5)]
-    levels = [_level(centers, 60.0)]
+# Consecutive centres lie over 20 apart, while the closest pair, (3.9, 20)
+# and (8.1, 20), is 4.2 apart and not consecutive.
+FAR_CONSECUTIVE_CENTRES = [(0.0, 0.0), (3.9, 20.0), (20.5, 40.5), (8.1, 20.0), (23.9, 44.5)]
+
+
+def test_verifier_finds_a_closest_pair_that_is_not_consecutive():
+    levels = [_level(FAR_CONSECUTIVE_CENTRES, 60.0)]
     report = packing.verify_levels(levels, 1.0, 60.0)
     assert report == reference_report(levels, 1.0, 60.0)
     assert report.worst_pairwise_margin == pytest.approx(2.2)
+
+
+def _count_grid_passes(monkeypatch, levels, r_a, area_radius):
+    calls = []
+    grid_pairs = packing._grid_pairs
+
+    def counting_grid_pairs(*args):
+        calls.append(args)
+        return grid_pairs(*args)
+
+    monkeypatch.setattr(packing, "_grid_pairs", counting_grid_pairs)
+    report = packing.verify_levels(levels, r_a, area_radius)
+    monkeypatch.undo()
+    return report, len(calls)
+
+
+# Two opposite circles, R/R_a 2.41, where consecutive centres are farthest
+# apart (1.22 diameters), two levels, 75 AAPs, and None for the far-apart
+# consecutive centres.
+@pytest.mark.parametrize("ratio", [2.0, 2.41, 3.0, 10.0, None])
+def test_verifier_takes_one_grid_pass(monkeypatch, ratio):
+    # The closest consecutive centres size the grid, so one pass finds the
+    # closest pair.
+    if ratio is None:
+        levels, area_radius = [_level(FAR_CONSECUTIVE_CENTRES, 60.0)], 60.0
+    else:
+        levels, area_radius = packing._build_levels(ratio, 1.0), ratio
+    report, passes = _count_grid_passes(monkeypatch, levels, 1.0, area_radius)
+    assert passes == 1
+    assert report == reference_report(levels, 1.0, area_radius)
 
 
 # Coordinates up to 1e300 in magnitude: differences, norms and every cell
@@ -509,6 +540,27 @@ def test_verifier_equals_the_pair_loop_at_extreme_scales(case):
     with np.errstate(all="raise"):
         report = packing.verify_levels(levels, r_a, 1e299)
     assert report == reference_report(levels, r_a, 1e299)
+
+
+@settings(max_examples=100, deadline=None)
+@given(extreme_centre_sets())
+def test_verifier_takes_one_grid_pass_on_any_centres(case):
+    points, r_a = case
+    levels = [_level(points)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        report, passes = _count_grid_passes(monkeypatch, levels, r_a, 1e299)
+    assert passes == (len(points) >= 2)
+    assert report == reference_report(levels, r_a, 1e299)
+
+
+@pytest.mark.parametrize("r_a", [5e-324, 1e-315])
+def test_verifier_keeps_a_positive_cell_at_a_subnormal_radius(r_a):
+    # Coincident centres have the near-minimal radius NEAR_MIN_ABS r_a,
+    # which rounds to zero for a subnormal r_a; the cell stays at least r_a.
+    levels = [_level([(0.0, 0.0), (0.0, 0.0), (0.0, 0.0)])]
+    with np.errstate(all="raise"):
+        report = packing.verify_levels(levels, r_a, 4.0)
+    assert report == reference_report(levels, r_a, 4.0)
 
 
 def test_run_algorithm1_refuses_a_huge_ratio_before_building(monkeypatch):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from aapdeploy import cli
+from aapdeploy import cli, scenario
 from aapdeploy.errors import ConfigError
 from aapdeploy.scenario import builtin_scenario_path, load_scenario
 
@@ -125,6 +125,20 @@ def test_sweep_bad_step(tmp_path):
     for sweep in ("h_step_m = -1", "h_step_m = 0", "phi_step_deg = -0.25", "phi_step_deg = 0"):
         with pytest.raises(ConfigError, match="must be strictly positive"):
             load_scenario(write(tmp_path, BASE + f"\n[sweeps]\n{sweep}\n"))
+
+
+def test_sweep_grid_point_cap(tmp_path):
+    # 2^-12 deg steps are exact: (stop - start) / step + 1 is a whole number
+    step, cap = 2.0**-12, scenario.MAX_GRID_POINTS
+
+    def phi_sweep(points):
+        stop = 1.0 + (points - 1) * step
+        sweep = f"phi_start_deg = 1\nphi_stop_deg = {stop!r}\nphi_step_deg = {step!r}\n"
+        return write(tmp_path, BASE + "\n[sweeps]\n" + sweep)
+
+    assert len(load_scenario(phi_sweep(cap)).sweeps.phi_grid()) == cap
+    with pytest.raises(ConfigError, match=r"phi_step_deg=.* 1e\+05 grid points"):
+        load_scenario(phi_sweep(cap + 1))
 
 
 @pytest.mark.parametrize(
