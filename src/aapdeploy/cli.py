@@ -34,6 +34,10 @@ EXIT_INFEASIBLE = 1
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 
+# Most Monte-Carlo trials validate runs, 100 times perfbench's oracle at 10^4.
+# Each trial's sum is kept as a Python float, so 10^9 trials would hold ~32 GB.
+MAX_TRIALS = 10**6
+
 # Reported reference densities for two specific target radii.  The cell
 # radius behind these figures is not stated, so they are indicative targets
 # only, never acceptance values.
@@ -366,6 +370,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.trials < 2:
             # one trial has no spread to bound the Monte-Carlo check with
             raise ConfigError(f"--trials must be at least 2, got {args.trials}")
+        if args.trials > MAX_TRIALS:
+            raise ConfigError(f"--trials must be at most {MAX_TRIALS:,}, got {args.trials}")
         if args.seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         if args.ra is not None and not (math.isfinite(args.ra) and args.ra > 0):

@@ -13,17 +13,18 @@ the sum rate counts them; the cell is checked once, before the first draw.
 One stream, ``np.random.default_rng(base_seed)``, feeds every trial: trials
 draw from it in order, each taking its count and then its uniforms where the
 previous trial stopped.  The trials go in blocks of about ``BLOCK_UES``
-expected UEs, and ``empirical_sum_power`` powers each block with one array
-pass, so the per-trial Python work is the draw alone.
+expected UEs, and ``empirical_sum_power`` powers and sums each block with
+one array pass, so the per-trial Python work is the draw alone.
 Every step is elementwise, so a UE's power is the same float whichever block
-it lands in.  Aggregation uses compensated summation (math.fsum): each
-trial's sum over its own UEs, then the sum over trials, so results do not
-depend on evaluation order or on the block size.
+it lands in.  Each trial's sum is numpy's reduction over its own UEs alone
+(``np.add.reduceat``), the same float as that trial reduced by itself; the
+mean and the variance are compensated sums (math.fsum) over trials.  So a
+(seed, trials, cell) triple gives the same result on a given numpy, whatever
+the block size.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -34,9 +35,9 @@ from .errors import ConfigError
 from .params import EnvironmentParams, SystemParams
 
 # Expected UEs per block of the batched power pass: large enough that numpy's
-# per-call overhead is spread over many UEs, small enough that the block's
-# arrays stay a few tens of kilobytes.  A block holds at least one trial.
-BLOCK_UES = 2048
+# per-call overhead is spread over many UEs, small enough that each of the
+# block's arrays stays near 64 kB.  A block holds at least one trial.
+BLOCK_UES = 8192
 
 # Largest expected UE count per trial that mean_sum_power samples: 150 times
 # the most populous cell either built-in deploys (6,450 UEs), and far below
@@ -88,11 +89,21 @@ def empirical_sum_power(
     env: EnvironmentParams,
 ) -> list[float]:
     """Sum of power-controlled UE transmit powers (W) for each population
-    drawn on the disk of radius r_a, from one array pass over them all."""
+    drawn on the disk of radius r_a, from one array pass over them all.
+
+    Each population's sum is numpy's reduction over its own UEs alone, and
+    0.0 for a population without UEs.
+    """
+    counts = np.fromiter(
+        (sample.realized_count for sample in samples), dtype=np.intp, count=len(samples)
+    )
+    starts = np.cumsum(counts) - counts
     draws = np.concatenate([sample.draws for sample in samples])
-    powers = _ue_powers(r_a * np.sqrt(draws), h, sys, env).tolist()
-    stops = list(itertools.accumulate(sample.realized_count for sample in samples))
-    return [math.fsum(powers[start:stop]) for start, stop in zip([0, *stops], stops)]
+    powers = _ue_powers(r_a * np.sqrt(draws), h, sys, env)
+    sums = np.zeros(len(samples))
+    nonempty = counts > 0
+    sums[nonempty] = np.add.reduceat(powers, starts[nonempty])
+    return sums.tolist()
 
 
 def mean_sum_power(
@@ -106,10 +117,11 @@ def mean_sum_power(
     """Mean empirical sum power over trials drawn in order from one stream,
     ``np.random.default_rng(base_seed)``.
 
-    Equal, float for float, to the mean of each trial's ``fsum`` over its own
-    UEs, with every trial drawn by ``sample_ues`` from that one generator.
-    The standard error is the sample standard deviation of the trials' sums
-    over sqrt(trials).
+    Each trial is drawn by ``sample_ues`` from that one generator, and its sum
+    is numpy's reduction (``np.add.reduceat``) over its own UEs alone.  The
+    mean is the ``fsum`` of the trials' sums over ``trials``; the standard
+    error is their sample standard deviation, from an ``fsum`` too, over
+    sqrt(trials).
     """
     if trials < 1:
         raise ValueError("at least one trial is required")

@@ -453,6 +453,27 @@ def test_nonpositive_trials_exits_config_error(small_scenario, trials, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("trials", [cli.MAX_TRIALS, cli.MAX_TRIALS + 1, 10**9])
+def test_trials_cap_is_checked_before_any_trial(
+    small_scenario, monkeypatch, capsys, trials
+):
+    # The oracle is replaced by one that fails if called, so no large run
+    # starts: MAX_TRIALS reaches it, one trial more exits 2 before it.
+    def never(*_args):
+        raise AssertionError("ran the Monte-Carlo oracle")
+
+    monkeypatch.setattr(cli.montecarlo, "mean_sum_power", never)
+    args = ["--scenario", small_scenario, "--trials", str(trials), "validate"]
+    if trials == cli.MAX_TRIALS:
+        with pytest.raises(AssertionError, match="ran the Monte-Carlo oracle"):
+            run(args)
+        return
+    assert run(args) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --trials must be at most 1,000,000")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("verb", ["validate", "solve"])
 def test_negative_seed_exits_config_error(small_scenario, tmp_path, capsys, verb):
     # numpy rejects a negative seed with a ValueError traceback

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from aapdeploy import channel, montecarlo, uplink
 from aapdeploy.errors import ConfigError
 from aapdeploy.params import EnvironmentParams
+from aapdeploy.scenario import builtin_scenario_path, load_scenario
 
 from conftest import make_system
 
@@ -29,9 +30,14 @@ def reference_radii(r_a, sys, rng):
     return r_a * np.sqrt(reference_draws(uplink.cell_ue_count(r_a, sys), rng))
 
 
+def trial_sum(powers):
+    """One trial's sum: numpy's reduction over that trial's powers alone."""
+    return float(np.add.reduceat(powers, [0])[0]) if len(powers) else 0.0
+
+
 def reference_mean_sum_power(h, phi, sys, env, trials, base_seed=0):
     """The per-trial loop over one stream, default_rng(base_seed): sample,
-    power and fsum one population at a time, then fsum the per-trial sums;
+    power and sum one population at a time, then fsum the per-trial sums;
     the standard error is the sample SD of those sums over sqrt(trials)."""
     r_a = channel.require_coverage(h, phi)
     rng = np.random.default_rng(base_seed)
@@ -42,7 +48,7 @@ def reference_mean_sum_power(h, phi, sys, env, trials, base_seed=0):
             sums.append(0.0)
             continue
         loss = np.asarray(channel.mean_path_loss_rh(radii, h, env))
-        sums.append(math.fsum(sys.p_target_pa * loss))
+        sums.append(trial_sum(sys.p_target_pa * loss))
     mean = math.fsum(sums) / trials
     stderr = math.inf
     if trials > 1:
@@ -200,7 +206,7 @@ def test_mean_sum_power_equals_the_per_trial_loop(
     st.integers(min_value=0, max_value=2**140),
 )
 def test_block_sums_equal_each_trials_own_sum(mean_counts, seed):
-    # Every trial's sum, not only their mean, is the fsum of P_a L(r, h)
+    # Every trial's sum, not only their mean, is numpy's sum of P_a L(r, h)
     # over that population's own UEs.
     env = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
     sysp = make_system()
@@ -210,8 +216,61 @@ def test_block_sums_equal_each_trials_own_sum(mean_counts, seed):
         loss = channel.mean_path_loss_rh(40.0 * math.sqrt(u), 15.0, env)
         return sysp.p_target_pa * float(loss)
 
-    sums = [math.fsum(map(power, sample.draws.tolist())) for sample in block]
+    sums = [
+        trial_sum(np.array([power(u) for u in sample.draws.tolist()])) for sample in block
+    ]
     assert montecarlo.empirical_sum_power(block, 40.0, 15.0, sysp, env) == sums
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.sampled_from(MEAN_COUNTS), min_size=1, max_size=8),
+    st.integers(min_value=0, max_value=2**140),
+)
+def test_block_sums_are_within_1e_13_of_compensated_sums(mean_counts, seed):
+    # Every power is positive, so no sum cancels: numpy's sum of a trial
+    # stays within 1e-13 of the compensated one, nothing the oracle's 3% or
+    # five-standard-error bound could see.
+    env = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
+    sysp = make_system()
+    rng = default_rng(seed)
+    block = [montecarlo.sample_ues(mean, rng) for mean in mean_counts]
+    sums = montecarlo.empirical_sum_power(block, 40.0, 15.0, sysp, env)
+    for sample, total in zip(block, sums):
+        powers = montecarlo._ue_powers(40.0 * np.sqrt(sample.draws), 15.0, sysp, env)
+        assert total == pytest.approx(math.fsum(powers.tolist()), rel=1e-13, abs=0.0)
+
+
+def test_per_trial_work_is_array_work(monkeypatch):
+    # On the cell that validate samples on baseline, the compensated sums are
+    # the mean and the variance alone, and the power pass runs once per block:
+    # a per-trial Python loop would show in either count.
+    scn = load_scenario(builtin_scenario_path("baseline"))
+    env, sysp = scn.environment, scn.system
+    h, phi = sysp.h_min, channel.phi_from_delta(scn.sweeps.delta, env)
+    mean_ues = uplink.cell_ue_count(channel.coverage_radius(h, phi), sysp)
+    block = max(1, int(montecarlo.BLOCK_UES / max(mean_ues, 1.0)))
+    fsum, power = math.fsum, montecarlo.empirical_sum_power
+    calls = {"fsum": 0, "power": 0}
+
+    def counting_fsum(values):
+        calls["fsum"] += 1
+        return fsum(values)
+
+    def counting_power(*args):
+        calls["power"] += 1
+        return power(*args)
+
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    monkeypatch.setattr(montecarlo, "empirical_sum_power", counting_power)
+    assert block > 1
+    fsum_calls = []
+    for trials in (10, 1000):
+        calls.update(fsum=0, power=0)
+        montecarlo.mean_sum_power(h, phi, sysp, env, trials, 3)
+        assert calls["power"] == math.ceil(trials / block)
+        fsum_calls.append(calls["fsum"])
+    assert fsum_calls[0] == fsum_calls[1]
 
 
 @settings(max_examples=200, deadline=None)
