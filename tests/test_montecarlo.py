@@ -355,8 +355,9 @@ def test_mean_sum_power_rejects_negative_seed(suburban_env, baseline_system, edg
 
 
 # Mean UEs per trial: the baseline density (None), mostly empty trials (0,
-# drawn at a mean of 0.05) and trials that each fill a block.
-@pytest.mark.parametrize("mean_ues", [None, 0, montecarlo.BLOCK_UES + 1])
+# drawn at a mean of 0.05), a few large trials sharing a block (2049) and
+# trials that each fill a block.
+@pytest.mark.parametrize("mean_ues", [None, 0, 2049, montecarlo.BLOCK_UES + 1])
 def test_traced_sampler_sees_every_trial_and_ue(
     monkeypatch, suburban_env, baseline_system, edge_phi, mean_ues
 ):
