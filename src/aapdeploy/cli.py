@@ -3,7 +3,8 @@
 Verbs: altitude-sweep | threshold-sweep | solve | place | density-sweep |
 validate.  Sweep commands emit CSV, solve/place emit JSON (+ a centres CSV);
 validate runs the Monte-Carlo oracle suite.  Exit codes: 0 success,
-1 infeasible scenario, 2 configuration error, 3 validation failure.
+1 infeasible scenario, 2 configuration error, 3 validation failure.  The
+verbs read the grids and delta's angle that ``load_scenario`` resolved.
 
 ``place`` writes each AAP centre once, to the centres CSV: ``plan.json``
 keeps each level's count n and centre radius c, which fix centre m as
@@ -82,11 +83,9 @@ def altitude_sweep_rows(scn: Scenario) -> list[list]:
     """One row per (gamma, h); each gamma's altitude grid is one array call
     per column, and both GEE columns come from ``gee.gee_value``."""
     rows = []
-    delta = scn.sweeps.delta
-    env = scn.environment
-    phi = channel.phi_from_delta(delta, env)
+    delta, phi, env = scn.sweeps.delta, scn.sweeps.phi_deg, scn.environment
     zero_uav = UavEnergyParams.zero()
-    h_list = scn.sweeps.altitude_grid()
+    h_list = scn.sweeps.altitudes
     h = np.array(h_list)
     for gamma in scn.sweeps.gamma_list:
         sys_g = scn.system.with_gamma(gamma)
@@ -120,7 +119,7 @@ def threshold_sweep_rows(scn: Scenario) -> list[list]:
     ceiling the solver uses, min(h_max, h'_max(phi)): a row whose ceiling
     lies below h_min is a threshold that ``solve`` rejects as infeasible."""
     h = scn.system.h_min
-    phis = np.array(scn.sweeps.phi_grid())
+    phis = np.array(scn.sweeps.phis_deg)
     r_a = channel.coverage_radius(h, phis)[:, 0]
     covered = r_a > 0.0
     phis, r_a = phis[covered], r_a[covered]
@@ -159,7 +158,7 @@ def solution_to_dict(solution: gee.DeploymentSolution) -> dict:
 def solve_scenario(scn: Scenario) -> gee.DeploymentSolution:
     """Solve P1 on the scenario's threshold grid; the one solve path shared
     by solve, place and density-sweep."""
-    return gee.solve_p1(scn.system, scn.environment, scn.uav, scn.sweeps.phi_grid())
+    return gee.solve_p1(scn.system, scn.environment, scn.uav, scn.sweeps.phis_deg)
 
 
 def cmd_solve(scn: Scenario, args: argparse.Namespace) -> int:
@@ -260,7 +259,7 @@ def validation_checks(scn: Scenario, trials: int, seed: int) -> list[tuple[str, 
     """Run the oracle suite; returns (name, passed, detail) triples."""
     checks: list[tuple[str, bool, str]] = []
     env, sys_p = scn.environment, scn.system
-    h, phi = sys_p.h_min, channel.phi_from_delta(scn.sweeps.delta, env)
+    h, phi = sys_p.h_min, scn.sweeps.phi_deg
 
     worst = 0.0
     for n in range(3, 51):

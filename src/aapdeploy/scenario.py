@@ -1,22 +1,24 @@
 """Scenario files: sectioned key-value configuration for the CLI.
 
 The format is INI-style with four sections (environment, system, uav,
-sweeps): the physics and the sweeps only.  Unknown sections or keys are
-hard errors so a misspelled constant can never silently fall back to a
-default.  Each quantity has one spelling: the target power is given as
-``gamma`` and the reference gain as ``g0``, and both are required.  Every
-number must be finite, the interferer count a whole number, and the noise
-power noise_psd * bandwidth, like the target power that gamma and each
-``gamma_list`` entry make of it, a normal float.  Each sweep list must be
-non-empty, and the sweeps must lie where the model is defined: the
-altitude grid inside [h_min, h_max], the elevation grid inside (0, 90] deg
-and the LoS threshold delta inside the S-curve's image; each grid needs a
-positive step, a start no greater than its stop and at most
-MAX_GRID_POINTS points.  The S-curve's a * b may not exceed MAX_S_CURVE_AB.
-A violation is a ConfigError when the file is loaded, never a failure
-halfway through a verb.
-The Monte-Carlo seed and the output directory come from the command line
-only.
+sweeps): the physics and the sweeps only.  One table, ``_FIELDS``, lists
+each section's keys; it drives the reads and the check that makes an
+unknown section or key a hard error, so a misspelled constant can never
+silently fall back to a default.  Values are read as written (no ``%``
+interpolation).  The target power is given only as ``gamma`` and the
+reference gain only as ``g0``; both are required.  Every number must be
+finite, the interferer count a whole number, and the noise power
+noise_psd * bandwidth, like the target power that gamma and each
+``gamma_list`` entry make of it, a normal float.  Each sweep list must
+hold positive numbers; the altitude grid must lie inside [h_min, h_max],
+the elevation grid inside (0, 90] deg with an angle short of the
+nadir-only cell, and delta inside the S-curve's image, short of its
+nadir-only top.  Each grid needs a positive step, a start no greater than
+its stop and at most MAX_GRID_POINTS points; the S-curve's a * b may not
+exceed MAX_S_CURVE_AB.  A violation is a ConfigError when the file is
+loaded, never a failure halfway through a verb.  Loading builds both grids
+and inverts delta once; the verbs read the results.  The Monte-Carlo seed
+and the output directory come from the command line only.
 """
 
 from __future__ import annotations
@@ -40,77 +42,71 @@ MAX_S_CURVE_AB = 1e6
 # At 10^5 points a grid verb already takes seconds.
 MAX_GRID_POINTS = 100_000
 
-_KNOWN_KEYS: dict[str, set[str]] = {
+# Each section's keys in reading order, with the field each value sets and
+# its kind: a float, a whole number (int) or a comma-separated list (tuple).
+_FIELDS: dict[str, dict[str, tuple[str, type]]] = {
     "environment": {
-        "a",
-        "b",
-        "eta_los_db",
-        "eta_nlos_db",
-        "g0",
+        "a": ("a", float),
+        "b": ("b", float),
+        "eta_los_db": ("eta_los_db", float),
+        "eta_nlos_db": ("eta_nlos_db", float),
+        "g0": ("g0", float),
     },
     "system": {
-        "bandwidth_hz",
-        "num_interferers",
-        "circuit_power_w",
-        "service_time_s",
-        "p_max_w",
-        "gamma",
-        "noise_psd_w_per_hz",
-        "ue_density_per_m2",
-        "h_min_m",
-        "h_max_m",
-        "area_radius_m",
+        "bandwidth_hz": ("bandwidth_w", float),
+        "num_interferers": ("num_interferers_m", int),
+        "circuit_power_w": ("circuit_power_pc", float),
+        "service_time_s": ("service_time_t", float),
+        "p_max_w": ("p_max", float),
+        "noise_psd_w_per_hz": ("noise_psd_sigma0sq", float),
+        "ue_density_per_m2": ("ue_density_rho", float),
+        "h_min_m": ("h_min", float),
+        "h_max_m": ("h_max", float),
+        "area_radius_m": ("area_radius_r", float),
+        "gamma": ("gamma", float),
     },
     "uav": {
-        "alpha_climb_j_per_m",
-        "beta_climb_j",
-        "alpha_hover_w_per_m",
-        "beta_hover_w",
+        "alpha_climb_j_per_m": ("alpha_cl", float),
+        "beta_climb_j": ("beta_cl", float),
+        "alpha_hover_w_per_m": ("alpha_ho", float),
+        "beta_hover_w": ("beta_ho", float),
     },
     "sweeps": {
-        "h_start_m",
-        "h_stop_m",
-        "h_step_m",
-        "phi_start_deg",
-        "phi_stop_deg",
-        "phi_step_deg",
-        "delta",
-        "gamma_list",
-        "area_radius_list_m",
+        "h_start_m": ("h_start", float),
+        "h_stop_m": ("h_stop", float),
+        "h_step_m": ("h_step", float),
+        "phi_start_deg": ("phi_start", float),
+        "phi_stop_deg": ("phi_stop", float),
+        "phi_step_deg": ("phi_step", float),
+        "delta": ("delta", float),
+        "gamma_list": ("gamma_list", tuple),
+        "area_radius_list_m": ("area_radius_list", tuple),
     },
 }
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid definitions for the sweep commands."""
+    """The sweeps as the verbs read them, resolved at load: both grids built,
+    and the LoS threshold delta inverted once to its elevation phi_deg."""
 
-    h_start: float
-    h_stop: float
-    h_step: float
-    phi_start_deg: float
-    phi_stop_deg: float
-    phi_step_deg: float
+    altitudes: tuple[float, ...]
+    phis_deg: tuple[float, ...]
     delta: float
+    phi_deg: float
     gamma_list: tuple[float, ...]
     area_radius_list: tuple[float, ...]
 
-    def altitude_grid(self) -> list[float]:
-        return _grid(self.h_start, self.h_stop, self.h_step)
 
-    def phi_grid(self) -> list[float]:
-        return _grid(self.phi_start_deg, self.phi_stop_deg, self.phi_step_deg)
-
-
-def _grid(start: float, stop: float, step: float) -> list[float]:
-    """start, start + step, ... up to stop; load_scenario has checked that
+def _grid(start: float, stop: float, step: float) -> tuple[float, ...]:
+    """start, start + step, ... up to stop; _resolve_sweeps has checked that
     step > 0 and start <= stop, so the grid is finite and never empty."""
     values = []
     k = 0
     while True:
         v = start + k * step
         if v > stop + 1e-9 * max(1.0, abs(stop)):
-            return values
+            return tuple(values)
         values.append(min(v, stop))
         k += 1
 
@@ -123,76 +119,82 @@ class Scenario:
     sweeps: SweepSpec
 
 
-def _get_float(section, key, default=None):
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"missing required key '{key}'")
-        return default
+def _parse(key: str, text: str, kind: type):
+    """One value of the given kind; a list must hold positive numbers."""
+    if kind is tuple:
+        try:
+            values = tuple(float(part) for part in text.split(",") if part.strip())
+        except ValueError as exc:
+            raise ConfigError(f"key '{key}' is not a number list") from exc
+        if not values:
+            raise ConfigError(f"key '{key}' holds no numbers")
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"key '{key}' must hold finite numbers only")
+        if not all(v > 0 for v in values):
+            raise ConfigError(f"sweep {key} must hold positive values only")
+        return values
     try:
-        value = float(section[key])
+        value = float(text)
     except ValueError as exc:
-        raise ConfigError(f"key '{key}' is not a number: {section[key]!r}") from exc
+        raise ConfigError(f"key '{key}' is not a number: {text!r}") from exc
     if not math.isfinite(value):
-        raise ConfigError(f"key '{key}' must be finite, got {section[key]!r}")
+        raise ConfigError(f"key '{key}' must be finite, got {text!r}")
+    if kind is int:
+        if not value.is_integer():
+            raise ConfigError(f"key '{key}' must be a whole number, got {text!r}")
+        return int(value)
     return value
 
 
-def _get_int(section, key):
-    value = _get_float(section, key)
-    if not float(value).is_integer():
-        raise ConfigError(f"key '{key}' must be a whole number, got {section[key]!r}")
-    return int(value)
-
-
-def _get_list(section, key, default):
-    if key not in section:
-        return tuple(default)
-    try:
-        values = tuple(float(part) for part in section[key].split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"key '{key}' is not a number list") from exc
-    if not values:
-        raise ConfigError(f"key '{key}' holds no numbers")
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"key '{key}' must hold finite numbers only")
+def _read(parser: configparser.ConfigParser, section: str, **defaults) -> dict:
+    """The section's values by field, read in table order; a key the file
+    leaves out takes its field's default, or is an error without one."""
+    given = parser[section] if section in parser else {}
+    values = {}
+    for key, (field, kind) in _FIELDS[section].items():
+        if key in given:
+            values[field] = _parse(key, given[key], kind)
+        elif field in defaults:
+            values[field] = defaults[field]
+        else:
+            raise ConfigError(f"missing required key '{key}'")
     return values
 
 
-def _check_sweeps(
-    sweeps: SweepSpec, system: SystemParams, env: EnvironmentParams
-) -> None:
-    """Reject sweeps outside the model's domain.  The grids never pass their
-    stop value, so checking the end points covers every grid point."""
-    for name, value in (("h_start_m", sweeps.h_start), ("h_stop_m", sweeps.h_stop)):
+def _resolve_sweeps(
+    system: SystemParams, env: EnvironmentParams, *, h_start, h_stop, h_step,
+    phi_start, phi_stop, phi_step, delta, gamma_list, area_radius_list,
+) -> SweepSpec:
+    """Reject sweeps outside the model's domain, then build both grids and
+    invert delta.  The grids never pass their stop value, so checking the
+    end points covers every grid point; both grids' point counts are checked
+    before either grid is built."""
+    for end, value in (("start", h_start), ("stop", h_stop)):
         if not system.h_min <= value <= system.h_max:
             raise ConfigError(
-                f"sweep {name}={value:g} outside [h_min, h_max] = "
+                f"sweep h_{end}_m={value:g} outside [h_min, h_max] = "
                 f"[{system.h_min:g}, {system.h_max:g}] m"
             )
-    for name, value in (
-        ("phi_start_deg", sweeps.phi_start_deg),
-        ("phi_stop_deg", sweeps.phi_stop_deg),
-    ):
+    for end, value in (("start", phi_start), ("stop", phi_stop)):
         if not 0.0 < value <= 90.0:
-            raise ConfigError(f"sweep {name}={value:g} outside (0, 90] deg")
+            raise ConfigError(f"sweep phi_{end}_deg={value:g} outside (0, 90] deg")
     try:
-        channel.phi_from_delta(sweeps.delta, env)
+        phi_deg = channel.phi_from_delta(delta, env)
     except ValueError as exc:
         raise ConfigError(f"sweep delta: {exc}") from exc
-    for name, values in (
-        ("gamma_list", sweeps.gamma_list),
-        ("area_radius_list_m", sweeps.area_radius_list),
-    ):
-        if not all(v > 0 for v in values):
-            raise ConfigError(f"sweep {name} must hold positive values only")
-    for gamma in sweeps.gamma_list:
+    if phi_deg >= 90.0 - channel.NADIR_TOL_DEG:
+        raise ConfigError(
+            f"sweep delta: delta={delta:g} maps to the nadir-only cell at 90 deg, "
+            "which covers no area"
+        )
+    for gamma in gamma_list:
         try:
             system.with_gamma(gamma)
         except ConfigError as exc:
             raise ConfigError(f"sweep gamma_list: {exc}") from None
     for axis, unit, start, stop, step in (
-        ("h", "m", sweeps.h_start, sweeps.h_stop, sweeps.h_step),
-        ("phi", "deg", sweeps.phi_start_deg, sweeps.phi_stop_deg, sweeps.phi_step_deg),
+        ("h", "m", h_start, h_stop, h_step),
+        ("phi", "deg", phi_start, phi_stop, phi_step),
     ):
         if not step > 0:
             raise ConfigError(
@@ -208,13 +210,30 @@ def _check_sweeps(
                 f"sweep {axis}_step_{unit}={step:g} gives {points:.3g} grid points, "
                 f"more than {MAX_GRID_POINTS:,}"
             )
+    # The start is the grid's smallest angle.
+    if phi_start >= 90.0 - channel.NADIR_TOL_DEG:
+        raise ConfigError(
+            f"sweep phi grid holds only nadir-only cells: every angle from "
+            f"phi_start_deg={phi_start:g} lies within {channel.NADIR_TOL_DEG:g} deg "
+            "of 90 deg, where a cell covers no area"
+        )
+    return SweepSpec(
+        altitudes=_grid(h_start, h_stop, h_step),
+        phis_deg=_grid(phi_start, phi_stop, phi_step),
+        delta=delta,
+        phi_deg=phi_deg,
+        gamma_list=gamma_list,
+        area_radius_list=area_radius_list,
+    )
 
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"scenario file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None
+    )
     try:
         with path.open(encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -230,9 +249,9 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ConfigError(f"cannot read scenario file {path}: {exc.strerror}") from exc
 
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _FIELDS:
             raise ConfigError(f"unknown scenario section [{section}]")
-        unknown = set(parser[section]) - _KNOWN_KEYS[section]
+        unknown = set(parser[section]) - set(_FIELDS[section])
         if unknown:
             raise ConfigError(
                 f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
@@ -241,55 +260,23 @@ def load_scenario(path: str | Path) -> Scenario:
         if required not in parser:
             raise ConfigError(f"missing scenario section [{required}]")
 
-    env_sec = parser["environment"]
-    environment = EnvironmentParams.from_db(
-        a=_get_float(env_sec, "a"),
-        b=_get_float(env_sec, "b"),
-        eta_los_db=_get_float(env_sec, "eta_los_db"),
-        eta_nlos_db=_get_float(env_sec, "eta_nlos_db"),
-        g0=_get_float(env_sec, "g0"),
-    )
-
-    sys_sec = parser["system"]
-    system = SystemParams(
-        bandwidth_w=_get_float(sys_sec, "bandwidth_hz"),
-        num_interferers_m=_get_int(sys_sec, "num_interferers"),
-        circuit_power_pc=_get_float(sys_sec, "circuit_power_w"),
-        service_time_t=_get_float(sys_sec, "service_time_s"),
-        p_max=_get_float(sys_sec, "p_max_w"),
-        p_target_pa=1.0,  # placeholder; with_gamma sets it from gamma
-        noise_psd_sigma0sq=_get_float(sys_sec, "noise_psd_w_per_hz"),
-        ue_density_rho=_get_float(sys_sec, "ue_density_per_m2"),
-        h_min=_get_float(sys_sec, "h_min_m"),
-        h_max=_get_float(sys_sec, "h_max_m"),
-        area_radius_r=_get_float(sys_sec, "area_radius_m"),
-    ).with_gamma(_get_float(sys_sec, "gamma"))
-
-    uav_sec = parser["uav"]
-    uav = UavEnergyParams(
-        alpha_cl=_get_float(uav_sec, "alpha_climb_j_per_m"),
-        beta_cl=_get_float(uav_sec, "beta_climb_j"),
-        alpha_ho=_get_float(uav_sec, "alpha_hover_w_per_m"),
-        beta_ho=_get_float(uav_sec, "beta_hover_w"),
-    )
+    environment = EnvironmentParams.from_db(**_read(parser, "environment"))
+    system_values = _read(parser, "system")
+    gamma = system_values.pop("gamma")
+    # p_target_pa is a placeholder that with_gamma sets from gamma
+    system = SystemParams(p_target_pa=1.0, **system_values).with_gamma(gamma)
+    uav = UavEnergyParams(**_read(parser, "uav"))
     uav.validate_range(system.h_min, system.h_max)
-
-    sweep_sec = parser["sweeps"] if "sweeps" in parser else {}
-    sweeps = SweepSpec(
-        h_start=_get_float(sweep_sec, "h_start_m", system.h_min),
-        h_stop=_get_float(sweep_sec, "h_stop_m", system.h_max),
-        h_step=_get_float(sweep_sec, "h_step_m", 1.0),
-        phi_start_deg=_get_float(sweep_sec, "phi_start_deg", 5.0),
-        phi_stop_deg=_get_float(sweep_sec, "phi_stop_deg", 60.0),
-        phi_step_deg=_get_float(sweep_sec, "phi_step_deg", 0.25),
-        delta=_get_float(sweep_sec, "delta", 0.9),
-        gamma_list=_get_list(sweep_sec, "gamma_list", (system.gamma,)),
-        area_radius_list=_get_list(
-            sweep_sec, "area_radius_list_m", (system.area_radius_r,)
-        ),
+    # A key the file leaves out sweeps the system's own altitude range,
+    # gamma and area radius, or a fixed default.
+    sweep_defaults = dict(
+        h_start=system.h_min, h_stop=system.h_max, h_step=1.0,
+        phi_start=5.0, phi_stop=60.0, phi_step=0.25, delta=0.9,
+        gamma_list=(system.gamma,), area_radius_list=(system.area_radius_r,),
     )
-
-    _check_sweeps(sweeps, system, environment)
+    sweeps = _resolve_sweeps(
+        system, environment, **_read(parser, "sweeps", **sweep_defaults)
+    )
     # After the sweeps, so that a delta beyond the curve's image is named
     # as such.
     if environment.a * environment.b > MAX_S_CURVE_AB:
@@ -297,13 +284,7 @@ def load_scenario(path: str | Path) -> Scenario:
             f"LoS S-curve a * b = {environment.a * environment.b:g} exceeds "
             f"{MAX_S_CURVE_AB:g}, beyond which its inversion loses precision"
         )
-
-    return Scenario(
-        environment=environment,
-        system=system,
-        uav=uav,
-        sweeps=sweeps,
-    )
+    return Scenario(environment=environment, system=system, uav=uav, sweeps=sweeps)
 
 
 def builtin_scenario_path(name: str) -> Path:

@@ -356,7 +356,7 @@ def test_threshold_sweep_radius_is_h_cot_phi_up_to_the_zenith(tmp_path):
     assert code == cli.EXIT_OK
     lines = (out / "threshold_sweep.csv").read_text().splitlines()[1:]
     rows = [[float(cell) for cell in line.split(",")] for line in lines]
-    assert [row[0] for row in rows] == scn.sweeps.phi_grid()[:-1]
+    assert [row[0] for row in rows] == list(scn.sweeps.phis_deg[:-1])
     for phi, _delta, _gee, r_a, *_ in rows:
         expected = scn.system.h_min / math.tan(math.radians(phi))
         assert r_a == pytest.approx(expected, rel=1e-11, abs=0.0)
@@ -365,7 +365,7 @@ def test_threshold_sweep_radius_is_h_cot_phi_up_to_the_zenith(tmp_path):
 @pytest.mark.parametrize("name", ["baseline", "no_vehicle_energy"])
 def test_solved_phi_is_a_grid_point(name):
     scn = load_scenario(builtin_scenario_path(name))
-    assert cli.solve_scenario(scn).phi_opt_deg in scn.sweeps.phi_grid()
+    assert cli.solve_scenario(scn).phi_opt_deg in scn.sweeps.phis_deg
 
 
 def test_density_sweep_output(small_scenario, tmp_path, capsys):
@@ -687,6 +687,62 @@ def test_too_fine_sweep_grid_exits_config_error(
     assert run(["--scenario", small_scenario, "--out", str(out), verb]) == cli.EXIT_CONFIG
     line = config_error_line(capsys)
     assert new.split(" = ")[0] in line and "grid points" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ALL_VERBS)
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        # configparser's interpolation raised outside the load's error
+        # handling: a traceback and exit 1, the infeasible code
+        ("gamma = 100", "gamma = 100%"),
+        ("gamma = 100", "gamma = %(b)s"),
+        ("gamma_list = 10, 100, 1000", "gamma_list = 10, 1%"),
+    ],
+)
+def test_percent_in_a_value_exits_config_error(small_scenario, tmp_path, capsys, verb, old, new):
+    path = Path(small_scenario)
+    path.write_text(path.read_text().replace(old, new))
+    out = tmp_path / "o"
+    assert run(["--scenario", small_scenario, "--out", str(out), verb]) == cli.EXIT_CONFIG
+    line = config_error_line(capsys)
+    assert f"'{new.split(' = ')[0]}' is not a number" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ALL_VERBS)
+@pytest.mark.parametrize(
+    "edits,message",
+    [
+        # every angle within NADIR_TOL_DEG of 90 deg: solve, place and
+        # density-sweep blamed the altitude range and the power limit
+        # (exit 1), and threshold-sweep wrote a header-only CSV
+        (
+            {"phi_start_deg = 5": "phi_start_deg = 90", "phi_stop_deg = 60": "phi_stop_deg = 90"},
+            "sweep phi grid holds only nadir-only cells",
+        ),
+        # the S-curve's value at 90 deg for b = 0.05, which inverts to 90 deg:
+        # altitude-sweep and validate exited 3 on a degenerate cell
+        (
+            {"b = 0.43": "b = 0.05", "delta = 0.9": "delta = 0.9352847880555638"},
+            "sweep delta: delta=0.935285 maps to the nadir-only cell",
+        ),
+    ],
+    ids=["phi-grid", "delta"],
+)
+def test_nadir_only_cell_exits_config_error(
+    small_scenario, tmp_path, capsys, verb, edits, message
+):
+    path = Path(small_scenario)
+    text = path.read_text()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert run(["--scenario", small_scenario, "--out", str(out), verb]) == cli.EXIT_CONFIG
+    assert message in config_error_line(capsys)
     assert not out.exists()
 
 

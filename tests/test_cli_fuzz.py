@@ -1,10 +1,11 @@
 """Scenario-file fuzz through ``cli.main``.
 
 Each example mutates a small copy of the baseline scenario (drop a key, a
-non-finite value, a sign flip, an out-of-range sweep) and runs one verb.
-Whatever the mutation, no exception may escape and the exit code must be
-0, 1 or 2; a non-finite value, an out-of-range sweep or a negative sweep
-step must exit 2 with one ``configuration error:`` line.
+non-finite value, a sign flip, an out-of-range sweep, a ``%`` in the value)
+and runs one verb.  Whatever the mutation, no exception may escape and the
+exit code must be 0, 1 or 2; a non-finite value, an out-of-range sweep, a
+negative sweep step or a ``%`` must exit 2 with one ``configuration error:``
+line.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def mutations(draw):
     keys = draw(st.lists(st.sampled_from(KEYS), min_size=1, max_size=3, unique=True))
     result = []
     for key in keys:
-        kinds = ["drop", "non_finite", "flip"]
+        kinds = ["drop", "non_finite", "flip", "percent"]
         if key in OUT_OF_RANGE:
             kinds.append("out_of_range")
         kind = draw(st.sampled_from(kinds))
@@ -72,7 +73,11 @@ def mutations(draw):
         elif kind == "out_of_range":
             value = draw(st.sampled_from(OUT_OF_RANGE[key]))
         else:
-            value = _flip(re.search(rf"(?m)^{key} = (.*)$", BASE).group(1))
+            value = re.search(rf"(?m)^{key} = (.*)$", BASE).group(1)
+            if kind == "flip":
+                value = _flip(value)
+            else:
+                value = draw(st.sampled_from([value + "%", f"%({key})s"]))
         result.append((key, kind, value))
     return result
 
@@ -96,7 +101,7 @@ def test_mutated_scenarios_fail_closed(changes, verb):
             code = cli.main(["--scenario", str(path), "--out", str(Path(tmp) / "o"), verb])
     assert code in (cli.EXIT_OK, cli.EXIT_INFEASIBLE, cli.EXIT_CONFIG)
     if any(
-        kind in ("non_finite", "out_of_range") or (kind == "flip" and key in STEP_KEYS)
+        kind in ("non_finite", "out_of_range", "percent") or (kind == "flip" and key in STEP_KEYS)
         for key, kind, _v in changes
     ):
         assert code == cli.EXIT_CONFIG

@@ -324,7 +324,7 @@ def test_gee_call_counts_on_builtins(name, monkeypatch):
 
     scn = load_scenario(builtin_scenario_path(name))
     sysp, env = scn.system, scn.environment
-    phis = np.array(scn.sweeps.phi_grid())
+    phis = np.array(scn.sweeps.phis_deg)
     covered = channel.coverage_radius(sysp.h_min, phis)[:, 0] > 0.0
     ceilings = gee.altitude_ceiling(phis, sysp, env)[:, 0]
     feasible = int(np.count_nonzero(covered & (ceilings >= sysp.h_min)))

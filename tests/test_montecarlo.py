@@ -247,7 +247,7 @@ def test_per_trial_work_is_array_work(monkeypatch):
     # a per-trial Python loop would show in either count.
     scn = load_scenario(builtin_scenario_path("baseline"))
     env, sysp = scn.environment, scn.system
-    h, phi = sysp.h_min, channel.phi_from_delta(scn.sweeps.delta, env)
+    h, phi = sysp.h_min, scn.sweeps.phi_deg
     mean_ues = uplink.cell_ue_count(channel.coverage_radius(h, phi), sysp)
     block = max(1, int(montecarlo.BLOCK_UES / max(mean_ues, 1.0)))
     fsum, power = math.fsum, montecarlo.empirical_sum_power

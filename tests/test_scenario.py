@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -111,13 +112,13 @@ def test_missing_g0_rejected(tmp_path):
 def test_sweep_grid_construction(tmp_path):
     text = BASE + "\n[sweeps]\nh_start_m = 15\nh_stop_m = 17\nh_step_m = 1\n"
     scn = load_scenario(write(tmp_path, text))
-    assert scn.sweeps.altitude_grid() == [15.0, 16.0, 17.0]
+    assert scn.sweeps.altitudes == (15.0, 16.0, 17.0)
 
 
 def test_sweep_single_point_grid(tmp_path):
     text = BASE + "\n[sweeps]\nphi_start_deg = 45\nphi_stop_deg = 45\nphi_step_deg = 1\n"
     scn = load_scenario(write(tmp_path, text))
-    assert scn.sweeps.phi_grid() == [45.0]
+    assert scn.sweeps.phis_deg == (45.0,)
 
 
 def test_sweep_bad_step(tmp_path):
@@ -136,7 +137,7 @@ def test_sweep_grid_point_cap(tmp_path):
         sweep = f"phi_start_deg = 1\nphi_stop_deg = {stop!r}\nphi_step_deg = {step!r}\n"
         return write(tmp_path, BASE + "\n[sweeps]\n" + sweep)
 
-    assert len(load_scenario(phi_sweep(cap)).sweeps.phi_grid()) == cap
+    assert len(load_scenario(phi_sweep(cap)).sweeps.phis_deg) == cap
     with pytest.raises(ConfigError, match=r"phi_step_deg=.* 1e\+05 grid points"):
         load_scenario(phi_sweep(cap + 1))
 
@@ -226,7 +227,7 @@ def test_phi_sweep_end_point_at_the_zenith_accepted(tmp_path, capsys):
     # the solver skips the nadir-only 90 deg cell
     text = BASE.replace("b = 0.43", "b = 1") + "\n[sweeps]\nphi_stop_deg = 90\n"
     path = write(tmp_path, text)
-    assert load_scenario(path).sweeps.phi_grid()[-1] == 90.0
+    assert load_scenario(path).sweeps.phis_deg[-1] == 90.0
     out = tmp_path / "out"
     for verb in ("solve", "place"):
         assert cli.main(["--scenario", str(path), "--out", str(out), verb]) == cli.EXIT_OK
@@ -250,8 +251,40 @@ def test_empty_sweep_list_rejected(tmp_path, key, value):
         load_scenario(write(tmp_path, text))
 
 
+@pytest.mark.parametrize("start", ["90", "89.9999999995"])
+def test_nadir_only_phi_grid_rejected(tmp_path, start):
+    # every angle at least 90 - NADIR_TOL_DEG leaves no cell with an area
+    text = BASE + f"\n[sweeps]\nphi_start_deg = {start}\nphi_stop_deg = 90\n"
+    with pytest.raises(ConfigError, match="phi grid holds only nadir-only cells"):
+        load_scenario(write(tmp_path, text))
+    # one angle below the tolerance is enough
+    text = text.replace(f"phi_start_deg = {start}", "phi_start_deg = 89.999999998")
+    assert load_scenario(write(tmp_path, text)).sweeps.phis_deg == (89.999999998,)
+
+
+BASELINE_TEXT = builtin_scenario_path("baseline").read_text()
+
+
+@pytest.mark.parametrize(
+    "key", [key for keys in scenario._FIELDS.values() for key in keys]
+)
+def test_every_listed_key_is_read(tmp_path, key):
+    # scaling the key's numbers by 1.5 in baseline changes the loaded
+    # scenario or is refused; a listed key the loader never read would
+    # leave the scenario as it was
+    line = re.search(rf"(?m)^{key} = (.*)$", BASELINE_TEXT)
+    assert line, f"baseline sets no {key}"
+    scaled = ", ".join(repr(float(v) * 1.5) for v in line.group(1).split(","))
+    path = write(tmp_path, BASELINE_TEXT.replace(line.group(0), f"{key} = {scaled}"))
+    try:
+        changed = load_scenario(path)
+    except ConfigError:
+        return
+    assert changed != load_scenario(builtin_scenario_path("baseline"))
+
+
 def test_sweep_grid_never_passes_its_stop(tmp_path):
     # 0.1 + 2 * 0.1 is 0.30000000000000004 in binary floating point
     text = BASE + "\n[sweeps]\nphi_start_deg = 0.1\nphi_stop_deg = 0.3\nphi_step_deg = 0.1\n"
     scn = load_scenario(write(tmp_path, text))
-    assert scn.sweeps.phi_grid() == [0.1, 0.2, 0.3]
+    assert scn.sweeps.phis_deg == (0.1, 0.2, 0.3)

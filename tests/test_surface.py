@@ -27,6 +27,7 @@ needs from another is public.
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import aapdeploy
@@ -80,39 +81,41 @@ def _public_definitions(tree: ast.Module) -> dict[str, ast.AST]:
     return {name: node for name, node in found.items() if not name.startswith("_")}
 
 
+def _reference_counts(node: ast.AST) -> Counter:
+    """Uses under node, walked once: each bare name counted under the name,
+    and each ``module.name`` under the pair (module, name)."""
+    counts: Counter = Counter()
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Name):
+            counts[inner.id] += 1
+        elif isinstance(inner, ast.Attribute) and isinstance(inner.value, ast.Name):
+            counts[inner.value.id, inner.attr] += 1
+    return counts
+
+
+def _uses(counts: Counter, module: str, name: str) -> int:
+    return counts[name] + counts[module, name]
+
+
 def _references(tree: ast.Module, module: str, name: str, own: ast.AST | None) -> int:
     """Uses of ``name`` (bare) or ``module.name`` in tree, outside ``own``."""
-    inside = {id(n) for n in ast.walk(own)} if own is not None else set()
-    count = 0
-    for node in ast.walk(tree):
-        if id(node) in inside:
-            continue
-        if isinstance(node, ast.Name) and node.id == name:
-            count += 1
-        elif (
-            isinstance(node, ast.Attribute)
-            and node.attr == name
-            and isinstance(node.value, ast.Name)
-            and node.value.id == module
-        ):
-            count += 1
-    return count
+    inside = _reference_counts(own) if own is not None else Counter()
+    return _uses(_reference_counts(tree), module, name) - _uses(inside, module, name)
 
 
 def unreferenced_names(allowed=ALLOWED_UNREFERENCED) -> list[str]:
     """``module.name`` of every public name, outside ``allowed``, that no
-    module of the package refers to."""
+    module of the package refers to.  Each tree is walked once; a
+    definition's uses of its own name are then taken off the total."""
     trees = _package_trees()
+    total = sum(map(_reference_counts, trees.values()), Counter())
     unused = []
     for module, tree in trees.items():
         for name, node in _public_definitions(tree).items():
             if name in allowed:
                 continue
-            uses = sum(
-                _references(other, module, name, node if other is tree else None)
-                for other in trees.values()
-            )
-            if uses == 0:
+            own = _uses(_reference_counts(node), module, name)
+            if _uses(total, module, name) - own == 0:
                 unused.append(f"{module}.{name}")
     return unused
 
