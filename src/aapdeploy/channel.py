@@ -4,17 +4,18 @@ The LoS-probability S-curve takes the elevation angle in degrees; everything
 else works in radians/metres.  The degree conversion happens in exactly one
 place (``elevation_deg``) to keep the classic unit bug out.
 
-All functions accept numpy arrays for the geometric arguments and broadcast:
-the Monte-Carlo oracle passes arrays of UE distances, and the GEE chain
-passes an altitude ``h`` (a scalar, a row or a block) with the edge
-elevation ``phi_deg`` a scalar or a 1-D array.  A 1-D ``phi_deg`` is a
-column (``phi_column``): row i of every result belongs to threshold i, so one
-call covers a whole (threshold x altitude) block.  The per-angle
-trigonometry (tan and cot^2) comes from ``math`` one angle at a time
-(``_per_angle``), never from ``np.tan``, whose SIMD loop differs from
-``math.tan`` in the last bit on about 0.5% of angles; a scalar ``phi_deg``
-is the size-1 case of the same code, so a column call gives exactly the
-floats of the per-angle scalar calls.
+All functions accept numpy arrays for the geometric arguments and broadcast
+them by numpy's rules: the Monte-Carlo oracle passes arrays of UE
+distances, and the GEE chain passes an altitude ``h`` (a scalar, a row or a
+block) with the edge elevation ``phi_deg`` in any shape that broadcasts
+against it, so an (n, 1) column of thresholds covers a whole (threshold x
+altitude) block in one call.  The per-angle trigonometry (tan and cot^2)
+comes from ``math`` one angle at a time (``_per_angle``), never from
+``np.tan``, whose SIMD loop differs from ``math.tan`` in the last bit on
+about 0.5% of angles; a scalar ``phi_deg`` is the size-1 case of the same
+code, so an array call gives exactly the floats of the per-angle scalar
+calls.  A nadir-only edge (phi within ``NADIR_TOL_DEG`` of 90 deg) has an
+infinite tangent, so its radius and cot^2 are exactly 0.
 
 The cell edge is that elevation angle, R_a = h cot(phi); the LoS threshold
 delta is the S-curve's value there, and ``phi_from_delta`` inverts it only
@@ -105,55 +106,38 @@ def mean_path_loss_rh(r, h, env: EnvironmentParams):
 NADIR_TOL_DEG = 1e-9
 
 
-def phi_column(phi_deg):
-    """A 1-D ``phi_deg`` as an (n, 1) float column; a scalar unchanged."""
-    if np.ndim(phi_deg) == 0:
-        return phi_deg
-    return np.asarray(phi_deg, dtype=float).reshape(-1, 1)
-
-
 def _per_angle(fn, phi_deg):
-    """``fn`` (plain float arithmetic) applied to each angle in turn: a float
-    for a scalar ``phi_deg``, an (n, 1) column for a 1-D one."""
+    """``fn`` (plain float arithmetic) applied to each angle in turn, in the
+    shape of ``phi_deg``: a Python float for a scalar."""
     if np.ndim(phi_deg) == 0:
         return fn(phi_deg)
-    return np.array([fn(phi) for phi in np.ravel(phi_deg).tolist()]).reshape(-1, 1)
+    values = [fn(phi) for phi in np.ravel(phi_deg).tolist()]
+    return np.reshape(values, np.shape(phi_deg))
 
 
 def _tan(phi_deg: float) -> float:
+    """tan(phi), or inf for a nadir-only edge, where h / tan and cot^2 are 0."""
+    if phi_deg >= 90.0 - NADIR_TOL_DEG:
+        return math.inf
     return math.tan(math.radians(phi_deg))
 
 
-def _cot_squared(phi_deg: float) -> float:
-    if phi_deg >= 90.0 - NADIR_TOL_DEG:
-        return 0.0
-    return 1.0 / _tan(phi_deg) ** 2
-
-
 def cot_squared(phi_deg):
-    """cot^2(phi) for an edge elevation phi (degrees), 0 for a nadir-only
-    edge; a 1-D ``phi_deg`` gives an (n, 1) column."""
-    return _per_angle(_cot_squared, phi_deg)
+    """cot^2(phi) for an edge elevation phi (degrees); 0 for a nadir-only edge."""
+    return _per_angle(lambda phi: 1.0 / _tan(phi) ** 2, phi_deg)
 
 
 def coverage_radius(h, phi_deg):
-    """Coverage radius h * cot(phi) for the edge elevation phi (degrees); 0.0
-    when the cell degenerates.
+    """Coverage radius h * cot(phi) for the edge elevation phi (degrees), in
+    the broadcast shape of ``h`` and ``phi_deg``.
 
-    ``h`` may be a scalar or an array, and ``phi_deg`` a scalar or a 1-D
-    column (``phi_column``); the result has their broadcast shape.  A zero
-    marks the nadir-only (degenerate) cell at phi = 90 deg; callers that
-    cannot proceed with an empty cell raise DegenerateCoverageError.
+    A zero marks the nadir-only (degenerate) cell at phi = 90 deg; callers
+    that cannot proceed with an empty cell raise DegenerateCoverageError.
     """
     if np.count_nonzero(h <= 0):
         raise ValueError("altitude h must be strictly positive")
-    phi = phi_column(phi_deg)
-    _check_phi(phi)
-    r_a = h / _per_angle(_tan, phi)
-    nadir = phi >= 90.0 - NADIR_TOL_DEG
-    if np.count_nonzero(nadir):
-        return np.where(nadir, 0.0, r_a)[()]
-    return r_a
+    _check_phi(phi_deg)
+    return h / _per_angle(_tan, phi_deg)
 
 
 def require_coverage(h, phi_deg):

@@ -5,11 +5,11 @@ audits monotonicity on a coarse altitude grid and falls back to a fine grid
 search when the audit fails (which happens for zeroed vehicle energy at low
 SNR).
 
-``gee_value`` is the one GEE formula.  It takes the edge elevation
-``phi_deg`` as a scalar or as a 1-D column (row i belongs to threshold i)
-and broadcasts it against an altitude ``h`` that may be a scalar, a row or a
-(threshold x altitude) block, so the solver evaluates its thresholds in a few
-array calls: the audit block, then one search loop over blocks of a
+``gee_value`` is the one GEE formula.  It broadcasts the edge elevation
+``phi_deg`` against an altitude ``h`` by numpy's rules, so the solver passes
+an (n, 1) column of thresholds (row i belongs to threshold i) against a
+(threshold x altitude) block and evaluates its thresholds in a few array
+calls: the audit block, then one search loop over blocks of a
 (threshold x altitude) grid with one point per threshold (h_min) when the
 audit passes and ``FALLBACK_POINTS`` when it fails.  A block holds
 ``FALLBACK_BLOCK * FALLBACK_POINTS`` grid points, which keeps peak memory
@@ -71,9 +71,7 @@ def gee_value(
 ):
     """Global energy efficiency T * sum_rate / total_energy (bit/J).
 
-    ``h`` may be a scalar or an altitude array, and ``phi_deg`` a scalar or a
-    1-D column; the result has their broadcast shape, so a scalar ``h`` with
-    n thresholds gives (n, 1) and an (n, m) block gives (n, m).
+    The result has the broadcast shape of ``h`` and ``phi_deg``.
     """
     rate = uplink.sum_rate(h, phi_deg, sys)
     comm_power = uplink.expected_sum_power_closed_form(h, phi_deg, sys, env)
@@ -82,8 +80,7 @@ def gee_value(
 
 
 def altitude_ceiling(phi_deg, sys: SystemParams, env: EnvironmentParams):
-    """min(h_max, power-translated altitude bound): a scalar for one
-    threshold, an (n, 1) column for a 1-D ``phi_deg``."""
+    """min(h_max, power-translated altitude bound), one per angle of ``phi_deg``."""
     return np.minimum(sys.h_max, uplink.h_max_power_constraint(phi_deg, sys, env))
 
 
@@ -116,8 +113,8 @@ def solve_p1(
     # Sorted by descending elevation angle, so the first maximum in (phi, h)
     # order is the larger phi, then the lower h.
     phis = np.sort(np.asarray(phi_grid, dtype=float))[::-1]
-    covered = channel.coverage_radius(sys.h_min, phis)[:, 0] > 0.0
-    ceilings = altitude_ceiling(phis, sys, env)[:, 0]
+    covered = channel.coverage_radius(sys.h_min, phis) > 0.0
+    ceilings = altitude_ceiling(phis, sys, env)
     feasible = covered & (ceilings >= sys.h_min)
     phis, ceilings = phis[feasible], ceilings[feasible]
     if not phis.size:
@@ -130,7 +127,7 @@ def solve_p1(
     # ceilings[i], n) float for float, unless some but not all ceilings equal
     # h_min exactly (a zero step changes numpy's formula for every row).
     audit_grid = np.linspace(sys.h_min, ceilings, AUDIT_POINTS, axis=1)
-    audit = gee_value(audit_grid, phis, sys, env, uav)
+    audit = gee_value(audit_grid, phis[:, None], sys, env, uav)
     # A list, not a generator: every feasible threshold gets its verdict, so
     # perfbench's gee.audit_pass_ratio covers them all.
     audit_passed = all([_audit_monotone_decreasing(row) for row in audit])
@@ -143,7 +140,7 @@ def solve_p1(
     for start in range(0, len(phis), rows):
         block = slice(start, start + rows)
         grid = np.linspace(sys.h_min, ceilings[block], points, axis=1)
-        values = gee_value(grid, phis[block], sys, env, uav)
+        values = gee_value(grid, phis[block, None], sys, env, uav)
         i, j = np.unravel_index(int(np.argmax(values)), values.shape)
         if best is None or values[i, j] > best[0]:
             best = (float(values[i, j]), float(grid[i, j]), start + int(i))

@@ -62,15 +62,11 @@ def sample_ues(mean_ues: float, rng: np.random.Generator) -> UeSample:
 
 
 class MeanSumPower(NamedTuple):
-    """Mean sum transmit power over trials and its standard error (inf for a
-    single trial, which has no spread).
+    """Mean sum transmit power over trials, with no P_max cap (the planner
+    deploys at or below the ceiling h'_max, where no UE exceeds it), and its
+    standard error (inf for a single trial, which has no spread)."""
 
-    No P_max cap is applied: the planner keeps h at or below the power
-    ceiling h'_max, where the cell-edge UE transmits exactly P_max, and the
-    mean path loss grows with r, so no UE of a deployed cell exceeds the cap.
-    """
-
-    uncapped: float
+    mean: float
     stderr: float
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError, InfeasibleError, PlannerError
 
 # Smallest ring-to-circle radius ratio admitting three circles: 1 + sec(30 deg).
 THREE_CIRCLE_RATIO = 1.0 + 1.0 / math.cos(math.pi / 6.0)
@@ -337,7 +337,8 @@ def run_algorithm1(area_radius: float, r_a: float) -> PlacementPlan:
     a circle of radius R_l - r_a at uniform angles starting on the +x axis.
     A terminal ring smaller than 2.1547 r_a holds two diametrically opposite
     circles or a single one at the origin.  A ratio R / r_a above
-    MAX_AREA_RATIO is refused before any level is built.
+    MAX_AREA_RATIO is refused before any level is built, and a plan that
+    fails ``verify_levels`` raises PlannerError.
     """
     if r_a <= 0:
         raise ValueError("coverage radius must be strictly positive")
@@ -354,6 +355,12 @@ def run_algorithm1(area_radius: float, r_a: float) -> PlacementPlan:
     levels = _build_levels(area_radius, r_a)
     total = sum(level.count for level in levels)
     report = verify_levels(levels, r_a, area_radius)
+    if not report.all_ok:
+        raise PlannerError(
+            f"plan for R={area_radius:g} m, R_a={r_a:g} m fails its own "
+            f"verification: worst pairwise margin {report.worst_pairwise_margin:g} m, "
+            f"containment margin {report.worst_containment_margin:g} m"
+        )
     return PlacementPlan(
         levels=tuple(levels),
         r_a=r_a,

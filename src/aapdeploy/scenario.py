@@ -14,11 +14,11 @@ hold positive numbers; the altitude grid must lie inside [h_min, h_max],
 the elevation grid inside (0, 90] deg with an angle short of the
 nadir-only cell, and delta inside the S-curve's image, short of its
 nadir-only top.  Each grid needs a positive step, a start no greater than
-its stop and at most MAX_GRID_POINTS points; the S-curve's a * b may not
-exceed MAX_S_CURVE_AB.  A violation is a ConfigError when the file is
-loaded, never a failure halfway through a verb.  Loading builds both grids
-and inverts delta once; the verbs read the results.  The Monte-Carlo seed
-and the output directory come from the command line only.
+its stop and at most MAX_GRID_POINTS points, all distinct; the S-curve's
+a * b may not exceed MAX_S_CURVE_AB.  A violation is a ConfigError when
+the file is loaded, never a failure halfway through a verb.  Loading builds
+both grids and inverts delta once; the verbs read the results.  The
+Monte-Carlo seed and the output directory come from the command line only.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from . import channel
 from .errors import ConfigError
@@ -98,17 +100,18 @@ class SweepSpec:
     area_radius_list: tuple[float, ...]
 
 
-def _grid(start: float, stop: float, step: float) -> tuple[float, ...]:
-    """start, start + step, ... up to stop; _resolve_sweeps has checked that
-    step > 0 and start <= stop, so the grid is finite and never empty."""
-    values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-9 * max(1.0, abs(stop)):
-            return tuple(values)
-        values.append(min(v, stop))
-        k += 1
+def _grid(start: float, stop: float, step: float, name: str) -> tuple[float, ...]:
+    """The points start + k * step below stop, then stop itself if a point
+    reaches it within 1e-9 (relative); _resolve_sweeps has checked that
+    step > 0, start <= stop and the point count.  A step too fine for the
+    floats near the grid repeats points, which is a ConfigError."""
+    values = start + step * np.arange(math.floor((stop - start) / step) + 3)
+    below = values[values < stop]
+    if values[below.size] <= stop + 1e-9 * max(1.0, abs(stop)):
+        below = np.append(below, stop)
+    if np.count_nonzero(below[1:] <= below[:-1]):
+        raise ConfigError(f"sweep {name}={step:g} is below float spacing: points repeat")
+    return tuple(below.tolist())
 
 
 @dataclass(frozen=True)
@@ -218,8 +221,8 @@ def _resolve_sweeps(
             "of 90 deg, where a cell covers no area"
         )
     return SweepSpec(
-        altitudes=_grid(h_start, h_stop, h_step),
-        phis_deg=_grid(phi_start, phi_stop, phi_step),
+        altitudes=_grid(h_start, h_stop, h_step, "h_step_m"),
+        phis_deg=_grid(phi_start, phi_stop, phi_step, "phi_step_deg"),
         delta=delta,
         phi_deg=phi_deg,
         gamma_list=gamma_list,
@@ -235,7 +238,7 @@ def load_scenario(path: str | Path) -> Scenario:
         inline_comment_prefixes=("#", ";"), interpolation=None
     )
     try:
-        with path.open(encoding="utf-8") as handle:
+        with path.open(encoding="utf-8-sig") as handle:
             parser.read_file(handle)
     except configparser.Error as exc:
         # configparser spreads some messages over several lines

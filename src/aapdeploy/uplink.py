@@ -5,12 +5,13 @@ elevation (the edge-UE approximation); the exact variant integrates the
 r-dependent mean path loss numerically and is always <= the closed form.
 
 The closed-form sum power, the sum rate and the power-translated altitude
-ceiling take the edge elevation ``phi_deg`` as a scalar or as a 1-D column
-(see ``channel``), and the first two broadcast it against an altitude ``h``
-that may be a scalar, a row or a block, so a whole (threshold x altitude)
-block is one call.  cot^2(phi) comes from ``channel.cot_squared``, one angle
-at a time, and the same arithmetic serves a scalar and a column, so a column
-call gives exactly the floats of the per-angle scalar calls.
+ceiling take the edge elevation ``phi_deg`` in any shape, and the first two
+broadcast it against an altitude ``h`` by numpy's rules (see ``channel``):
+an (n, 1) threshold column against a row or a block of altitudes makes a
+whole (threshold x altitude) block one call.  cot^2(phi) comes from
+``channel.cot_squared``, one angle at a time, and the same arithmetic serves
+a scalar and an array, so an array call gives exactly the floats of the
+per-angle scalar calls.
 
 The two quadratures behind ``validate`` share one numpy rule: adaptive
 composite Gauss-Legendre on [0, r_a] (``_sum_power_quadrature``).  Each round
@@ -63,7 +64,7 @@ def expected_sum_power_closed_form(
     """
     channel.require_coverage(h, phi_deg)
     cot2 = channel.cot_squared(phi_deg)
-    eta_m = channel.mean_additional_path_loss(channel.phi_column(phi_deg), env)
+    eta_m = channel.mean_additional_path_loss(phi_deg, env)
     return (
         2.0
         * math.pi
@@ -224,9 +225,8 @@ def h_max_power_constraint(phi_deg, sys: SystemParams, env: EnvironmentParams):
     """Altitude above which the cell-edge UE would exceed its power cap.
 
     sqrt(P_max g0 / (P_a eta_m (1 + cot^2(phi)))); at this altitude the edge
-    UE's power-controlled transmit power equals P_max exactly.  A 1-D
-    ``phi_deg`` gives an (n, 1) column of ceilings.
+    UE's power-controlled transmit power equals P_max exactly.
     """
     cot2 = channel.cot_squared(phi_deg)
-    eta_m = channel.mean_additional_path_loss(channel.phi_column(phi_deg), env)
+    eta_m = channel.mean_additional_path_loss(phi_deg, env)
     return np.sqrt(sys.p_max * env.g0 / (sys.p_target_pa * eta_m * (1.0 + cot2)))

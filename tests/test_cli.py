@@ -523,6 +523,49 @@ def test_non_utf8_scenario_exits_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_utf8_bom_scenario_runs(tmp_path, capsys):
+    # the mark was read as text before the first header: "File contains no
+    # section headers", exit 2
+    path = tmp_path / "bom.ini"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(BASELINE).read_bytes())
+    assert run(["--scenario", str(path), "--out", str(tmp_path / "o"), "solve"]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("verb", ALL_VERBS)
+def test_sub_ulp_sweep_step_exits_config_error(small_scenario, tmp_path, capsys, verb):
+    # 5e-15 deg is below the float spacing near 60 deg (7.1e-15): the grid
+    # repeated its points, and a finer range grew it past the point cap
+    path = Path(small_scenario)
+    text = path.read_text().replace("phi_start_deg = 5", "phi_start_deg = 60")
+    text = text.replace("phi_stop_deg = 60", "phi_stop_deg = 60.0000000001")
+    path.write_text(text.replace("phi_step_deg = 5", "phi_step_deg = 5e-15"))
+    out = tmp_path / "o"
+    assert run(["--scenario", small_scenario, "--out", str(out), verb]) == cli.EXIT_CONFIG
+    assert "phi_step_deg=5e-15 is below float spacing" in config_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["place", "density-sweep"])
+def test_plan_failing_verification_exits_validation(
+    small_scenario, tmp_path, capsys, monkeypatch, verb
+):
+    # place wrote both files and exited 0 with feasible=False, and
+    # density-sweep exited 1 as an infeasible scenario
+    def failing(levels, r_a, area_radius):
+        return packing.FeasibilityReport(False, True, -0.5, 1.0, 1e-9)
+
+    monkeypatch.setattr(packing, "verify_levels", failing)
+    out = tmp_path / "o"
+    assert run(["--scenario", small_scenario, "--out", str(out), verb]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: plan for R="), err
+    assert "fails its own verification" in err[0]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_unreadable_scenario_exits_config_error(small_scenario, tmp_path, monkeypatch, capsys):
     # ConfigParser.read skipped a file it could not open, so the error named
     # a missing [environment] section.  Permission bits do not stop a

@@ -218,7 +218,7 @@ def test_gee_value_phi_column_is_bit_exact(phis, gamma, zero_uav, heights):
         else UavEnergyParams(315.0, -211.261, 4.917, 275.204)
     )
     phis = phis + NP_TAN_DIFFERS
-    column = np.array(phis)
+    column = np.array(phis)[:, None]
     h, row = heights[0], np.array(heights)
     block = np.outer(np.linspace(1.0, 0.5, len(phis)), row).clip(min=15.0)
 
@@ -325,8 +325,8 @@ def test_gee_call_counts_on_builtins(name, monkeypatch):
     scn = load_scenario(builtin_scenario_path(name))
     sysp, env = scn.system, scn.environment
     phis = np.array(scn.sweeps.phis_deg)
-    covered = channel.coverage_radius(sysp.h_min, phis)[:, 0] > 0.0
-    ceilings = gee.altitude_ceiling(phis, sysp, env)[:, 0]
+    covered = channel.coverage_radius(sysp.h_min, phis) > 0.0
+    ceilings = gee.altitude_ceiling(phis, sysp, env)
     feasible = int(np.count_nonzero(covered & (ceilings >= sysp.h_min)))
 
     calls = {"gee_value": 0, "audit": 0}

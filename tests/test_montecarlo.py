@@ -157,7 +157,7 @@ def test_mean_sum_power_matches_quadrature(suburban_env, baseline_system, edge_p
     mc = montecarlo.mean_sum_power(
         h, edge_phi, baseline_system, suburban_env, trials=2000, base_seed=11
     )
-    assert mc.uncapped == pytest.approx(exact, rel=0.03)
+    assert mc.mean == pytest.approx(exact, rel=0.03)
 
 
 def test_mean_sum_power_deterministic(suburban_env, baseline_system, edge_phi):
@@ -404,7 +404,7 @@ def test_error_shrinks_with_trials(suburban_env, baseline_system, edge_phi):
                 trials=trials,
                 base_seed=1000 * rep + trials,
             )
-            errors.append((mc.uncapped - exact) ** 2)
+            errors.append((mc.mean - exact) ** 2)
         return math.sqrt(np.mean(errors))
 
     small, large = rms_error(20), rms_error(2000)

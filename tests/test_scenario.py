@@ -1,7 +1,11 @@
+import itertools
 import json
+import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aapdeploy import cli, scenario
 from aapdeploy.errors import ConfigError
@@ -119,6 +123,53 @@ def test_sweep_single_point_grid(tmp_path):
     text = BASE + "\n[sweeps]\nphi_start_deg = 45\nphi_stop_deg = 45\nphi_step_deg = 1\n"
     scn = load_scenario(write(tmp_path, text))
     assert scn.sweeps.phis_deg == (45.0,)
+
+
+def test_sweep_tiny_step_single_point_grid(tmp_path):
+    # every point within the 1e-9 band above stop used to be kept as a
+    # copy of stop: 60,001 copies of 60 deg, and 60,001 identical rows
+    text = BASE + "\n[sweeps]\nphi_start_deg = 60\nphi_stop_deg = 60\nphi_step_deg = 1e-12\n"
+    assert load_scenario(write(tmp_path, text)).sweeps.phis_deg == (60.0,)
+
+
+def test_sub_ulp_grid_step_rejected():
+    # 5e-12 is below the float spacing near 1e5 (1.5e-11): the old loop
+    # built 20,020,003 points, 6,873 of them distinct
+    with pytest.raises(ConfigError, match="h_step_m=5e-12 is below float spacing"):
+        scenario._grid(1e5, 1e5 + 1e-7, 5e-12, "h_step_m")
+
+
+def _loop_grid(start, stop, step):
+    """The grid as a scalar loop, one point at a time: start + k * step up
+    to stop within 1e-9 (relative), each point clamped to stop."""
+    k = 0
+    while (v := start + k * step) <= stop + 1e-9 * max(1.0, abs(stop)):
+        yield min(v, stop)
+        k += 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.one_of(st.floats(1.0, 1e6), st.sampled_from([15.0, 60.0, 1e5])),
+    steps=st.floats(0.0, 2000.0),
+    step=st.floats(1e-14, 100.0),
+    ulps=st.none() | st.floats(0.1, 3.0),
+)
+def test_grid_matches_scalar_loop(start, steps, step, ulps):
+    # the loop's distinct points, or a ConfigError when it repeats a point
+    # below stop.  A step of a few float spacings at start or less repeats
+    # points, and a step below the 1e-9 band repeats stop millions of times,
+    # so the loop is cut two points past the last one below stop.
+    if ulps is not None:
+        step = ulps * math.ulp(start)
+    stop = start + steps * step
+    points = list(itertools.islice(_loop_grid(start, stop, step), math.ceil(steps) + 3))
+    below = [v for v in points if v < stop]
+    if len(set(below)) < len(below):
+        with pytest.raises(ConfigError, match="below float spacing"):
+            scenario._grid(start, stop, step, "step")
+    else:
+        assert scenario._grid(start, stop, step, "step") == tuple(dict.fromkeys(points))
 
 
 def test_sweep_bad_step(tmp_path):
