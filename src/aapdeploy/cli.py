@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +89,7 @@ def altitude_sweep_rows(scn: Scenario) -> list[list]:
     h_list = scn.sweeps.altitudes
     h = np.array(h_list)
     for gamma in scn.sweeps.gamma_list:
-        sys_g = scn.system.with_gamma(gamma)
+        sys_g = replace(scn.system, gamma=gamma)
         power = uplink.expected_sum_power_closed_form(h, phi, sys_g, env)
         columns = (
             gee.gee_value(h, phi, sys_g, env, scn.uav),

@@ -147,7 +147,7 @@ def solve_p1(
     gee_opt, h_opt, k = best
     phi_opt, ceiling_opt = float(phis[k]), float(ceilings[k])
 
-    tol = 1e-9 * max(1.0, h_opt)
+    tol = 1e-9 * h_opt
     if abs(h_opt - sys.h_min) <= tol:
         binding = BindingConstraint.MIN_ALTITUDE
     elif ceiling_opt < sys.h_max and abs(h_opt - ceiling_opt) <= tol:

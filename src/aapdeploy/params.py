@@ -3,15 +3,15 @@ system and the UAV energy model.
 
 All excess-loss figures are stored as linear power ratios; ``from_db``
 accepts the usual dB inputs and converts once, at construction time.  The
-reference gain is given as g0 only, and the target power is set from gamma
-only through ``SystemParams.with_gamma``.
+reference gain is given as g0 only, and the target power only through the
+target SNR gamma, from which ``SystemParams.p_target_pa`` is derived.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -75,7 +75,7 @@ class SystemParams:
     circuit_power_pc     hardware circuit power, W
     service_time_t       service period, s
     p_max                per-UE transmit power cap, W
-    p_target_pa          target arrived power at the AAP, W
+    gamma                target SNR P_a / (sigma0^2 W) of the arrived power
     noise_psd_sigma0sq   noise power spectral density, W/Hz
     ue_density_rho       UE density, 1/m^2
     h_min, h_max         permitted altitude range, m
@@ -91,7 +91,7 @@ class SystemParams:
     circuit_power_pc: float
     service_time_t: float
     p_max: float
-    p_target_pa: float
+    gamma: float
     noise_psd_sigma0sq: float
     ue_density_rho: float
     h_min: float
@@ -108,23 +108,16 @@ class SystemParams:
         if self.num_interferers_m < 0:
             raise ConfigError("num_interferers_m must be non-negative")
         _require_normal("noise_psd * bandwidth", self.noise_psd_sigma0sq * self.bandwidth_w)
-
-    @property
-    def gamma(self) -> float:
-        """Target-arrived-power to noise ratio P_a / (sigma0^2 W)."""
-        return self.p_target_pa / (self.noise_psd_sigma0sq * self.bandwidth_w)
-
-    def with_gamma(self, gamma: float) -> "SystemParams":
-        """Copy of these parameters with the target power set from gamma."""
-        if gamma <= 0:
-            raise ConfigError("gamma must be strictly positive")
-        p_target_pa = gamma * self.noise_psd_sigma0sq * self.bandwidth_w
-        if not math.isfinite(p_target_pa):
+        if not math.isfinite(self.p_target_pa):
             raise ConfigError(
                 "gamma * noise_psd * bandwidth overflows the floating-point range"
             )
-        _require_normal("gamma * noise_psd * bandwidth", p_target_pa)
-        return replace(self, p_target_pa=p_target_pa)
+        _require_normal("gamma * noise_psd * bandwidth", self.p_target_pa)
+
+    @property
+    def p_target_pa(self) -> float:
+        """Target arrived power P_a = gamma sigma0^2 W at the AAP, W."""
+        return self.gamma * self.noise_psd_sigma0sq * self.bandwidth_w
 
 
 def _require_normal(name: str, power_w: float) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -102,12 +102,12 @@ class SweepSpec:
 
 def _grid(start: float, stop: float, step: float, name: str) -> tuple[float, ...]:
     """The points start + k * step below stop, then stop itself if a point
-    reaches it within 1e-9 (relative); _resolve_sweeps has checked that
-    step > 0, start <= stop and the point count.  A step too fine for the
+    reaches it within 1e-9 * stop; _resolve_sweeps has checked that
+    step > 0, 0 < start <= stop and the point count.  A step too fine for the
     floats near the grid repeats points, which is a ConfigError."""
     values = start + step * np.arange(math.floor((stop - start) / step) + 3)
     below = values[values < stop]
-    if values[below.size] <= stop + 1e-9 * max(1.0, abs(stop)):
+    if values[below.size] <= stop + 1e-9 * stop:
         below = np.append(below, stop)
     if np.count_nonzero(below[1:] <= below[:-1]):
         raise ConfigError(f"sweep {name}={step:g} is below float spacing: points repeat")
@@ -192,7 +192,7 @@ def _resolve_sweeps(
         )
     for gamma in gamma_list:
         try:
-            system.with_gamma(gamma)
+            replace(system, gamma=gamma)
         except ConfigError as exc:
             raise ConfigError(f"sweep gamma_list: {exc}") from None
     for axis, unit, start, stop, step in (
@@ -264,10 +264,7 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ConfigError(f"missing scenario section [{required}]")
 
     environment = EnvironmentParams.from_db(**_read(parser, "environment"))
-    system_values = _read(parser, "system")
-    gamma = system_values.pop("gamma")
-    # p_target_pa is a placeholder that with_gamma sets from gamma
-    system = SystemParams(p_target_pa=1.0, **system_values).with_gamma(gamma)
+    system = SystemParams(**_read(parser, "system"))
     uav = UavEnergyParams(**_read(parser, "uav"))
     uav.validate_range(system.h_min, system.h_max)
     # A key the file leaves out sweeps the system's own altitude range,

@@ -42,7 +42,7 @@ def make_system(gamma=100.0, **overrides):
     return SystemParams(
         bandwidth_w=bandwidth,
         noise_psd_sigma0sq=noise,
-        p_target_pa=gamma * noise * bandwidth,  # gamma = P_a / (sigma0^2 W)
+        gamma=gamma,
         **kwargs,
     )
 

@@ -1,0 +1,156 @@
+"""Exact invariance under a change of the unit of length.
+
+Scaling every length of a scenario by k = 2^j, with the UE density rho
+divided by k^2, the reference gain g0 multiplied by k^2 and the energy
+slopes alpha_cl and alpha_ho divided by k, describes the same deployment in
+another unit.  Multiplying by a power of two is exact in binary floating
+point, so every length a verb reports must scale by k bit for bit and every
+other output must stay the same.  A tolerance, slack or cap with an absolute
+floor in metres breaks this at small or large k.  j is capped at 6 because
+load requires g0 < 1.
+"""
+
+import configparser
+import contextlib
+import functools
+import io
+import json
+
+import pytest
+
+from aapdeploy import cli
+from aapdeploy.scenario import builtin_scenario_path
+
+# The power of k by which each scaled key's values change.
+POWERS = {
+    "g0": 2,
+    "ue_density_per_m2": -2,
+    "alpha_climb_j_per_m": -1,
+    "alpha_hover_w_per_m": -1,
+    "h_min_m": 1,
+    "h_max_m": 1,
+    "area_radius_m": 1,
+    "h_start_m": 1,
+    "h_stop_m": 1,
+    "h_step_m": 1,
+    "area_radius_list_m": 1,
+}
+
+# Each case's built-in scenario and the key values it changes at k = 1.
+# At h_max_m = 222 the ablation's optimum, 220.55 m, lies close below h_max;
+# an altitude grid from 15 m to 300.5 m in 1 m steps ends half a step short
+# of its stop.
+CASES = {
+    "baseline": ("baseline", {}),
+    "no_vehicle_energy": ("no_vehicle_energy", {}),
+    "no_vehicle_energy_h_max_222": (
+        "no_vehicle_energy", {"h_max_m": "222", "h_stop_m": "222"}
+    ),
+    "baseline_h_stop_300.5": ("baseline", {"h_max_m": "300.5", "h_stop_m": "300.5"}),
+}
+
+EXPONENTS = (-40, -32, -1, 4, 6)
+
+PLAN_LENGTHS = ("r_a_m", "area_radius_m")
+LEVEL_LENGTHS = ("ring_radius_m", "center_radius_m")
+
+
+def write_scaled(path, case, k):
+    """Write the case's scenario with every key in POWERS scaled by k."""
+    name, overrides = CASES[case]
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None
+    )
+    parser.read_string(builtin_scenario_path(name).read_text())
+    for section in parser.sections():
+        for key, power in POWERS.items():
+            if key in parser[section]:
+                text = overrides.get(key, parser[section][key])
+                parser[section][key] = ", ".join(
+                    repr(float(value) * k**power) for value in text.split(",")
+                )
+    with path.open("w") as handle:
+        parser.write(handle)
+    return str(path)
+
+
+def unit_outputs(tmp_path, case, j):
+    """The outputs of solve, place, altitude-sweep and validate on the case
+    scaled by k = 2^j, with every length divided by k again.  CSV rows are
+    taken as the verbs pass them to the writer, before rounding to text."""
+    k = 2.0**j
+    scenario = write_scaled(tmp_path / "scaled.ini", case, k)
+    rows = {}
+    write_csv = cli.write_csv_atomic
+
+    def capture(path, header, body):
+        rows[path.name] = [list(row) for row in body]
+        write_csv(path, header, rows[path.name])
+
+    codes, stdout = {}, {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "write_csv_atomic", capture)
+        for verb in ("solve", "place", "altitude-sweep", "validate"):
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
+                codes[verb] = cli.main(["--scenario", scenario, "--out", str(tmp_path), verb])
+            stdout[verb] = text.getvalue()
+
+    solution = json.loads((tmp_path / "solution.json").read_text())
+    solution["h_opt_m"] /= k
+    solution["r_a_m"] /= k
+    # the ablation's coverage radius exceeds its area radius: place exits 1
+    plan = centers = None
+    if codes["place"] == cli.EXIT_OK:
+        plan = json.loads((tmp_path / "plan.json").read_text())
+        for key in PLAN_LENGTHS:
+            plan[key] /= k
+        for level in plan["levels"]:
+            for key in LEVEL_LENGTHS:
+                level[key] /= k
+        # the margins and the tolerance are lengths; the verdicts are bools
+        plan["feasibility"] = {
+            key: value / k if isinstance(value, float) else value
+            for key, value in plan["feasibility"].items()
+        }
+        centers = [
+            [level, ring / k, m, x / k, y / k]
+            for level, ring, m, x, y in rows["centers.csv"]
+        ]
+    sweep = [[gamma, h / k, *rest] for gamma, h, *rest in rows["altitude_sweep.csv"]]
+    return {
+        "exit codes": codes,
+        "solve": solution,
+        "place": (plan, centers),
+        "altitude-sweep": sweep,
+        "validate": stdout["validate"],
+    }
+
+
+@pytest.fixture(scope="module")
+def at_unit_scale(tmp_path_factory):
+    @functools.cache
+    def outputs(case):
+        return unit_outputs(tmp_path_factory.mktemp(case), case, 0)
+
+    return outputs
+
+
+@pytest.mark.parametrize(
+    "case, j",
+    [(case, j) for case in ("baseline", "no_vehicle_energy") for j in EXPONENTS]
+    + [("no_vehicle_energy_h_max_222", -32), ("baseline_h_stop_300.5", -32)],
+)
+def test_outputs_scale_with_the_unit_of_length(tmp_path, at_unit_scale, case, j):
+    scaled, reference = unit_outputs(tmp_path, case, j), at_unit_scale(case)
+    for verb in reference:
+        assert scaled[verb] == reference[verb], verb
+
+
+def test_binding_is_interior_at_unit_scale(at_unit_scale):
+    # the two binding cases above compare against an interior optimum
+    assert at_unit_scale("no_vehicle_energy")["solve"]["binding_constraint"] == "interior"
+    assert (
+        at_unit_scale("no_vehicle_energy_h_max_222")["solve"]["binding_constraint"]
+        == "interior"
+    )

@@ -2,6 +2,8 @@ import itertools
 import json
 import math
 import re
+import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -48,14 +50,14 @@ def write(tmp_path, text, name="scn.ini"):
 
 def test_load_minimal_scenario(tmp_path):
     scn = load_scenario(write(tmp_path, BASE))
-    assert scn.system.gamma == pytest.approx(100.0)
-    assert scn.system.p_target_pa == pytest.approx(100.0 * 4e-21 * 20e6)
+    assert scn.system.gamma == 100.0
+    assert scn.system.p_target_pa == 100.0 * 4e-21 * 20e6
     assert scn.environment.a == 4.88
     assert scn.uav.alpha_cl == 315.0
     # defaults kick in for the optional sections
     assert scn.sweeps.delta == 0.9
-    assert scn.sweeps.gamma_list == (pytest.approx(100.0),)
-    assert scn.sweeps.area_radius_list == (pytest.approx(180.48),)
+    assert scn.sweeps.gamma_list == (100.0,)
+    assert scn.sweeps.area_radius_list == (180.48,)
 
 
 def test_builtin_scenarios_load():
@@ -64,9 +66,43 @@ def test_builtin_scenarios_load():
     assert baseline.sweeps.gamma_list == (10.0, 100.0, 1000.0)
     ablation = load_scenario(builtin_scenario_path("no_vehicle_energy"))
     assert ablation.uav.alpha_cl == 0.0
-    assert ablation.system.gamma == pytest.approx(0.01)
+    assert ablation.system.gamma == 0.01
     with pytest.raises(ConfigError):
         builtin_scenario_path("nonexistent")
+
+
+def test_default_gamma_list_is_the_stated_gamma(tmp_path):
+    # a gamma held as a target power came back by division as
+    # 0.010000000000000002
+    scn = load_scenario(write(tmp_path, BASE.replace("gamma = 100", "gamma = 0.01")))
+    assert scn.sweeps.gamma_list == (0.01,)
+    assert replace(scn.system, gamma=scn.sweeps.gamma_list[0]) == scn.system
+
+
+POSITIVE = st.floats(-324.0, 308.0).map(lambda e: 10.0**e) | st.floats(
+    min_value=0.0, exclude_min=True, allow_infinity=False
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=POSITIVE, noise=POSITIVE, bandwidth=POSITIVE)
+def test_gamma_is_held_as_stated(tmp_path_factory, gamma, noise, bandwidth):
+    # load accepts exactly the values whose noise power and target power
+    # are finite normal floats, and keeps gamma as written
+    text = (
+        BASE.replace("gamma = 100", f"gamma = {gamma!r}")
+        .replace("noise_psd_w_per_hz = 4e-21", f"noise_psd_w_per_hz = {noise!r}")
+        .replace("bandwidth_hz = 20e6", f"bandwidth_hz = {bandwidth!r}")
+    )
+    path = write(tmp_path_factory.getbasetemp(), text, "gamma.ini")
+    power = gamma * noise * bandwidth
+    if not (noise * bandwidth >= sys.float_info.min and sys.float_info.min <= power < math.inf):
+        with pytest.raises(ConfigError):
+            load_scenario(path)
+        return
+    system = load_scenario(path).system
+    assert system.gamma == gamma
+    assert system.p_target_pa == power
 
 
 def test_missing_file():
@@ -143,7 +179,7 @@ def _loop_grid(start, stop, step):
     """The grid as a scalar loop, one point at a time: start + k * step up
     to stop within 1e-9 (relative), each point clamped to stop."""
     k = 0
-    while (v := start + k * step) <= stop + 1e-9 * max(1.0, abs(stop)):
+    while (v := start + k * step) <= stop + 1e-9 * stop:
         yield min(v, stop)
         k += 1
 
