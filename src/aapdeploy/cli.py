@@ -210,8 +210,7 @@ def cmd_place(scn: Scenario, args: argparse.Namespace) -> int:
     print(
         f"R={scn.system.area_radius_r:g} m  R_a={r_a:g} m  "
         f"levels={[level.count for level in plan.levels]}  "
-        f"density={plan.packing_density:.4f}  "
-        f"feasible={plan.feasibility.all_ok}"
+        f"density={plan.packing_density:.4f}"
     )
     return EXIT_OK
 

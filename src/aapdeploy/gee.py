@@ -93,7 +93,7 @@ def solve_p1(
     sys: SystemParams,
     env: EnvironmentParams,
     uav: UavEnergyParams,
-    phi_grid: Sequence[float],
+    phi_grid: Sequence[float] | np.ndarray,
 ) -> DeploymentSolution:
     """Energy-efficiency-optimal altitude and edge elevation threshold.
 
@@ -107,12 +107,11 @@ def solve_p1(
     (threshold x altitude) grid, and one tie rule holds: the larger elevation
     angle (smaller cell) wins, then the lower altitude.
     """
-    if not phi_grid:
-        raise InfeasibleError("empty threshold grid")
-
     # Sorted by descending elevation angle, so the first maximum in (phi, h)
     # order is the larger phi, then the lower h.
     phis = np.sort(np.asarray(phi_grid, dtype=float))[::-1]
+    if not phis.size:
+        raise InfeasibleError("empty threshold grid")
     covered = channel.coverage_radius(sys.h_min, phis) > 0.0
     ceilings = altitude_ceiling(phis, sys, env)
     feasible = covered & (ceilings >= sys.h_min)

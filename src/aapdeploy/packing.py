@@ -10,7 +10,7 @@ the non-overlap constraint.  Levels stop at the first ring with count 0.
 Every plan is re-verified by ``verify_levels``, a uniform-grid neighbour
 search (the cell list of Bentley, Stanat and Williams, 1977) in numpy alone,
 one pass of O(N log N) in the number of circles, that reports the same
-margins as a loop over every pair.
+margins as an np.hypot loop over every pair.
 """
 
 from __future__ import annotations
@@ -29,16 +29,12 @@ THREE_CIRCLE_RATIO = 1.0 + 1.0 / math.cos(math.pi / 6.0)
 
 GEOMETRY_REL_TOL = 1e-9
 
-# Slack on the search radius for near-minimal pairs in verify_levels: relative
-# to the minimum pair distance, plus a multiple of r_a for distances whose
-# squares underflow.
-NEAR_MIN_REL = 1e-9
-NEAR_MIN_ABS = 1e-12
-
 # The neighbour grid of verify_levels.  A grid has at most GRID_MAX_CELLS
 # cells per axis: cell keys stay far inside int64, a cell coordinate
 # (x - lo) / cell stays finite, and its rounding, under
-# GRID_MAX_CELLS * 2^-51 cells, stays below GRID_ROUNDING.
+# GRID_MAX_CELLS * 2^-51 cells, stays below GRID_ROUNDING.  The same
+# relative slack covers the few ulps between a computed distance and the
+# true one.
 GRID_MAX_CELLS = 2**20
 GRID_ROUNDING = 1e-9
 
@@ -135,7 +131,7 @@ def ring_count(ring_radius: float, r_a: float) -> tuple[int, LevelCountBounds | 
     """The count rule: circles of radius r_a placeable along a ring of the
     given radius (0 degenerate, 1 at the centre, 2 opposite, else the clamped
     area bound) and, for three or more, both count bounds."""
-    if r_a <= 0:
+    if not r_a > 0:
         raise ValueError("circle radius must be strictly positive")
     if ring_radius >= THREE_CIRCLE_RATIO * r_a:
         bounds = count_bounds(ring_radius, r_a)
@@ -257,64 +253,50 @@ def verify_levels(
 ) -> FeasibilityReport:
     """Check pairwise separation and containment for a set of levels.
 
-    A uniform-grid neighbour search (a cell list) gives the minimum pair
-    distance d_min up to its rounding; only the pairs within the
-    near-minimal radius d_min (1 + NEAR_MIN_REL) + NEAR_MIN_ABS r_a, a slack
-    far wider than that rounding, are recomputed with math.hypot.
-    Containment takes each level's largest centre norm against the smaller
-    of its two limits.  Rounding is monotone, so both margins are the same
-    floats as the minima over every pair and every centre.
+    One np.hypot pass measures the candidate pairs of a uniform-grid
+    neighbour search (a cell list), and one every centre's norm against the
+    smaller of the area radius and its level's ring radius.  Rounding is
+    monotone, so both margins are the same floats as the minima over every
+    pair and every centre.
 
-    The closest consecutive centres, d_up apart, bound d_min from above, so
-    one pass over cells that hold the near-minimal radius of d_up finds the
-    closest pair.  The cost is in that bound: centres whose consecutive
-    pairs all lie far apart while many of them cluster together get a
-    coarse grid, and the search is quadratic in the cluster.  A plan lists
-    each ring's centres in angular order, so its d_up is a ring's chord.
+    The closest consecutive centres, d_up apart, bound the minimum pair
+    distance, so cells a little wider than d_up hold every pair whose
+    computed distance is at most d_up, the closest among them.  The cost is
+    in that bound: centres whose consecutive pairs all lie far apart while
+    many of them cluster together get a coarse grid, and the search is
+    quadratic in the cluster.  A plan lists each ring's centres in angular
+    order, so its d_up is a ring's chord.
     """
-    if r_a <= 0:
+    if not r_a > 0:
         raise ValueError("circle radius must be strictly positive")
     tol = GEOMETRY_REL_TOL * r_a
-    centers = [c for level in levels for c in level.centers]
+    counts = [len(level.centers) for level in levels]
+    n = sum(counts)
+    xy = np.fromiter(
+        itertools.chain.from_iterable(c for level in levels for c in level.centers),
+        float,
+        2 * n,
+    ).reshape(-1, 2).T.copy()
+    x, y = xy
+    limit = np.repeat([min(area_radius, level.ring_radius) for level in levels], counts)
 
-    def near_radius(d: float) -> float:
-        return d * (1.0 + NEAR_MIN_REL) + NEAR_MIN_ABS * r_a
-
-    worst_pair = math.inf
-    if len(centers) > 1:
-        xy = np.fromiter(
-            itertools.chain.from_iterable(centers), float, 2 * len(centers)
-        ).reshape(-1, 2).T.copy()
-        x, y = xy
-        rel = xy - xy.min(axis=1, keepdims=True)
-        # A cell coordinate or a distance of far-apart tiny values can
-        # underflow to zero, which changes neither a cell nor a minimum.
-        with np.errstate(under="ignore"):
+    worst_pair = worst_contain = math.inf
+    # A cell coordinate, a distance or a norm of tiny values can underflow
+    # to zero, which changes neither a cell nor a minimum.
+    with np.errstate(under="ignore"):
+        if n:
+            worst_contain = float((limit - np.hypot(x, y)).min()) - r_a
+        if n > 1:
+            rel = xy - xy.min(axis=1, keepdims=True)
             d_up = float(np.hypot(x[1:] - x[:-1], y[1:] - y[:-1]).min())
-            # r_a keeps the cell positive where NEAR_MIN_ABS * r_a underflows
+            # r_a keeps the cell positive where d_up is zero
             cell = max(
-                near_radius(d_up) * (1.0 + GRID_ROUNDING),
+                d_up * (1.0 + GRID_ROUNDING) ** 2,
                 float(rel.max()) / GRID_MAX_CELLS,
                 r_a,
             )
             i, j = _grid_pairs(rel, cell)
-            dist = np.hypot(x[i] - x[j], y[i] - y[j])
-        radius = near_radius(float(dist.min()))
-        near = dist <= radius
-        for p, q in zip(i[near].tolist(), j[near].tolist()):
-            (xp, yp), (xq, yq) = centers[p], centers[q]
-            worst_pair = min(worst_pair, math.hypot(xp - xq, yp - yq) - 2.0 * r_a)
-
-    worst_contain = min(
-        (
-            min(area_radius, level.ring_radius)
-            - max(map(math.hypot, *zip(*level.centers)))
-            - r_a
-            for level in levels
-            if level.centers
-        ),
-        default=math.inf,
-    )
+            worst_pair = float(np.hypot(x[i] - x[j], y[i] - y[j]).min()) - 2.0 * r_a
 
     return FeasibilityReport(
         pairwise_ok=worst_pair >= -tol,
@@ -340,9 +322,9 @@ def run_algorithm1(area_radius: float, r_a: float) -> PlacementPlan:
     MAX_AREA_RATIO is refused before any level is built, and a plan that
     fails ``verify_levels`` raises PlannerError.
     """
-    if r_a <= 0:
+    if not r_a > 0:
         raise ValueError("coverage radius must be strictly positive")
-    if area_radius < r_a:
+    if not area_radius >= r_a:
         raise InfeasibleError(
             f"target radius {area_radius:g} m smaller than the coverage "
             f"radius {r_a:g} m"

@@ -43,7 +43,7 @@ class EnvironmentParams:
     g0: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0 or self.b <= 0:
+        if not (self.a > 0 and self.b > 0):
             raise ConfigError("LoS-probability parameters a, b must be positive")
         if not (1.0 <= self.eta_los <= self.eta_nlos):
             raise ConfigError(
@@ -101,11 +101,11 @@ class SystemParams:
     def __post_init__(self) -> None:
         for field in fields(self):
             value = getattr(self, field.name)
-            if field.name != "num_interferers_m" and value <= 0:
+            if field.name != "num_interferers_m" and not value > 0:
                 raise ConfigError(f"{field.name} must be strictly positive, got {value!r}")
         if self.h_min > self.h_max:
             raise ConfigError("h_min must not exceed h_max")
-        if self.num_interferers_m < 0:
+        if not self.num_interferers_m >= 0:
             raise ConfigError("num_interferers_m must be non-negative")
         _require_normal("noise_psd * bandwidth", self.noise_psd_sigma0sq * self.bandwidth_w)
         if not math.isfinite(self.p_target_pa):
@@ -145,7 +145,7 @@ class UavEnergyParams:
     beta_ho: float
 
     def __post_init__(self) -> None:
-        if self.alpha_cl < 0 or self.alpha_ho < 0:
+        if not (self.alpha_cl >= 0 and self.alpha_ho >= 0):
             raise ConfigError("energy slopes alpha_cl, alpha_ho must be non-negative")
 
     @classmethod
@@ -159,11 +159,11 @@ class UavEnergyParams:
         if self == UavEnergyParams.zero():
             return
         for h in (h_min, h_max):
-            if self.alpha_cl * h + self.beta_cl <= 0:
+            if not self.alpha_cl * h + self.beta_cl > 0:
                 raise ConfigError(
                     f"climb energy non-positive at h={h} m; check alpha_cl/beta_cl"
                 )
-            if self.alpha_ho * h + self.beta_ho < 0:
+            if not self.alpha_ho * h + self.beta_ho >= 0:
                 raise ConfigError(
                     f"hover power negative at h={h} m; check alpha_ho/beta_ho"
                 )

@@ -39,6 +39,14 @@ def test_environment_invariants():
         EnvironmentParams(a=4.88, b=0.43, eta_los=1.0, eta_nlos=2.0, g0=1.5)
 
 
+@pytest.mark.parametrize("field", ["a", "b", "eta_los", "eta_nlos", "g0"])
+def test_environment_refuses_nan(field):
+    values = dict(a=4.88, b=0.43, eta_los=1.0, eta_nlos=2.0, g0=1e-4)
+    EnvironmentParams(**values)
+    with pytest.raises(ConfigError):
+        EnvironmentParams(**{**values, field: math.nan})
+
+
 def test_geometry_validation():
     assert float(channel.elevation_deg(0.0, 1.0)) == pytest.approx(90.0)  # nadir UE
     assert float(channel.elevation_deg(3.0, 4.0)) == pytest.approx(

@@ -1,9 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from aapdeploy import energy
 from aapdeploy.errors import ConfigError
-from aapdeploy.params import UavEnergyParams
+from aapdeploy.params import SystemParams, UavEnergyParams
 
 from conftest import make_system
 
@@ -27,6 +30,22 @@ def test_zero_service_time_rejected():
     for bad in (0.0, -1.0):
         with pytest.raises(ConfigError, match="service_time_t must be strictly positive"):
             make_system(service_time_t=bad)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SystemParams)])
+def test_system_refuses_nan(baseline_system, field):
+    # a positivity test written value <= 0 lets NaN through
+    with pytest.raises(ConfigError, match=f"{field} must be"):
+        dataclasses.replace(baseline_system, **{field: math.nan})
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_uav_energy_refuses_nan(position):
+    # a NaN slope is refused at construction, a NaN offset by the range check
+    coefficients = [315.0, -211.261, 4.917, 275.204]
+    coefficients[position] = math.nan
+    with pytest.raises(ConfigError):
+        UavEnergyParams(*coefficients).validate_range(15.0, 300.0)
 
 
 def test_ablation_zero_params(baseline_system):

@@ -95,6 +95,25 @@ def test_solve_p1_infeasible_empty_grid(suburban_env, baseline_system, baseline_
         gee.solve_p1(baseline_system, suburban_env, baseline_uav, phi_grid=[])
 
 
+@pytest.mark.parametrize("empty", [[], np.array([])], ids=["list", "ndarray"])
+def test_solve_p1_refuses_an_empty_grid_of_any_type(
+    suburban_env, baseline_system, baseline_uav, empty
+):
+    with pytest.raises(InfeasibleError, match="empty threshold grid"):
+        gee.solve_p1(baseline_system, suburban_env, baseline_uav, phi_grid=empty)
+
+
+def test_solve_p1_takes_a_list_a_tuple_or_an_array(
+    suburban_env, baseline_system, baseline_uav
+):
+    grid = np.arange(5.0, 60.0 + 1e-9, 0.25)
+    solutions = [
+        gee.solve_p1(baseline_system, suburban_env, baseline_uav, phi_grid=g)
+        for g in (grid.tolist(), tuple(grid.tolist()), grid)
+    ]
+    assert solutions[0] == solutions[1] == solutions[2]
+
+
 def test_solve_p1_infeasible_power_limit(suburban_env, baseline_uav):
     # tiny P_max: every threshold's power ceiling drops below h_min
     sysp = make_system(p_max=1e-15)

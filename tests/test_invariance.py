@@ -7,18 +7,22 @@ another unit.  Multiplying by a power of two is exact in binary floating
 point, so every length a verb reports must scale by k bit for bit and every
 other output must stay the same.  A tolerance, slack or cap with an absolute
 floor in metres breaks this at small or large k.  j is capped at 6 because
-load requires g0 < 1.
+load requires g0 < 1.  The packing alone has no such bound, and takes j
+from -40 to 40.
 """
 
 import configparser
 import contextlib
+import dataclasses
 import functools
 import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from aapdeploy import cli
+from aapdeploy import cli, packing
 from aapdeploy.scenario import builtin_scenario_path
 
 # The power of k by which each scaled key's values change.
@@ -154,3 +158,55 @@ def test_binding_is_interior_at_unit_scale(at_unit_scale):
         at_unit_scale("no_vehicle_energy_h_max_222")["solve"]["binding_constraint"]
         == "interior"
     )
+
+
+def scaled_plan(plan, k):
+    """The plan with every centre, radius, margin and the tolerance
+    multiplied by k; counts, count bounds and the density kept."""
+    levels = tuple(
+        dataclasses.replace(
+            level,
+            ring_radius=level.ring_radius * k,
+            center_radius=level.center_radius * k,
+            centers=tuple((x * k, y * k) for x, y in level.centers),
+        )
+        for level in plan.levels
+    )
+    report = plan.feasibility
+    feasibility = dataclasses.replace(
+        report,
+        worst_pairwise_margin=report.worst_pairwise_margin * k,
+        worst_containment_margin=report.worst_containment_margin * k,
+        tolerance=report.tolerance * k,
+    )
+    return dataclasses.replace(
+        plan,
+        levels=levels,
+        r_a=plan.r_a * k,
+        area_radius=plan.area_radius * k,
+        feasibility=feasibility,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ratio=st.floats(min_value=1.0, max_value=60.0),
+    r_a=st.floats(min_value=0.01, max_value=500.0),
+    j=st.integers(min_value=-40, max_value=40),
+)
+# whole-number ratios, whose last ring is r_a or 2 r_a up to rounding
+@example(ratio=3.0, r_a=1.0, j=-40)
+@example(ratio=10.0, r_a=0.1, j=40)
+def test_packing_alone_scales_with_the_unit_of_length(ratio, r_a, j):
+    k = 2.0**j
+    plan = packing.run_algorithm1(ratio * r_a, r_a)
+    assert packing.run_algorithm1(ratio * r_a * k, r_a * k) == scaled_plan(plan, k)
+
+
+@pytest.mark.parametrize("j", EXPONENTS)
+def test_hypot_scales_exactly(j):
+    # The verifier's distances and norms are np.hypot values, so its margins
+    # scale with the plan only if np.hypot does.
+    k = 2.0**j
+    x, y = np.random.default_rng(j + 40).uniform(-1e3, 1e3, size=(2, 10**6))
+    assert np.array_equal(np.hypot(x * k, y * k), np.hypot(x, y) * k)

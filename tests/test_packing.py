@@ -170,6 +170,20 @@ def test_infeasible_when_area_too_small():
         packing.run_algorithm1(3.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "area_radius,r_a,error",
+    [
+        (math.nan, 1.0, InfeasibleError),
+        (10.0, math.nan, ValueError),
+        (math.nan, math.nan, ValueError),
+    ],
+)
+def test_run_algorithm1_refuses_nan(area_radius, r_a, error):
+    # a range check written area_radius < r_a lets NaN through
+    with pytest.raises(error):
+        packing.run_algorithm1(area_radius, r_a)
+
+
 def test_levels_shrink_by_two_radii():
     plan = packing.run_algorithm1(10.0, 1.0)
     rings = [level.ring_radius for level in plan.levels]
@@ -301,7 +315,7 @@ def _report(levels, r_a, area_radius, worst_pair):
     worst_contain = math.inf
     for level in levels:
         for x, y in level.centers:
-            norm = math.hypot(x, y)
+            norm = float(np.hypot(x, y))
             worst_contain = min(
                 worst_contain, area_radius - norm - r_a, level.ring_radius - norm - r_a
             )
@@ -315,33 +329,34 @@ def _report(levels, r_a, area_radius, worst_pair):
     )
 
 
+def _worst_pair(centers, i, j, r_a):
+    """The smallest np.hypot distance over the index pairs (i, j), less
+    2 r_a, or inf for no pair."""
+    if not len(i):
+        return math.inf
+    x, y = np.array(centers, dtype=float).T
+    return float(np.hypot(x[i] - x[j], y[i] - y[j]).min()) - 2.0 * r_a
+
+
 def reference_report(levels, r_a, area_radius):
-    """The brute-force verifier: math.hypot over all N (N - 1) / 2 pairs and
+    """The brute-force verifier: np.hypot over all N (N - 1) / 2 pairs and
     over every centre against both the area radius and its ring radius."""
     centers = [c for level in levels for c in level.centers]
-    worst_pair = math.inf
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            (xi, yi), (xj, yj) = centers[i], centers[j]
-            worst_pair = min(worst_pair, math.hypot(xi - xj, yi - yj) - 2.0 * r_a)
-    return _report(levels, r_a, area_radius, worst_pair)
+    i, j = np.triu_indices(len(centers), 1)
+    return _report(levels, r_a, area_radius, _worst_pair(centers, i, j, r_a))
 
 
 def kd_tree_report(levels, r_a, area_radius):
     """The verifier for sizes the pair loop cannot reach: a KD-tree gives
-    d_min, and math.hypot recomputes every pair within the near-minimal
-    radius d_min (1 + NEAR_MIN_REL) + NEAR_MIN_ABS r_a."""
+    d_min, and np.hypot measures every pair it finds within d_min (1 + 1e-9),
+    a slack far wider than the rounding of either distance."""
     centers = [c for level in levels for c in level.centers]
-    worst_pair = math.inf
+    pairs = np.empty((0, 2), dtype=np.intp)
     if len(centers) > 1:
-        xy = np.array(centers, dtype=float)
-        tree = cKDTree(xy)
-        d_min = float(tree.query(xy, k=2)[0][:, 1].min())
-        radius = d_min * (1.0 + packing.NEAR_MIN_REL) + packing.NEAR_MIN_ABS * r_a
-        for i, j in tree.query_pairs(radius, output_type="ndarray").tolist():
-            (xi, yi), (xj, yj) = centers[i], centers[j]
-            worst_pair = min(worst_pair, math.hypot(xi - xj, yi - yj) - 2.0 * r_a)
-    return _report(levels, r_a, area_radius, worst_pair)
+        tree = cKDTree(np.array(centers, dtype=float))
+        d_min = float(tree.query(tree.data, k=2)[0][:, 1].min())
+        pairs = tree.query_pairs(d_min * (1.0 + 1e-9), output_type="ndarray")
+    return _report(levels, r_a, area_radius, _worst_pair(centers, *pairs.T, r_a))
 
 
 def _level(centers, ring_radius=4.0):
@@ -359,6 +374,9 @@ def _level(centers, ring_radius=4.0):
     st.floats(min_value=1.0, max_value=30.0),
     st.floats(min_value=0.01, max_value=500.0),
 )
+# containment margins where np.hypot and math.hypot norms differ by an ulp
+@example(ratio=5.94235588972431, r_a=1.0)
+@example(ratio=4.706766917293233, r_a=341.89)
 def test_verifier_equals_the_pair_loop(ratio, r_a):
     # bit-identical margins: plan.json writes them at 12 significant digits
     levels = packing._build_levels(ratio * r_a, r_a)
@@ -416,6 +434,13 @@ def test_duplicate_centres_give_minus_two_radii(r_a):
 def test_verifier_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         packing.verify_levels([_level([(0.0, 0.0), (3.0, 0.0)])], 0.0, 4.0)
+
+
+def test_verifier_and_count_rule_reject_a_nan_radius():
+    with pytest.raises(ValueError):
+        packing.verify_levels([_level([(0.0, 0.0), (3.0, 0.0)])], math.nan, 4.0)
+    with pytest.raises(ValueError):
+        packing.ring_count(4.0, math.nan)
 
 
 @settings(max_examples=60, deadline=None)
@@ -555,8 +580,9 @@ def test_verifier_takes_one_grid_pass_on_any_centres(case):
 
 @pytest.mark.parametrize("r_a", [5e-324, 1e-315])
 def test_verifier_keeps_a_positive_cell_at_a_subnormal_radius(r_a):
-    # Coincident centres have the near-minimal radius NEAR_MIN_ABS r_a,
-    # which rounds to zero for a subnormal r_a; the cell stays at least r_a.
+    # Coincident centres give d_up = 0 and a zero spread, so both the
+    # slackened d_up and the spread over GRID_MAX_CELLS are zero; the r_a
+    # floor keeps the cell positive, even for a subnormal r_a.
     levels = [_level([(0.0, 0.0), (0.0, 0.0), (0.0, 0.0)])]
     with np.errstate(all="raise"):
         report = packing.verify_levels(levels, r_a, 4.0)
