@@ -134,7 +134,7 @@ def coverage_radius(h, phi_deg):
     A zero marks the nadir-only (degenerate) cell at phi = 90 deg; callers
     that cannot proceed with an empty cell raise DegenerateCoverageError.
     """
-    if np.count_nonzero(h <= 0):
+    if np.count_nonzero(np.logical_not(h > 0)):
         raise ValueError("altitude h must be strictly positive")
     _check_phi(phi_deg)
     return h / _per_angle(_tan, phi_deg)

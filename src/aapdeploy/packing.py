@@ -5,7 +5,8 @@ current ring of radius R_l; the next ring has radius R_l - 2 r_a.  One count
 rule (``ring_count``) gives every ring's count: 0, 1 or 2 below the
 three-circle ratio 2.1547, otherwise the area (void-algebra) bound clamped by
 the geometric pairwise-distance bound, so that emitted plans always satisfy
-the non-overlap constraint.  Levels stop at the first ring with count 0.
+the non-overlap constraint.  Levels stop at the first ring with count 0.  A
+plan stores its centres once; every count and its density derive from them.
 
 Every plan is re-verified by ``verify_levels``, a uniform-grid neighbour
 search (the cell list of Bentley, Stanat and Williams, 1977) in numpy alone,
@@ -15,6 +16,7 @@ margins as an np.hypot loop over every pair.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -106,19 +108,12 @@ def count_bounds(ring_radius: float, r_a: float) -> LevelCountBounds:
         raise ValueError("ring too small for a three-circle level")
     ratio = ring_radius / r_a
     budget = math.pi * ratio**2 * (1.0 + 1e-12)
-    # Largest n >= 3 with n * prop2_bracket(n) <= budget, by bisection: the
-    # product is strictly increasing in n.  lo always qualifies (or is 3),
-    # hi never does.
-    lo, hi = 3, 4
-    while hi * prop2_bracket(hi) <= budget:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid * prop2_bracket(mid) <= budget:
-            lo = mid
-        else:
-            hi = mid
-    n = lo
+    # Largest n >= 3 (which always fits) with n * prop2_bracket(n) <= budget.
+    # The product increases with n, and prop2_bracket(n) >= prop2_bracket(4)
+    # for n >= 3 (checked to n = 8e5, past a ring at MAX_AREA_RATIO), so no n
+    # above budget / prop2_bracket(4) fits.
+    top = int(budget / prop2_bracket(4)) + 1
+    n = bisect.bisect_right(range(top), budget, lo=4, key=lambda m: m * prop2_bracket(m)) - 1
     # Centres sit on a circle of radius ring_radius - r_a; adjacent chord
     # length 2 (ring_radius - r_a) sin(pi/n) must be >= 2 r_a.
     geometric = int(
@@ -146,11 +141,14 @@ class PackingLevel:
 
     index: int  # 1-based
     ring_radius: float
-    count: int
     center_radius: float
     centers: tuple[tuple[float, float], ...]
     area_count_bound: int | None = None
     geometric_count_bound: int | None = None
+
+    @property
+    def count(self) -> int:
+        return len(self.centers)
 
 
 @dataclass(frozen=True)
@@ -176,14 +174,22 @@ class FeasibilityReport:
 
 @dataclass(frozen=True)
 class PlacementPlan:
-    """Full multilevel placement with its density and feasibility report."""
+    """Full multilevel placement with its feasibility report; the AAP count
+    and the packing density total_aaps * r_a^2 / R^2 derive from the levels."""
 
     levels: tuple[PackingLevel, ...]
     r_a: float
     area_radius: float
-    total_aaps: int
-    packing_density: float
     feasibility: FeasibilityReport
+
+    @property
+    def total_aaps(self) -> int:
+        return sum(level.count for level in self.levels)
+
+    @property
+    def packing_density(self) -> float:
+        r_a, radius = self.r_a, self.area_radius
+        return self.total_aaps * (r_a * r_a) / (radius * radius)
 
 
 def _level_centers(count: int, center_radius: float) -> tuple[tuple[float, float], ...]:
@@ -211,7 +217,6 @@ def _build_levels(area_radius: float, r_a: float) -> list[PackingLevel]:
             PackingLevel(
                 index=index,
                 ring_radius=ring,
-                count=count,
                 center_radius=center_radius,
                 centers=_level_centers(count, center_radius),
                 area_count_bound=area_bound,
@@ -307,11 +312,6 @@ def verify_levels(
     )
 
 
-def packing_density(total_aaps: int, r_a: float, area_radius: float) -> float:
-    """Fraction of the target disk covered: total_aaps * r_a^2 / R^2."""
-    return total_aaps * r_a**2 / area_radius**2
-
-
 def run_algorithm1(area_radius: float, r_a: float) -> PlacementPlan:
     """Multilevel regular-polygon placement of equal coverage circles.
 
@@ -324,6 +324,8 @@ def run_algorithm1(area_radius: float, r_a: float) -> PlacementPlan:
     """
     if not r_a > 0:
         raise ValueError("coverage radius must be strictly positive")
+    if math.isnan(area_radius):
+        raise ValueError("target radius must be a number, got nan")
     if not area_radius >= r_a:
         raise InfeasibleError(
             f"target radius {area_radius:g} m smaller than the coverage "
@@ -335,7 +337,6 @@ def run_algorithm1(area_radius: float, r_a: float) -> PlacementPlan:
             f"coverage radii ({r_a:g} m): too many AAPs to plan"
         )
     levels = _build_levels(area_radius, r_a)
-    total = sum(level.count for level in levels)
     report = verify_levels(levels, r_a, area_radius)
     if not report.all_ok:
         raise PlannerError(
@@ -347,7 +348,5 @@ def run_algorithm1(area_radius: float, r_a: float) -> PlacementPlan:
         levels=tuple(levels),
         r_a=r_a,
         area_radius=area_radius,
-        total_aaps=total,
-        packing_density=packing_density(total, r_a, area_radius),
         feasibility=report,
     )

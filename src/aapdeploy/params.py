@@ -16,6 +16,14 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 
 
+def _require_finite(record) -> None:
+    """Refuse a record with a NaN or infinite field."""
+    for field in fields(record):
+        value = getattr(record, field.name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{field.name} must be finite, got {value!r}")
+
+
 def db_to_linear(value_db: float) -> float:
     """Convert a dB power quantity to a linear ratio."""
     try:
@@ -43,6 +51,7 @@ class EnvironmentParams:
     g0: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not (self.a > 0 and self.b > 0):
             raise ConfigError("LoS-probability parameters a, b must be positive")
         if not (1.0 <= self.eta_los <= self.eta_nlos):
@@ -99,13 +108,14 @@ class SystemParams:
     area_radius_r: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         for field in fields(self):
             value = getattr(self, field.name)
-            if field.name != "num_interferers_m" and not value > 0:
+            if field.name != "num_interferers_m" and value <= 0:
                 raise ConfigError(f"{field.name} must be strictly positive, got {value!r}")
         if self.h_min > self.h_max:
             raise ConfigError("h_min must not exceed h_max")
-        if not self.num_interferers_m >= 0:
+        if self.num_interferers_m < 0:
             raise ConfigError("num_interferers_m must be non-negative")
         _require_normal("noise_psd * bandwidth", self.noise_psd_sigma0sq * self.bandwidth_w)
         if not math.isfinite(self.p_target_pa):
@@ -145,6 +155,7 @@ class UavEnergyParams:
     beta_ho: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not (self.alpha_cl >= 0 and self.alpha_ho >= 0):
             raise ConfigError("energy slopes alpha_cl, alpha_ho must be non-negative")
 

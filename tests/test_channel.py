@@ -41,10 +41,13 @@ def test_environment_invariants():
 
 @pytest.mark.parametrize("field", ["a", "b", "eta_los", "eta_nlos", "g0"])
 def test_environment_refuses_nan(field):
+    # infinities too: a range check written with <= lets NaN through, and
+    # one side of it lets an infinity through
     values = dict(a=4.88, b=0.43, eta_los=1.0, eta_nlos=2.0, g0=1e-4)
     EnvironmentParams(**values)
-    with pytest.raises(ConfigError):
-        EnvironmentParams(**{**values, field: math.nan})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            EnvironmentParams(**{**values, field: bad})
 
 
 def test_geometry_validation():
@@ -234,6 +237,13 @@ def test_coverage_radius_broadcasts_over_altitude():
     assert list(radii) == [channel.coverage_radius(float(x), 30.0) for x in h]
     with pytest.raises(ValueError):
         channel.coverage_radius(np.array([15.0, 0.0]), 30.0)
+
+
+@pytest.mark.parametrize("h", [math.nan, np.array([15.0, math.nan])])
+def test_coverage_radius_rejects_a_nan_altitude(h):
+    # a check written h <= 0 lets NaN through
+    with pytest.raises(ValueError, match="altitude"):
+        channel.coverage_radius(h, 30.0)
 
 
 def test_boundary_ue_property(suburban_env):

@@ -34,18 +34,23 @@ def test_zero_service_time_rejected():
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SystemParams)])
 def test_system_refuses_nan(baseline_system, field):
-    # a positivity test written value <= 0 lets NaN through
-    with pytest.raises(ConfigError, match=f"{field} must be"):
-        dataclasses.replace(baseline_system, **{field: math.nan})
+    # infinities too: a positivity test written value <= 0 lets NaN through,
+    # and one written not value > 0 lets inf through
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            dataclasses.replace(baseline_system, **{field: bad})
 
 
 @pytest.mark.parametrize("position", range(4))
 def test_uav_energy_refuses_nan(position):
-    # a NaN slope is refused at construction, a NaN offset by the range check
-    coefficients = [315.0, -211.261, 4.917, 275.204]
-    coefficients[position] = math.nan
-    with pytest.raises(ConfigError):
-        UavEnergyParams(*coefficients).validate_range(15.0, 300.0)
+    # refused at construction, so a non-finite coefficient never reaches the
+    # range check's verdicts; infinities too
+    name = ["alpha_cl", "beta_cl", "alpha_ho", "beta_ho"][position]
+    for bad in (math.nan, math.inf, -math.inf):
+        coefficients = [315.0, -211.261, 4.917, 275.204]
+        coefficients[position] = bad
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            UavEnergyParams(*coefficients)
 
 
 def test_ablation_zero_params(baseline_system):

@@ -79,9 +79,10 @@ def write_scaled(path, case, k):
 
 
 def unit_outputs(tmp_path, case, j):
-    """The outputs of solve, place, altitude-sweep and validate on the case
-    scaled by k = 2^j, with every length divided by k again.  CSV rows are
-    taken as the verbs pass them to the writer, before rounding to text."""
+    """The outputs of all six verbs on the case scaled by k = 2^j, with every
+    length divided by k again.  CSV rows are taken as the verbs pass them to
+    the writer, before rounding to text.  density-sweep's reference_density
+    is left out: it matches area radii in metres by design."""
     k = 2.0**j
     scenario = write_scaled(tmp_path / "scaled.ini", case, k)
     rows = {}
@@ -94,7 +95,9 @@ def unit_outputs(tmp_path, case, j):
     codes, stdout = {}, {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "write_csv_atomic", capture)
-        for verb in ("solve", "place", "altitude-sweep", "validate"):
+        for verb in (
+            "solve", "place", "altitude-sweep", "threshold-sweep", "density-sweep", "validate"
+        ):
             text = io.StringIO()
             with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
                 codes[verb] = cli.main(["--scenario", scenario, "--out", str(tmp_path), verb])
@@ -122,11 +125,23 @@ def unit_outputs(tmp_path, case, j):
             for level, ring, m, x, y in rows["centers.csv"]
         ]
     sweep = [[gamma, h / k, *rest] for gamma, h, *rest in rows["altitude_sweep.csv"]]
+    thresholds = [
+        [phi, delta, gee, r_a / k, n_ue, gee_zero, ceiling / k]
+        for phi, delta, gee, r_a, n_ue, gee_zero, ceiling in rows["threshold_sweep.csv"]
+    ]
+    # the ablation's coverage radius exceeds every area radius: density-sweep
+    # exits 1 and writes nothing
+    densities = [
+        [radius / k, r_a / k, total, density, counts]
+        for radius, r_a, total, density, counts, _ in rows.get("density_sweep.csv", [])
+    ]
     return {
         "exit codes": codes,
         "solve": solution,
         "place": (plan, centers),
         "altitude-sweep": sweep,
+        "threshold-sweep": thresholds,
+        "density-sweep": densities,
         "validate": stdout["validate"],
     }
 
@@ -162,7 +177,8 @@ def test_binding_is_interior_at_unit_scale(at_unit_scale):
 
 def scaled_plan(plan, k):
     """The plan with every centre, radius, margin and the tolerance
-    multiplied by k; counts, count bounds and the density kept."""
+    multiplied by k and the count bounds kept.  The counts and the density
+    are properties of these, which the dataclass == does not compare."""
     levels = tuple(
         dataclasses.replace(
             level,
@@ -197,10 +213,18 @@ def scaled_plan(plan, k):
 # whole-number ratios, whose last ring is r_a or 2 r_a up to rounding
 @example(ratio=3.0, r_a=1.0, j=-40)
 @example(ratio=10.0, r_a=0.1, j=40)
+# a density squared with ** (libm pow) moved in the last bit here
+@example(ratio=16.720831892685045, r_a=16.720831892685045, j=-3)
 def test_packing_alone_scales_with_the_unit_of_length(ratio, r_a, j):
     k = 2.0**j
     plan = packing.run_algorithm1(ratio * r_a, r_a)
-    assert packing.run_algorithm1(ratio * r_a * k, r_a * k) == scaled_plan(plan, k)
+    scaled = packing.run_algorithm1(ratio * r_a * k, r_a * k)
+    assert scaled == scaled_plan(plan, k)
+    # properties, which the dataclass == does not compare
+    assert (scaled.total_aaps, scaled.packing_density) == (
+        plan.total_aaps,
+        plan.packing_density,
+    )
 
 
 @pytest.mark.parametrize("j", EXPONENTS)

@@ -173,7 +173,7 @@ def test_infeasible_when_area_too_small():
 @pytest.mark.parametrize(
     "area_radius,r_a,error",
     [
-        (math.nan, 1.0, InfeasibleError),
+        (math.nan, 1.0, ValueError),
         (10.0, math.nan, ValueError),
         (math.nan, math.nan, ValueError),
     ],
@@ -195,7 +195,6 @@ def test_verify_levels_detects_overlap():
     bad = packing.PackingLevel(
         index=1,
         ring_radius=4.0,
-        count=2,
         center_radius=0.5,
         centers=((0.5, 0.0), (-0.5, 0.0)),
     )
@@ -208,7 +207,6 @@ def test_verify_levels_detects_containment_violation():
     bad = packing.PackingLevel(
         index=1,
         ring_radius=4.0,
-        count=1,
         center_radius=3.8,
         centers=((3.8, 0.0),),
     )
@@ -363,7 +361,6 @@ def _level(centers, ring_radius=4.0):
     return packing.PackingLevel(
         index=1,
         ring_radius=ring_radius,
-        count=len(centers),
         center_radius=0.0,
         centers=tuple(centers),
     )

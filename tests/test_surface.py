@@ -8,10 +8,11 @@ deleted together with its tests.  A reference is a bare name or
 ``module.name``; the definition itself (including recursion inside its own
 body), imports and ``__all__`` strings do not count.
 
-The same holds one level down: a field of a dataclass or NamedTuple must be
-read as an attribute (``x.field``) somewhere in the package, outside
-``__post_init__``, where a field that is only validated is still unused.
-The match is by attribute name, not by type, so a field that shares its
+The same holds one level down: a field or public property of a dataclass
+or NamedTuple must be read as an attribute (``x.field``) somewhere in the
+package, outside ``__post_init__``, where a field that is only validated is
+still unused.  A count derived by a property is surface just as a stored one
+is.  The match is by attribute name, not by type, so a field that shares its
 name with an attribute read elsewhere can escape.
 
 Optional parameters get the same rule: a public top-level function's
@@ -148,14 +149,23 @@ def _is_record(node: ast.ClassDef) -> bool:
     ) or any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
 
 
+def _is_public_property(stmt: ast.stmt) -> bool:
+    return (
+        isinstance(stmt, ast.FunctionDef)
+        and not stmt.name.startswith("_")
+        and any(isinstance(d, ast.Name) and d.id == "property" for d in stmt.decorator_list)
+    )
+
+
 def _record_fields(tree: ast.Module) -> dict[str, list[str]]:
-    """Field names of each top-level record class."""
+    """Field and public property names of each top-level record class."""
     return {
         node.name: [
             stmt.target.id
             for stmt in node.body
             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
         ]
+        + [stmt.name for stmt in node.body if _is_public_property(stmt)]
         for node in tree.body
         if isinstance(node, ast.ClassDef) and _is_record(node)
     }
@@ -222,6 +232,26 @@ def test_guard_flags_an_unread_field():
     )
     assert _record_fields(tree) == {"Rec": ["used", "checked"], "Pair": ["left"]}
     assert {"used", "checked", "left"} & _attribute_reads(tree) == {"used"}
+
+
+def test_guard_flags_an_unread_property():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class Rec:\n"
+        "    items: tuple\n"
+        "    @property\n"
+        "    def count(self):\n"
+        "        return len(self.items)\n"
+        "    @property\n"
+        "    def _hidden(self):\n"
+        "        return 0\n"
+        "    def method(self):\n"
+        "        return 0\n"
+        "\n"
+        "print(Rec(()).items)\n"
+    )
+    assert _record_fields(tree) == {"Rec": ["items", "count"]}
+    assert "count" not in _attribute_reads(tree)
 
 
 def _optional_parameters(node: ast.FunctionDef) -> list[tuple[str, int | None]]:
