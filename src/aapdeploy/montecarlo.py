@@ -57,8 +57,8 @@ def sample_ues(mean_ues: float, rng: np.random.Generator) -> UeSample:
     """Sample a UE population on a cell disk from rng: a Poisson(mean_ues)
     count, then one area uniform per UE.  numpy rejects a negative, NaN or
     infinite mean with a ValueError."""
-    count = int(rng.poisson(mean_ues))
-    return UeSample(draws=rng.random(count), realized_count=count)
+    count = rng.poisson(mean_ues)
+    return UeSample(rng.random(count), count)
 
 
 class MeanSumPower(NamedTuple):
@@ -74,7 +74,9 @@ def _ue_powers(
     radii: np.ndarray, h: float, sys: SystemParams, env: EnvironmentParams
 ) -> np.ndarray:
     """Per-UE transmit power P_a L(r, h) under full power control (W)."""
-    return sys.p_target_pa * np.asarray(channel.mean_path_loss_rh(radii, h, env))
+    powers = np.asarray(channel.mean_path_loss_rh(radii, h, env))
+    powers *= sys.p_target_pa
+    return powers
 
 
 def empirical_sum_power(
@@ -94,8 +96,11 @@ def empirical_sum_power(
         (sample.realized_count for sample in samples), dtype=np.intp, count=len(samples)
     )
     starts = np.cumsum(counts) - counts
-    draws = np.concatenate([sample.draws for sample in samples])
-    powers = _ue_powers(r_a * np.sqrt(draws), h, sys, env)
+    # concatenate copies, so the block's radii are formed in its own array
+    radii = np.concatenate([sample.draws for sample in samples])
+    np.sqrt(radii, out=radii)
+    radii *= r_a
+    powers = _ue_powers(radii, h, sys, env)
     sums = np.zeros(len(samples))
     nonempty = counts > 0
     sums[nonempty] = np.add.reduceat(powers, starts[nonempty])

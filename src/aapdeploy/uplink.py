@@ -166,7 +166,7 @@ def _sum_power_integral(
     r_a = channel.require_coverage(h, phi_deg)
     scale = sys.ue_density_rho * 2.0 * math.pi * sys.p_target_pa
     return _sum_power_quadrature(
-        r_a, lambda r: scale * eta_m(r) * (r**2 + h**2) / env.g0 * r, breaks
+        r_a, lambda r: scale * eta_m(r) * (r * r + h * h) / env.g0 * r, breaks
     )
 
 

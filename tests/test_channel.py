@@ -51,12 +51,36 @@ def test_environment_refuses_nan(field):
 
 
 def test_geometry_validation():
-    assert float(channel.elevation_deg(0.0, 1.0)) == pytest.approx(90.0)  # nadir UE
+    assert channel.elevation_deg(0.0, 1.0) == 90.0  # nadir UE
     assert float(channel.elevation_deg(3.0, 4.0)) == pytest.approx(
         math.degrees(math.atan2(4.0, 3.0)), rel=1e-15
     )
     with pytest.raises(ValueError):
         channel.coverage_radius(0.0, 30.0)
+
+
+@pytest.mark.parametrize("h", [15, 15.0, 68.70273494722166])
+def test_elevation_deg_is_numpys_arctan2_in_degrees(h):
+    # elevation_deg fills h out to r's shape and multiplies by 180 / pi;
+    # the floats must be those of the plain broadcast arctan2 and np.degrees,
+    # for a scalar, a row and a block of quadrature nodes alike.
+    r = np.random.default_rng(3).uniform(0.0, 300.0, (64, 16))
+    for radii in (r, r[0], r[0, 0], float(r[0, 0]), 0.0):
+        assert np.array_equal(
+            channel.elevation_deg(radii, h), np.degrees(np.arctan2(h, radii))
+        )
+
+
+def test_elevation_deg_is_numpys_arctan2_over_random_pairs():
+    # 10^6 (r, h) pairs: one row of UE distances per altitude, as the
+    # Monte-Carlo oracle passes them.
+    rng = np.random.default_rng(4)
+    altitudes = rng.uniform(1.0, 1000.0, 1000).tolist()
+    radii = rng.uniform(0.0, 3000.0, (1000, 1000))
+    for h, row in zip(altitudes, radii):
+        assert np.array_equal(
+            channel.elevation_deg(row, h), np.degrees(np.arctan2(h, row))
+        )
 
 
 def path_loss(r, h, eta, g0):
