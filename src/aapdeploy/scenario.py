@@ -234,8 +234,10 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"scenario file not found: {path}")
+    # No default section: "[DEFAULT]" is a section like any other, and so
+    # an unknown one.
     parser = configparser.ConfigParser(
-        inline_comment_prefixes=("#", ";"), interpolation=None
+        inline_comment_prefixes=("#", ";"), interpolation=None, default_section=""
     )
     try:
         with path.open(encoding="utf-8-sig") as handle:

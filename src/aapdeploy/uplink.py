@@ -60,7 +60,9 @@ def expected_sum_power_closed_form(
     """Closed-form upper bound on the expected sum UE transmit power (W).
 
     2 pi rho P_a eta_m cot^2(phi) h^4 (cot^2(phi) + 2) / (4 g0), with eta_m
-    frozen at the edge elevation.  Strictly increasing in h.
+    frozen at the edge elevation.  Strictly increasing in h.  h^4 is
+    (h h)(h h): Python's h**4 calls pow, which is not exact under a
+    power-of-two change of unit.
     """
     channel.require_coverage(h, phi_deg)
     cot2 = channel.cot_squared(phi_deg)
@@ -72,7 +74,7 @@ def expected_sum_power_closed_form(
         * sys.p_target_pa
         * eta_m
         * cot2
-        * h**4
+        * ((h * h) * (h * h))
         * (cot2 + 2.0)
         / (4.0 * env.g0)
     )

@@ -2,10 +2,27 @@ import pytest
 
 from aapdeploy import channel
 from aapdeploy.params import EnvironmentParams, SystemParams, UavEnergyParams
+from aapdeploy.scenario import builtin_scenario_path
+
+# Baseline physics on coarse grids (4 altitudes, 12 elevation angles), so
+# that a test running every verb stays fast.
+COARSE_BASELINE = (
+    builtin_scenario_path("baseline")
+    .read_text()
+    .replace("h_step_m = 1", "h_step_m = 95")
+    .replace("phi_step_deg = 0.25", "phi_step_deg = 5")
+)
 
 # One line per acceptance criterion, echoed after the test summary so the
 # pass/fail verdicts survive pytest's output capture.
 ACCEPTANCE_LINES: list[str] = []
+
+
+def config_error_line(capsys) -> str:
+    """The one stderr line of a run that exited 2."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error:"), err
+    return err[0]
 
 
 def pytest_terminal_summary(config, terminalreporter):

@@ -19,17 +19,10 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from aapdeploy import cli
-from aapdeploy.scenario import builtin_scenario_path
+from conftest import COARSE_BASELINE as BASE
 
 VERBS = ("solve", "place", "altitude-sweep", "threshold-sweep", "density-sweep")
 
-# Baseline physics on coarse grids (4 altitudes, 12 elevation angles).
-BASE = (
-    builtin_scenario_path("baseline")
-    .read_text()
-    .replace("h_step_m = 1", "h_step_m = 95")
-    .replace("phi_step_deg = 0.25", "phi_step_deg = 5")
-)
 KEYS = re.findall(r"(?m)^(\w+) = ", BASE)
 
 # Values outside the sweeps' domain: the altitude range is [15, 300] m, the

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from aapdeploy import channel, cli, packing
+from aapdeploy import channel, cli, packing, uplink
 from aapdeploy.scenario import builtin_scenario_path
 
 # The power of k by which each scaled key's values change.
@@ -247,3 +247,19 @@ def test_mean_path_loss_scales_with_the_unit_of_length(suburban_env, j):
         channel.mean_path_loss_rh(r * k, h * k, suburban_env),
         channel.mean_path_loss_rh(r, h, suburban_env) * k * k,
     )
+
+
+@pytest.mark.parametrize("j,h", [(-3, 229.29968759423795), (4, 227.08588063078062)])
+def test_closed_form_power_is_invariant_under_the_unit_of_length(
+    suburban_env, baseline_system, j, h
+):
+    # rho / k^2 and g0 k^2 cancel (h k)^4 exactly when h^4 is (h h)(h h);
+    # Python's h**4 calls pow, which moved the power in the last bit here.
+    k = 2.0**j
+    system = dataclasses.replace(
+        baseline_system, ue_density_rho=baseline_system.ue_density_rho / (k * k)
+    )
+    env = dataclasses.replace(suburban_env, g0=suburban_env.g0 * k * k)
+    assert uplink.expected_sum_power_closed_form(
+        h * k, 21.25, system, env
+    ) == uplink.expected_sum_power_closed_form(h, 21.25, baseline_system, suburban_env)
