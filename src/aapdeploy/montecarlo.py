@@ -121,8 +121,8 @@ def mean_sum_power(
     Each trial is drawn by ``sample_ues`` from that one generator, and its sum
     is numpy's reduction (``np.add.reduceat``) over its own UEs alone.  The
     mean is the ``fsum`` of the trials' sums over ``trials``; the standard
-    error is their sample standard deviation, from an ``fsum`` too, over
-    sqrt(trials).
+    error is their sample standard deviation, from an ``fsum`` of products
+    d * d, over sqrt(trials).
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -142,6 +142,7 @@ def mean_sum_power(
     mean = math.fsum(sums) / trials
     stderr = math.inf
     if trials > 1:
-        variance = math.fsum((x - mean) ** 2 for x in sums) / (trials - 1)
+        d = np.subtract(sums, mean)
+        variance = math.fsum(d * d) / (trials - 1)
         stderr = math.sqrt(variance / trials)
     return MeanSumPower(mean, stderr)

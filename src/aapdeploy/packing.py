@@ -20,7 +20,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,15 +93,8 @@ def void_center(n: int) -> float:
     return math.tan(theta) - theta
 
 
-class LevelCountBounds(NamedTuple):
-    """Area-budget and pairwise-distance bounds on a ring's circle count."""
-
-    area_bound: int
-    geometric_bound: int
-
-
-def count_bounds(ring_radius: float, r_a: float) -> LevelCountBounds:
-    """Both count bounds for a ring of radius ring_radius (>= 2.1547 r_a)."""
+def count_bounds(ring_radius: float, r_a: float) -> tuple[int, int]:
+    """The (area, geometric) count bounds for a ring of radius ring_radius (>= 2.1547 r_a)."""
     # The same comparison as ring_count's: the quotient ring_radius / r_a can
     # round below THREE_CIRCLE_RATIO where this product does not.
     if ring_radius < THREE_CIRCLE_RATIO * r_a:
@@ -119,10 +112,10 @@ def count_bounds(ring_radius: float, r_a: float) -> LevelCountBounds:
     geometric = int(
         math.pi / math.asin(r_a / (ring_radius - r_a)) + GEOMETRY_REL_TOL
     )
-    return LevelCountBounds(area_bound=n, geometric_bound=geometric)
+    return n, geometric
 
 
-def ring_count(ring_radius: float, r_a: float) -> tuple[int, LevelCountBounds | None]:
+def ring_count(ring_radius: float, r_a: float) -> tuple[int, tuple[int, int] | None]:
     """The count rule: circles of radius r_a placeable along a ring of the
     given radius (0 degenerate, 1 at the centre, 2 opposite, else the clamped
     area bound) and, for three or more, both count bounds."""

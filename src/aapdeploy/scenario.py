@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import re
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -164,6 +165,16 @@ def _read(parser: configparser.ConfigParser, section: str, **defaults) -> dict:
     return values
 
 
+def _build(make, **values):
+    """make(**values), refused in the scenario's terms: each record field a
+    message names becomes the key that sets it."""
+    try:
+        return make(**values)
+    except ConfigError as exc:
+        keys = {field: key for fields in _FIELDS.values() for key, (field, _) in fields.items()}
+        raise ConfigError(re.sub(r"\w+", lambda w: keys.get(w[0], w[0]), str(exc))) from None
+
+
 def _resolve_sweeps(
     system: SystemParams, env: EnvironmentParams, *, h_start, h_stop, h_step,
     phi_start, phi_stop, phi_step, delta, gamma_list, area_radius_list,
@@ -265,10 +276,10 @@ def load_scenario(path: str | Path) -> Scenario:
         if required not in parser:
             raise ConfigError(f"missing scenario section [{required}]")
 
-    environment = EnvironmentParams.from_db(**_read(parser, "environment"))
-    system = SystemParams(**_read(parser, "system"))
-    uav = UavEnergyParams(**_read(parser, "uav"))
-    uav.validate_range(system.h_min, system.h_max)
+    environment = _build(EnvironmentParams.from_db, **_read(parser, "environment"))
+    system = _build(SystemParams, **_read(parser, "system"))
+    uav = _build(UavEnergyParams, **_read(parser, "uav"))
+    _build(uav.validate_range, h_min=system.h_min, h_max=system.h_max)
     # A key the file leaves out sweeps the system's own altitude range,
     # gamma and area radius, or a fixed default.
     sweep_defaults = dict(

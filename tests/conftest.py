@@ -1,16 +1,20 @@
+import contextlib
+import io
+import pkgutil
+from pathlib import Path
+from typing import NamedTuple
+
 import pytest
 
-from aapdeploy import channel
+from aapdeploy import channel, cli
 from aapdeploy.params import EnvironmentParams, SystemParams, UavEnergyParams
 from aapdeploy.scenario import builtin_scenario_path
 
+BASELINE = builtin_scenario_path("baseline").read_text()
 # Baseline physics on coarse grids (4 altitudes, 12 elevation angles), so
 # that a test running every verb stays fast.
-COARSE_BASELINE = (
-    builtin_scenario_path("baseline")
-    .read_text()
-    .replace("h_step_m = 1", "h_step_m = 95")
-    .replace("phi_step_deg = 0.25", "phi_step_deg = 5")
+COARSE_BASELINE = BASELINE.replace("h_step_m = 1", "h_step_m = 95").replace(
+    "phi_step_deg = 0.25", "phi_step_deg = 5"
 )
 
 # One line per acceptance criterion, echoed after the test summary so the
@@ -18,11 +22,50 @@ COARSE_BASELINE = (
 ACCEPTANCE_LINES: list[str] = []
 
 
-def config_error_line(capsys) -> str:
-    """The one stderr line of a run that exited 2."""
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("configuration error:"), err
-    return err[0]
+class CliRun(NamedTuple):
+    code: int  # the exit code
+    out: str  # stdout
+    err: list[str]  # the lines of stderr
+    files: dict[str, str] | None  # name -> text under --out; None if no such directory
+
+
+def run_cli(tmp: Path, verb: str, *args: str, text: str = COARSE_BASELINE,
+            edits: dict[str, str] | None = None, out: bool = True) -> CliRun:
+    """Write ``text`` to ``tmp/scn.ini``, each ``old -> new`` of ``edits``
+    replaced in order (every ``old`` must occur), and run ``verb`` on it
+    through ``cli.main`` with ``args`` and, if ``out``, ``--out tmp/o``.
+    A lone surrogate "\\udcXX" in the text is written as the raw byte XX."""
+    for old, new in (edits or {}).items():
+        assert old in text, old
+        text = text.replace(old, new)
+    scenario, out_dir = tmp / "scn.ini", tmp / "o"
+    scenario.write_bytes(text.encode("utf-8", "surrogateescape"))
+    argv = ["--scenario", str(scenario), *(("--out", str(out_dir)) if out else ()), *args, verb]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    files = None
+    if out_dir.is_dir():
+        files = {path.name: path.read_bytes().decode() for path in sorted(out_dir.iterdir())}
+    return CliRun(code, stdout.getvalue(), stderr.getvalue().splitlines(), files)
+
+
+@contextlib.contextmanager
+def calls_to(target: str, *, forbid: bool = False):
+    """Wrap the function at the dotted path ``target`` for the block and
+    yield the list of its results, one per call; with ``forbid``, a call
+    fails the test instead."""
+    function, results = pkgutil.resolve_name(target), []
+
+    def wrapper(*args, **kwargs):
+        if forbid:
+            raise AssertionError(f"reached a function that must not run here: {target}")
+        results.append(function(*args, **kwargs))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(target, wrapper)
+        yield results
 
 
 def pytest_terminal_summary(config, terminalreporter):

@@ -1,9 +1,10 @@
+import contextlib
 import errno
 import json
 import math
 import re
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -11,18 +12,11 @@ import pytest
 from aapdeploy import cli, packing, scenario, uplink
 from aapdeploy.io_utils import write_csv_atomic
 from aapdeploy.scenario import builtin_scenario_path, load_scenario
-from conftest import COARSE_BASELINE, config_error_line
+from conftest import BASELINE, COARSE_BASELINE, CliRun, calls_to, run_cli
 
-BASELINE = str(builtin_scenario_path("baseline"))
 ALL_VERBS = list(cli.VERBS)
-ABLATION = str(builtin_scenario_path("no_vehicle_energy"))
-
-
-@pytest.fixture()
-def small_scenario(tmp_path):
-    path = tmp_path / "small.ini"
-    path.write_text(COARSE_BASELINE)
-    return str(path)
+ABLATION = builtin_scenario_path("no_vehicle_energy").read_text()
+CURVE = "a = 4.88\nb = 0.43"
 
 
 def test_csv_cell_format(tmp_path):
@@ -42,152 +36,74 @@ def test_write_csv_atomic_format(tmp_path):
     assert not list(path.parent.glob("*.tmp"))
 
 
-def test_infeasible_place_exit_code(small_scenario, tmp_path, capsys):
+def test_infeasible_place_exit_code(tmp_path):
     # coverage radius override larger than the target area
-    code = cli.main(
-        ["--scenario", small_scenario, "--out", str(tmp_path / "o"), "--ra", "1000", "place"]
-    )
-    assert code == cli.EXIT_INFEASIBLE
-    assert "infeasible" in capsys.readouterr().err
+    run = run_cli(tmp_path, "place", "--ra", "1000")
+    assert run.code == cli.EXIT_INFEASIBLE
+    assert "infeasible" in run.err[0]
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("verb", ALL_VERBS)
-def test_steep_s_curve_runs_every_verb(small_scenario, tmp_path, capsys, verb):
-    # a * b = 720: exp(a * b) in the S-curve's infimum overflowed, and every
-    # verb died with a traceback while the scenario loaded
-    path = tmp_path / "steep.ini"
-    text = (tmp_path / "small.ini").read_text()
-    assert "a = 4.88\nb = 0.43" in text
-    path.write_text(text.replace("a = 4.88\nb = 0.43", "a = 30\nb = 24"))
-    assert cli.main(["--scenario", str(path), "--out", str(tmp_path / "o"), verb]) == cli.EXIT_OK
-    assert capsys.readouterr().err == ""
-
-
-@pytest.mark.parametrize("verb", ALL_VERBS)
-def test_steeper_s_curve_runs_every_verb(small_scenario, tmp_path, capsys, verb):
-    # a = b = 30: exp(b (a - phi)) overflows below the knee, where the LoS
-    # probability is 0; verbs run with overflow raised, and this one must
-    # not count as a scenario beyond the floating-point range
-    path = Path(small_scenario)
-    path.write_text(path.read_text().replace("a = 4.88\nb = 0.43", "a = 30\nb = 30"))
-    args = ["--scenario", small_scenario, "--out", str(tmp_path / "o"), verb]
-    assert cli.main(args) == cli.EXIT_OK
-    assert capsys.readouterr().err == ""
-
-
-@pytest.mark.parametrize("verb", ALL_VERBS)
-def test_s_curve_tail_past_the_float_range_runs_every_verb(
-    small_scenario, tmp_path, capsys, verb
-):
-    # a = b = 30 at phi = 6.4 deg: exp(b (a - phi)) is finite, but a times
-    # it overflowed outside the ignored region, and the verbs that evaluate
-    # that threshold exited 2 naming the floating-point range
-    path = Path(small_scenario)
-    text = path.read_text().replace("a = 4.88\nb = 0.43", "a = 30\nb = 30")
-    path.write_text(text.replace("phi_start_deg = 5", "phi_start_deg = 6.4"))
-    args = ["--scenario", small_scenario, "--out", str(tmp_path / "o"), verb]
-    assert cli.main(args) == cli.EXIT_OK
-    assert capsys.readouterr().err == ""
-
-
-def test_exhausted_quadrature_budget_fails_validate(
-    small_scenario, capsys, monkeypatch
-):
+def test_exhausted_quadrature_budget_fails_validate(tmp_path, monkeypatch):
     # one panel cannot resolve the steep S-curve's turn inside the cell
-    path = Path(small_scenario)
-    path.write_text(path.read_text().replace("a = 4.88\nb = 0.43", "a = 30\nb = 24"))
     monkeypatch.setattr(uplink, "LOS_BREAKS", ())
     monkeypatch.setattr(uplink, "QUAD_MAX_PANELS", 1)
-    code = cli.main(["--scenario", small_scenario, "--trials", "100", "validate"])
-    assert code == cli.EXIT_VALIDATION
-    captured = capsys.readouterr()
-    err = captured.err.splitlines()
-    assert len(err) == 1, err
-    assert err[0].startswith("error: sum-power quadrature achieved only")
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize(
-    "curve,delta",
-    [
-        # high-rise: P_LoS(90 deg) = 0.848, below the top of the check's grid
-        ("a = 27.23\nb = 0.08", "0.5"),
-        # P_LoS(90 deg) = 0.014: no grid threshold is reachable, so the
-        # check inverts the scenario's own delta
-        ("a = 80\nb = 0.01", "0.01"),
-    ],
-    ids=["high-rise", "no-grid-threshold"],
-)
-def test_s_curve_below_the_round_trip_grid_validates(tmp_path, capsys, curve, delta):
-    # the round-trip check inverted thresholds the curve never reaches and
-    # died with a traceback and the "infeasible" exit code
-    text = Path(BASELINE).read_text().replace("a = 4.88\nb = 0.43", curve)
-    path = tmp_path / "curve.ini"
-    path.write_text(text.replace("delta = 0.9", f"delta = {delta}"))
-    assert cli.main(["--scenario", str(path), "validate"]) == cli.EXIT_OK
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert "[PASS] LoS threshold inversion round-trip" in captured.out
+    run = run_cli(tmp_path, "validate", "--trials", "100", edits={CURVE: "a = 30\nb = 24"})
+    assert run.code == cli.EXIT_VALIDATION
+    assert len(run.err) == 1, run.err
+    assert run.err[0].startswith("error: sum-power quadrature achieved only")
+    assert run.out == ""
 
 
 @pytest.mark.parametrize("a,b", [(0.5, 2e6), (4.0, 2.5e5), (80.0, 12500.0)])
-def test_s_curve_cap(small_scenario, tmp_path, capsys, a, b):
+def test_s_curve_cap(tmp_path, a, b):
     # at a * b = MAX_S_CURVE_AB the round trip keeps about 2e-11, well
     # inside validate's 1e-9; a curve past the cap is refused at load
     assert a * b == scenario.MAX_S_CURVE_AB
-    text = Path(small_scenario).read_text()
-    path = tmp_path / "cap.ini"
-    path.write_text(text.replace("a = 4.88\nb = 0.43", f"a = {a}\nb = {b}"))
-    assert cli.main(["--scenario", str(path), "--trials", "100", "validate"]) == cli.EXIT_OK
-    assert capsys.readouterr().err == ""
-    path.write_text(text.replace("a = 4.88\nb = 0.43", f"a = {a}\nb = {b * 1.001}"))
-    assert cli.main(["--scenario", str(path), "--trials", "100", "validate"]) == cli.EXIT_CONFIG
-    assert config_error_line(capsys).startswith("configuration error: LoS S-curve a * b")
+    _accept(tmp_path, Accept(None, {CURVE: f"a = {a}\nb = {b}"}, args=TRIALS), "validate")
+    past = Refusal(None, {CURVE: f"a = {a}\nb = {b * 1.001}"},
+                   r"LoS S-curve a \* b = 1\.001e\+06 exceeds 1e\+06, beyond which its "
+                   r"inversion loses precision", args=TRIALS)
+    _refuse(tmp_path, past, "validate")
 
 
-def test_solve_writes_solution(small_scenario, tmp_path, capsys):
-    out = tmp_path / "out"
-    assert cli.main(["--scenario", small_scenario, "--out", str(out), "solve"]) == cli.EXIT_OK
-    payload = json.loads((out / "solution.json").read_text())
+def test_solve_writes_solution(tmp_path):
+    run = run_cli(tmp_path, "solve")
+    assert run.code == cli.EXIT_OK
+    payload = json.loads(run.files["solution.json"])
     assert payload["h_opt_m"] == 15.0
     assert payload["binding_constraint"] == "min_altitude"
     assert payload["monotone_audit_passed"] is True
     assert payload["r_a_m"] == pytest.approx(
         15.0 / math.tan(math.radians(payload["phi_opt_deg"]))
     )
-    assert "h_opt=15" in capsys.readouterr().out
+    assert "h_opt=15" in run.out
 
 
 def test_ablation_solve_uses_fallback(tmp_path):
-    out = tmp_path / "out"
-    assert cli.main(["--scenario", ABLATION, "--out", str(out), "solve"]) == cli.EXIT_OK
-    payload = json.loads((out / "solution.json").read_text())
+    run = run_cli(tmp_path, "solve", text=ABLATION)
+    assert run.code == cli.EXIT_OK
+    payload = json.loads(run.files["solution.json"])
     assert payload["monotone_audit_passed"] is False
     assert payload["h_opt_m"] > 15.0
 
 
-def test_place_and_plan_round_trip(small_scenario, tmp_path):
-    out = tmp_path / "out"
-    code = cli.main(
-        ["--scenario", small_scenario, "--out", str(out), "--ra", "38.57", "place"]
-    )
-    assert code == cli.EXIT_OK
-    payload = json.loads((out / "plan.json").read_text())
+def test_place_and_plan_round_trip(tmp_path):
+    run = run_cli(tmp_path, "place", "--ra", "38.57")
+    assert run.code == cli.EXIT_OK
+    payload = json.loads(run.files["plan.json"])
     plan = packing.run_algorithm1(payload["area_radius_m"], payload["r_a_m"])
     assert cli.plan_to_dict(plan) == payload  # the written plan is the rebuilt one
     assert packing.verify_levels(plan.levels, plan.r_a, plan.area_radius).all_ok
     # centres CSV has one row per AAP plus a header
-    lines = (out / "centers.csv").read_text().splitlines()
+    lines = run.files["centers.csv"].splitlines()
     assert lines[0] == ",".join(cli.CENTERS_COLUMNS)
     assert len(lines) - 1 == plan.total_aaps
 
 
-def test_altitude_sweep_output(small_scenario, tmp_path):
-    out = tmp_path / "out"
-    code = cli.main(["--scenario", small_scenario, "--out", str(out), "altitude-sweep"])
-    assert code == cli.EXIT_OK
-    lines = (out / "altitude_sweep.csv").read_text().splitlines()
+def test_altitude_sweep_output(tmp_path):
+    run = run_cli(tmp_path, "altitude-sweep")
+    assert run.code == cli.EXIT_OK
+    lines = run.files["altitude_sweep.csv"].splitlines()
     assert lines[0] == ",".join(cli.ALTITUDE_SWEEP_COLUMNS)
     # 3 gammas x 4 altitudes (15, 110, 205, 300)
     assert len(lines) - 1 == 12
@@ -198,11 +114,10 @@ def test_altitude_sweep_output(small_scenario, tmp_path):
         assert all(b < a for a, b in zip(gees, gees[1:]))
 
 
-def test_threshold_sweep_output(small_scenario, tmp_path):
-    out = tmp_path / "out"
-    code = cli.main(["--scenario", small_scenario, "--out", str(out), "threshold-sweep"])
-    assert code == cli.EXIT_OK
-    lines = (out / "threshold_sweep.csv").read_text().splitlines()
+def test_threshold_sweep_output(tmp_path):
+    run = run_cli(tmp_path, "threshold-sweep")
+    assert run.code == cli.EXIT_OK
+    lines = run.files["threshold_sweep.csv"].splitlines()
     assert lines[0] == ",".join(cli.THRESHOLD_SWEEP_COLUMNS)
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == 12  # 5..60 deg in 5-deg steps
@@ -216,14 +131,11 @@ def test_threshold_sweep_radius_is_h_cot_phi_up_to_the_zenith(tmp_path):
     # the S-curve is flat near 90 deg, so a radius rebuilt from the LoS
     # probability there lost most of its digits; the nadir-only 90 deg cell
     # has no row
-    text = builtin_scenario_path("baseline").read_text()
-    path = tmp_path / "phi90.ini"
-    path.write_text(text.replace("phi_stop_deg = 60", "phi_stop_deg = 90"))
-    scn = load_scenario(path)
-    out = tmp_path / "out"
-    code = cli.main(["--scenario", str(path), "--out", str(out), "threshold-sweep"])
-    assert code == cli.EXIT_OK
-    lines = (out / "threshold_sweep.csv").read_text().splitlines()[1:]
+    edits = {"phi_stop_deg = 60": "phi_stop_deg = 90"}
+    run = run_cli(tmp_path, "threshold-sweep", text=BASELINE, edits=edits)
+    assert run.code == cli.EXIT_OK
+    scn = load_scenario(tmp_path / "scn.ini")
+    lines = run.files["threshold_sweep.csv"].splitlines()[1:]
     rows = [[float(cell) for cell in line.split(",")] for line in lines]
     assert [row[0] for row in rows] == list(scn.sweeps.phis_deg[:-1])
     for phi, _delta, _gee, r_a, *_ in rows:
@@ -237,30 +149,24 @@ def test_solved_phi_is_a_grid_point(name):
     assert cli.solve_scenario(scn).phi_opt_deg in scn.sweeps.phis_deg
 
 
-def test_density_sweep_output(small_scenario, tmp_path, capsys):
-    out = tmp_path / "out"
-    code = cli.main(
-        ["--scenario", small_scenario, "--out", str(out), "--ra", "38.57", "density-sweep"]
-    )
-    assert code == cli.EXIT_OK
-    lines = (out / "density_sweep.csv").read_text().splitlines()
+def test_density_sweep_output(tmp_path):
+    run = run_cli(tmp_path, "density-sweep", "--ra", "38.57")
+    assert run.code == cli.EXIT_OK
+    lines = run.files["density_sweep.csv"].splitlines()
     assert lines[0] == ",".join(cli.DENSITY_SWEEP_COLUMNS)
     rows = [line.split(",") for line in lines[1:]]
     assert [float(r[0]) for r in rows] == [180.48, 252.68]
     for row in rows:
         assert 0.5 < float(row[3]) <= 1.0
         assert row[5] != ""  # reference densities attached for both radii
-    assert "indicative only" in capsys.readouterr().out
+    assert "indicative only" in run.out
 
 
-def test_validate_passes(small_scenario, capsys):
-    code = cli.main(
-        ["--scenario", small_scenario, "--trials", "400", "--seed", "1", "validate"]
-    )
-    assert code == cli.EXIT_OK
-    out = capsys.readouterr().out
-    assert "all validation checks passed" in out
-    assert "[FAIL]" not in out
+def test_validate_passes(tmp_path):
+    run = run_cli(tmp_path, "validate", "--trials", "400", "--seed", "1")
+    assert run.code == cli.EXIT_OK
+    assert "all validation checks passed" in run.out
+    assert "[FAIL]" not in run.out
 
 
 # Seeds spread over [0, 2**31), the range the benchmark draws validate's
@@ -278,110 +184,81 @@ def test_monte_carlo_check_passes_across_the_benchmark_seeds(name, seed):
     assert checks["Monte-Carlo mean over 1000 trials vs quadrature"]
 
 
-def test_validate_with_no_ue_drawn_exits_config_error(small_scenario, capsys):
+def test_validate_with_no_ue_drawn_exits_config_error(tmp_path):
     # At 1e-150 UEs/m^2 no trial draws a UE; a mean and a stderr of 0 used to
     # fail the Monte-Carlo check (exit 3) with rel diff 1.0.
-    path = Path(small_scenario)
-    old = "ue_density_per_m2 = 1e-2"
-    text = path.read_text()
-    assert old in text
-    path.write_text(text.replace(old, "ue_density_per_m2 = 1e-150"))
-    code = cli.main(["--scenario", small_scenario, "--trials", "100", "validate"])
-    assert code == cli.EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert "[FAIL]" not in captured.out
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("configuration error:"), err
-    assert "drew no UE in 100 trials" in err[0]
-    assert "1.19e-146 UEs per trial on average" in err[0]
+    row = Refusal(None, {"ue_density_per_m2 = 1e-2": "ue_density_per_m2 = 1e-150"},
+                  r"the Monte-Carlo check drew no UE in 100 trials: the cell holds "
+                  r"1\.19e-146 UEs per trial on average", args=TRIALS)
+    assert "[FAIL]" not in _refuse(tmp_path, row, "validate").out
 
 
 def test_place_deploys_the_solved_radius(tmp_path):
     # place and density-sweep must solve on the scenario's own threshold
     # grid, not a built-in default: with phi starting at 30 deg the solved
     # R_a (25.98 m) differs from the default-grid answer (38.57 m)
-    text = builtin_scenario_path("baseline").read_text()
-    path = tmp_path / "phi30.ini"
-    path.write_text(text.replace("phi_start_deg = 5", "phi_start_deg = 30"))
-    out = tmp_path / "out"
+    edits = {"phi_start_deg = 5": "phi_start_deg = 30"}
     for verb in ("solve", "place", "density-sweep"):
-        assert cli.main(["--scenario", str(path), "--out", str(out), verb]) == cli.EXIT_OK
-    solved = json.loads((out / "solution.json").read_text())["r_a_m"]
+        run = run_cli(tmp_path, verb, text=BASELINE, edits=edits)
+        assert run.code == cli.EXIT_OK
+    solved = json.loads(run.files["solution.json"])["r_a_m"]
     assert solved == pytest.approx(25.98, abs=0.01)
-    assert json.loads((out / "plan.json").read_text())["r_a_m"] == solved
-    rows = (out / "density_sweep.csv").read_text().splitlines()[1:]
+    assert json.loads(run.files["plan.json"])["r_a_m"] == solved
+    rows = run.files["density_sweep.csv"].splitlines()[1:]
     assert all(float(row.split(",")[1]) == pytest.approx(solved, rel=1e-11) for row in rows)
 
 
-def test_place_without_out_writes_to_out(tmp_path, monkeypatch, small_scenario):
+def test_place_without_out_writes_to_out(tmp_path, monkeypatch):
     # the output directory comes from --out only, and defaults to ./out
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["--scenario", small_scenario, "place"]) == cli.EXIT_OK
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "small.ini"]
+    assert run_cli(tmp_path, "place", out=False).code == cli.EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scn.ini"]
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "centers.csv",
         "plan.json",
     ]
 
 
-def test_utf8_bom_scenario_runs(tmp_path, capsys):
-    # the mark was read as text before the first header: "File contains no
-    # section headers", exit 2
-    path = tmp_path / "bom.ini"
-    path.write_bytes(b"\xef\xbb\xbf" + Path(BASELINE).read_bytes())
-    args = ["--scenario", str(path), "--out", str(tmp_path / "o"), "solve"]
-    assert cli.main(args) == cli.EXIT_OK
-    assert capsys.readouterr().err == ""
-
-
 @pytest.mark.parametrize("verb", ["place", "density-sweep"])
-def test_plan_failing_verification_exits_validation(
-    small_scenario, tmp_path, capsys, monkeypatch, verb
-):
+def test_plan_failing_verification_exits_validation(tmp_path, monkeypatch, verb):
     # place wrote both files and exited 0 with feasible=False, and
     # density-sweep exited 1 as an infeasible scenario
     def failing(levels, r_a, area_radius):
         return packing.FeasibilityReport(False, True, -0.5, 1.0, 1e-9)
 
     monkeypatch.setattr(packing, "verify_levels", failing)
-    out = tmp_path / "o"
-    assert cli.main(["--scenario", small_scenario, "--out", str(out), verb]) == cli.EXIT_VALIDATION
-    captured = capsys.readouterr()
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: plan for R="), err
-    assert "fails its own verification" in err[0]
-    assert captured.out == ""
-    assert not out.exists()
+    run = run_cli(tmp_path, verb)
+    assert run.code == cli.EXIT_VALIDATION
+    assert len(run.err) == 1 and run.err[0].startswith("error: plan for R="), run.err
+    assert "fails its own verification" in run.err[0]
+    assert run.out == ""
+    assert run.files is None
 
 
-def test_unreadable_scenario_exits_config_error(small_scenario, tmp_path, monkeypatch, capsys):
+def test_unreadable_scenario_exits_config_error(tmp_path, monkeypatch):
     # ConfigParser.read skipped a file it could not open, so the error named
     # a missing [environment] section.  Permission bits do not stop a
-    # superuser, so the refusal is simulated.
-    locked = Path(small_scenario)
+    # superuser, so the refusal to read is simulated.
     real_open = Path.open
 
-    def refuse(self, *args, **kwargs):
-        if self == locked:
+    def refuse(self, mode="r", *args, **kwargs):
+        if self == tmp_path / "scn.ini" and mode == "r":
             raise PermissionError(errno.EACCES, "Permission denied", str(self))
-        return real_open(self, *args, **kwargs)
+        return real_open(self, mode, *args, **kwargs)
 
     monkeypatch.setattr(Path, "open", refuse)
-    out = tmp_path / "o"
-    assert cli.main(["--scenario", small_scenario, "--out", str(out), "solve"]) == cli.EXIT_CONFIG
-    line = config_error_line(capsys)
-    assert "cannot read scenario file" in line and "Permission denied" in line
-    assert not out.exists()
+    row = Refusal(None, {}, r"cannot read scenario file .*scn\.ini: Permission denied")
+    _refuse(tmp_path, row, "solve")
 
 
 @pytest.mark.parametrize("verb", ["solve", "place"])
-def test_out_that_is_a_file_exits_config_error(small_scenario, tmp_path, capsys, verb):
+def test_out_that_is_a_file_exits_config_error(tmp_path, verb):
     # creating the output directory raised FileExistsError: a traceback and
     # exit 1, the code for an infeasible scenario
-    out = tmp_path / "taken"
+    out = tmp_path / "o"
     out.write_text("not a directory\n")
-    assert cli.main(["--scenario", small_scenario, "--out", str(out), verb]) == cli.EXIT_CONFIG
-    assert str(out) in config_error_line(capsys)
+    row = Refusal(None, {}, rf"cannot write output to {re.escape(str(out))}: \[Errno 17\] .*")
+    _refuse(tmp_path, row, verb)
     assert out.read_text() == "not a directory\n"
 
 
@@ -408,10 +285,9 @@ EXTREME_VALUES = {
 }
 
 
-def _assert_finite_outputs(out: Path) -> None:
-    for path in out.iterdir():
-        text = path.read_text()
-        if path.suffix == ".json":
+def _assert_finite_outputs(files: dict[str, str]) -> None:
+    for name, text in files.items():
+        if name.endswith(".json"):
             json.loads(text, parse_constant=pytest.fail)
         else:
             for cell in ",".join(text.splitlines()[1:]).split(","):
@@ -419,43 +295,33 @@ def _assert_finite_outputs(out: Path) -> None:
                     value = float(cell)
                 except ValueError:
                     continue
-                assert math.isfinite(value), (path.name, cell)
+                assert math.isfinite(value), (name, cell)
 
 
 @pytest.mark.parametrize("verb", ALL_VERBS)
 @pytest.mark.parametrize("old", EXTREME_VALUES)
-def test_extreme_finite_value_fails_closed(
-    small_scenario, tmp_path, capsys, old, verb
-):
+def test_extreme_finite_value_fails_closed(tmp_path, old, verb):
     new, refused = EXTREME_VALUES[old]
-    path = Path(small_scenario)
-    text = path.read_text()
-    assert old in text
-    path.write_text(text.replace(old, new))
-    out = tmp_path / "o"
-    code = cli.main(
-        ["--scenario", small_scenario, "--out", str(out), "--trials", "100", verb]
-    )
-    err = capsys.readouterr().err.splitlines()
+    run = run_cli(tmp_path, verb, "--trials", "100", edits={old: new})
     if verb in refused:
-        assert code == cli.EXIT_CONFIG
-    if code == cli.EXIT_OK:
-        _assert_finite_outputs(out)
+        assert run.code == cli.EXIT_CONFIG
+    if run.code == cli.EXIT_OK:
+        _assert_finite_outputs(run.files)
         return
     # solve, place and density-sweep may still find no feasible threshold
     prefix = {cli.EXIT_CONFIG: "configuration error:", cli.EXIT_INFEASIBLE: "infeasible"}
-    assert len(err) == 1 and err[0].startswith(prefix[code]), (code, err)
-    assert not out.exists()
+    assert len(run.err) == 1 and run.err[0].startswith(prefix[run.code]), run
+    assert run.files is None
 
 
 @pytest.mark.parametrize("ratio", [None, 10, 80])
 def test_plan_json_fixes_every_centre(tmp_path, ratio):
     # plan.json holds no coordinates: a level's count n and centre radius c
     # give centre m as (c cos(2 pi m / n), c sin(2 pi m / n))
-    out = tmp_path / "o"
     ra = [] if ratio is None else ["--ra", repr(180.48 / ratio)]
-    assert cli.main(["--scenario", BASELINE, "--out", str(out), *ra, "place"]) == cli.EXIT_OK
-    plan = json.loads((out / "plan.json").read_text())
+    run = run_cli(tmp_path, "place", *ra, text=BASELINE)
+    assert run.code == cli.EXIT_OK
+    plan = json.loads(run.files["plan.json"])
     expected = packing.run_algorithm1(plan["area_radius_m"], plan["r_a_m"])
     rebuilt = []
     for level, reference in zip(plan["levels"], expected.levels, strict=True):
@@ -467,9 +333,70 @@ def test_plan_json_fixes_every_centre(tmp_path, ratio):
         )
         assert centers == reference.centers
         rebuilt.extend(centers)
-    table = (out / "centers.csv").read_text().splitlines()[1:]
+    table = run.files["centers.csv"].splitlines()[1:]
     rows = [row.split(",")[3:] for row in table]
     assert rows == [[format(x, ".12g"), format(y, ".12g")] for x, y in rebuilt]
+
+
+# Every accepted edge case, as rows of one table beside REFUSALS.  A row
+# edits a scenario, the coarse baseline unless it gives its own text, and
+# runs cli.main once per verb; each run must exit 0 with an empty stderr,
+# write only finite numbers and pass the row's own check, if it has one.
+# ACCEPTS maps a test name to its rows as REFUSALS does.
+SOLVE = ("solve",)
+VALIDATE = ("validate",)
+TRIALS = ("--trials", "100")
+ROUND_TRIP = "[PASS] LoS threshold inversion round-trip"
+
+
+class Accept(NamedTuple):
+    id: str | None  # the case id; None for a test of one case
+    edits: dict[str, str]  # old text -> new text, applied in order
+    verbs: tuple[str, ...] = tuple(ALL_VERBS)
+    args: tuple[str, ...] = ()
+    text: str = COARSE_BASELINE
+    check: Callable[[CliRun, Path], bool] | None = None  # given the run and its scenario file
+
+
+ACCEPTS = {
+    # a * b = 720: exp(a * b) in the S-curve's infimum overflowed, and every
+    # verb died with a traceback while the scenario loaded
+    "test_steep_s_curve_runs_every_verb": [Accept("", {CURVE: "a = 30\nb = 24"})],
+    # a = b = 30: exp(b (a - phi)) overflows below the knee, where the LoS
+    # probability is 0; verbs run with overflow raised, and this one must
+    # not count as a scenario beyond the floating-point range
+    "test_steeper_s_curve_runs_every_verb": [Accept("", {CURVE: "a = 30\nb = 30"})],
+    # a = b = 30 at phi = 6.4 deg: exp(b (a - phi)) is finite, but a times
+    # it overflowed outside the ignored region, and the verbs that evaluate
+    # that threshold exited 2 naming the floating-point range
+    "test_s_curve_tail_past_the_float_range_runs_every_verb": [
+        Accept("", {CURVE: "a = 30\nb = 30", "phi_start_deg = 5": "phi_start_deg = 6.4"}),
+    ],
+    # the mark was read as text before the first header: "File contains no
+    # section headers", exit 2
+    "test_utf8_bom_scenario_runs": [Accept(None, {}, SOLVE, text="\ufeff" + BASELINE)],
+    # the round-trip check inverted thresholds the curve never reaches and
+    # died with a traceback and the "infeasible" exit code
+    "test_s_curve_below_the_round_trip_grid_validates": [
+        # high-rise: P_LoS(90 deg) = 0.848, below the top of the check's grid
+        Accept("high-rise", {CURVE: "a = 27.23\nb = 0.08", "delta = 0.9": "delta = 0.5"},
+               VALIDATE, text=BASELINE, check=lambda run, _: ROUND_TRIP in run.out),
+        # P_LoS(90 deg) = 0.014: no grid threshold is reachable, so the
+        # check inverts the scenario's own delta
+        Accept("no-grid-threshold", {CURVE: "a = 80\nb = 0.01", "delta = 0.9": "delta = 0.01"},
+               VALIDATE, text=BASELINE, check=lambda run, _: ROUND_TRIP in run.out),
+    ],
+    # with b = 1 the LoS probability at 90 deg rounds to exactly 1.0, which
+    # no threshold inverts; the grid holds angles, so nothing inverts it and
+    # the solver skips the nadir-only 90 deg cell.  The other sweep keys
+    # take their defaults.
+    "test_phi_sweep_end_point_at_the_zenith_accepted": [
+        Accept(None, {"b = 0.43": "b = 1"}, ("solve", "place"),
+               text=BASELINE.partition("[sweeps]")[0] + "[sweeps]\nphi_stop_deg = 90\n",
+               check=lambda run, scn: load_scenario(scn).sweeps.phis_deg[-1] == 90.0
+               and json.loads(run.files["solution.json"])["phi_opt_deg"] == 18.25),
+    ],
+}
 
 
 # Every input the planner refuses, as rows of one table.  A row edits the
@@ -481,8 +408,6 @@ def test_plan_json_fixes_every_centre(tmp_path, ratio):
 # (row, verb) named by the row's id and, if the row has several verbs, the
 # verb; a row whose id is None is one test that runs all its verbs.  A new
 # refusal is one more row, under test_refusal if no test fits.
-SOLVE = ("solve",)
-VALIDATE = ("validate",)
 TOP = "# Suburban"
 UAV = "[uav]\n"
 ENV = "[environment]\na = 4.88\nb = 0.43\neta_los_db = 0.1\neta_nlos_db = 21\ng0 = 1.42e-4\n"
@@ -490,7 +415,6 @@ INTERFERERS = "num_interferers = 6"
 GAMMAS = "gamma_list = 10, 100, 1000"
 RADII = "area_radius_list_m = 180.48, 252.68"
 PHI = {"phi_start_deg = 5": "phi_start_deg = 90", "phi_stop_deg = 60": "phi_stop_deg = 90"}
-TRIALS = ("--trials", "100")
 NO_GAMMAS = r"key 'gamma_list' holds no numbers"
 NO_RADII = r"key 'area_radius_list_m' holds no numbers"
 NADIR_PHI = (
@@ -607,7 +531,7 @@ REFUSALS = {
     # T = 0 made the zero-vehicle-energy GEE 0/0: the sweeps wrote nan, exit 0
     "test_zero_service_time_exits_config_error": [
         Refusal("", {"service_time_s = 500": "service_time_s = 0"},
-                r"service_time_t must be strictly positive, got 0\.0", ALL_VERBS),
+                r"service_time_s must be strictly positive, got 0\.0", ALL_VERBS),
     ],
     "test_value_beyond_float_range_exits_config_error": [
         # 10 ** 400 raised OverflowError while the file was loaded
@@ -725,12 +649,12 @@ REFUSALS = {
         Refusal("negative-fractional-count", {INTERFERERS: "num_interferers = -0.5"},
                 r"key 'num_interferers' must be a whole number, got '-0\.5'"),
         Refusal("negative-count", {INTERFERERS: "num_interferers = -1"},
-                r"num_interferers_m must be non-negative"),
+                r"num_interferers must be non-negative"),
         Refusal("h-min-above-h-max", {"h_min_m = 15": "h_min_m = 400"},
-                r"h_min must not exceed h_max"),
+                r"h_min_m must not exceed h_max_m"),
         Refusal("negative-climb-slope",
                 {"alpha_climb_j_per_m = 315": "alpha_climb_j_per_m = -315"},
-                r"energy slopes alpha_cl, alpha_ho must be non-negative"),
+                r"energy slopes alpha_climb_j_per_m, alpha_hover_w_per_m must be non-negative"),
         Refusal("excess-loss-order", {"eta_los_db = 0.1": "eta_los_db = 22"},
                 r"excess losses must satisfy 1 <= eta_los <= eta_nlos \(linear scale\)"),
         Refusal("delta-1", {"delta = 0.9": "delta = 1"}, DELTA_RANGE),
@@ -772,35 +696,32 @@ REFUSALS = {
 }
 
 
-def _never(*_args):
-    raise AssertionError("reached a function that the refusal must come before")
-
-
-def _refuse(tmp_path, capsys, monkeypatch, row, verb):
-    if row.never:
-        monkeypatch.setattr(f"aapdeploy.{row.never}", _never)
-    text = COARSE_BASELINE
-    for old, new in row.edits.items():
-        assert old in text, old
-        text = text.replace(old, new)
-    path = tmp_path / "scn.ini"
-    # a lone surrogate "\udcXX" is written as the raw byte XX
-    path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    out = tmp_path / "o"
-    args = ["--scenario", str(path), "--out", str(out), *row.args, verb]
-    assert cli.main(args) == cli.EXIT_CONFIG
-    message = config_error_line(capsys).removeprefix("configuration error: ")
+def _refuse(tmp, row, verb) -> CliRun:
+    never = calls_to(f"aapdeploy.{row.never}", forbid=True) if row.never else None
+    with never or contextlib.nullcontext():
+        run = run_cli(tmp, verb, *row.args, edits=row.edits)
+    assert run.code == cli.EXIT_CONFIG
+    assert len(run.err) == 1 and run.err[0].startswith("configuration error: "), run.err
+    message = run.err[0].removeprefix("configuration error: ")
     assert re.fullmatch(row.message, message), message
-    assert not out.exists()
+    assert run.files is None
+    return run
 
 
-def _refusal_test(rows):
+def _accept(tmp, row, verb) -> None:
+    run = run_cli(tmp, verb, *row.args, text=row.text, edits=row.edits)
+    assert (run.code, run.err) == (cli.EXIT_OK, []), run
+    _assert_finite_outputs(run.files or {})
+    assert row.check is None or row.check(run, tmp / "scn.ini"), run.out
+
+
+def _table_test(rows, harness):
     if rows[0].id is None:
 
-        def test(tmp_path, capsys, monkeypatch):
+        def test(tmp_path):
             for row in rows:
                 for verb in row.verbs:
-                    _refuse(tmp_path, capsys, monkeypatch, row, verb)
+                    harness(tmp_path, row, verb)
 
         return test
     cases = [
@@ -810,23 +731,24 @@ def _refusal_test(rows):
     ]
 
     @pytest.mark.parametrize("row,verb", cases)
-    def test(tmp_path, capsys, monkeypatch, row, verb):
-        _refuse(tmp_path, capsys, monkeypatch, row, verb)
+    def test(tmp_path, row, verb):
+        harness(tmp_path, row, verb)
 
     return test
 
 
-globals().update((name, _refusal_test(rows)) for name, rows in REFUSALS.items())
+globals().update((name, _table_test(rows, _refuse)) for name, rows in REFUSALS.items())
+globals().update((name, _table_test(rows, _accept)) for name, rows in ACCEPTS.items())
 
 
 @pytest.mark.parametrize("trials", [cli.MAX_TRIALS, cli.MAX_TRIALS + 1, 10**9])
-def test_trials_cap_is_checked_before_any_trial(tmp_path, capsys, monkeypatch, trials):
+def test_trials_cap_is_checked_before_any_trial(tmp_path, trials):
     # The oracle fails if called, so no large run starts: MAX_TRIALS reaches
     # it, and one trial more is refused before it.
     row = Refusal(None, {}, rf"--trials must be at most 1,000,000, got {trials}", VALIDATE,
                   ("--trials", str(trials)), never="montecarlo.mean_sum_power")
     if trials > cli.MAX_TRIALS:
-        _refuse(tmp_path, capsys, monkeypatch, row, "validate")
+        _refuse(tmp_path, row, "validate")
     else:
         with pytest.raises(AssertionError, match="reached a function"):
-            _refuse(tmp_path, capsys, monkeypatch, row, "validate")
+            _refuse(tmp_path, row, "validate")

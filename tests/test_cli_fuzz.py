@@ -10,8 +10,6 @@ line.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import re
 import tempfile
 from pathlib import Path
@@ -19,7 +17,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from aapdeploy import cli
-from conftest import COARSE_BASELINE as BASE
+from conftest import COARSE_BASELINE as BASE, run_cli
 
 VERBS = ("solve", "place", "altitude-sweep", "threshold-sweep", "density-sweep")
 
@@ -87,17 +85,12 @@ def test_mutated_scenarios_fail_closed(changes, verb):
     for key, _kind, value in changes:
         text = mutate(text, key, value)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "scn.ini"
-        path.write_text(text)
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(["--scenario", str(path), "--out", str(Path(tmp) / "o"), verb])
-    assert code in (cli.EXIT_OK, cli.EXIT_INFEASIBLE, cli.EXIT_CONFIG)
+        run = run_cli(Path(tmp), verb, text=text)
+    assert run.code in (cli.EXIT_OK, cli.EXIT_INFEASIBLE, cli.EXIT_CONFIG)
     if any(
         kind in ("non_finite", "out_of_range", "percent") or (kind == "flip" and key in STEP_KEYS)
         for key, kind, _v in changes
     ):
-        assert code == cli.EXIT_CONFIG
-    if code == cli.EXIT_CONFIG:
-        err = stderr.getvalue().splitlines()
-        assert len(err) == 1 and err[0].startswith("configuration error:")
+        assert run.code == cli.EXIT_CONFIG
+    if run.code == cli.EXIT_CONFIG:
+        assert len(run.err) == 1 and run.err[0].startswith("configuration error:")

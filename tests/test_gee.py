@@ -8,7 +8,7 @@ from aapdeploy import channel, energy, gee, uplink
 from aapdeploy.errors import InfeasibleError
 from aapdeploy.params import EnvironmentParams, UavEnergyParams
 
-from conftest import make_system
+from conftest import calls_to, make_system
 
 
 def test_gee_value_decomposition(
@@ -155,19 +155,27 @@ def test_solve_p1_fallback_interior(suburban_env):
     )
 
 
+def scalar_search(phis, sysp, env, uav):
+    """The scalar (threshold, altitude) loop with a strict '>' that the
+    broadcast grid search replaced, over phis in the given order: the first
+    maximum as (GEE, h, phi), and each threshold's largest GEE."""
+    best, row_max = None, {}
+    for phi in phis:
+        ceiling = gee.altitude_ceiling(phi, sysp, env)
+        for h in np.linspace(sysp.h_min, ceiling, gee.FALLBACK_POINTS):
+            value = gee.gee_value(float(h), phi, sysp, env, uav)
+            row_max[phi] = max(row_max.get(phi, value), value)
+            if best is None or value > best[0]:
+                best = (value, float(h), phi)
+    return best, row_max
+
+
 def test_solve_p1_fallback_matches_scalar_loop(suburban_env):
-    # reference: the scalar (threshold, altitude) loop with a strict '>' that
-    # the broadcast grid search replaced; same first maximum, same value
+    # same first maximum, same value as the scalar loop
     sysp, uav = make_system(gamma=0.01), UavEnergyParams.zero()
     phis = np.arange(5.0, 60.0 + 1e-9, 5.0).tolist()
     sol = gee.solve_p1(sysp, suburban_env, uav, phis)
-    best = None
-    for phi in phis:
-        ceiling = gee.altitude_ceiling(phi, sysp, suburban_env)
-        for h in np.linspace(sysp.h_min, ceiling, gee.FALLBACK_POINTS):
-            value = gee.gee_value(float(h), phi, sysp, suburban_env, uav)
-            if best is None or value > best[0]:
-                best = (value, float(h), phi)
+    best, _ = scalar_search(phis, sysp, suburban_env, uav)
     assert (sol.gee, sol.h_opt, sol.phi_opt_deg) == best
 
 
@@ -272,13 +280,7 @@ def test_solve_p1_fallback_blocks_match_scalar_loop(suburban_env):
     assert len(phis) > edge + gee.FALLBACK_BLOCK
 
     sol = gee.solve_p1(sysp, suburban_env, uav, phis)
-    best = None
-    for phi in sorted(phis):
-        ceiling = gee.altitude_ceiling(phi, sysp, suburban_env)
-        for h in np.linspace(sysp.h_min, ceiling, gee.FALLBACK_POINTS):
-            value = gee.gee_value(float(h), phi, sysp, suburban_env, uav)
-            if best is None or value > best[0]:
-                best = (value, float(h), phi)
+    best, _ = scalar_search(sorted(phis), sysp, suburban_env, uav)
     assert not sol.monotone_audit_passed
     assert (sol.gee, sol.h_opt, sol.phi_opt_deg) == best
     assert sol.phi_opt_deg == 26.0
@@ -317,15 +319,7 @@ def test_solve_p1_fallback_ties_break_toward_larger_phi(suburban_env, monkeypatc
     monkeypatch.setattr(gee, "gee_value", lambda *args: np.round(exact(*args), -2))
 
     sol = gee.solve_p1(sysp, suburban_env, uav, phis)
-    row_max = {}
-    best = None
-    for phi in sorted(phis, reverse=True):
-        ceiling = gee.altitude_ceiling(phi, sysp, suburban_env)
-        for h in np.linspace(sysp.h_min, ceiling, gee.FALLBACK_POINTS):
-            value = gee.gee_value(float(h), phi, sysp, suburban_env, uav)
-            row_max[phi] = max(row_max.get(phi, value), value)
-            if best is None or value > best[0]:
-                best = (value, float(h), phi)
+    best, row_max = scalar_search(sorted(phis, reverse=True), sysp, suburban_env, uav)
     tied = [phi for phi, v in row_max.items() if v == best[0]]
     assert not sol.monotone_audit_passed
     assert sorted(tied) == [25.0, 26.0, 27.0, 28.0]  # a real tie across angles
@@ -335,7 +329,7 @@ def test_solve_p1_fallback_ties_break_toward_larger_phi(suburban_env, monkeypatc
 
 
 @pytest.mark.parametrize("name", ["baseline", "no_vehicle_energy"])
-def test_gee_call_counts_on_builtins(name, monkeypatch):
+def test_gee_call_counts_on_builtins(name):
     # the solver evaluates thresholds in blocks and the sweep in two calls;
     # a return to one scalar call per threshold fails here
     from aapdeploy import cli
@@ -348,23 +342,14 @@ def test_gee_call_counts_on_builtins(name, monkeypatch):
     ceilings = gee.altitude_ceiling(phis, sysp, env)
     feasible = int(np.count_nonzero(covered & (ceilings >= sysp.h_min)))
 
-    calls = {"gee_value": 0, "audit": 0}
+    with (
+        calls_to("aapdeploy.gee.gee_value") as values,
+        calls_to("aapdeploy.gee._audit_monotone_decreasing") as audits,
+    ):
+        cli.solve_scenario(scn)
+        assert 0 < len(values) <= 2 + math.ceil(feasible / gee.FALLBACK_BLOCK)
+        assert len(audits) == feasible  # every feasible threshold, no short-circuit
 
-    def counted(attr, key):
-        original = getattr(gee, attr)
-
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(gee, attr, wrapper)
-
-    counted("gee_value", "gee_value")
-    counted("_audit_monotone_decreasing", "audit")
-    cli.solve_scenario(scn)
-    assert 0 < calls["gee_value"] <= 2 + math.ceil(feasible / gee.FALLBACK_BLOCK)
-    assert calls["audit"] == feasible  # every feasible threshold, no short-circuit
-
-    calls["gee_value"] = 0
-    cli.threshold_sweep_rows(scn)
-    assert calls["gee_value"] == 2
+        values.clear()
+        cli.threshold_sweep_rows(scn)
+        assert len(values) == 2

@@ -1,12 +1,13 @@
 """Golden-output gate: every verb on both built-in scenarios.
 
-Each case runs one verb of ``cli.VERBS`` through ``cli.main`` into an
-empty directory and compares, byte for byte, the exit code, stdout, stderr
-and every file the verb wrote against ``tests/golden/<scenario>/<verb>/``;
-a verb without golden files fails.  ``validate`` writes no file and runs
-with the default ``--trials 1000 --seed 0``, so its case pins the six check
-lines.  The output directory in stdout is replaced by ``<out>`` so the
-files do not depend on where the test runs.
+Each case runs one verb of ``cli.VERBS`` through ``cli.main``, by
+conftest's ``run_cli``, into an empty directory and compares, byte for
+byte, the exit code, stdout, stderr and every file the verb wrote against
+``tests/golden/<scenario>/<verb>/``; a verb without golden files fails.
+``validate`` writes no file and runs with the default ``--trials 1000
+--seed 0``, so its case pins the six check lines.  The output directory
+in stdout is replaced by ``<out>`` so the files do not depend on where the
+test runs.
 
 A change that alters an output on purpose re-blesses the files with::
 
@@ -17,8 +18,6 @@ and records the diff in CHANGES.md.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import shutil
 import sys
 import tempfile
@@ -28,22 +27,20 @@ import pytest
 
 from aapdeploy import cli
 from aapdeploy.scenario import builtin_scenario_path
+from conftest import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = ("baseline", "no_vehicle_energy")
 
 
-def run_verb(scenario: str, verb: str, out: Path) -> dict[str, bytes]:
-    """Run one verb into the empty directory ``out``; return name -> bytes
+def run_verb(scenario: str, verb: str, tmp: Path) -> dict[str, bytes]:
+    """Run one verb into the empty directory ``tmp``; return name -> bytes
     for its outputs plus the exit code and the two captured streams."""
-    argv = ["--scenario", str(builtin_scenario_path(scenario)), "--out", str(out), verb]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(argv)
-    result = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-    result["exit_code"] = f"{code}\n".encode()
-    result["stdout.txt"] = stdout.getvalue().replace(str(out), "<out>").encode()
-    result["stderr.txt"] = stderr.getvalue().encode()
+    run = run_cli(tmp, verb, text=builtin_scenario_path(scenario).read_text())
+    result = {name: text.encode() for name, text in (run.files or {}).items()}
+    result["exit_code"] = f"{run.code}\n".encode()
+    result["stdout.txt"] = run.out.replace(str(tmp / "o"), "<out>").encode()
+    result["stderr.txt"] = "".join(line + "\n" for line in run.err).encode()
     return result
 
 
@@ -54,9 +51,7 @@ def read_golden(case_dir: Path) -> dict[str, bytes]:
 @pytest.mark.parametrize("verb", cli.VERBS)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_golden_output(scenario, verb, tmp_path):
-    out = tmp_path / "out"
-    out.mkdir()
-    actual = run_verb(scenario, verb, out)
+    actual = run_verb(scenario, verb, tmp_path)
     expected = read_golden(GOLDEN / scenario / verb)
     assert sorted(actual) == sorted(expected)
     for name in expected:
@@ -68,12 +63,12 @@ def bless() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for scenario in SCENARIOS:
             for verb in cli.VERBS:
-                out = Path(tmp) / scenario / verb
-                out.mkdir(parents=True)
+                work = Path(tmp) / scenario / verb
+                work.mkdir(parents=True)
                 case_dir = GOLDEN / scenario / verb
                 shutil.rmtree(case_dir, ignore_errors=True)
                 case_dir.mkdir(parents=True)
-                for name, data in run_verb(scenario, verb, out).items():
+                for name, data in run_verb(scenario, verb, work).items():
                     (case_dir / name).write_bytes(data)
                 print(f"blessed {case_dir}", file=sys.stderr)
 

@@ -12,7 +12,6 @@ from -40 to 40.
 """
 
 import configparser
-import contextlib
 import dataclasses
 import functools
 import io
@@ -24,6 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from aapdeploy import channel, cli, packing, uplink
 from aapdeploy.scenario import builtin_scenario_path
+from conftest import run_cli
 
 # The power of k by which each scaled key's values change.
 POWERS = {
@@ -59,8 +59,8 @@ PLAN_LENGTHS = ("r_a_m", "area_radius_m")
 LEVEL_LENGTHS = ("ring_radius_m", "center_radius_m")
 
 
-def write_scaled(path, case, k):
-    """Write the case's scenario with every key in POWERS scaled by k."""
+def scaled_text(case, k):
+    """The case's scenario with every key in POWERS scaled by k."""
     name, overrides = CASES[case]
     parser = configparser.ConfigParser(
         inline_comment_prefixes=("#", ";"), interpolation=None
@@ -73,9 +73,9 @@ def write_scaled(path, case, k):
                 parser[section][key] = ", ".join(
                     repr(float(value) * k**power) for value in text.split(",")
                 )
-    with path.open("w") as handle:
-        parser.write(handle)
-    return str(path)
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
 
 
 def unit_outputs(tmp_path, case, j):
@@ -84,7 +84,7 @@ def unit_outputs(tmp_path, case, j):
     the writer, before rounding to text.  density-sweep's reference_density
     is left out: it matches area radii in metres by design."""
     k = 2.0**j
-    scenario = write_scaled(tmp_path / "scaled.ini", case, k)
+    scenario = scaled_text(case, k)
     rows = {}
     write_csv = cli.write_csv_atomic
 
@@ -92,24 +92,18 @@ def unit_outputs(tmp_path, case, j):
         rows[path.name] = [list(row) for row in body]
         write_csv(path, header, rows[path.name])
 
-    codes, stdout = {}, {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "write_csv_atomic", capture)
-        for verb in (
-            "solve", "place", "altitude-sweep", "threshold-sweep", "density-sweep", "validate"
-        ):
-            text = io.StringIO()
-            with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
-                codes[verb] = cli.main(["--scenario", scenario, "--out", str(tmp_path), verb])
-            stdout[verb] = text.getvalue()
+        runs = {verb: run_cli(tmp_path, verb, text=scenario) for verb in cli.VERBS}
+    codes = {verb: run.code for verb, run in runs.items()}
 
-    solution = json.loads((tmp_path / "solution.json").read_text())
+    solution = json.loads(runs["solve"].files["solution.json"])
     solution["h_opt_m"] /= k
     solution["r_a_m"] /= k
     # the ablation's coverage radius exceeds its area radius: place exits 1
     plan = centers = None
     if codes["place"] == cli.EXIT_OK:
-        plan = json.loads((tmp_path / "plan.json").read_text())
+        plan = json.loads(runs["place"].files["plan.json"])
         for key in PLAN_LENGTHS:
             plan[key] /= k
         for level in plan["levels"]:
@@ -142,7 +136,7 @@ def unit_outputs(tmp_path, case, j):
         "altitude-sweep": sweep,
         "threshold-sweep": thresholds,
         "density-sweep": densities,
-        "validate": stdout["validate"],
+        "validate": runs["validate"].out,
     }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from aapdeploy.errors import ConfigError
 from aapdeploy.params import EnvironmentParams
 from aapdeploy.scenario import builtin_scenario_path, load_scenario
 
-from conftest import make_system
+from conftest import calls_to, make_system
 
 
 def reference_draws(mean_ues, rng):
@@ -52,7 +53,7 @@ def reference_mean_sum_power(h, phi, sys, env, trials, base_seed=0):
     mean = math.fsum(sums) / trials
     stderr = math.inf
     if trials > 1:
-        variance = math.fsum((x - mean) ** 2 for x in sums) / (trials - 1)
+        variance = math.fsum((x - mean) * (x - mean) for x in sums) / (trials - 1)
         stderr = math.sqrt(variance / trials)
     return montecarlo.MeanSumPower(mean, stderr)
 
@@ -241,7 +242,7 @@ def test_block_sums_are_within_1e_13_of_compensated_sums(mean_counts, seed):
         assert total == pytest.approx(math.fsum(powers.tolist()), rel=1e-13, abs=0.0)
 
 
-def test_per_trial_work_is_array_work(monkeypatch):
+def test_per_trial_work_is_array_work():
     # On the cell that validate samples on baseline, the compensated sums are
     # the mean and the variance alone, and the power pass runs once per block:
     # a per-trial Python loop would show in either count.
@@ -250,26 +251,16 @@ def test_per_trial_work_is_array_work(monkeypatch):
     h, phi = sysp.h_min, scn.sweeps.phi_deg
     mean_ues = uplink.cell_ue_count(channel.coverage_radius(h, phi), sysp)
     block = max(1, int(montecarlo.BLOCK_UES / max(mean_ues, 1.0)))
-    fsum, power = math.fsum, montecarlo.empirical_sum_power
-    calls = {"fsum": 0, "power": 0}
-
-    def counting_fsum(values):
-        calls["fsum"] += 1
-        return fsum(values)
-
-    def counting_power(*args):
-        calls["power"] += 1
-        return power(*args)
-
-    monkeypatch.setattr(math, "fsum", counting_fsum)
-    monkeypatch.setattr(montecarlo, "empirical_sum_power", counting_power)
     assert block > 1
     fsum_calls = []
     for trials in (10, 1000):
-        calls.update(fsum=0, power=0)
-        montecarlo.mean_sum_power(h, phi, sysp, env, trials, 3)
-        assert calls["power"] == math.ceil(trials / block)
-        fsum_calls.append(calls["fsum"])
+        with (
+            calls_to("math.fsum") as fsums,
+            calls_to("aapdeploy.montecarlo.empirical_sum_power") as powers,
+        ):
+            montecarlo.mean_sum_power(h, phi, sysp, env, trials, 3)
+        assert len(powers) == math.ceil(trials / block)
+        fsum_calls.append(len(fsums))
     assert fsum_calls[0] == fsum_calls[1]
 
 
@@ -331,18 +322,15 @@ def test_mean_sum_power_needs_no_scalar_overflow(
         assert montecarlo.mean_sum_power(*args) == expected
 
 
-def test_mean_sum_power_refuses_a_population_it_cannot_draw(
-    monkeypatch, suburban_env, edge_phi
-):
+def test_mean_sum_power_refuses_a_population_it_cannot_draw(suburban_env, edge_phi):
     # numpy's Poisson draw fails above ~9.2e18; far below that, one trial's
     # UEs would not fit in memory
-    def never(*_args):
-        raise AssertionError("sampled a refused cell")
-
-    monkeypatch.setattr(montecarlo, "sample_ues", never)
     for mean_ues in (montecarlo.MAX_MEAN_UES * 1.01, 1e300):
         sysp = _system_with_mean_count(15.0, edge_phi, mean_ues)
-        with pytest.raises(ConfigError, match="UEs on average"):
+        with (
+            calls_to("aapdeploy.montecarlo.sample_ues", forbid=True),
+            pytest.raises(ConfigError, match="UEs on average"),
+        ):
             montecarlo.mean_sum_power(15.0, edge_phi, sysp, suburban_env, 10)
 
 
@@ -354,12 +342,28 @@ def test_mean_sum_power_rejects_negative_seed(suburban_env, baseline_system, edg
         )
 
 
+@pytest.mark.parametrize("seed,j", [(220, -3), (548, -3), (220, 4)])
+def test_mean_and_stderr_scale_with_the_unit_of_power(seed, j):
+    # Every power scales by k = 2^j with the noise PSD, so the mean and the
+    # standard error must too, bit for bit.  A variance squared with **
+    # (libm pow) moved the standard error in the last bit at these seeds.
+    k = 2.0**j
+    scn = load_scenario(builtin_scenario_path("baseline"))
+    sysp, env, cell = scn.system, scn.environment, (scn.system.h_min, scn.sweeps.phi_deg)
+    scaled = dataclasses.replace(
+        sysp, noise_psd_sigma0sq=sysp.noise_psd_sigma0sq * k, p_max=sysp.p_max * k,
+        circuit_power_pc=sysp.circuit_power_pc * k,
+    )
+    mean, stderr = montecarlo.mean_sum_power(*cell, sysp, env, 3, seed)
+    assert montecarlo.mean_sum_power(*cell, scaled, env, 3, seed) == (mean * k, stderr * k)
+
+
 # Mean UEs per trial: the baseline density (None), mostly empty trials (0,
 # drawn at a mean of 0.05), a few large trials sharing a block (2049) and
 # trials that each fill a block.
 @pytest.mark.parametrize("mean_ues", [None, 0, 2049, montecarlo.BLOCK_UES + 1])
 def test_traced_sampler_sees_every_trial_and_ue(
-    monkeypatch, suburban_env, baseline_system, edge_phi, mean_ues
+    suburban_env, baseline_system, edge_phi, mean_ues
 ):
     # An outside tracer counts trials and UEs by wrapping the module's
     # sample_ues attribute; those counts must match the UEs that are powered.
@@ -368,24 +372,13 @@ def test_traced_sampler_sees_every_trial_and_ue(
         sysp = _system_with_mean_count(15.0, edge_phi, mean_ues or 0.05)
     args = (15.0, edge_phi, sysp, suburban_env, 300, 7)
     expected = montecarlo.mean_sum_power(*args)
-    sampled = []
-    powered = []
-    sample_ues, ue_powers = montecarlo.sample_ues, montecarlo._ue_powers
-
-    def counting_sample_ues(*a, **kw):
-        sample = sample_ues(*a, **kw)
-        sampled.append(sample.realized_count)
-        return sample
-
-    def counting_ue_powers(radii, *a):
-        powered.append(len(radii))
-        return ue_powers(radii, *a)
-
-    monkeypatch.setattr(montecarlo, "sample_ues", counting_sample_ues)
-    monkeypatch.setattr(montecarlo, "_ue_powers", counting_ue_powers)
-    assert montecarlo.mean_sum_power(*args) == expected
-    assert len(sampled) == 300
-    assert sum(sampled) == sum(powered)
+    with (
+        calls_to("aapdeploy.montecarlo.sample_ues") as samples,
+        calls_to("aapdeploy.montecarlo._ue_powers") as powers,
+    ):
+        assert montecarlo.mean_sum_power(*args) == expected
+    assert len(samples) == 300
+    assert sum(sample.realized_count for sample in samples) == sum(map(len, powers))
 
 
 def test_error_shrinks_with_trials(suburban_env, baseline_system, edge_phi):

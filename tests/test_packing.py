@@ -7,6 +7,7 @@ from scipy.spatial import cKDTree
 
 from aapdeploy import packing
 from aapdeploy.errors import ConfigError, InfeasibleError
+from conftest import calls_to
 
 
 def test_three_circle_ratio_constant():
@@ -91,8 +92,7 @@ def test_max_count_scale_invariance():
 
 def test_count_bounds_respect_geometry():
     for ratio in (2.2, 3.0, 4.5, 7.7, 10.0):
-        bounds = packing.count_bounds(ratio, 1.0)
-        n = min(bounds.area_bound, bounds.geometric_bound)
+        n = min(packing.count_bounds(ratio, 1.0))
         # chord between adjacent centres must fit two radii
         chord = 2.0 * (ratio - 1.0) * math.sin(math.pi / n)
         assert chord >= 2.0 * (1.0 - 1e-9)
@@ -120,9 +120,7 @@ def test_area_bound_equals_the_linear_scan_at_every_edge(n_range):
     for n in n_range:
         for ratio in _edge_ratios(n):
             if ratio >= packing.THREE_CIRCLE_RATIO:
-                assert packing.count_bounds(ratio, 1.0).area_bound == (
-                    reference_area_bound(ratio, 1.0)
-                )
+                assert packing.count_bounds(ratio, 1.0)[0] == reference_area_bound(ratio, 1.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -133,9 +131,7 @@ def test_area_bound_equals_the_linear_scan_at_every_edge(n_range):
 def test_area_bound_equals_the_linear_scan(ratio, r_a):
     ring = ratio * r_a
     if ring >= packing.THREE_CIRCLE_RATIO * r_a:
-        assert packing.count_bounds(ring, r_a).area_bound == (
-            reference_area_bound(ring, r_a)
-        )
+        assert packing.count_bounds(ring, r_a)[0] == reference_area_bound(ring, r_a)
 
 
 def test_gold_case_three_to_one():
@@ -299,9 +295,9 @@ def test_levels_follow_the_count_rule(ratio, r_a):
         assert level.count == packing.ring_count(level.ring_radius, r_a)[0]
         assert len(level.centers) == level.count
         if level.count >= 3:
-            bounds = packing.count_bounds(level.ring_radius, r_a)
-            assert level.area_count_bound == bounds.area_bound
-            assert level.geometric_count_bound == bounds.geometric_bound
+            area, geometric = packing.count_bounds(level.ring_radius, r_a)
+            assert level.area_count_bound == area
+            assert level.geometric_count_bound == geometric
     next_ring = levels[-1].ring_radius - 2.0 * r_a
     assert packing.ring_count(next_ring, r_a)[0] == 0
 
@@ -491,33 +487,20 @@ def test_verifier_finds_a_closest_pair_that_is_not_consecutive():
     assert report.worst_pairwise_margin == pytest.approx(2.2)
 
 
-def _count_grid_passes(monkeypatch, levels, r_a, area_radius):
-    calls = []
-    grid_pairs = packing._grid_pairs
-
-    def counting_grid_pairs(*args):
-        calls.append(args)
-        return grid_pairs(*args)
-
-    monkeypatch.setattr(packing, "_grid_pairs", counting_grid_pairs)
-    report = packing.verify_levels(levels, r_a, area_radius)
-    monkeypatch.undo()
-    return report, len(calls)
-
-
 # Two opposite circles, R/R_a 2.41, where consecutive centres are farthest
 # apart (1.22 diameters), two levels, 75 AAPs, and None for the far-apart
 # consecutive centres.
 @pytest.mark.parametrize("ratio", [2.0, 2.41, 3.0, 10.0, None])
-def test_verifier_takes_one_grid_pass(monkeypatch, ratio):
+def test_verifier_takes_one_grid_pass(ratio):
     # The closest consecutive centres size the grid, so one pass finds the
     # closest pair.
     if ratio is None:
         levels, area_radius = [_level(FAR_CONSECUTIVE_CENTRES, 60.0)], 60.0
     else:
         levels, area_radius = packing._build_levels(ratio, 1.0), ratio
-    report, passes = _count_grid_passes(monkeypatch, levels, 1.0, area_radius)
-    assert passes == 1
+    with calls_to("aapdeploy.packing._grid_pairs") as passes:
+        report = packing.verify_levels(levels, 1.0, area_radius)
+    assert len(passes) == 1
     assert report == reference_report(levels, 1.0, area_radius)
 
 
@@ -569,9 +552,9 @@ def test_verifier_equals_the_pair_loop_at_extreme_scales(case):
 def test_verifier_takes_one_grid_pass_on_any_centres(case):
     points, r_a = case
     levels = [_level(points)]
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        report, passes = _count_grid_passes(monkeypatch, levels, r_a, 1e299)
-    assert passes == (len(points) >= 2)
+    with calls_to("aapdeploy.packing._grid_pairs") as passes:
+        report = packing.verify_levels(levels, r_a, 1e299)
+    assert len(passes) == (len(points) >= 2)
     assert report == reference_report(levels, r_a, 1e299)
 
 
@@ -586,11 +569,10 @@ def test_verifier_keeps_a_positive_cell_at_a_subnormal_radius(r_a):
     assert report == reference_report(levels, r_a, 4.0)
 
 
-def test_run_algorithm1_refuses_a_huge_ratio_before_building(monkeypatch):
-    def never(*_args):
-        raise AssertionError("levels built for a refused ratio")
-
-    monkeypatch.setattr(packing, "_build_levels", never)
+def test_run_algorithm1_refuses_a_huge_ratio_before_building():
     for area_radius, r_a in ((1000.001, 1.0), (1e9, 0.02), (1e300, 1e-300)):
-        with pytest.raises(ConfigError, match="too many AAPs"):
+        with (
+            calls_to("aapdeploy.packing._build_levels", forbid=True),
+            pytest.raises(ConfigError, match="too many AAPs"),
+        ):
             packing.run_algorithm1(area_radius, r_a)

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import re
 import sys
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aapdeploy import cli, scenario
+from aapdeploy import scenario
 from aapdeploy.errors import ConfigError
 from aapdeploy.scenario import builtin_scenario_path, load_scenario
 
@@ -185,20 +184,6 @@ def test_sweep_grid_point_cap(tmp_path):
 def test_whole_number_counts_accepted(tmp_path):
     text = BASE.replace("num_interferers = 6", "num_interferers = 6.0")
     assert load_scenario(write(tmp_path, text)).system.num_interferers_m == 6
-
-
-def test_phi_sweep_end_point_at_the_zenith_accepted(tmp_path, capsys):
-    # with b = 1 the LoS probability at 90 deg rounds to exactly 1.0, which
-    # no threshold inverts; the grid holds angles, so nothing inverts it and
-    # the solver skips the nadir-only 90 deg cell
-    text = BASE.replace("b = 0.43", "b = 1") + "\n[sweeps]\nphi_stop_deg = 90\n"
-    path = write(tmp_path, text)
-    assert load_scenario(path).sweeps.phis_deg[-1] == 90.0
-    out = tmp_path / "out"
-    for verb in ("solve", "place"):
-        assert cli.main(["--scenario", str(path), "--out", str(out), verb]) == cli.EXIT_OK
-    assert json.loads((out / "solution.json").read_text())["phi_opt_deg"] == 18.25
-    assert capsys.readouterr().err == ""
 
 
 BASELINE_TEXT = builtin_scenario_path("baseline").read_text()

@@ -54,9 +54,6 @@ ALLOWED_UNREAD_FIELDS = {
     # verify_levels' report reaches the plan JSON through dataclasses.asdict,
     # which reads every field by name.
     "FeasibilityReport": "serialised with dataclasses.asdict",
-    # ring_count takes the min of count_bounds' result, and the plan builder
-    # unpacks it as an (area, geometric) pair.
-    "LevelCountBounds": "read as a tuple",
 }
 
 
