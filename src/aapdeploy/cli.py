@@ -9,10 +9,11 @@ verbs read the grids and delta's angle that ``load_scenario`` resolved.
 
 ``place`` writes each AAP centre once, to the centres CSV: ``plan.json``
 keeps each level's count n and centre radius c, which fix centre m as
-(c cos(2 pi m / n), c sin(2 pi m / n)).  Verbs run with numpy's overflow,
-division by zero and invalid operations raised, so scenario values that
-take a result beyond the floating-point range exit 2 instead of writing a
-NaN or an infinity.
+(c cos(2 pi m / n), c sin(2 pi m / n)).  Every CSV table goes to the writer
+as columns, the centres' straight from the plan's arrays.  Verbs run with
+numpy's overflow, division by zero and invalid operations raised, so
+scenario values that take a result beyond the floating-point range exit 2
+instead of writing a NaN or an infinity.
 """
 
 from __future__ import annotations
@@ -81,9 +82,9 @@ CENTERS_COLUMNS = ["level", "ring_radius_m", "index_in_level", "x_m", "y_m"]
 
 
 def altitude_sweep_rows(scn: Scenario) -> list[list]:
-    """One row per (gamma, h); each gamma's altitude grid is one array call
-    per column, and both GEE columns come from ``gee.gee_value``."""
-    rows = []
+    """The columns of one row per (gamma, h); each gamma's altitude grid is
+    one array call per column, and both GEE columns come from ``gee.gee_value``."""
+    table: list[list] = [[] for _ in ALTITUDE_SWEEP_COLUMNS]
     delta, phi, env = scn.sweeps.delta, scn.sweeps.phi_deg, scn.environment
     zero_uav = UavEnergyParams.zero()
     h_list = scn.sweeps.altitudes
@@ -100,11 +101,11 @@ def altitude_sweep_rows(scn: Scenario) -> list[list]:
             gee.gee_value(h, phi, sys_g, env, zero_uav),
             energy.total_energy(h, power, sys_g, zero_uav),
         )
-        rows.extend(
-            [gamma, h_m, delta, *values]
-            for h_m, *values in zip(h_list, *(c.tolist() for c in columns))
-        )
-    return rows
+        n = len(h_list)
+        block = ([gamma] * n, h_list, [delta] * n, *(c.tolist() for c in columns))
+        for column, cells in zip(table, block):
+            column.extend(cells)
+    return table
 
 
 def cmd_altitude_sweep(scn: Scenario, args: argparse.Namespace) -> int:
@@ -115,8 +116,8 @@ def cmd_altitude_sweep(scn: Scenario, args: argparse.Namespace) -> int:
 
 
 def threshold_sweep_rows(scn: Scenario) -> list[list]:
-    """One row per non-degenerate threshold at h_min, from two GEE array
-    calls over the thresholds.  ``h_ceiling_m`` is the altitude
+    """The columns of one row per non-degenerate threshold at h_min, from
+    two GEE array calls over the thresholds.  ``h_ceiling_m`` is the altitude
     ceiling the solver uses, min(h_max, h'_max(phi)): a row whose ceiling
     lies below h_min is a threshold that ``solve`` rejects as infeasible."""
     h = scn.system.h_min
@@ -134,7 +135,7 @@ def threshold_sweep_rows(scn: Scenario) -> list[list]:
         gee.gee_value(h, phis, scn.system, env, zero_uav),
         gee.altitude_ceiling(phis, scn.system, env),
     )
-    return [list(row) for row in zip(*(c.tolist() for c in columns))]
+    return [c.tolist() for c in columns]
 
 
 def cmd_threshold_sweep(scn: Scenario, args: argparse.Namespace) -> int:
@@ -200,12 +201,15 @@ def cmd_place(scn: Scenario, args: argparse.Namespace) -> int:
     r_a = args.ra if args.ra is not None else solve_scenario(scn).r_a
     plan = packing.run_algorithm1(scn.system.area_radius_r, r_a)
     write_json_atomic(args.out / "plan.json", plan_to_dict(plan))
-    centers_rows = [
-        [level.index, level.ring_radius, m, c[0], c[1]]
-        for level in plan.levels
-        for m, c in enumerate(level.centers)
+    levels = plan.levels
+    counts = [level.count for level in levels]
+    columns = [
+        np.repeat([level.index for level in levels], counts).tolist(),
+        np.repeat([level.ring_radius for level in levels], counts).tolist(),
+        [m for count in counts for m in range(count)],
+        *np.concatenate([level.centers for level in levels]).T.tolist(),
     ]
-    write_csv_atomic(args.out / "centers.csv", CENTERS_COLUMNS, centers_rows)
+    write_csv_atomic(args.out / "centers.csv", CENTERS_COLUMNS, columns)
     print(f"wrote {args.out / 'plan.json'} and {args.out / 'centers.csv'}")
     print(
         f"R={scn.system.area_radius_r:g} m  R_a={r_a:g} m  "
@@ -240,7 +244,7 @@ def cmd_density_sweep(scn: Scenario, args: argparse.Namespace) -> int:
     r_a = args.ra if args.ra is not None else solve_scenario(scn).r_a
     rows = density_sweep_rows(scn, r_a)
     path = args.out / "density_sweep.csv"
-    write_csv_atomic(path, DENSITY_SWEEP_COLUMNS, rows)
+    write_csv_atomic(path, DENSITY_SWEEP_COLUMNS, list(zip(*rows)))
     print(f"wrote {path}")
     if any(row[5] != "" for row in rows):
         print(

@@ -1,30 +1,25 @@
 """Deterministic, locale-independent output helpers.
 
-CSV files always carry a header row, use 12 significant digits for floats,
-'.' as the decimal separator and LF line endings.  All writers go through a
-temp-file + rename so interrupted runs never leave partial outputs.
+CSV files always carry a header row, '.' as the decimal separator and LF line
+endings.  The CSV writer takes columns and picks each one's format once: 12
+significant digits for floats (float subclasses included), str for the rest,
+and that rule cell by cell in a column that mixes them.  All writers go
+through a temp file, created under the user's umask, and a rename, so
+interrupted runs never leave partial outputs.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
-import tempfile
 from pathlib import Path
-from typing import Iterable, Sequence
-
-
-@functools.cache
-def _row_template(types: tuple[type, ...]) -> str:
-    """The %-template of a row whose cells have these types: floats (and
-    float subclasses) at 12 significant digits, anything else as str."""
-    return ",".join("%.12g" if issubclass(kind, float) else "%s" for kind in types)
+from typing import Sequence
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
@@ -36,12 +31,16 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def write_csv_atomic(
-    path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
+    path: str | Path, header: Sequence[str], columns: Sequence[Sequence]
 ) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = tuple(row)
-        lines.append(_row_template(tuple(map(type, cells))) % cells)
+    formats, cells = [], []
+    for column in columns:
+        floats = {issubclass(kind, float) for kind in set(map(type, column))}
+        if floats == {True, False}:
+            column = [("%.12g" if isinstance(c, float) else "%s") % c for c in column]
+        formats.append("%.12g" if floats == {True} else "%s")
+        cells.append(column)
+    lines = [",".join(header), *map(",".join(formats).__mod__, zip(*cells))]
     _atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 

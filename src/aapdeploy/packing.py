@@ -6,7 +6,8 @@ rule (``ring_count``) gives every ring's count: 0, 1 or 2 below the
 three-circle ratio 2.1547, otherwise the area (void-algebra) bound clamped by
 the geometric pairwise-distance bound, so that emitted plans always satisfy
 the non-overlap constraint.  Levels stop at the first ring with count 0.  A
-plan stores its centres once; every count and its density derive from them.
+plan stores its centres once, each level's as a read-only (n, 2) array built
+in one vector pass; every count and its density derive from them.
 
 Every plan is re-verified by ``verify_levels``, a uniform-grid neighbour
 search (the cell list of Bentley, Stanat and Williams, 1977) in numpy alone,
@@ -19,7 +20,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -130,14 +131,26 @@ def ring_count(ring_radius: float, r_a: float) -> tuple[int, tuple[int, int] | N
 
 @dataclass(frozen=True)
 class PackingLevel:
-    """One ring of equally spaced circle centres."""
+    """One ring of equally spaced circle centres, held as a read-only (n, 2)
+    array of (x, y) rows, whatever sequence of pairs it is given."""
 
     index: int  # 1-based
     ring_radius: float
     center_radius: float
-    centers: tuple[tuple[float, float], ...]
+    centers: np.ndarray
     area_count_bound: int | None = None
     geometric_count_bound: int | None = None
+
+    def __post_init__(self) -> None:
+        centers = np.array(self.centers, dtype=float).reshape(-1, 2)
+        centers.flags.writeable = False
+        object.__setattr__(self, "centers", centers)
+
+    def __eq__(self, other: object) -> bool:
+        # field by field, the centres by value: every float compared exactly
+        return isinstance(other, PackingLevel) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
     @property
     def count(self) -> int:
@@ -185,14 +198,13 @@ class PlacementPlan:
         return self.total_aaps * (r_a * r_a) / (radius * radius)
 
 
-def _level_centers(count: int, center_radius: float) -> tuple[tuple[float, float], ...]:
-    return tuple(
-        (
-            center_radius * math.cos(2.0 * math.pi * m / count),
-            center_radius * math.sin(2.0 * math.pi * m / count),
-        )
-        for m in range(count)
-    )
+def _level_centers(count: int, center_radius: float) -> np.ndarray:
+    """Centre m at c (cos, sin)(2 pi m / n): numpy forms the angles by the
+    scalar formula's operations in its order, and ``math`` takes cos and sin,
+    so every float is the scalar formula's on any numpy build."""
+    angles = (2.0 * math.pi * np.arange(count) / count).tolist()
+    unit = np.array([list(map(math.cos, angles)), list(map(math.sin, angles))])
+    return center_radius * unit.T
 
 
 def _build_levels(area_radius: float, r_a: float) -> list[PackingLevel]:
@@ -268,13 +280,9 @@ def verify_levels(
     if not r_a > 0:
         raise ValueError("circle radius must be strictly positive")
     tol = GEOMETRY_REL_TOL * r_a
-    counts = [len(level.centers) for level in levels]
+    counts = [level.count for level in levels]
     n = sum(counts)
-    xy = np.fromiter(
-        itertools.chain.from_iterable(c for level in levels for c in level.centers),
-        float,
-        2 * n,
-    ).reshape(-1, 2).T.copy()
+    xy = np.concatenate([np.empty((2, 0)), *(level.centers.T for level in levels)], axis=1)
     x, y = xy
     limit = np.repeat([min(area_radius, level.ring_radius) for level in levels], counts)
 

@@ -2,12 +2,15 @@ import contextlib
 import errno
 import json
 import math
+import os
 import re
+import string
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from aapdeploy import cli, packing, scenario, uplink
 from aapdeploy.io_utils import write_csv_atomic
@@ -23,17 +26,65 @@ def test_csv_cell_format(tmp_path):
     # floats and float subclasses at 12 significant digits, the rest as str
     path = tmp_path / "cells.csv"
     cells = [7, 0.1, 1.0 / 3.0, "6;1", np.float64(2.0 / 3.0), True, "", 1e-300]
-    write_csv_atomic(path, list("abcdefgh"), [cells, cells[::-1]])
+    write_csv_atomic(path, list("abcdefgh"), list(zip(cells, cells[::-1])))
     row = "7,0.1,0.333333333333,6;1,0.666666666667,True,,1e-300"
     assert path.read_text().splitlines()[1:] == [row, ",".join(row.split(",")[::-1])]
 
 
 def test_write_csv_atomic_format(tmp_path):
     path = tmp_path / "out" / "table.csv"
-    write_csv_atomic(path, ["a", "b"], [[1, 0.5], [2, 1.25]])
+    write_csv_atomic(path, ["a", "b"], [[1, 2], [0.5, 1.25]])
     content = path.read_text()
     assert content == "a,b\n1,0.5\n2,1.25\n"
     assert not list(path.parent.glob("*.tmp"))
+
+
+def per_row_csv(header, rows):
+    """The reference for the column writer: each row's own %-template, a
+    float or float subclass at 12 significant digits and anything else as
+    str, chosen cell by cell."""
+    lines = [",".join(header)]
+    for cells in rows:
+        template = ",".join("%.12g" if issubclass(type(c), float) else "%s" for c in cells)
+        lines.append(template % tuple(cells))
+    return "\n".join(lines) + "\n"
+
+
+CELLS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.booleans(),
+    st.text(string.printable),
+    st.just(""),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda width: st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=8)
+    )
+)
+@example([[0.5, 1, "x"], [np.float64(2.0), 2, "y"]])
+def test_column_writer_matches_the_per_row_rule(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    header = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
+    write_csv_atomic(path, header, list(zip(*rows)))
+    assert path.read_bytes() == per_row_csv(header, rows).encode()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_outputs_keep_the_umask(tmp_path, umask):
+    saved = os.umask(umask)
+    try:
+        run = run_cli(tmp_path, "place")
+    finally:
+        os.umask(saved)
+    assert run.code == cli.EXIT_OK
+    # the JSON and the CSV get 0o666 less the umask, and no temp file is left
+    modes = {path.name: path.stat().st_mode & 0o777 for path in (tmp_path / "o").iterdir()}
+    assert modes == {"plan.json": 0o666 & ~umask, "centers.csv": 0o666 & ~umask}
 
 
 def test_infeasible_place_exit_code(tmp_path):
@@ -331,7 +382,7 @@ def test_plan_json_fixes_every_centre(tmp_path, ratio):
             (c * math.cos(2.0 * math.pi * m / n), c * math.sin(2.0 * math.pi * m / n))
             for m in range(n)
         )
-        assert centers == reference.centers
+        assert centers == tuple(map(tuple, reference.centers.tolist()))
         rebuilt.extend(centers)
     table = run.files["centers.csv"].splitlines()[1:]
     rows = [row.split(",")[3:] for row in table]

@@ -80,17 +80,17 @@ def scaled_text(case, k):
 
 def unit_outputs(tmp_path, case, j):
     """The outputs of all six verbs on the case scaled by k = 2^j, with every
-    length divided by k again.  CSV rows are taken as the verbs pass them to
-    the writer, before rounding to text.  density-sweep's reference_density
+    length divided by k again.  CSV rows are read from the columns the verbs
+    pass to the writer, before rounding to text.  density-sweep's reference_density
     is left out: it matches area radii in metres by design."""
     k = 2.0**j
     scenario = scaled_text(case, k)
     rows = {}
     write_csv = cli.write_csv_atomic
 
-    def capture(path, header, body):
-        rows[path.name] = [list(row) for row in body]
-        write_csv(path, header, rows[path.name])
+    def capture(path, header, columns):
+        rows[path.name] = [list(row) for row in zip(*columns)]
+        write_csv(path, header, columns)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "write_csv_atomic", capture)

@@ -156,7 +156,7 @@ def test_two_circle_terminal_ring():
 def test_single_circle_plan():
     plan = packing.run_algorithm1(1.2, 1.0)
     assert plan.total_aaps == 1
-    assert plan.levels[0].centers == ((0.0, 0.0),)
+    assert plan.levels[0].centers.tolist() == [[0.0, 0.0]]
 
 
 def test_infeasible_when_area_too_small():
