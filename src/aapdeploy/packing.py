@@ -77,23 +77,6 @@ def prop2_bracket(n: int) -> float:
     )
 
 
-def void_edge(n: int) -> float:
-    """Void area around one boundary circle, in multiples of r_a^2."""
-    theta = polygon_half_angle(n)
-    alpha = math.pi / 2.0 - theta
-    return (
-        alpha * (1.0 + 1.0 / math.cos(theta)) ** 2
-        - math.tan(theta)
-        - math.sqrt(3.0) * (math.pi + 2.0 * alpha) / math.pi
-    )
-
-
-def void_center(n: int) -> float:
-    """Void area toward the ring centre per circle, in multiples of r_a^2."""
-    theta = polygon_half_angle(n)
-    return math.tan(theta) - theta
-
-
 def count_bounds(ring_radius: float, r_a: float) -> tuple[int, int]:
     """The (area, geometric) count bounds for a ring of radius ring_radius (>= 2.1547 r_a)."""
     # The same comparison as ring_count's: the quotient ring_radius / r_a can

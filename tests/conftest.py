@@ -1,12 +1,13 @@
 import contextlib
 import io
+import math
 import pkgutil
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
-from aapdeploy import channel, cli
+from aapdeploy import channel, cli, packing
 from aapdeploy.params import EnvironmentParams, SystemParams, UavEnergyParams
 from aapdeploy.scenario import builtin_scenario_path
 
@@ -66,6 +67,26 @@ def calls_to(target: str, *, forbid: bool = False):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(target, wrapper)
         yield results
+
+
+def void_edge(n: int) -> float:
+    """Void area around one boundary circle of an n-circle ring, in
+    multiples of r_a^2.  With ``void_center`` it decomposes the per-circle
+    area budget: pi + void_edge(n) + void_center(n) is
+    ``packing.prop2_bracket(n)``, which the tests check term by term."""
+    theta = packing.polygon_half_angle(n)
+    alpha = math.pi / 2.0 - theta
+    return (
+        alpha * (1.0 + 1.0 / math.cos(theta)) ** 2
+        - math.tan(theta)
+        - math.sqrt(3.0) * (math.pi + 2.0 * alpha) / math.pi
+    )
+
+
+def void_center(n: int) -> float:
+    """Void area toward the ring centre per circle, in multiples of r_a^2."""
+    theta = packing.polygon_half_angle(n)
+    return math.tan(theta) - theta
 
 
 def pytest_terminal_summary(config, terminalreporter):

@@ -102,7 +102,7 @@ def test_criterion_4_void_algebra_identity():
     worst = 0.0
     for n in range(3, 51):
         lhs = n * packing.prop2_bracket(n)
-        rhs = n * (math.pi + packing.void_edge(n) + packing.void_center(n))
+        rhs = n * (math.pi + conftest.void_edge(n) + conftest.void_center(n))
         worst = max(worst, abs(lhs - rhs))
     record(
         4,

@@ -5,7 +5,7 @@ conftest's ``run_cli``, into an empty directory and compares, byte for
 byte, the exit code, stdout, stderr and every file the verb wrote against
 ``tests/golden/<scenario>/<verb>/``; a verb without golden files fails.
 ``validate`` writes no file and runs with the default ``--trials 1000
---seed 0``, so its case pins the six check lines.  The output directory
+--seed 0``, so its case pins the four check lines and the summary.  The output directory
 in stdout is replaced by ``<out>`` so the files do not depend on where the
 test runs.
 

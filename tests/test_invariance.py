@@ -1,4 +1,4 @@
-"""Exact invariance under a change of the unit of length.
+"""Exact invariance under a change of the unit of length or of power.
 
 Scaling every length of a scenario by k = 2^j, with the UE density rho
 divided by k^2, the reference gain g0 multiplied by k^2 and the energy
@@ -9,6 +9,12 @@ other output must stay the same.  A tolerance, slack or cap with an absolute
 floor in metres breaks this at small or large k.  j is capped at 6 because
 load requires g0 < 1.  The packing alone has no such bound, and takes j
 from -40 to 40.
+
+Scaling every power and energy of a scenario by k instead (the noise PSD,
+P_max, the circuit power and the four vehicle-energy coefficients; gamma is
+a ratio of powers) leaves the rate as it is, multiplies every energy and
+power a verb reports by k and divides GEE by k, bit for bit.  An absolute
+floor in watts or joules breaks this.
 """
 
 import configparser
@@ -22,11 +28,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from aapdeploy import channel, cli, packing, uplink
-from aapdeploy.scenario import builtin_scenario_path
+from aapdeploy.scenario import builtin_scenario_path, load_scenario
 from conftest import run_cli
 
-# The power of k by which each scaled key's values change.
-POWERS = {
+# The power of k by which each scaled key's values change, for a change of
+# the unit of length and for one of the unit of power.
+LENGTH_KEYS = {
     "g0": 2,
     "ue_density_per_m2": -2,
     "alpha_climb_j_per_m": -1,
@@ -38,6 +45,15 @@ POWERS = {
     "h_stop_m": 1,
     "h_step_m": 1,
     "area_radius_list_m": 1,
+}
+POWER_KEYS = {
+    "noise_psd_w_per_hz": 1,
+    "p_max_w": 1,
+    "circuit_power_w": 1,
+    "beta_hover_w": 1,
+    "alpha_hover_w_per_m": 1,
+    "alpha_climb_j_per_m": 1,
+    "beta_climb_j": 1,
 }
 
 # Each case's built-in scenario and the key values it changes at k = 1.
@@ -59,15 +75,15 @@ PLAN_LENGTHS = ("r_a_m", "area_radius_m")
 LEVEL_LENGTHS = ("ring_radius_m", "center_radius_m")
 
 
-def scaled_text(case, k):
-    """The case's scenario with every key in POWERS scaled by k."""
+def scaled_text(case, k, keys=LENGTH_KEYS):
+    """The case's scenario with every key in ``keys`` scaled by k to its power."""
     name, overrides = CASES[case]
     parser = configparser.ConfigParser(
         inline_comment_prefixes=("#", ";"), interpolation=None
     )
     parser.read_string(builtin_scenario_path(name).read_text())
     for section in parser.sections():
-        for key, power in POWERS.items():
+        for key, power in keys.items():
             if key in parser[section]:
                 text = overrides.get(key, parser[section][key])
                 parser[section][key] = ", ".join(
@@ -78,13 +94,10 @@ def scaled_text(case, k):
     return text.getvalue()
 
 
-def unit_outputs(tmp_path, case, j):
-    """The outputs of all six verbs on the case scaled by k = 2^j, with every
-    length divided by k again.  CSV rows are read from the columns the verbs
-    pass to the writer, before rounding to text.  density-sweep's reference_density
-    is left out: it matches area radii in metres by design."""
-    k = 2.0**j
-    scenario = scaled_text(case, k)
+def run_verbs(tmp_path, scenario):
+    """All six verbs' runs on the scenario text, by verb, and the rows of
+    each CSV they write, by file name, read from the columns the verbs pass
+    to the writer before rounding to text."""
     rows = {}
     write_csv = cli.write_csv_atomic
 
@@ -95,6 +108,15 @@ def unit_outputs(tmp_path, case, j):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "write_csv_atomic", capture)
         runs = {verb: run_cli(tmp_path, verb, text=scenario) for verb in cli.VERBS}
+    return runs, rows
+
+
+def length_outputs(tmp_path, case, j):
+    """The outputs of all six verbs on the case scaled by k = 2^j, with every
+    length divided by k again.  density-sweep's reference_density is left
+    out: it matches area radii in metres by design."""
+    k = 2.0**j
+    runs, rows = run_verbs(tmp_path, scaled_text(case, k))
     codes = {verb: run.code for verb, run in runs.items()}
 
     solution = json.loads(runs["solve"].files["solution.json"])
@@ -140,11 +162,45 @@ def unit_outputs(tmp_path, case, j):
     }
 
 
+def power_outputs(tmp_path, case, j):
+    """The outputs of all six verbs on the case with every key in POWER_KEYS
+    scaled by k = 2^j, every energy and power divided by k again and every
+    GEE multiplied by k.  The files that hold neither are kept as written;
+    validate's stdout is kept as printed."""
+    k = 2.0**j
+    runs, rows = run_verbs(tmp_path, scaled_text(case, k, POWER_KEYS))
+    solution = json.loads(runs["solve"].files["solution.json"])
+    solution["gee_bits_per_j"] *= k
+    sweep = [
+        [gamma, h, delta, gee * k, rate, total / k, uav / k, power / k, gee_zero * k, zero / k]
+        for gamma, h, delta, gee, rate, total, uav, power, gee_zero, zero
+        in rows["altitude_sweep.csv"]
+    ]
+    thresholds = [
+        [phi, delta, gee * k, r_a, n_ue, gee_zero * k, ceiling]
+        for phi, delta, gee, r_a, n_ue, gee_zero, ceiling in rows["threshold_sweep.csv"]
+    ]
+    # each run's files hold those of the verbs before it: keep the verb's own
+    files = {
+        verb: [runs[verb].files.get(name) for name in names]
+        for verb, names in (("place", ("plan.json", "centers.csv")),
+                            ("density-sweep", ("density_sweep.csv",)))
+    }
+    return {
+        "exit codes": {verb: run.code for verb, run in runs.items()},
+        "solve": solution,
+        "altitude-sweep": sweep,
+        "threshold-sweep": thresholds,
+        **files,
+        "validate": runs["validate"].out,
+    }
+
+
 @pytest.fixture(scope="module")
 def at_unit_scale(tmp_path_factory):
     @functools.cache
-    def outputs(case):
-        return unit_outputs(tmp_path_factory.mktemp(case), case, 0)
+    def outputs(case, relation=length_outputs):
+        return relation(tmp_path_factory.mktemp(case), case, 0)
 
     return outputs
 
@@ -155,7 +211,28 @@ def at_unit_scale(tmp_path_factory):
     + [("no_vehicle_energy_h_max_222", -32), ("baseline_h_stop_300.5", -32)],
 )
 def test_outputs_scale_with_the_unit_of_length(tmp_path, at_unit_scale, case, j):
-    scaled, reference = unit_outputs(tmp_path, case, j), at_unit_scale(case)
+    scaled, reference = length_outputs(tmp_path, case, j), at_unit_scale(case)
+    for verb in reference:
+        assert scaled[verb] == reference[verb], verb
+
+
+@pytest.mark.parametrize("j", EXPONENTS)
+@pytest.mark.parametrize("case", ["baseline", "no_vehicle_energy"])
+def test_outputs_scale_with_the_unit_of_power(tmp_path, at_unit_scale, case, j):
+    k = 2.0**j
+    reference = dict(at_unit_scale(case, power_outputs))
+    # validate prints the exact and closed-form sum powers rounded, so the
+    # scaled run must print the k = 1 library values times k
+    scn = load_scenario(builtin_scenario_path(case))
+    cell = (scn.system.h_min, scn.sweeps.phi_deg, scn.system, scn.environment)
+    exact = uplink.expected_sum_power_exact(*cell)
+    closed = uplink.expected_sum_power_closed_form(*cell)
+    printed = f"exact={exact:.6e} W closed={closed:.6e} W"
+    assert printed in reference["validate"]
+    reference["validate"] = reference["validate"].replace(
+        printed, f"exact={exact * k:.6e} W closed={closed * k:.6e} W"
+    )
+    scaled = power_outputs(tmp_path, case, j)
     for verb in reference:
         assert scaled[verb] == reference[verb], verb
 

@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 
 from aapdeploy import packing
 from aapdeploy.errors import ConfigError, InfeasibleError
-from conftest import calls_to
+from conftest import calls_to, void_center, void_edge
 
 
 def test_three_circle_ratio_constant():
@@ -54,19 +54,19 @@ def test_bracket_hand_value_n4():
 @pytest.mark.parametrize("n", range(3, 51))
 def test_void_identity(n):
     # pi + V_e + V_c recomposes the per-circle area budget exactly
-    total = math.pi + packing.void_edge(n) + packing.void_center(n)
+    total = math.pi + void_edge(n) + void_center(n)
     assert total == pytest.approx(packing.prop2_bracket(n), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(3, 51))
 def test_voids_positive(n):
-    assert packing.void_edge(n) > 0.0
-    assert packing.void_center(n) > 0.0
+    assert void_edge(n) > 0.0
+    assert void_center(n) > 0.0
 
 
 def test_void_center_closed_form():
     # tan(theta) - theta with theta = pi/6
-    assert packing.void_center(3) == pytest.approx(
+    assert void_center(3) == pytest.approx(
         1.0 / math.sqrt(3.0) - math.pi / 6.0, rel=1e-15
     )
 
