@@ -158,9 +158,9 @@ def solution_to_dict(solution: gee.DeploymentSolution) -> dict:
 
 
 def solve_scenario(scn: Scenario) -> gee.DeploymentSolution:
-    """Solve P1 on the scenario's threshold grid; the one solve path shared
-    by solve, place and density-sweep."""
-    return gee.solve_p1(scn.system, scn.environment, scn.uav, scn.sweeps.phis_deg)
+    """The one solve path shared by solve, place and density-sweep: P1 on the scenario's grids."""
+    sweeps = scn.sweeps
+    return gee.solve_p1(scn.system, scn.environment, scn.uav, sweeps.phis_deg, sweeps.altitudes)
 
 
 def cmd_solve(scn: Scenario, args: argparse.Namespace) -> int:

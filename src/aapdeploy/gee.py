@@ -1,21 +1,19 @@
 """Global energy efficiency: objective and altitude optimization.
 
 The altitude solver does not blindly trust the decreasing-GEE argument: it
-audits monotonicity on a coarse altitude grid and falls back to a fine grid
-search when the audit fails (which happens for zeroed vehicle energy at low
-SNR).
+audits monotonicity on a coarse altitude grid and falls back to a grid search
+over the caller's altitude grid when the audit fails (which happens for
+zeroed vehicle energy at low SNR).
 
 ``gee_value`` is the one GEE formula.  It broadcasts the edge elevation
 ``phi_deg`` against an altitude ``h`` by numpy's rules, so the solver passes
 an (n, 1) column of thresholds (row i belongs to threshold i) against a
 (threshold x altitude) block and evaluates its thresholds in a few array
-calls: the audit block, then one search loop over blocks of a
-(threshold x altitude) grid with one point per threshold (h_min) when the
-audit passes and ``FALLBACK_POINTS`` when it fails.  A block holds
-``FALLBACK_BLOCK * FALLBACK_POINTS`` grid points, which keeps peak memory
-near that of one altitude row and makes a pinned search on a built-in grid
-one call.  A column call gives exactly the floats of the per-threshold scalar
-calls (see ``channel``), so the grid search picks the same optimum as a
+calls: the audit block, then one search loop over blocks of about
+``BLOCK_POINTS`` points of a (threshold x altitude) grid, which keeps peak
+memory near that of one altitude row and makes a pinned search on a built-in
+grid one call.  A column call gives exactly the floats of the per-threshold
+scalar calls (see ``channel``), so the grid search picks the same optimum as a
 scalar loop.  The LoS threshold delta is derived once, for the reported
 optimum.
 """
@@ -29,17 +27,16 @@ from typing import Sequence
 import numpy as np
 
 from . import channel, energy, uplink
-from .errors import InfeasibleError
+from .errors import ConfigError, InfeasibleError
 from .params import EnvironmentParams, SystemParams, UavEnergyParams
 
-# Altitudes on the coarse grid of the decreasing-GEE audit, and on each
-# threshold's row of the fallback grid search.
+# Altitudes on the coarse grid of the decreasing-GEE audit.
 AUDIT_POINTS = 24
-FALLBACK_POINTS = 286
-# Thresholds per block of the fallback grid search.  On a built-in grid of
-# 221 thresholds, one block of all rows raised a solve's peak RSS by ~3.5 MB
-# over one row at a time; blocks of 16 raise it by ~0.2 MB.
-FALLBACK_BLOCK = 16
+# Grid points per block, 16 rows of the built-in 286-point altitude grid: one
+# block of all 221 rows raised a solve's peak RSS by ~3.5 MB, 16 by ~0.2 MB.
+BLOCK_POINTS = 4576
+# GEE points one search may evaluate: ~4 s at the cap on a 2-core Xeon.
+MAX_SEARCH_POINTS = 10**8
 
 
 class BindingConstraint(enum.Enum):
@@ -94,6 +91,7 @@ def solve_p1(
     env: EnvironmentParams,
     uav: UavEnergyParams,
     phi_grid: Sequence[float] | np.ndarray,
+    altitudes: Sequence[float] | np.ndarray,
 ) -> DeploymentSolution:
     """Energy-efficiency-optimal altitude and edge elevation threshold.
 
@@ -102,10 +100,13 @@ def solve_p1(
     power-translated altitude ceiling lies below h_min, are excluded as
     infeasible; an angle outside (0, 90] raises ValueError.  When the
     decreasing-GEE audit passes for every feasible threshold the altitude is
-    pinned at h_min and only the threshold is searched; otherwise both are
-    grid searched.  Either way the search is the same loop over blocks of a
-    (threshold x altitude) grid, and one tie rule holds: the larger elevation
-    angle (smaller cell) wins, then the lower altitude.
+    pinned at h_min and only the threshold is searched; otherwise each
+    threshold searches h_min, the ascending grid ``altitudes`` (metres, in
+    [h_min, h_max]) and h_max, each capped at its ceiling.  A search of more
+    than ``MAX_SEARCH_POINTS`` points raises ConfigError.  Either way the
+    search is the same loop over blocks of a (threshold x altitude) grid, and
+    one tie rule holds: the larger elevation angle (smaller cell) wins, then
+    the lower altitude.
     """
     # Sorted by descending elevation angle, so the first maximum in (phi, h)
     # order is the larger phi, then the lower h.
@@ -131,14 +132,20 @@ def solve_p1(
     # perfbench's gee.audit_pass_ratio covers them all.
     audit_passed = all([_audit_monotone_decreasing(row) for row in audit])
 
-    # A passed audit pins h at h_min: the one-point case of the grid search,
-    # whose blocks then hold FALLBACK_POINTS times as many thresholds.
-    points = 1 if audit_passed else FALLBACK_POINTS
-    rows = FALLBACK_BLOCK * FALLBACK_POINTS // points
+    # A passed audit pins h at h_min: the one-point case of the search.
+    points = 1 if audit_passed else max(1, len(altitudes))
+    heights = np.r_[sys.h_min] if audit_passed else np.r_[sys.h_min, altitudes, sys.h_max]
+    rows = max(1, BLOCK_POINTS // points)
+    if len(phis) * heights.size > MAX_SEARCH_POINTS:
+        raise ConfigError(
+            f"solve would search {len(phis):,} feasible thresholds x {heights.size:,} "
+            f"candidate altitudes = {len(phis) * heights.size:.3g} GEE points, "
+            f"more than {MAX_SEARCH_POINTS:,}"
+        )
     best: tuple[float, float, int] | None = None  # (gee, h, threshold index)
     for start in range(0, len(phis), rows):
         block = slice(start, start + rows)
-        grid = np.linspace(sys.h_min, ceilings[block], points, axis=1)
+        grid = np.minimum(heights, ceilings[block, None])
         values = gee_value(grid, phis[block, None], sys, env, uav)
         i, j = np.unravel_index(int(np.argmax(values)), values.shape)
         if best is None or values[i, j] > best[0]:

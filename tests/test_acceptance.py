@@ -218,11 +218,12 @@ def test_criterion_9_monte_carlo_convergence():
     again = montecarlo.mean_sum_power(h, phi, sysp, ENV, trials=200, base_seed=1)
     again2 = montecarlo.mean_sum_power(h, phi, sysp, ENV, trials=200, base_seed=1)
     elapsed = time.monotonic() - start
+    repeat = "bit-exact" if again == again2 else f"gave {again} then {again2}"
     record(
         9,
         rel < 0.01 and again == again2 and elapsed < 60.0,
         f"Monte-Carlo mean over 10^4 trials within {rel:.2%} of quadrature "
-        f"(< 1%); repeated seed bit-exact; {elapsed:.1f} s < 60 s",
+        f"(< 1%); repeated seed {repeat}; {elapsed:.1f} s < 60 s",
     )
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from aapdeploy import cli, packing, scenario, uplink
+from aapdeploy import cli, gee, packing, scenario, uplink
 from aapdeploy.io_utils import write_csv_atomic
 from aapdeploy.scenario import builtin_scenario_path, load_scenario
 from conftest import BASELINE, COARSE_BASELINE, CliRun, calls_to, run_cli
@@ -198,6 +198,37 @@ def test_threshold_sweep_radius_is_h_cot_phi_up_to_the_zenith(tmp_path):
 def test_solved_phi_is_a_grid_point(name):
     scn = load_scenario(builtin_scenario_path(name))
     assert cli.solve_scenario(scn).phi_opt_deg in scn.sweeps.phis_deg
+
+
+def solve_at_h_step(tmp_path, name, h_step):
+    """The built-in scenario ``name`` at ``h_step_m = h_step``, and its solution."""
+    path = tmp_path / f"{name}-{h_step}.ini"
+    text = builtin_scenario_path(name).read_text()
+    assert "h_step_m = 1\n" in text
+    path.write_text(text.replace("h_step_m = 1\n", f"h_step_m = {h_step}\n"))
+    scn = load_scenario(path)
+    return scn, cli.solve_scenario(scn)
+
+
+@pytest.mark.parametrize("name,h_step", [("baseline", "1"), ("no_vehicle_energy", "1"),
+                                         ("no_vehicle_energy", "7"), ("no_vehicle_energy", "95")])
+def test_solved_altitude_is_a_candidate(tmp_path, name, h_step):
+    # the fallback searches h_min, the scenario's altitude grid and the
+    # ceiling, and nothing else
+    scn, sol = solve_at_h_step(tmp_path, name, h_step)
+    ceiling = gee.altitude_ceiling(sol.phi_opt_deg, scn.system, scn.environment)
+    assert sol.monotone_audit_passed == (name == "baseline")
+    assert sol.h_opt in (scn.system.h_min, *scn.sweeps.altitudes, ceiling)
+
+
+def test_finer_altitude_grid_never_lowers_the_gee(tmp_path):
+    # halving h_step_m keeps every point of the grid, so the ablation's
+    # fallback searches a superset of altitudes and cannot find less
+    runs = [solve_at_h_step(tmp_path, "no_vehicle_energy", step) for step in ("1", "0.5", "0.25")]
+    for (coarse, low), (fine, high) in zip(runs, runs[1:]):
+        assert set(coarse.sweeps.altitudes) < set(fine.sweeps.altitudes)
+        assert not low.monotone_audit_passed
+        assert high.gee >= low.gee
 
 
 def test_density_sweep_output(tmp_path):
@@ -396,6 +427,7 @@ def test_plan_json_fixes_every_centre(tmp_path, ratio):
 # ACCEPTS maps a test name to its rows as REFUSALS does.
 SOLVE = ("solve",)
 VALIDATE = ("validate",)
+FINE_GRIDS = {"h_step_m = 95": "h_step_m = 0.003", "phi_step_deg = 5": "phi_step_deg = 0.01"}
 TRIALS = ("--trials", "100")
 ROUND_TRIP = "[PASS] LoS threshold inversion round-trip"
 
@@ -426,6 +458,12 @@ ACCEPTS = {
     # the mark was read as text before the first header: "File contains no
     # section headers", exit 2
     "test_utf8_bom_scenario_runs": [Accept(None, {}, SOLVE, text="\ufeff" + BASELINE)],
+    # 5,501 thresholds x 95,003 altitudes, on the pinned path: one GEE point
+    # per threshold, far inside the search budget
+    "test_fine_grids_solve_on_the_pinned_path": [
+        Accept(None, FINE_GRIDS, SOLVE, check=lambda run, _:
+               json.loads(run.files["solution.json"])["monotone_audit_passed"]),
+    ],
     # the round-trip check inverted thresholds the curve never reaches and
     # died with a traceback and the "infeasible" exit code
     "test_s_curve_below_the_round_trip_grid_validates": [
@@ -476,6 +514,13 @@ SUBNORMAL = r" W lies below the smallest normal float 2\.22507e-308"
 DELTA_RANGE = r"sweep delta: delta must lie strictly between 0 and 1"
 GRID_CAP = r" grid points, more than 100,000"
 RA = r"--ra must be a positive finite radius, got "
+ABLATION_PHYSICS = {
+    "gamma = 100": "gamma = 0.01",
+    "alpha_climb_j_per_m = 315": "alpha_climb_j_per_m = 0",
+    "beta_climb_j = -211.261": "beta_climb_j = 0",
+    "alpha_hover_w_per_m = 4.917": "alpha_hover_w_per_m = 0",
+    "beta_hover_w = 275.204": "beta_hover_w = 0",
+}
 
 
 class Refusal(NamedTuple):
@@ -658,6 +703,14 @@ REFUSALS = {
         Refusal(None, {RADII: "area_radius_list_m = 180.48, 1e9"},
                 r"target radius 1e\+09 m is more than 1000 coverage radii \(41\.2122 m\): "
                 r"too many AAPs to plan", ("density-sweep",)),
+    ],
+    # the ablation's physics fails the audit, and the fallback would search
+    # 5.2e8 GEE points, five times the budget
+    "test_search_budget_exits_config_error": [
+        Refusal(None, {**ABLATION_PHYSICS, **FINE_GRIDS},
+                r"solve would search 5,501 feasible thresholds x 95,003 candidate altitudes "
+                r"= 5\.23e\+08 GEE points, more than 100,000,000",
+                ("solve", "place", "density-sweep")),
     ],
     # one trial has no spread to bound the Monte-Carlo check with
     "test_nonpositive_trials_exits_config_error": [

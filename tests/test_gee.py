@@ -10,6 +10,11 @@ from aapdeploy.params import EnvironmentParams, UavEnergyParams
 
 from conftest import calls_to, make_system
 
+# The built-in scenarios' altitude grid, 15-300 m in steps of 1 m, and the
+# thresholds in one block of a fallback search over it (16).
+ALTITUDES = np.arange(15.0, 300.0 + 1e-9, 1.0)
+BLOCK_ROWS = gee.BLOCK_POINTS // len(ALTITUDES)
+
 
 def test_gee_value_decomposition(
     suburban_env, baseline_system, baseline_uav, edge_phi
@@ -65,7 +70,9 @@ def test_solve_p1_baseline_pins_min_altitude(
     suburban_env, baseline_system, baseline_uav
 ):
     grid = np.arange(5.0, 60.0 + 1e-9, 0.25).tolist()
-    sol = gee.solve_p1(baseline_system, suburban_env, baseline_uav, phi_grid=grid)
+    sol = gee.solve_p1(
+        baseline_system, suburban_env, baseline_uav, phi_grid=grid, altitudes=ALTITUDES
+    )
     assert sol.h_opt == baseline_system.h_min
     assert sol.binding_constraint is gee.BindingConstraint.MIN_ALTITUDE
     assert sol.monotone_audit_passed
@@ -85,14 +92,14 @@ def test_solve_p1_tie_break_toward_larger_phi(
     # duplicate thresholds: the reported optimum keeps a single phi but the
     # solver must not crash or prefer the first occurrence arbitrarily
     sol = gee.solve_p1(
-        baseline_system, suburban_env, baseline_uav, phi_grid=[30.0, 30.0]
+        baseline_system, suburban_env, baseline_uav, phi_grid=[30.0, 30.0], altitudes=ALTITUDES
     )
     assert sol.phi_opt_deg == 30.0
 
 
 def test_solve_p1_infeasible_empty_grid(suburban_env, baseline_system, baseline_uav):
     with pytest.raises(InfeasibleError):
-        gee.solve_p1(baseline_system, suburban_env, baseline_uav, phi_grid=[])
+        gee.solve_p1(baseline_system, suburban_env, baseline_uav, phi_grid=[], altitudes=ALTITUDES)
 
 
 @pytest.mark.parametrize("empty", [[], np.array([])], ids=["list", "ndarray"])
@@ -100,7 +107,9 @@ def test_solve_p1_refuses_an_empty_grid_of_any_type(
     suburban_env, baseline_system, baseline_uav, empty
 ):
     with pytest.raises(InfeasibleError, match="empty threshold grid"):
-        gee.solve_p1(baseline_system, suburban_env, baseline_uav, phi_grid=empty)
+        gee.solve_p1(
+            baseline_system, suburban_env, baseline_uav, phi_grid=empty, altitudes=ALTITUDES
+        )
 
 
 def test_solve_p1_takes_a_list_a_tuple_or_an_array(
@@ -108,7 +117,7 @@ def test_solve_p1_takes_a_list_a_tuple_or_an_array(
 ):
     grid = np.arange(5.0, 60.0 + 1e-9, 0.25)
     solutions = [
-        gee.solve_p1(baseline_system, suburban_env, baseline_uav, phi_grid=g)
+        gee.solve_p1(baseline_system, suburban_env, baseline_uav, phi_grid=g, altitudes=ALTITUDES)
         for g in (grid.tolist(), tuple(grid.tolist()), grid)
     ]
     assert solutions[0] == solutions[1] == solutions[2]
@@ -118,7 +127,9 @@ def test_solve_p1_infeasible_power_limit(suburban_env, baseline_uav):
     # tiny P_max: every threshold's power ceiling drops below h_min
     sysp = make_system(p_max=1e-15)
     with pytest.raises(InfeasibleError):
-        gee.solve_p1(sysp, suburban_env, baseline_uav, phi_grid=[20.0, 40.0, 60.0])
+        gee.solve_p1(
+            sysp, suburban_env, baseline_uav, phi_grid=[20.0, 40.0, 60.0], altitudes=ALTITUDES
+        )
 
 
 @pytest.mark.parametrize("bad_phi", [0.0, -20.0, 90.5, math.nan])
@@ -128,7 +139,8 @@ def test_solve_p1_rejects_phi_outside_domain(
     # only a degenerate cell is skipped; a bad threshold is an error, not a gap
     with pytest.raises(ValueError, match=r"\(0, 90\]"):
         gee.solve_p1(
-            baseline_system, suburban_env, baseline_uav, phi_grid=[20.0, 40.0, bad_phi]
+            baseline_system, suburban_env, baseline_uav, phi_grid=[20.0, 40.0, bad_phi],
+            altitudes=ALTITUDES,
         )
 
 
@@ -141,6 +153,7 @@ def test_solve_p1_fallback_interior(suburban_env):
         suburban_env,
         UavEnergyParams.zero(),
         phi_grid=np.arange(5.0, 60.0 + 1e-9, 1.0).tolist(),
+        altitudes=ALTITUDES,
     )
     assert not sol.monotone_audit_passed
     assert sol.h_opt > sysp.h_min
@@ -155,14 +168,39 @@ def test_solve_p1_fallback_interior(suburban_env):
     )
 
 
+def test_solve_p1_fallback_reaches_h_min_and_the_power_ceiling(
+    suburban_env, baseline_system, baseline_uav, monkeypatch
+):
+    # h_min and each threshold's ceiling are candidates where the altitude
+    # grid holds neither, so both labels stay reachable on the fallback path
+    phis = np.arange(5.0, 60.0 + 1e-9, 1.0).tolist()
+    with monkeypatch.context() as patch:
+        # GEE falls with h on the baseline physics; forced onto the fallback
+        # over a grid from 20 m, the search must still return h_min
+        patch.setattr(gee, "_audit_monotone_decreasing", lambda row: False)
+        sol = gee.solve_p1(baseline_system, suburban_env, baseline_uav, phis, ALTITUDES[5:])
+    assert not sol.monotone_audit_passed
+    assert sol.h_opt == baseline_system.h_min
+    assert sol.binding_constraint is gee.BindingConstraint.MIN_ALTITUDE
+
+    # at P_max = 1e-6 W the ablation's GEE still rises at the power ceiling;
+    # the best one, 185.05 m at 27 deg, lies above a grid that stops at 180 m
+    sysp = make_system(gamma=0.01, p_max=1e-6)
+    sol = gee.solve_p1(sysp, suburban_env, UavEnergyParams.zero(), phis, ALTITUDES[:-120])
+    ceiling = gee.altitude_ceiling(27.0, sysp, suburban_env)
+    assert (sol.phi_opt_deg, sol.h_opt) == (27.0, ceiling) and ceiling > ALTITUDES[-121]
+    assert sol.binding_constraint is gee.BindingConstraint.POWER_LIMIT
+
+
 def scalar_search(phis, sysp, env, uav):
     """The scalar (threshold, altitude) loop with a strict '>' that the
-    broadcast grid search replaced, over phis in the given order: the first
+    broadcast grid search replaced, over phis in the given order and, for
+    each, over h_min, ALTITUDES and h_max capped at its ceiling: the first
     maximum as (GEE, h, phi), and each threshold's largest GEE."""
     best, row_max = None, {}
     for phi in phis:
         ceiling = gee.altitude_ceiling(phi, sysp, env)
-        for h in np.linspace(sysp.h_min, ceiling, gee.FALLBACK_POINTS):
+        for h in [min(h, ceiling) for h in (sysp.h_min, *ALTITUDES, sysp.h_max)]:
             value = gee.gee_value(float(h), phi, sysp, env, uav)
             row_max[phi] = max(row_max.get(phi, value), value)
             if best is None or value > best[0]:
@@ -174,7 +212,7 @@ def test_solve_p1_fallback_matches_scalar_loop(suburban_env):
     # same first maximum, same value as the scalar loop
     sysp, uav = make_system(gamma=0.01), UavEnergyParams.zero()
     phis = np.arange(5.0, 60.0 + 1e-9, 5.0).tolist()
-    sol = gee.solve_p1(sysp, suburban_env, uav, phis)
+    sol = gee.solve_p1(sysp, suburban_env, uav, phis, ALTITUDES)
     best, _ = scalar_search(phis, sysp, suburban_env, uav)
     assert (sol.gee, sol.h_opt, sol.phi_opt_deg) == best
 
@@ -272,14 +310,14 @@ def test_solve_p1_fallback_blocks_match_scalar_loop(suburban_env):
     # sides of the second block edge; the blocks must pick what the scalar
     # (threshold, altitude) loop with a strict '>' picks
     sysp, uav = make_system(gamma=0.01), UavEnergyParams.zero()
-    edge = 2 * gee.FALLBACK_BLOCK
+    edge = 2 * BLOCK_ROWS
     phis = np.arange(26.0 - 0.5 * (edge - 1), 60.0 + 1e-9, 0.5).tolist() + [26.0]
     ceilings = gee.altitude_ceiling(np.array(phis), sysp, suburban_env)
     assert np.all(ceilings >= sysp.h_min)  # every threshold feasible
     assert sorted(phis)[edge - 1] == sorted(phis)[edge] == 26.0
-    assert len(phis) > edge + gee.FALLBACK_BLOCK
+    assert len(phis) > edge + BLOCK_ROWS
 
-    sol = gee.solve_p1(sysp, suburban_env, uav, phis)
+    sol = gee.solve_p1(sysp, suburban_env, uav, phis, ALTITUDES)
     best, _ = scalar_search(sorted(phis), sysp, suburban_env, uav)
     assert not sol.monotone_audit_passed
     assert (sol.gee, sol.h_opt, sol.phi_opt_deg) == best
@@ -292,12 +330,12 @@ def test_solve_p1_pinned_ties_break_toward_larger_phi(
     # GEE rounded to 100 bit/J ties a run of thresholds at h_min; the pinned
     # search must return the largest tied angle, which sits (duplicated) on
     # both sides of the fallback block edge
-    edge = gee.FALLBACK_BLOCK
+    edge = BLOCK_ROWS
     phis = np.arange(48.0 - edge + 1, 60.0 + 1e-9, 1.0).tolist() + [48.0]
     exact = gee.gee_value
     monkeypatch.setattr(gee, "gee_value", lambda *args: np.round(exact(*args), -2))
 
-    sol = gee.solve_p1(baseline_system, suburban_env, baseline_uav, phis)
+    sol = gee.solve_p1(baseline_system, suburban_env, baseline_uav, phis, ALTITUDES)
     values = [
         gee.gee_value(baseline_system.h_min, phi, baseline_system, suburban_env, baseline_uav)
         for phi in sorted(phis)
@@ -318,12 +356,12 @@ def test_solve_p1_fallback_ties_break_toward_larger_phi(suburban_env, monkeypatc
     exact = gee.gee_value
     monkeypatch.setattr(gee, "gee_value", lambda *args: np.round(exact(*args), -2))
 
-    sol = gee.solve_p1(sysp, suburban_env, uav, phis)
+    sol = gee.solve_p1(sysp, suburban_env, uav, phis, ALTITUDES)
     best, row_max = scalar_search(sorted(phis, reverse=True), sysp, suburban_env, uav)
     tied = [phi for phi, v in row_max.items() if v == best[0]]
     assert not sol.monotone_audit_passed
     assert sorted(tied) == [25.0, 26.0, 27.0, 28.0]  # a real tie across angles
-    assert sorted(phis, reverse=True).index(27.0) == 2 * gee.FALLBACK_BLOCK
+    assert sorted(phis, reverse=True).index(27.0) == 2 * BLOCK_ROWS
     assert (sol.gee, sol.h_opt, sol.phi_opt_deg) == best
     assert sol.phi_opt_deg == max(tied) == 28.0
 
@@ -347,7 +385,7 @@ def test_gee_call_counts_on_builtins(name):
         calls_to("aapdeploy.gee._audit_monotone_decreasing") as audits,
     ):
         cli.solve_scenario(scn)
-        assert 0 < len(values) <= 2 + math.ceil(feasible / gee.FALLBACK_BLOCK)
+        assert 0 < len(values) <= 2 + math.ceil(feasible / BLOCK_ROWS)
         assert len(audits) == feasible  # every feasible threshold, no short-circuit
 
         values.clear()
