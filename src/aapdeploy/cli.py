@@ -10,10 +10,10 @@ verbs read the grids and delta's angle that ``load_scenario`` resolved.
 ``place`` writes each AAP centre once, to the centres CSV: ``plan.json``
 keeps each level's count n and centre radius c, which fix centre m as
 (c cos(2 pi m / n), c sin(2 pi m / n)).  Every CSV table goes to the writer
-as columns, the centres' straight from the plan's arrays.  Verbs run with
-numpy's overflow, division by zero and invalid operations raised, so
-scenario values that take a result beyond the floating-point range exit 2
-instead of writing a NaN or an infinity.
+as one mapping from column name to cells, the centres' straight from the
+plan's arrays.  Verbs run with numpy's overflow, division by zero and
+invalid operations raised, so scenario values that take a result beyond the
+floating-point range exit 2 instead of writing a NaN or an infinity.
 """
 
 from __future__ import annotations
@@ -46,101 +46,61 @@ MAX_TRIALS = 10**6
 # only, never acceptance values.
 REFERENCE_DENSITIES = {180.48: 0.7896, 252.68: 0.6844}
 
-ALTITUDE_SWEEP_COLUMNS = [
-    "gamma",
-    "h_m",
-    "delta",
-    "gee_bits_per_j",
-    "sum_rate_bps",
-    "energy_total_j",
-    "energy_uav_j",
-    "sum_power_w",
-    "gee_ea_zero_bits_per_j",
-    "energy_total_ea_zero_j",
-]
 
-THRESHOLD_SWEEP_COLUMNS = [
-    "phi_deg",
-    "delta",
-    "gee_bits_per_j",
-    "r_a_m",
-    "n_ue",
-    "gee_ea_zero_bits_per_j",
-    "h_ceiling_m",
-]
-
-DENSITY_SWEEP_COLUMNS = [
-    "area_radius_m",
-    "r_a_m",
-    "total_aaps",
-    "packing_density",
-    "level_counts",
-    "reference_density",
-]
-
-CENTERS_COLUMNS = ["level", "ring_radius_m", "index_in_level", "x_m", "y_m"]
-
-
-def altitude_sweep_rows(scn: Scenario) -> list[list]:
-    """The columns of one row per (gamma, h); each gamma's altitude grid is
-    one array call per column, and both GEE columns come from ``gee.gee_value``."""
-    table: list[list] = [[] for _ in ALTITUDE_SWEEP_COLUMNS]
+def altitude_sweep_table(scn: Scenario) -> dict[str, list]:
+    """One row per (gamma, h): each gamma's altitude grid is one array call
+    per column, and both GEE columns come from ``gee.gee_value``."""
     delta, phi, env = scn.sweeps.delta, scn.sweeps.phi_deg, scn.environment
     zero_uav = UavEnergyParams.zero()
-    h_list = scn.sweeps.altitudes
-    h = np.array(h_list)
+    h = np.array(scn.sweeps.altitudes)
+    table: dict[str, list] = {}
     for gamma in scn.sweeps.gamma_list:
         sys_g = replace(scn.system, gamma=gamma)
         power = uplink.expected_sum_power_closed_form(h, phi, sys_g, env)
-        columns = (
-            gee.gee_value(h, phi, sys_g, env, scn.uav),
-            uplink.sum_rate(h, phi, sys_g),
-            energy.total_energy(h, power, sys_g, scn.uav),
-            energy.uav_only_energy(h, sys_g, scn.uav),
-            power,
-            gee.gee_value(h, phi, sys_g, env, zero_uav),
-            energy.total_energy(h, power, sys_g, zero_uav),
-        )
-        n = len(h_list)
-        block = ([gamma] * n, h_list, [delta] * n, *(c.tolist() for c in columns))
-        for column, cells in zip(table, block):
-            column.extend(cells)
+        block = {
+            "gamma": gamma,
+            "h_m": h,
+            "delta": delta,
+            "gee_bits_per_j": gee.gee_value(h, phi, sys_g, env, scn.uav),
+            "sum_rate_bps": uplink.sum_rate(h, phi, sys_g),
+            "energy_total_j": energy.total_energy(h, power, sys_g, scn.uav),
+            "energy_uav_j": energy.uav_only_energy(h, sys_g, scn.uav),
+            "sum_power_w": power,
+            "gee_ea_zero_bits_per_j": gee.gee_value(h, phi, sys_g, env, zero_uav),
+            "energy_total_ea_zero_j": energy.total_energy(h, power, sys_g, zero_uav),
+        }
+        for name, cells in block.items():
+            table.setdefault(name, []).extend(np.broadcast_to(cells, h.shape).tolist())
     return table
 
 
-def cmd_altitude_sweep(scn: Scenario, args: argparse.Namespace) -> int:
-    path = args.out / "altitude_sweep.csv"
-    write_csv_atomic(path, ALTITUDE_SWEEP_COLUMNS, altitude_sweep_rows(scn))
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def threshold_sweep_rows(scn: Scenario) -> list[list]:
-    """The columns of one row per non-degenerate threshold at h_min, from
-    two GEE array calls over the thresholds.  ``h_ceiling_m`` is the altitude
-    ceiling the solver uses, min(h_max, h'_max(phi)): a row whose ceiling
-    lies below h_min is a threshold that ``solve`` rejects as infeasible."""
+def threshold_sweep_table(scn: Scenario) -> dict[str, list]:
+    """One row per non-degenerate threshold at h_min, from two GEE array
+    calls over the thresholds.  ``h_ceiling_m`` is the altitude ceiling the
+    solver uses, min(h_max, h'_max(phi)): a row whose ceiling lies below
+    h_min is a threshold that ``solve`` rejects as infeasible."""
     h = scn.system.h_min
     phis = np.array(scn.sweeps.phis_deg)
     r_a = channel.coverage_radius(h, phis)
     covered = r_a > 0.0
     phis, r_a = phis[covered], r_a[covered]
     env, zero_uav = scn.environment, UavEnergyParams.zero()
-    columns = (
-        phis,
-        channel.los_probability(phis, env),
-        gee.gee_value(h, phis, scn.system, env, scn.uav),
-        r_a,
-        uplink.cell_ue_count(r_a, scn.system),
-        gee.gee_value(h, phis, scn.system, env, zero_uav),
-        gee.altitude_ceiling(phis, scn.system, env),
-    )
-    return [c.tolist() for c in columns]
+    columns = {
+        "phi_deg": phis,
+        "delta": channel.los_probability(phis, env),
+        "gee_bits_per_j": gee.gee_value(h, phis, scn.system, env, scn.uav),
+        "r_a_m": r_a,
+        "n_ue": uplink.cell_ue_count(r_a, scn.system),
+        "gee_ea_zero_bits_per_j": gee.gee_value(h, phis, scn.system, env, zero_uav),
+        "h_ceiling_m": gee.altitude_ceiling(phis, scn.system, env),
+    }
+    return {name: column.tolist() for name, column in columns.items()}
 
 
-def cmd_threshold_sweep(scn: Scenario, args: argparse.Namespace) -> int:
-    path = args.out / "threshold_sweep.csv"
-    write_csv_atomic(path, THRESHOLD_SWEEP_COLUMNS, threshold_sweep_rows(scn))
+def write_table(args: argparse.Namespace, name: str, table: dict[str, list]) -> int:
+    """Write ``table`` to the CSV file ``name`` under --out and say so."""
+    path = args.out / name
+    write_csv_atomic(path, table)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -197,56 +157,54 @@ def plan_to_dict(plan: packing.PlacementPlan) -> dict:
     }
 
 
+def placement_radius(scn: Scenario, args: argparse.Namespace) -> float:
+    """The --ra override, or the coverage radius that ``solve`` finds."""
+    return args.ra if args.ra is not None else solve_scenario(scn).r_a
+
+
 def cmd_place(scn: Scenario, args: argparse.Namespace) -> int:
-    r_a = args.ra if args.ra is not None else solve_scenario(scn).r_a
+    r_a = placement_radius(scn, args)
     plan = packing.run_algorithm1(scn.system.area_radius_r, r_a)
     write_json_atomic(args.out / "plan.json", plan_to_dict(plan))
     levels = plan.levels
     counts = [level.count for level in levels]
-    columns = [
-        np.repeat([level.index for level in levels], counts).tolist(),
-        np.repeat([level.ring_radius for level in levels], counts).tolist(),
-        [m for count in counts for m in range(count)],
-        *np.concatenate([level.centers for level in levels]).T.tolist(),
-    ]
-    write_csv_atomic(args.out / "centers.csv", CENTERS_COLUMNS, columns)
+    x, y = np.concatenate([level.centers for level in levels]).T.tolist()
+    centers = {
+        "level": np.repeat([level.index for level in levels], counts).tolist(),
+        "ring_radius_m": np.repeat([level.ring_radius for level in levels], counts).tolist(),
+        "index_in_level": [m for count in counts for m in range(count)],
+        "x_m": x,
+        "y_m": y,
+    }
+    write_csv_atomic(args.out / "centers.csv", centers)
     print(f"wrote {args.out / 'plan.json'} and {args.out / 'centers.csv'}")
     print(
         f"R={scn.system.area_radius_r:g} m  R_a={r_a:g} m  "
-        f"levels={[level.count for level in plan.levels]}  "
-        f"density={plan.packing_density:.4f}"
+        f"levels={counts}  density={plan.packing_density:.4f}"
     )
     return EXIT_OK
 
 
-def density_sweep_rows(scn: Scenario, r_a: float) -> list[list]:
-    rows = []
-    for area_radius in scn.sweeps.area_radius_list:
-        plan = packing.run_algorithm1(area_radius, r_a)
-        reference = ""
-        for ref_radius, ref_density in REFERENCE_DENSITIES.items():
-            if abs(area_radius - ref_radius) < 1e-6:
-                reference = ref_density
-        rows.append(
-            [
-                area_radius,
-                r_a,
-                plan.total_aaps,
-                plan.packing_density,
-                ";".join(str(level.count) for level in plan.levels),
-                reference,
-            ]
-        )
-    return rows
+def density_sweep_table(scn: Scenario, r_a: float) -> dict[str, list]:
+    radii = scn.sweeps.area_radius_list
+    plans = [packing.run_algorithm1(area_radius, r_a) for area_radius in radii]
+    return {
+        "area_radius_m": list(radii),
+        "r_a_m": [r_a] * len(radii),
+        "total_aaps": [plan.total_aaps for plan in plans],
+        "packing_density": [plan.packing_density for plan in plans],
+        "level_counts": [";".join(str(level.count) for level in plan.levels) for plan in plans],
+        "reference_density": [
+            next((d for ref, d in REFERENCE_DENSITIES.items() if abs(radius - ref) < 1e-6), "")
+            for radius in radii
+        ],
+    }
 
 
 def cmd_density_sweep(scn: Scenario, args: argparse.Namespace) -> int:
-    r_a = args.ra if args.ra is not None else solve_scenario(scn).r_a
-    rows = density_sweep_rows(scn, r_a)
-    path = args.out / "density_sweep.csv"
-    write_csv_atomic(path, DENSITY_SWEEP_COLUMNS, list(zip(*rows)))
-    print(f"wrote {path}")
-    if any(row[5] != "" for row in rows):
+    table = density_sweep_table(scn, placement_radius(scn, args))
+    write_table(args, "density_sweep.csv", table)
+    if any(table["reference_density"]):
         print(
             "note: reference_density values come from a reported deployment "
             "whose cell radius is unstated; they are indicative only and not "
@@ -324,8 +282,12 @@ def cmd_validate(scn: Scenario, args: argparse.Namespace) -> int:
 # Each verb's handler, called with the loaded scenario and the parsed
 # command line; the keys are the command choices.
 VERBS = {
-    "altitude-sweep": cmd_altitude_sweep,
-    "threshold-sweep": cmd_threshold_sweep,
+    "altitude-sweep": lambda scn, args: write_table(
+        args, "altitude_sweep.csv", altitude_sweep_table(scn)
+    ),
+    "threshold-sweep": lambda scn, args: write_table(
+        args, "threshold_sweep.csv", threshold_sweep_table(scn)
+    ),
     "solve": cmd_solve,
     "place": cmd_place,
     "density-sweep": cmd_density_sweep,

@@ -1,11 +1,12 @@
 """Deterministic, locale-independent output helpers.
 
 CSV files always carry a header row, '.' as the decimal separator and LF line
-endings.  The CSV writer takes columns and picks each one's format once: 12
-significant digits for floats (float subclasses included), str for the rest,
-and that rule cell by cell in a column that mixes them.  All writers go
-through a temp file, created under the user's umask, and a rename, so
-interrupted runs never leave partial outputs.
+endings.  The CSV writer takes one table, a mapping from column name to
+cells in column order, refuses columns of unequal length, and picks each
+column's format once: 12 significant digits for floats (float subclasses
+included), str for the rest, and that rule cell by cell in a column that
+mixes them.  All writers go through a temp file, created under the user's
+umask, and a rename, so interrupted runs never leave partial outputs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -30,17 +31,16 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def write_csv_atomic(
-    path: str | Path, header: Sequence[str], columns: Sequence[Sequence]
-) -> None:
+def write_csv_atomic(path: str | Path, table: Mapping[str, Sequence]) -> None:
     formats, cells = [], []
-    for column in columns:
+    for column in table.values():
         floats = {issubclass(kind, float) for kind in set(map(type, column))}
         if floats == {True, False}:
             column = [("%.12g" if isinstance(c, float) else "%s") % c for c in column]
         formats.append("%.12g" if floats == {True} else "%s")
         cells.append(column)
-    lines = [",".join(header), *map(",".join(formats).__mod__, zip(*cells))]
+    rows = zip(*cells, strict=True)  # ValueError before any file is made
+    lines = [",".join(table), *map(",".join(formats).__mod__, rows)]
     _atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 

@@ -163,12 +163,9 @@ def test_criterion_7_reference_densities():
     in_band = all(0.6 <= d <= 0.8 for d in densities)
 
     scn = load_scenario(builtin_scenario_path("baseline"))
-    rows = cli.density_sweep_rows(scn, r_a=38.57)
-    reported = {row[0]: row for row in rows}
-    refs_attached = (
-        reported[180.48][5] == pytest.approx(0.7896)
-        and reported[252.68][5] == pytest.approx(0.6844)
-    )
+    table = cli.density_sweep_table(scn, r_a=38.57)
+    reported = dict(zip(table["area_radius_m"], table["reference_density"]))
+    refs_attached = reported == pytest.approx({180.48: 0.7896, 252.68: 0.6844})
     record(
         7,
         in_band and refs_attached,

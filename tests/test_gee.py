@@ -328,23 +328,27 @@ def test_solve_p1_pinned_ties_break_toward_larger_phi(
     suburban_env, baseline_system, baseline_uav, monkeypatch
 ):
     # GEE rounded to 100 bit/J ties a run of thresholds at h_min; the pinned
-    # search must return the largest tied angle, which sits (duplicated) on
-    # both sides of the fallback block edge
-    edge = BLOCK_ROWS
-    phis = np.arange(48.0 - edge + 1, 60.0 + 1e-9, 1.0).tolist() + [48.0]
+    # search must return the largest tied angle.  A pinned block holds
+    # BLOCK_POINTS thresholds: at 14 the descending list splits 14/14/1, the
+    # duplicated 48 deg ends the first block and the tied 47 deg starts the
+    # second, which must not replace it
+    monkeypatch.setattr(gee, "BLOCK_POINTS", 14)
+    phis = np.arange(33.0, 60.0 + 1e-9, 1.0).tolist() + [48.0]
     exact = gee.gee_value
     monkeypatch.setattr(gee, "gee_value", lambda *args: np.round(exact(*args), -2))
 
     sol = gee.solve_p1(baseline_system, suburban_env, baseline_uav, phis, ALTITUDES)
-    values = [
-        gee.gee_value(baseline_system.h_min, phi, baseline_system, suburban_env, baseline_uav)
-        for phi in sorted(phis)
-    ]
+    descending = sorted(phis, reverse=True)
+    blocks = [descending[start:start + 14] for start in range(0, len(phis), 14)]
+    assert [len(block) for block in blocks] == [14, 14, 1]
+    assert blocks[0][-2:] == [48.0, 48.0] and blocks[1][0] == 47.0
+    value = {
+        phi: gee.gee_value(baseline_system.h_min, phi, baseline_system, suburban_env, baseline_uav)
+        for phi in phis
+    }
     assert sol.monotone_audit_passed
-    assert values.count(max(values)) > 2  # a real tie across distinct angles
-    expected = max(phi for phi, v in zip(sorted(phis), values) if v == max(values))
-    assert sol.phi_opt_deg == expected == 48.0
-    assert sorted(phis)[edge - 1] == sorted(phis)[edge] == 48.0
+    assert value[47.0] == value[48.0] == max(value.values())  # a tie across the edge
+    assert sol.phi_opt_deg == max(phi for phi in phis if value[phi] == value[48.0]) == 48.0
 
 
 def test_solve_p1_fallback_ties_break_toward_larger_phi(suburban_env, monkeypatch):
@@ -389,5 +393,5 @@ def test_gee_call_counts_on_builtins(name):
         assert len(audits) == feasible  # every feasible threshold, no short-circuit
 
         values.clear()
-        cli.threshold_sweep_rows(scn)
+        cli.threshold_sweep_table(scn)
         assert len(values) == 2

@@ -71,11 +71,15 @@ CASES = {
 
 EXPONENTS = (-40, -32, -1, 4, 6)
 
-PLAN_LENGTHS = ("r_a_m", "area_radius_m")
-LEVEL_LENGTHS = ("ring_radius_m", "center_radius_m")
+# The power of k by which an output scales under each relation, by the unit
+# its name ends in: a length in metres (the plan's margins and tolerance are
+# lengths too), an energy or power, and a GEE, tried before "_j".
+LENGTH_UNITS = {"_m": 1, "_margin": 1, "tolerance": 1}
+POWER_UNITS = {"_per_j": -1, "_j": 1, "_w": 1}
+RELATIONS = {"length": (LENGTH_KEYS, LENGTH_UNITS), "power": (POWER_KEYS, POWER_UNITS)}
 
 
-def scaled_text(case, k, keys=LENGTH_KEYS):
+def scaled_text(case, k, keys):
     """The case's scenario with every key in ``keys`` scaled by k to its power."""
     name, overrides = CASES[case]
     parser = configparser.ConfigParser(
@@ -94,104 +98,46 @@ def scaled_text(case, k, keys=LENGTH_KEYS):
     return text.getvalue()
 
 
-def run_verbs(tmp_path, scenario):
-    """All six verbs' runs on the scenario text, by verb, and the rows of
-    each CSV they write, by file name, read from the columns the verbs pass
-    to the writer before rounding to text."""
-    rows = {}
+def unscaled(value, k, units, name=""):
+    """``value``, a JSON object, a table of columns or a cell of one, with
+    each number under a name that ends in a unit of ``units`` divided by k
+    to that unit's power."""
+    if isinstance(value, dict):
+        return {key: unscaled(item, k, units, key) for key, item in value.items()}
+    if isinstance(value, list):
+        return [unscaled(item, k, units, name) for item in value]
+    power = next((power for unit, power in units.items() if name.endswith(unit)), 0)
+    return value / k**power if power else value
+
+
+def scaled_outputs(tmp_path, case, j, relation="length"):
+    """The outputs of all six verbs on the case with every key of the
+    relation scaled by k = 2^j, brought back to k = 1 by ``unscaled``: exit
+    codes, validate's stdout, and the solution, the plan and each CSV table
+    by file name, the tables read from the columns the verbs pass to the
+    writer before rounding to text.  density-sweep's reference_density is
+    left out: it matches area radii in metres by design."""
+    keys, units = RELATIONS[relation]
+    k = 2.0**j
+    text, tables = scaled_text(case, k, keys), {}
     write_csv = cli.write_csv_atomic
 
-    def capture(path, header, columns):
-        rows[path.name] = [list(row) for row in zip(*columns)]
-        write_csv(path, header, columns)
+    def capture(path, table):
+        tables[path.name] = table
+        write_csv(path, table)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "write_csv_atomic", capture)
-        runs = {verb: run_cli(tmp_path, verb, text=scenario) for verb in cli.VERBS}
-    return runs, rows
-
-
-def length_outputs(tmp_path, case, j):
-    """The outputs of all six verbs on the case scaled by k = 2^j, with every
-    length divided by k again.  density-sweep's reference_density is left
-    out: it matches area radii in metres by design."""
-    k = 2.0**j
-    runs, rows = run_verbs(tmp_path, scaled_text(case, k))
-    codes = {verb: run.code for verb, run in runs.items()}
-
+        runs = {verb: run_cli(tmp_path, verb, text=text) for verb in cli.VERBS}
+    tables.get("density_sweep.csv", {}).pop("reference_density", None)
+    # the ablation's coverage radius exceeds its area radius: place and
+    # density-sweep exit 1 and write nothing
+    place = runs["place"]
+    plan = json.loads(place.files["plan.json"]) if place.code == cli.EXIT_OK else None
     solution = json.loads(runs["solve"].files["solution.json"])
-    solution["h_opt_m"] /= k
-    solution["r_a_m"] /= k
-    # the ablation's coverage radius exceeds its area radius: place exits 1
-    plan = centers = None
-    if codes["place"] == cli.EXIT_OK:
-        plan = json.loads(runs["place"].files["plan.json"])
-        for key in PLAN_LENGTHS:
-            plan[key] /= k
-        for level in plan["levels"]:
-            for key in LEVEL_LENGTHS:
-                level[key] /= k
-        # the margins and the tolerance are lengths; the verdicts are bools
-        plan["feasibility"] = {
-            key: value / k if isinstance(value, float) else value
-            for key, value in plan["feasibility"].items()
-        }
-        centers = [
-            [level, ring / k, m, x / k, y / k]
-            for level, ring, m, x, y in rows["centers.csv"]
-        ]
-    sweep = [[gamma, h / k, *rest] for gamma, h, *rest in rows["altitude_sweep.csv"]]
-    thresholds = [
-        [phi, delta, gee, r_a / k, n_ue, gee_zero, ceiling / k]
-        for phi, delta, gee, r_a, n_ue, gee_zero, ceiling in rows["threshold_sweep.csv"]
-    ]
-    # the ablation's coverage radius exceeds every area radius: density-sweep
-    # exits 1 and writes nothing
-    densities = [
-        [radius / k, r_a / k, total, density, counts]
-        for radius, r_a, total, density, counts, _ in rows.get("density_sweep.csv", [])
-    ]
-    return {
-        "exit codes": codes,
-        "solve": solution,
-        "place": (plan, centers),
-        "altitude-sweep": sweep,
-        "threshold-sweep": thresholds,
-        "density-sweep": densities,
-        "validate": runs["validate"].out,
-    }
-
-
-def power_outputs(tmp_path, case, j):
-    """The outputs of all six verbs on the case with every key in POWER_KEYS
-    scaled by k = 2^j, every energy and power divided by k again and every
-    GEE multiplied by k.  The files that hold neither are kept as written;
-    validate's stdout is kept as printed."""
-    k = 2.0**j
-    runs, rows = run_verbs(tmp_path, scaled_text(case, k, POWER_KEYS))
-    solution = json.loads(runs["solve"].files["solution.json"])
-    solution["gee_bits_per_j"] *= k
-    sweep = [
-        [gamma, h, delta, gee * k, rate, total / k, uav / k, power / k, gee_zero * k, zero / k]
-        for gamma, h, delta, gee, rate, total, uav, power, gee_zero, zero
-        in rows["altitude_sweep.csv"]
-    ]
-    thresholds = [
-        [phi, delta, gee * k, r_a, n_ue, gee_zero * k, ceiling]
-        for phi, delta, gee, r_a, n_ue, gee_zero, ceiling in rows["threshold_sweep.csv"]
-    ]
-    # each run's files hold those of the verbs before it: keep the verb's own
-    files = {
-        verb: [runs[verb].files.get(name) for name in names]
-        for verb, names in (("place", ("plan.json", "centers.csv")),
-                            ("density-sweep", ("density_sweep.csv",)))
-    }
     return {
         "exit codes": {verb: run.code for verb, run in runs.items()},
-        "solve": solution,
-        "altitude-sweep": sweep,
-        "threshold-sweep": thresholds,
-        **files,
+        **unscaled({"solve": solution, "place": plan, **tables}, k, units),
         "validate": runs["validate"].out,
     }
 
@@ -199,8 +145,8 @@ def power_outputs(tmp_path, case, j):
 @pytest.fixture(scope="module")
 def at_unit_scale(tmp_path_factory):
     @functools.cache
-    def outputs(case, relation=length_outputs):
-        return relation(tmp_path_factory.mktemp(case), case, 0)
+    def outputs(case, relation="length"):
+        return scaled_outputs(tmp_path_factory.mktemp(case), case, 0, relation)
 
     return outputs
 
@@ -211,7 +157,7 @@ def at_unit_scale(tmp_path_factory):
     + [("no_vehicle_energy_h_max_222", -32), ("baseline_h_stop_300.5", -32)],
 )
 def test_outputs_scale_with_the_unit_of_length(tmp_path, at_unit_scale, case, j):
-    scaled, reference = length_outputs(tmp_path, case, j), at_unit_scale(case)
+    scaled, reference = scaled_outputs(tmp_path, case, j), at_unit_scale(case)
     for verb in reference:
         assert scaled[verb] == reference[verb], verb
 
@@ -220,7 +166,7 @@ def test_outputs_scale_with_the_unit_of_length(tmp_path, at_unit_scale, case, j)
 @pytest.mark.parametrize("case", ["baseline", "no_vehicle_energy"])
 def test_outputs_scale_with_the_unit_of_power(tmp_path, at_unit_scale, case, j):
     k = 2.0**j
-    reference = dict(at_unit_scale(case, power_outputs))
+    reference = dict(at_unit_scale(case, "power"))
     # validate prints the exact and closed-form sum powers rounded, so the
     # scaled run must print the k = 1 library values times k
     scn = load_scenario(builtin_scenario_path(case))
@@ -232,7 +178,7 @@ def test_outputs_scale_with_the_unit_of_power(tmp_path, at_unit_scale, case, j):
     reference["validate"] = reference["validate"].replace(
         printed, f"exact={exact * k:.6e} W closed={closed * k:.6e} W"
     )
-    scaled = power_outputs(tmp_path, case, j)
+    scaled = scaled_outputs(tmp_path, case, j, "power")
     for verb in reference:
         assert scaled[verb] == reference[verb], verb
 
