@@ -79,7 +79,7 @@ def threshold_sweep_table(scn: Scenario) -> dict[str, list]:
     calls over the thresholds.  ``h_ceiling_m`` is the altitude ceiling the
     solver uses, min(h_max, h'_max(phi)): a row whose ceiling lies below
     h_min is a threshold that ``solve`` rejects as infeasible."""
-    h = scn.system.h_min
+    h = scn.system.h_min_m
     phis = np.array(scn.sweeps.phis_deg)
     r_a = channel.coverage_radius(h, phis)
     covered = r_a > 0.0
@@ -105,18 +105,6 @@ def write_table(args: argparse.Namespace, name: str, table: dict[str, list]) -> 
     return EXIT_OK
 
 
-def solution_to_dict(solution: gee.DeploymentSolution) -> dict:
-    return {
-        "h_opt_m": solution.h_opt,
-        "delta_opt": solution.delta_opt,
-        "phi_opt_deg": solution.phi_opt_deg,
-        "r_a_m": solution.r_a,
-        "gee_bits_per_j": solution.gee,
-        "binding_constraint": solution.binding_constraint.value,
-        "monotone_audit_passed": solution.monotone_audit_passed,
-    }
-
-
 def solve_scenario(scn: Scenario) -> gee.DeploymentSolution:
     """The one solve path shared by solve, place and density-sweep: P1 on the scenario's grids."""
     sweeps = scn.sweeps
@@ -125,11 +113,11 @@ def solve_scenario(scn: Scenario) -> gee.DeploymentSolution:
 
 def cmd_solve(scn: Scenario, args: argparse.Namespace) -> int:
     solution = solve_scenario(scn)
-    write_json_atomic(args.out / "solution.json", solution_to_dict(solution))
+    write_json_atomic(args.out / "solution.json", asdict(solution))
     print(f"wrote {args.out / 'solution.json'}")
     print(
-        f"h_opt={solution.h_opt:g} m  phi_opt={solution.phi_opt_deg:g} deg  "
-        f"R_a={solution.r_a:g} m  GEE={solution.gee:g} bit/J  "
+        f"h_opt={solution.h_opt_m:g} m  phi_opt={solution.phi_opt_deg:g} deg  "
+        f"R_a={solution.r_a_m:g} m  GEE={solution.gee_bits_per_j:g} bit/J  "
         f"binding={solution.binding_constraint.value}  "
         f"audit_passed={solution.monotone_audit_passed}"
     )
@@ -159,12 +147,12 @@ def plan_to_dict(plan: packing.PlacementPlan) -> dict:
 
 def placement_radius(scn: Scenario, args: argparse.Namespace) -> float:
     """The --ra override, or the coverage radius that ``solve`` finds."""
-    return args.ra if args.ra is not None else solve_scenario(scn).r_a
+    return args.ra if args.ra is not None else solve_scenario(scn).r_a_m
 
 
 def cmd_place(scn: Scenario, args: argparse.Namespace) -> int:
     r_a = placement_radius(scn, args)
-    plan = packing.run_algorithm1(scn.system.area_radius_r, r_a)
+    plan = packing.run_algorithm1(scn.system.area_radius_m, r_a)
     write_json_atomic(args.out / "plan.json", plan_to_dict(plan))
     levels = plan.levels
     counts = [level.count for level in levels]
@@ -179,14 +167,14 @@ def cmd_place(scn: Scenario, args: argparse.Namespace) -> int:
     write_csv_atomic(args.out / "centers.csv", centers)
     print(f"wrote {args.out / 'plan.json'} and {args.out / 'centers.csv'}")
     print(
-        f"R={scn.system.area_radius_r:g} m  R_a={r_a:g} m  "
+        f"R={scn.system.area_radius_m:g} m  R_a={r_a:g} m  "
         f"levels={counts}  density={plan.packing_density:.4f}"
     )
     return EXIT_OK
 
 
 def density_sweep_table(scn: Scenario, r_a: float) -> dict[str, list]:
-    radii = scn.sweeps.area_radius_list
+    radii = scn.sweeps.area_radius_list_m
     plans = [packing.run_algorithm1(area_radius, r_a) for area_radius in radii]
     return {
         "area_radius_m": list(radii),
@@ -218,7 +206,7 @@ def validation_checks(scn: Scenario, trials: int, seed: int) -> list[tuple[str, 
     returns (name, passed, detail) triples."""
     checks: list[tuple[str, bool, str]] = []
     env, sys_p = scn.environment, scn.system
-    h, phi = sys_p.h_min, scn.sweeps.phi_deg
+    h, phi = sys_p.h_min_m, scn.sweeps.phi_deg
 
     # The grid points inside the S-curve's image over (0, 90] deg, or the
     # scenario's own delta when none is.
@@ -295,8 +283,16 @@ VERBS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one ``configuration error`` line,
+    not a usage block."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aapdeploy",
         description="Energy-efficient 3D deployment planner for aerial access points",
     )
@@ -316,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.trials < 2:
             # one trial has no spread to bound the Monte-Carlo check with
             raise ConfigError(f"--trials must be at least 2, got {args.trials}")

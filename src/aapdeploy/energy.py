@@ -17,19 +17,19 @@ from .params import SystemParams, UavEnergyParams
 
 
 def _check_altitude(h, sys: SystemParams) -> None:
-    outside = np.logical_not((sys.h_min <= h) & (h <= sys.h_max))
+    outside = np.logical_not((sys.h_min_m <= h) & (h <= sys.h_max_m))
     if np.count_nonzero(outside):
         raise ValueError(
             f"altitude {np.extract(outside, h)[0]:g} m outside the permitted range "
-            f"[{sys.h_min:g}, {sys.h_max:g}] m"
+            f"[{sys.h_min_m:g}, {sys.h_max_m:g}] m"
         )
 
 
 def uav_only_energy(h, sys: SystemParams, uav: UavEnergyParams):
     """Vehicle energy (J): climb one-shot plus hover power times T."""
     _check_altitude(h, sys)
-    climb = uav.alpha_cl * h + uav.beta_cl
-    hover = (uav.alpha_ho * h + uav.beta_ho) * sys.service_time_t
+    climb = uav.alpha_climb_j_per_m * h + uav.beta_climb_j
+    hover = (uav.alpha_hover_w_per_m * h + uav.beta_hover_w) * sys.service_time_s
     return climb + hover
 
 
@@ -43,5 +43,5 @@ def total_energy(h, mean_comm_power, sys: SystemParams, uav: UavEnergyParams):
         raise ValueError("mean communication power must be non-negative")
     return (
         uav_only_energy(h, sys, uav)
-        + (mean_comm_power + sys.circuit_power_pc) * sys.service_time_t
+        + (mean_comm_power + sys.circuit_power_w) * sys.service_time_s
     )

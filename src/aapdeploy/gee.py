@@ -39,7 +39,7 @@ BLOCK_POINTS = 4576
 MAX_SEARCH_POINTS = 10**8
 
 
-class BindingConstraint(enum.Enum):
+class BindingConstraint(str, enum.Enum):
     MIN_ALTITUDE = "min_altitude"
     POWER_LIMIT = "power_limit"
     MAX_ALTITUDE = "max_altitude"
@@ -48,13 +48,14 @@ class BindingConstraint(enum.Enum):
 
 @dataclass(frozen=True)
 class DeploymentSolution:
-    """Optimal altitude, LoS threshold and the resulting cell geometry."""
+    """Optimal altitude, LoS threshold and the resulting cell geometry; each
+    field is the ``solution.json`` key of the same name."""
 
-    h_opt: float
+    h_opt_m: float
     delta_opt: float
     phi_opt_deg: float
-    r_a: float
-    gee: float
+    r_a_m: float
+    gee_bits_per_j: float
     binding_constraint: BindingConstraint
     monotone_audit_passed: bool
 
@@ -73,12 +74,12 @@ def gee_value(
     rate = uplink.sum_rate(h, phi_deg, sys)
     comm_power = uplink.expected_sum_power_closed_form(h, phi_deg, sys, env)
     total = energy.total_energy(h, comm_power, sys, uav)
-    return sys.service_time_t * rate / total
+    return sys.service_time_s * rate / total
 
 
 def altitude_ceiling(phi_deg, sys: SystemParams, env: EnvironmentParams):
     """min(h_max, power-translated altitude bound), one per angle of ``phi_deg``."""
-    return np.minimum(sys.h_max, uplink.h_max_power_constraint(phi_deg, sys, env))
+    return np.minimum(sys.h_max_m, uplink.h_max_power_constraint(phi_deg, sys, env))
 
 
 def _audit_monotone_decreasing(values: np.ndarray) -> bool:
@@ -113,9 +114,9 @@ def solve_p1(
     phis = np.sort(np.asarray(phi_grid, dtype=float))[::-1]
     if not phis.size:
         raise InfeasibleError("empty threshold grid")
-    covered = channel.coverage_radius(sys.h_min, phis) > 0.0
+    covered = channel.coverage_radius(sys.h_min_m, phis) > 0.0
     ceilings = altitude_ceiling(phis, sys, env)
-    feasible = covered & (ceilings >= sys.h_min)
+    feasible = covered & (ceilings >= sys.h_min_m)
     phis, ceilings = phis[feasible], ceilings[feasible]
     if not phis.size:
         raise InfeasibleError(
@@ -126,7 +127,7 @@ def solve_p1(
     # Row i of np.linspace(h_min, ceilings, n, axis=1) is np.linspace(h_min,
     # ceilings[i], n) float for float, unless some but not all ceilings equal
     # h_min exactly (a zero step changes numpy's formula for every row).
-    audit_grid = np.linspace(sys.h_min, ceilings, AUDIT_POINTS, axis=1)
+    audit_grid = np.linspace(sys.h_min_m, ceilings, AUDIT_POINTS, axis=1)
     audit = gee_value(audit_grid, phis[:, None], sys, env, uav)
     # A list, not a generator: every feasible threshold gets its verdict, so
     # perfbench's gee.audit_pass_ratio covers them all.
@@ -134,7 +135,7 @@ def solve_p1(
 
     # A passed audit pins h at h_min: the one-point case of the search.
     points = 1 if audit_passed else max(1, len(altitudes))
-    heights = np.r_[sys.h_min] if audit_passed else np.r_[sys.h_min, altitudes, sys.h_max]
+    heights = np.r_[sys.h_min_m] if audit_passed else np.r_[sys.h_min_m, altitudes, sys.h_max_m]
     rows = max(1, BLOCK_POINTS // points)
     if len(phis) * heights.size > MAX_SEARCH_POINTS:
         raise ConfigError(
@@ -154,21 +155,21 @@ def solve_p1(
     phi_opt, ceiling_opt = float(phis[k]), float(ceilings[k])
 
     tol = 1e-9 * h_opt
-    if abs(h_opt - sys.h_min) <= tol:
+    if abs(h_opt - sys.h_min_m) <= tol:
         binding = BindingConstraint.MIN_ALTITUDE
-    elif ceiling_opt < sys.h_max and abs(h_opt - ceiling_opt) <= tol:
+    elif ceiling_opt < sys.h_max_m and abs(h_opt - ceiling_opt) <= tol:
         binding = BindingConstraint.POWER_LIMIT
-    elif abs(h_opt - sys.h_max) <= tol:
+    elif abs(h_opt - sys.h_max_m) <= tol:
         binding = BindingConstraint.MAX_ALTITUDE
     else:
         binding = BindingConstraint.INTERIOR
 
     return DeploymentSolution(
-        h_opt=h_opt,
+        h_opt_m=h_opt,
         delta_opt=float(channel.los_probability(phi_opt, env)),
         phi_opt_deg=phi_opt,
-        r_a=channel.coverage_radius(h_opt, phi_opt),
-        gee=gee_opt,
+        r_a_m=channel.coverage_radius(h_opt, phi_opt),
+        gee_bits_per_j=gee_opt,
         binding_constraint=binding,
         monotone_audit_passed=audit_passed,
     )

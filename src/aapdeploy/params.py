@@ -1,10 +1,30 @@
 """Immutable parameter records for the propagation environment, the radio
 system and the UAV energy model.
 
-All excess-loss figures are stored as linear power ratios; ``from_db``
-accepts the usual dB inputs and converts once, at construction time.  The
-reference gain is given as g0 only, and the target power only through the
-target SNR gamma, from which ``SystemParams.p_target_pa`` is derived.
+Each field is the scenario key of the same name, in the key's unit, so a
+record and a refusal name a quantity as the file spells it.
+``EnvironmentParams.eta_los``/``eta_nlos`` derive the linear excess losses
+from the dB keys, and ``SystemParams.p_target_pa`` the target power from gamma.
+
+    key                   symbol  unit   quantity
+    a, b                  a, b    -      LoS S-curve parameters (angle in deg)
+    eta_los_db            η_LoS   dB     mean excess path loss, LoS links
+    eta_nlos_db           η_NLoS  dB     mean excess path loss, N-LoS links
+    g0                    g0      -      channel gain at the 1 m reference
+    bandwidth_hz          W       Hz     system bandwidth
+    num_interferers       M       -      co-channel neighbour AAPs
+    circuit_power_w       P_C     W      hardware circuit power
+    service_time_s        T       s      service period
+    p_max_w               P_max   W      per-UE transmit power cap
+    gamma                 γ       -      target SNR P_a / (σ0² W)
+    noise_psd_w_per_hz    σ0²     W/Hz   noise power spectral density
+    ue_density_per_m2     ρ       1/m²   UE density
+    h_min_m, h_max_m      h       m      permitted altitude range
+    area_radius_m         R       m      radius of the target area
+    alpha_climb_j_per_m   α_cl    J/m    climb energy per metre of altitude
+    beta_climb_j          β_cl    J      climb energy offset
+    alpha_hover_w_per_m   α_ho    W/m    hover power per metre of altitude
+    beta_hover_w          β_ho    W      hover power offset
 """
 
 from __future__ import annotations
@@ -24,110 +44,86 @@ def _require_finite(record) -> None:
             raise ConfigError(f"{field.name} must be finite, got {value!r}")
 
 
-def db_to_linear(value_db: float) -> float:
-    """Convert a dB power quantity to a linear ratio."""
-    try:
-        return 10.0 ** (value_db / 10.0)
-    except OverflowError:
-        raise ConfigError(
-            f"{value_db:g} dB overflows the floating-point range"
-        ) from None
-
-
 @dataclass(frozen=True)
 class EnvironmentParams:
-    """Air-to-ground channel constants for one propagation environment.
-
-    a, b           S-curve parameters of the LoS-probability model
-    eta_los        mean excess path loss for LoS links (linear ratio)
-    eta_nlos       mean excess path loss for N-LoS links (linear ratio)
-    g0             channel gain at the 1 m reference distance (linear ratio)
-    """
+    """Air-to-ground channel constants for one propagation environment:
+    the ``[environment]`` keys (table above)."""
 
     a: float
     b: float
-    eta_los: float
-    eta_nlos: float
+    eta_los_db: float
+    eta_nlos_db: float
     g0: float
 
     def __post_init__(self) -> None:
         _require_finite(self)
+        for key in ("eta_los_db", "eta_nlos_db"):
+            try:
+                getattr(self, key.removesuffix("_db"))
+            except OverflowError:
+                raise ConfigError(
+                    f"{key} = {getattr(self, key):g} dB overflows the floating-point range"
+                ) from None
         if not (self.a > 0 and self.b > 0):
             raise ConfigError("LoS-probability parameters a, b must be positive")
-        if not (1.0 <= self.eta_los <= self.eta_nlos):
-            raise ConfigError(
-                "excess losses must satisfy 1 <= eta_los <= eta_nlos (linear scale)"
-            )
+        if not (0.0 <= self.eta_los_db <= self.eta_nlos_db):
+            raise ConfigError("excess losses must satisfy 0 <= eta_los_db <= eta_nlos_db")
         if not (0.0 < self.g0 < 1.0):
             raise ConfigError("reference gain g0 must lie in (0, 1)")
 
-    @classmethod
-    def from_db(
-        cls, a: float, b: float, eta_los_db: float, eta_nlos_db: float, g0: float
-    ) -> "EnvironmentParams":
-        """Build from dB excess losses and the linear reference gain g0."""
-        return cls(
-            a=a,
-            b=b,
-            eta_los=db_to_linear(eta_los_db),
-            eta_nlos=db_to_linear(eta_nlos_db),
-            g0=g0,
-        )
+    @property
+    def eta_los(self) -> float:
+        """Mean excess path loss for LoS links, as a linear ratio."""
+        return 10.0 ** (self.eta_los_db / 10.0)
+
+    @property
+    def eta_nlos(self) -> float:
+        """Mean excess path loss for N-LoS links, as a linear ratio."""
+        return 10.0 ** (self.eta_nlos_db / 10.0)
 
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Radio and network constants for one deployment scenario.
-
-    bandwidth_w          total system bandwidth, Hz
-    num_interferers_m    number of co-channel neighbour AAPs
-    circuit_power_pc     hardware circuit power, W
-    service_time_t       service period, s
-    p_max                per-UE transmit power cap, W
-    gamma                target SNR P_a / (sigma0^2 W) of the arrived power
-    noise_psd_sigma0sq   noise power spectral density, W/Hz
-    ue_density_rho       UE density, 1/m^2
-    h_min, h_max         permitted altitude range, m
-    area_radius_r        radius of the target area, m
+    """Radio and network constants for one deployment scenario: the
+    ``[system]`` keys (table above).
 
     Each UE is allocated one resource block and transmits P_a L(r, h) under
     full power control, as the closed forms and the Monte-Carlo oracle both
     assume.
     """
 
-    bandwidth_w: float
-    num_interferers_m: int
-    circuit_power_pc: float
-    service_time_t: float
-    p_max: float
+    bandwidth_hz: float
+    num_interferers: int
+    circuit_power_w: float
+    service_time_s: float
+    p_max_w: float
     gamma: float
-    noise_psd_sigma0sq: float
-    ue_density_rho: float
-    h_min: float
-    h_max: float
-    area_radius_r: float
+    noise_psd_w_per_hz: float
+    ue_density_per_m2: float
+    h_min_m: float
+    h_max_m: float
+    area_radius_m: float
 
     def __post_init__(self) -> None:
         _require_finite(self)
         for field in fields(self):
             value = getattr(self, field.name)
-            if field.name != "num_interferers_m" and value <= 0:
+            if field.name != "num_interferers" and value <= 0:
                 raise ConfigError(f"{field.name} must be strictly positive, got {value!r}")
-        if self.h_min > self.h_max:
-            raise ConfigError("h_min must not exceed h_max")
-        if self.num_interferers_m < 0:
-            raise ConfigError("num_interferers_m must be non-negative")
-        _require_normal("noise_psd * bandwidth", self.noise_psd_sigma0sq * self.bandwidth_w)
+        if self.h_min_m > self.h_max_m:
+            raise ConfigError("h_min_m must not exceed h_max_m")
+        if self.num_interferers < 0:
+            raise ConfigError("num_interferers must be non-negative")
+        noise = "noise_psd_w_per_hz * bandwidth_hz"
+        _require_normal(noise, self.noise_psd_w_per_hz * self.bandwidth_hz)
         if not math.isfinite(self.p_target_pa):
-            raise ConfigError(
-                "gamma * noise_psd * bandwidth overflows the floating-point range"
-            )
-        _require_normal("gamma * noise_psd * bandwidth", self.p_target_pa)
+            raise ConfigError(f"gamma * {noise} overflows the floating-point range")
+        _require_normal(f"gamma * {noise}", self.p_target_pa)
 
     @property
     def p_target_pa(self) -> float:
         """Target arrived power P_a = gamma sigma0^2 W at the AAP, W."""
-        return self.gamma * self.noise_psd_sigma0sq * self.bandwidth_w
+        return self.gamma * self.noise_psd_w_per_hz * self.bandwidth_hz
 
 
 def _require_normal(name: str, power_w: float) -> None:
@@ -142,22 +138,25 @@ def _require_normal(name: str, power_w: float) -> None:
 
 @dataclass(frozen=True)
 class UavEnergyParams:
-    """Climb and hover energy coefficients of the aerial vehicle.
+    """Climb and hover energy coefficients of the aerial vehicle: the
+    ``[uav]`` keys (table above).
 
-    Climb energy is a one-shot cost alpha_cl*h + beta_cl (J); hovering draws
-    alpha_ho*h + beta_ho (W) for the whole service period.  Zeroed parameters
+    Climb energy is a one-shot cost α_cl h + β_cl (J); hovering draws
+    α_ho h + β_ho (W) for the whole service period.  Zeroed parameters
     are accepted so the vehicle-energy ablation can be expressed.
     """
 
-    alpha_cl: float
-    beta_cl: float
-    alpha_ho: float
-    beta_ho: float
+    alpha_climb_j_per_m: float
+    beta_climb_j: float
+    alpha_hover_w_per_m: float
+    beta_hover_w: float
 
     def __post_init__(self) -> None:
         _require_finite(self)
-        if not (self.alpha_cl >= 0 and self.alpha_ho >= 0):
-            raise ConfigError("energy slopes alpha_cl, alpha_ho must be non-negative")
+        if not (self.alpha_climb_j_per_m >= 0 and self.alpha_hover_w_per_m >= 0):
+            raise ConfigError(
+                "energy slopes alpha_climb_j_per_m, alpha_hover_w_per_m must be non-negative"
+            )
 
     @classmethod
     def zero(cls) -> "UavEnergyParams":
@@ -170,11 +169,13 @@ class UavEnergyParams:
         if self == UavEnergyParams.zero():
             return
         for h in (h_min, h_max):
-            if not self.alpha_cl * h + self.beta_cl > 0:
+            if not self.alpha_climb_j_per_m * h + self.beta_climb_j > 0:
                 raise ConfigError(
-                    f"climb energy non-positive at h={h} m; check alpha_cl/beta_cl"
+                    f"climb energy non-positive at h={h} m; "
+                    "check alpha_climb_j_per_m/beta_climb_j"
                 )
-            if not self.alpha_ho * h + self.beta_ho >= 0:
+            if not self.alpha_hover_w_per_m * h + self.beta_hover_w >= 0:
                 raise ConfigError(
-                    f"hover power negative at h={h} m; check alpha_ho/beta_ho"
+                    f"hover power negative at h={h} m; "
+                    "check alpha_hover_w_per_m/beta_hover_w"
                 )

@@ -8,9 +8,9 @@ silently fall back to a default.  Values are read as written (no ``%``
 interpolation).  The target power is given only as ``gamma`` and the
 reference gain only as ``g0``; both are required.  Every number must be
 finite, the interferer count a whole number, and the noise power
-noise_psd * bandwidth, like the target power that gamma and each
-``gamma_list`` entry make of it, a normal float.  Each sweep list must
-hold positive numbers; the altitude grid must lie inside [h_min, h_max],
+noise_psd_w_per_hz * bandwidth_hz, like the target power that gamma and
+each ``gamma_list`` entry make of it, a normal float.  Each sweep list must
+hold positive numbers; the altitude grid must lie inside [h_min_m, h_max_m],
 the elevation grid inside (0, 90] deg with an angle short of the
 nadir-only cell, and delta inside the S-curve's image, short of its
 nadir-only top.  Each grid needs a positive step, a start no greater than
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import configparser
 import math
-import re
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -45,45 +44,46 @@ MAX_S_CURVE_AB = 1e6
 # At 10^5 points a grid verb already takes seconds.
 MAX_GRID_POINTS = 100_000
 
-# Each section's keys in reading order, with the field each value sets and
-# its kind: a float, a whole number (int) or a comma-separated list (tuple).
-_FIELDS: dict[str, dict[str, tuple[str, type]]] = {
+# Each section's keys in reading order, with each value's kind: a float, a
+# whole number (int) or a comma-separated list (tuple).  A value goes by its
+# key: a field of the section's record, or a parameter of _resolve_sweeps.
+_FIELDS: dict[str, dict[str, type]] = {
     "environment": {
-        "a": ("a", float),
-        "b": ("b", float),
-        "eta_los_db": ("eta_los_db", float),
-        "eta_nlos_db": ("eta_nlos_db", float),
-        "g0": ("g0", float),
+        "a": float,
+        "b": float,
+        "eta_los_db": float,
+        "eta_nlos_db": float,
+        "g0": float,
     },
     "system": {
-        "bandwidth_hz": ("bandwidth_w", float),
-        "num_interferers": ("num_interferers_m", int),
-        "circuit_power_w": ("circuit_power_pc", float),
-        "service_time_s": ("service_time_t", float),
-        "p_max_w": ("p_max", float),
-        "noise_psd_w_per_hz": ("noise_psd_sigma0sq", float),
-        "ue_density_per_m2": ("ue_density_rho", float),
-        "h_min_m": ("h_min", float),
-        "h_max_m": ("h_max", float),
-        "area_radius_m": ("area_radius_r", float),
-        "gamma": ("gamma", float),
+        "bandwidth_hz": float,
+        "num_interferers": int,
+        "circuit_power_w": float,
+        "service_time_s": float,
+        "p_max_w": float,
+        "noise_psd_w_per_hz": float,
+        "ue_density_per_m2": float,
+        "h_min_m": float,
+        "h_max_m": float,
+        "area_radius_m": float,
+        "gamma": float,
     },
     "uav": {
-        "alpha_climb_j_per_m": ("alpha_cl", float),
-        "beta_climb_j": ("beta_cl", float),
-        "alpha_hover_w_per_m": ("alpha_ho", float),
-        "beta_hover_w": ("beta_ho", float),
+        "alpha_climb_j_per_m": float,
+        "beta_climb_j": float,
+        "alpha_hover_w_per_m": float,
+        "beta_hover_w": float,
     },
     "sweeps": {
-        "h_start_m": ("h_start", float),
-        "h_stop_m": ("h_stop", float),
-        "h_step_m": ("h_step", float),
-        "phi_start_deg": ("phi_start", float),
-        "phi_stop_deg": ("phi_stop", float),
-        "phi_step_deg": ("phi_step", float),
-        "delta": ("delta", float),
-        "gamma_list": ("gamma_list", tuple),
-        "area_radius_list_m": ("area_radius_list", tuple),
+        "h_start_m": float,
+        "h_stop_m": float,
+        "h_step_m": float,
+        "phi_start_deg": float,
+        "phi_stop_deg": float,
+        "phi_step_deg": float,
+        "delta": float,
+        "gamma_list": tuple,
+        "area_radius_list_m": tuple,
     },
 }
 
@@ -98,7 +98,7 @@ class SweepSpec:
     delta: float
     phi_deg: float
     gamma_list: tuple[float, ...]
-    area_radius_list: tuple[float, ...]
+    area_radius_list_m: tuple[float, ...]
 
 
 def _grid(start: float, stop: float, step: float, name: str) -> tuple[float, ...]:
@@ -151,45 +151,35 @@ def _parse(key: str, text: str, kind: type):
 
 
 def _read(parser: configparser.ConfigParser, section: str, **defaults) -> dict:
-    """The section's values by field, read in table order; a key the file
-    leaves out takes its field's default, or is an error without one."""
+    """The section's values by key, read in table order; a key the file
+    leaves out takes its default, or is an error without one."""
     given = parser[section] if section in parser else {}
     values = {}
-    for key, (field, kind) in _FIELDS[section].items():
+    for key, kind in _FIELDS[section].items():
         if key in given:
-            values[field] = _parse(key, given[key], kind)
-        elif field in defaults:
-            values[field] = defaults[field]
+            values[key] = _parse(key, given[key], kind)
+        elif key in defaults:
+            values[key] = defaults[key]
         else:
             raise ConfigError(f"missing required key '{key}'")
     return values
 
 
-def _build(make, **values):
-    """make(**values), refused in the scenario's terms: each record field a
-    message names becomes the key that sets it."""
-    try:
-        return make(**values)
-    except ConfigError as exc:
-        keys = {field: key for fields in _FIELDS.values() for key, (field, _) in fields.items()}
-        raise ConfigError(re.sub(r"\w+", lambda w: keys.get(w[0], w[0]), str(exc))) from None
-
-
 def _resolve_sweeps(
-    system: SystemParams, env: EnvironmentParams, *, h_start, h_stop, h_step,
-    phi_start, phi_stop, phi_step, delta, gamma_list, area_radius_list,
+    system: SystemParams, env: EnvironmentParams, *, h_start_m, h_stop_m, h_step_m,
+    phi_start_deg, phi_stop_deg, phi_step_deg, delta, gamma_list, area_radius_list_m,
 ) -> SweepSpec:
     """Reject sweeps outside the model's domain, then build both grids and
     invert delta.  The grids never pass their stop value, so checking the
     end points covers every grid point; both grids' point counts are checked
     before either grid is built."""
-    for end, value in (("start", h_start), ("stop", h_stop)):
-        if not system.h_min <= value <= system.h_max:
+    for end, value in (("start", h_start_m), ("stop", h_stop_m)):
+        if not system.h_min_m <= value <= system.h_max_m:
             raise ConfigError(
-                f"sweep h_{end}_m={value:g} outside [h_min, h_max] = "
-                f"[{system.h_min:g}, {system.h_max:g}] m"
+                f"sweep h_{end}_m={value:g} outside [h_min_m, h_max_m] = "
+                f"[{system.h_min_m:g}, {system.h_max_m:g}] m"
             )
-    for end, value in (("start", phi_start), ("stop", phi_stop)):
+    for end, value in (("start", phi_start_deg), ("stop", phi_stop_deg)):
         if not 0.0 < value <= 90.0:
             raise ConfigError(f"sweep phi_{end}_deg={value:g} outside (0, 90] deg")
     try:
@@ -207,8 +197,8 @@ def _resolve_sweeps(
         except ConfigError as exc:
             raise ConfigError(f"sweep gamma_list: {exc}") from None
     for axis, unit, start, stop, step in (
-        ("h", "m", h_start, h_stop, h_step),
-        ("phi", "deg", phi_start, phi_stop, phi_step),
+        ("h", "m", h_start_m, h_stop_m, h_step_m),
+        ("phi", "deg", phi_start_deg, phi_stop_deg, phi_step_deg),
     ):
         if not step > 0:
             raise ConfigError(
@@ -225,19 +215,19 @@ def _resolve_sweeps(
                 f"more than {MAX_GRID_POINTS:,}"
             )
     # The start is the grid's smallest angle.
-    if phi_start >= 90.0 - channel.NADIR_TOL_DEG:
+    if phi_start_deg >= 90.0 - channel.NADIR_TOL_DEG:
         raise ConfigError(
             f"sweep phi grid holds only nadir-only cells: every angle from "
-            f"phi_start_deg={phi_start:g} lies within {channel.NADIR_TOL_DEG:g} deg "
+            f"phi_start_deg={phi_start_deg:g} lies within {channel.NADIR_TOL_DEG:g} deg "
             "of 90 deg, where a cell covers no area"
         )
     return SweepSpec(
-        altitudes=_grid(h_start, h_stop, h_step, "h_step_m"),
-        phis_deg=_grid(phi_start, phi_stop, phi_step, "phi_step_deg"),
+        altitudes=_grid(h_start_m, h_stop_m, h_step_m, "h_step_m"),
+        phis_deg=_grid(phi_start_deg, phi_stop_deg, phi_step_deg, "phi_step_deg"),
         delta=delta,
         phi_deg=phi_deg,
         gamma_list=gamma_list,
-        area_radius_list=area_radius_list,
+        area_radius_list_m=area_radius_list_m,
     )
 
 
@@ -276,16 +266,16 @@ def load_scenario(path: str | Path) -> Scenario:
         if required not in parser:
             raise ConfigError(f"missing scenario section [{required}]")
 
-    environment = _build(EnvironmentParams.from_db, **_read(parser, "environment"))
-    system = _build(SystemParams, **_read(parser, "system"))
-    uav = _build(UavEnergyParams, **_read(parser, "uav"))
-    _build(uav.validate_range, h_min=system.h_min, h_max=system.h_max)
+    environment = EnvironmentParams(**_read(parser, "environment"))
+    system = SystemParams(**_read(parser, "system"))
+    uav = UavEnergyParams(**_read(parser, "uav"))
+    uav.validate_range(system.h_min_m, system.h_max_m)
     # A key the file leaves out sweeps the system's own altitude range,
     # gamma and area radius, or a fixed default.
     sweep_defaults = dict(
-        h_start=system.h_min, h_stop=system.h_max, h_step=1.0,
-        phi_start=5.0, phi_stop=60.0, phi_step=0.25, delta=0.9,
-        gamma_list=(system.gamma,), area_radius_list=(system.area_radius_r,),
+        h_start_m=system.h_min_m, h_stop_m=system.h_max_m, h_step_m=1.0,
+        phi_start_deg=5.0, phi_stop_deg=60.0, phi_step_deg=0.25, delta=0.9,
+        gamma_list=(system.gamma,), area_radius_list_m=(system.area_radius_m,),
     )
     sweeps = _resolve_sweeps(
         system, environment, **_read(parser, "sweeps", **sweep_defaults)

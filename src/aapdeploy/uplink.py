@@ -51,7 +51,7 @@ def cell_ue_count(r_a, sys: SystemParams):
     Python's float ** calls pow, which differs in the last bit on ~0.1% of
     radii, so a scalar and an array radius would give different counts.
     """
-    return sys.ue_density_rho * math.pi * (r_a * r_a)
+    return sys.ue_density_per_m2 * math.pi * (r_a * r_a)
 
 
 def expected_sum_power_closed_form(
@@ -70,7 +70,7 @@ def expected_sum_power_closed_form(
     return (
         2.0
         * math.pi
-        * sys.ue_density_rho
+        * sys.ue_density_per_m2
         * sys.p_target_pa
         * eta_m
         * cot2
@@ -166,7 +166,7 @@ def _sum_power_integral(
     """Quadrature of rho 2 pi P_a eta_m(r) (r^2 + h^2) / g0 r over the cell,
     where ``eta_m`` maps an array of distances to their mean excess loss."""
     r_a = channel.require_coverage(h, phi_deg)
-    scale = sys.ue_density_rho * 2.0 * math.pi * sys.p_target_pa
+    scale = sys.ue_density_per_m2 * 2.0 * math.pi * sys.p_target_pa
     return _sum_power_quadrature(
         r_a, lambda r: scale * eta_m(r) * (r * r + h * h) / env.g0 * r, breaks
     )
@@ -211,8 +211,8 @@ def sinr(n_ue: float, sys: SystemParams) -> float:
     """Uplink SINR under worst-case co-channel interference."""
     signal = sys.p_target_pa * n_ue
     return signal / (
-        sys.num_interferers_m * signal
-        + sys.noise_psd_sigma0sq * sys.bandwidth_w
+        sys.num_interferers * signal
+        + sys.noise_psd_w_per_hz * sys.bandwidth_hz
     )
 
 
@@ -220,7 +220,7 @@ def sum_rate(h, phi_deg, sys: SystemParams):
     """Cell sum uplink rate W log2(1 + SINR) (bit/s) for the expected UE
     count; saturates at W log2(1 + 1/M)."""
     r_a = channel.require_coverage(h, phi_deg)
-    return sys.bandwidth_w * np.log2(1.0 + sinr(cell_ue_count(r_a, sys), sys))
+    return sys.bandwidth_hz * np.log2(1.0 + sinr(cell_ue_count(r_a, sys), sys))
 
 
 def h_max_power_constraint(phi_deg, sys: SystemParams, env: EnvironmentParams):
@@ -231,4 +231,4 @@ def h_max_power_constraint(phi_deg, sys: SystemParams, env: EnvironmentParams):
     """
     cot2 = channel.cot_squared(phi_deg)
     eta_m = channel.mean_additional_path_loss(phi_deg, env)
-    return np.sqrt(sys.p_max * env.g0 / (sys.p_target_pa * eta_m * (1.0 + cot2)))
+    return np.sqrt(sys.p_max_w * env.g0 / (sys.p_target_pa * eta_m * (1.0 + cot2)))

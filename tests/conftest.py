@@ -98,7 +98,7 @@ def pytest_terminal_summary(config, terminalreporter):
 
 @pytest.fixture
 def suburban_env():
-    return EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
+    return EnvironmentParams(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
 
 
 @pytest.fixture
@@ -109,20 +109,20 @@ def edge_phi(suburban_env):
 
 def make_system(gamma=100.0, **overrides):
     kwargs = dict(
-        num_interferers_m=6,
-        circuit_power_pc=5.0,
-        service_time_t=500.0,
-        p_max=1e-3,
-        ue_density_rho=1e-2,
-        h_min=15.0,
-        h_max=300.0,
-        area_radius_r=180.48,
+        num_interferers=6,
+        circuit_power_w=5.0,
+        service_time_s=500.0,
+        p_max_w=1e-3,
+        ue_density_per_m2=1e-2,
+        h_min_m=15.0,
+        h_max_m=300.0,
+        area_radius_m=180.48,
     )
     kwargs.update(overrides)
     noise, bandwidth = 4e-21, 20e6
     return SystemParams(
-        bandwidth_w=bandwidth,
-        noise_psd_sigma0sq=noise,
+        bandwidth_hz=bandwidth,
+        noise_psd_w_per_hz=noise,
         gamma=gamma,
         **kwargs,
     )

@@ -18,7 +18,7 @@ from aapdeploy.scenario import builtin_scenario_path, load_scenario
 import conftest
 from conftest import make_system
 
-ENV = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
+ENV = EnvironmentParams(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
 UAV = UavEnergyParams(315.0, -211.261, 4.917, 275.204)
 
 
@@ -192,7 +192,7 @@ def test_criterion_8_inversion_and_power_round_trips():
         h_lim = uplink.h_max_power_constraint(phi, sysp, ENV)
         r_a = channel.coverage_radius(h_lim, phi)
         edge_power = sysp.p_target_pa * float(channel.mean_path_loss_rh(r_a, h_lim, ENV))
-        worst_pow = max(worst_pow, abs(edge_power - sysp.p_max) / sysp.p_max)
+        worst_pow = max(worst_pow, abs(edge_power - sysp.p_max_w) / sysp.p_max_w)
     record(
         8,
         worst_inv < 1e-9 and worst_pow < 1e-9,
@@ -240,7 +240,7 @@ def test_criterion_10_threshold_saturation_knee():
     sysp = make_system(gamma=10.0)
     knees = {}
     for label, uav in (("full", UAV), ("zero", UavEnergyParams.zero())):
-        values = [gee.gee_value(sysp.h_min, phi, sysp, ENV, uav) for phi in phi_grid]
+        values = [gee.gee_value(sysp.h_min_m, phi, sysp, ENV, uav) for phi in phi_grid]
         knees[label] = _knee_phi(list(phi_grid), values)
     ok = knees["full"] <= knees["zero"]
     record(

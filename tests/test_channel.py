@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from aapdeploy import channel
 from aapdeploy.errors import ConfigError
-from aapdeploy.params import EnvironmentParams, db_to_linear
+from aapdeploy.params import EnvironmentParams
 
 
 def bisect_phi(delta, env, lo=1e-6, hi=90.0, iters=200):
@@ -26,24 +26,26 @@ def test_db_conversion(suburban_env):
 
 
 def test_db_conversion_refuses_overflow():
-    with pytest.raises(ConfigError, match="4000 dB overflows"):
-        db_to_linear(4000.0)
+    values = dict(a=4.88, b=0.43, eta_los_db=0.1, eta_nlos_db=21.0, g0=1e-4)
+    for key in ("eta_los_db", "eta_nlos_db"):
+        with pytest.raises(ConfigError, match=f"^{key} = 4000 dB overflows"):
+            EnvironmentParams(**{**values, key: 4000.0})
 
 
 def test_environment_invariants():
     with pytest.raises(ConfigError):
-        EnvironmentParams(a=-1, b=0.43, eta_los=1.0, eta_nlos=2.0, g0=1e-4)
+        EnvironmentParams(a=-1, b=0.43, eta_los_db=0.0, eta_nlos_db=3.0, g0=1e-4)
     with pytest.raises(ConfigError):
-        EnvironmentParams(a=4.88, b=0.43, eta_los=3.0, eta_nlos=2.0, g0=1e-4)
+        EnvironmentParams(a=4.88, b=0.43, eta_los_db=5.0, eta_nlos_db=3.0, g0=1e-4)
     with pytest.raises(ConfigError):
-        EnvironmentParams(a=4.88, b=0.43, eta_los=1.0, eta_nlos=2.0, g0=1.5)
+        EnvironmentParams(a=4.88, b=0.43, eta_los_db=0.0, eta_nlos_db=3.0, g0=1.5)
 
 
-@pytest.mark.parametrize("field", ["a", "b", "eta_los", "eta_nlos", "g0"])
+@pytest.mark.parametrize("field", ["a", "b", "eta_los_db", "eta_nlos_db", "g0"])
 def test_environment_refuses_nan(field):
     # infinities too: a range check written with <= lets NaN through, and
     # one side of it lets an infinity through
-    values = dict(a=4.88, b=0.43, eta_los=1.0, eta_nlos=2.0, g0=1e-4)
+    values = dict(a=4.88, b=0.43, eta_los_db=0.0, eta_nlos_db=3.0, g0=1e-4)
     EnvironmentParams(**values)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
@@ -83,33 +85,36 @@ def test_elevation_deg_is_numpys_arctan2_over_random_pairs():
         )
 
 
-def path_loss(r, h, eta, g0):
+def path_loss(r, h, eta_db, g0):
     """Mean path loss in an environment whose LoS and NLoS excess losses are
-    both eta: the fixed-excess-loss path loss eta * d^2 / g0."""
-    env = EnvironmentParams(a=4.88, b=0.43, eta_los=eta, eta_nlos=eta, g0=g0)
+    both eta_db: the fixed-excess-loss path loss eta * d^2 / g0."""
+    env = EnvironmentParams(a=4.88, b=0.43, eta_los_db=eta_db, eta_nlos_db=eta_db, g0=g0)
     return float(channel.mean_path_loss_rh(r, h, env))
 
 
+TWO_DB = 10.0 * math.log10(2.0)  # a linear excess loss of 2
+
+
 def test_path_loss_unit_distance():
-    assert path_loss(0.0, 1.0, 1.0, 1.42e-4) == pytest.approx(1.0 / 1.42e-4)
+    assert path_loss(0.0, 1.0, 0.0, 1.42e-4) == pytest.approx(1.0 / 1.42e-4)
 
 
 def test_path_loss_345_triangle():
-    assert path_loss(3.0, 4.0, 2.0, 0.5) == pytest.approx(100.0)
+    assert path_loss(3.0, 4.0, TWO_DB, 0.5) == pytest.approx(100.0)
 
 
 def test_path_loss_direct_substitution():
     # eta * (r^2 + h^2) / g0 written out from the raw numbers
     expected = 10**2.1 * (100.0**2 + 15.0**2) / 1.42e-4
-    assert path_loss(100.0, 15.0, 10**2.1, 1.42e-4) == pytest.approx(
+    assert path_loss(100.0, 15.0, 21.0, 1.42e-4) == pytest.approx(
         expected, rel=1e-12
     )
 
 
 def test_path_loss_monotone():
-    base = path_loss(10, 20, 2.0, 1.42e-4)
-    assert path_loss(11, 20, 2.0, 1.42e-4) > base
-    assert path_loss(10, 21, 2.0, 1.42e-4) > base
+    base = path_loss(10, 20, TWO_DB, 1.42e-4)
+    assert path_loss(11, 20, TWO_DB, 1.42e-4) > base
+    assert path_loss(10, 21, TWO_DB, 1.42e-4) > base
 
 
 def test_los_probability_at_a(suburban_env):
@@ -169,7 +174,7 @@ def test_phi_from_delta_domain(suburban_env):
 
 @given(st.floats(min_value=0.2, max_value=0.999))
 def test_round_trip_property(delta):
-    env = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
+    env = EnvironmentParams(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
     phi = channel.phi_from_delta(delta, env)
     assert abs(float(channel.los_probability(phi, env)) - delta) < 1e-9
 

@@ -194,7 +194,7 @@ def test_threshold_sweep_radius_is_h_cot_phi_up_to_the_zenith(tmp_path):
     rows = [[float(cell) for cell in line.split(",")] for line in lines]
     assert [row[0] for row in rows] == list(scn.sweeps.phis_deg[:-1])
     for phi, _delta, _gee, r_a, *_ in rows:
-        expected = scn.system.h_min / math.tan(math.radians(phi))
+        expected = scn.system.h_min_m / math.tan(math.radians(phi))
         assert r_a == pytest.approx(expected, rel=1e-11, abs=0.0)
 
 
@@ -222,7 +222,7 @@ def test_solved_altitude_is_a_candidate(tmp_path, name, h_step):
     scn, sol = solve_at_h_step(tmp_path, name, h_step)
     ceiling = gee.altitude_ceiling(sol.phi_opt_deg, scn.system, scn.environment)
     assert sol.monotone_audit_passed == (name == "baseline")
-    assert sol.h_opt in (scn.system.h_min, *scn.sweeps.altitudes, ceiling)
+    assert sol.h_opt_m in (scn.system.h_min_m, *scn.sweeps.altitudes, ceiling)
 
 
 def test_finer_altitude_grid_never_lowers_the_gee(tmp_path):
@@ -232,7 +232,7 @@ def test_finer_altitude_grid_never_lowers_the_gee(tmp_path):
     for (coarse, low), (fine, high) in zip(runs, runs[1:]):
         assert set(coarse.sweeps.altitudes) < set(fine.sweeps.altitudes)
         assert not low.monotone_audit_passed
-        assert high.gee >= low.gee
+        assert high.gee_bits_per_j >= low.gee_bits_per_j
 
 
 def test_density_sweep_output(tmp_path):
@@ -591,7 +591,7 @@ REFUSALS = {
                 r"0\.0245175", ("altitude-sweep",)),
         Refusal("h_stop_m = 300-h_stop_m = 400-altitude-sweep",
                 {"h_stop_m = 300": "h_stop_m = 400"},
-                r"sweep h_stop_m=400 outside \[h_min, h_max\] = \[15, 300\] m",
+                r"sweep h_stop_m=400 outside \[h_min_m, h_max_m\] = \[15, 300\] m",
                 ("altitude-sweep",)),
         Refusal("phi_start_deg = 5-phi_start_deg = 0", {"phi_start_deg = 5": "phi_start_deg = 0"},
                 r"sweep phi_start_deg=0 outside \(0, 90\] deg", ("threshold-sweep", "solve")),
@@ -635,7 +635,7 @@ REFUSALS = {
     "test_value_beyond_float_range_exits_config_error": [
         # 10 ** 400 raised OverflowError while the file was loaded
         Refusal("eta_los_db = 0.1-eta_los_db = 4000", {"eta_los_db = 0.1": "eta_los_db = 4000"},
-                r"4000 dB overflows the floating-point range"),
+                r"eta_los_db = 4000 dB overflows the floating-point range"),
         # cot^2 of the first grid angle divided by a tan^2 that underflows to 0
         Refusal("phi_start_deg = 5-phi_start_deg = 1e-300",
                 {"phi_start_deg = 5": "phi_start_deg = 1e-300"},
@@ -645,14 +645,17 @@ REFUSALS = {
     "test_subnormal_power_exits_config_error": [
         # P_a = 4e-319: validate failed its quadrature check at 2.7e-7
         Refusal("bandwidth", {"bandwidth_hz = 20e6": "bandwidth_hz = 1e-300"},
-                r"noise_psd \* bandwidth = 4\.00193e-321" + SUBNORMAL, ALL_VERBS, TRIALS),
+                r"noise_psd_w_per_hz \* bandwidth_hz = 4\.00193e-321" + SUBNORMAL,
+                ALL_VERBS, TRIALS),
         # sigma0^2 W = 4e-321 with a normal P_a = 4e-301
         Refusal("noise-power-only",
                 {"bandwidth_hz = 20e6": "bandwidth_hz = 1e-300", "gamma = 100": "gamma = 1e20"},
-                r"noise_psd \* bandwidth = 4\.00193e-321" + SUBNORMAL, ALL_VERBS, TRIALS),
+                r"noise_psd_w_per_hz \* bandwidth_hz = 4\.00193e-321" + SUBNORMAL,
+                ALL_VERBS, TRIALS),
         # a sweep gamma whose target power is subnormal
         Refusal("gamma-list", {GAMMAS: "gamma_list = 10, 1e-300"},
-                r"sweep gamma_list: gamma \* noise_psd \* bandwidth = 8\.00386e-314" + SUBNORMAL,
+                r"sweep gamma_list: gamma \* noise_psd_w_per_hz \* bandwidth_hz = 8\.00386e-314"
+                + SUBNORMAL,
                 ALL_VERBS, TRIALS),
     ],
     # a = 1e300 puts the whole S-curve beyond 90 deg: the sweep delta has no
@@ -726,6 +729,17 @@ REFUSALS = {
         Refusal("", {}, r"--seed must be non-negative, got -1", ("validate", "solve"),
                 ("--seed", "-1")),
     ],
+    # argparse printed its three-line usage and "aapdeploy: error: ..."
+    "test_malformed_flag_exits_with_one_line": [
+        Refusal("trials-abc", {}, r"argument --trials: invalid int value: 'abc'", VALIDATE,
+                ("--trials", "abc")),
+        Refusal("seed-1.5", {}, r"argument --seed: invalid int value: '1\.5'", VALIDATE,
+                ("--seed", "1.5")),
+        Refusal("ra-x", {}, r"argument --ra: invalid float value: 'x'", ("place",), ("--ra", "x")),
+        Refusal("unknown-verb", {}, r"argument command: invalid choice: 'bogus' \(choose from .*\)",
+                ("bogus",)),
+        Refusal("unknown-flag", {}, r"unrecognized arguments: --bogus", SOLVE, ("--bogus",)),
+    ],
     "test_refusal": [
         Refusal("unknown-section", {UAV: "[extras]\nfoo = 1\n" + UAV},
                 r"unknown scenario section \[extras\]"),
@@ -763,13 +777,13 @@ REFUSALS = {
                 {"alpha_climb_j_per_m = 315": "alpha_climb_j_per_m = -315"},
                 r"energy slopes alpha_climb_j_per_m, alpha_hover_w_per_m must be non-negative"),
         Refusal("excess-loss-order", {"eta_los_db = 0.1": "eta_los_db = 22"},
-                r"excess losses must satisfy 1 <= eta_los <= eta_nlos \(linear scale\)"),
+                r"excess losses must satisfy 0 <= eta_los_db <= eta_nlos_db"),
         Refusal("delta-1", {"delta = 0.9": "delta = 1"}, DELTA_RANGE),
         Refusal("delta-1.5", {"delta = 0.9": "delta = 1.5"}, DELTA_RANGE),
         Refusal("delta--0.9", {"delta = 0.9": "delta = -0.9"}, DELTA_RANGE),
         Refusal("delta-0", {"delta = 0.9": "delta = 0"}, DELTA_RANGE),
         Refusal("h-start-10", {"h_start_m = 15": "h_start_m = 10"},
-                r"sweep h_start_m=10 outside \[h_min, h_max\] = \[15, 300\] m"),
+                r"sweep h_start_m=10 outside \[h_min_m, h_max_m\] = \[15, 300\] m"),
         Refusal("phi-start--5", {"phi_start_deg = 5": "phi_start_deg = -5"},
                 r"sweep phi_start_deg=-5 outside \(0, 90\] deg"),
         Refusal("phi-stop-95", {"phi_stop_deg = 60": "phi_stop_deg = 95"},
@@ -846,6 +860,13 @@ def _table_test(rows, harness):
 
 globals().update((name, _table_test(rows, _refuse)) for name, rows in REFUSALS.items())
 globals().update((name, _table_test(rows, _accept)) for name, rows in ACCEPTS.items())
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--help"])
+    assert exit_.value.code == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: aapdeploy")
 
 
 @pytest.mark.parametrize("trials", [cli.MAX_TRIALS, cli.MAX_TRIALS + 1, 10**9])

@@ -28,8 +28,8 @@ def test_total_energy_with_zero_comm_power(baseline_system, baseline_uav):
 def test_zero_service_time_rejected():
     # with zero vehicle energy a zero service period makes the GEE 0/0
     for bad in (0.0, -1.0):
-        with pytest.raises(ConfigError, match="service_time_t must be strictly positive"):
-            make_system(service_time_t=bad)
+        with pytest.raises(ConfigError, match="service_time_s must be strictly positive"):
+            make_system(service_time_s=bad)
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SystemParams)])
@@ -45,7 +45,7 @@ def test_system_refuses_nan(baseline_system, field):
 def test_uav_energy_refuses_nan(position):
     # refused at construction, so a non-finite coefficient never reaches the
     # range check's verdicts; infinities too
-    name = ["alpha_cl", "beta_cl", "alpha_ho", "beta_ho"][position]
+    name = ["alpha_climb_j_per_m", "beta_climb_j", "alpha_hover_w_per_m", "beta_hover_w"][position]
     for bad in (math.nan, math.inf, -math.inf):
         coefficients = [315.0, -211.261, 4.917, 275.204]
         coefficients[position] = bad
@@ -74,8 +74,8 @@ def test_decomposition(baseline_system, baseline_uav):
     p_t = 0.7
     total = energy.total_energy(60.0, p_t, baseline_system, baseline_uav)
     parts = energy.uav_only_energy(60.0, baseline_system, baseline_uav) + (
-        p_t + baseline_system.circuit_power_pc
-    ) * baseline_system.service_time_t
+        p_t + baseline_system.circuit_power_w
+    ) * baseline_system.service_time_s
     assert total == parts
 
 
@@ -103,7 +103,9 @@ def test_array_altitudes_checked_elementwise(baseline_system, baseline_uav):
 
 
 def test_climb_energy_range_validation():
-    bad = UavEnergyParams(alpha_cl=1.0, beta_cl=-100.0, alpha_ho=1.0, beta_ho=1.0)
+    bad = UavEnergyParams(
+        alpha_climb_j_per_m=1.0, beta_climb_j=-100.0, alpha_hover_w_per_m=1.0, beta_hover_w=1.0
+    )
     with pytest.raises(ConfigError):
         bad.validate_range(15.0, 300.0)
     good = UavEnergyParams(315.0, -211.261, 4.917, 275.204)

@@ -25,7 +25,7 @@ def test_gee_value_decomposition(
         h, edge_phi, baseline_system, suburban_env
     )
     total = energy.total_energy(h, power, baseline_system, baseline_uav)
-    expected = baseline_system.service_time_t * rate / total
+    expected = baseline_system.service_time_s * rate / total
     assert gee.gee_value(h, edge_phi, baseline_system, suburban_env, baseline_uav) == (
         pytest.approx(expected, rel=1e-12)
     )
@@ -40,7 +40,7 @@ def test_gee_value_decomposition(
 )
 def test_gee_value_broadcast_matches_scalar_calls(phi, gamma, zero_uav, heights):
     # one array call over h must equal the element-wise scalar calls
-    env = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
+    env = EnvironmentParams(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
     sysp = make_system(gamma=gamma)
     uav = (
         UavEnergyParams.zero()
@@ -73,17 +73,17 @@ def test_solve_p1_baseline_pins_min_altitude(
     sol = gee.solve_p1(
         baseline_system, suburban_env, baseline_uav, phi_grid=grid, altitudes=ALTITUDES
     )
-    assert sol.h_opt == baseline_system.h_min
+    assert sol.h_opt_m == baseline_system.h_min_m
     assert sol.binding_constraint is gee.BindingConstraint.MIN_ALTITUDE
     assert sol.monotone_audit_passed
-    assert sol.r_a == sol.h_opt / math.tan(math.radians(sol.phi_opt_deg))
+    assert sol.r_a_m == sol.h_opt_m / math.tan(math.radians(sol.phi_opt_deg))
     assert sol.delta_opt == float(channel.los_probability(sol.phi_opt_deg, suburban_env))
     # the returned threshold really is the per-threshold argmax at h_min
     others = [
-        gee.gee_value(sol.h_opt, phi, baseline_system, suburban_env, baseline_uav)
+        gee.gee_value(sol.h_opt_m, phi, baseline_system, suburban_env, baseline_uav)
         for phi in grid
     ]
-    assert sol.gee == pytest.approx(max(others), rel=1e-12)
+    assert sol.gee_bits_per_j == pytest.approx(max(others), rel=1e-12)
 
 
 def test_solve_p1_tie_break_toward_larger_phi(
@@ -125,7 +125,7 @@ def test_solve_p1_takes_a_list_a_tuple_or_an_array(
 
 def test_solve_p1_infeasible_power_limit(suburban_env, baseline_uav):
     # tiny P_max: every threshold's power ceiling drops below h_min
-    sysp = make_system(p_max=1e-15)
+    sysp = make_system(p_max_w=1e-15)
     with pytest.raises(InfeasibleError):
         gee.solve_p1(
             sysp, suburban_env, baseline_uav, phi_grid=[20.0, 40.0, 60.0], altitudes=ALTITUDES
@@ -156,15 +156,15 @@ def test_solve_p1_fallback_interior(suburban_env):
         altitudes=ALTITUDES,
     )
     assert not sol.monotone_audit_passed
-    assert sol.h_opt > sysp.h_min
+    assert sol.h_opt_m > sysp.h_min_m
     assert sol.binding_constraint in (
         gee.BindingConstraint.INTERIOR,
         gee.BindingConstraint.POWER_LIMIT,
         gee.BindingConstraint.MAX_ALTITUDE,
     )
     # the interior point genuinely beats both endpoint altitudes
-    assert sol.gee > gee.gee_value(
-        sysp.h_min, sol.phi_opt_deg, sysp, suburban_env, UavEnergyParams.zero()
+    assert sol.gee_bits_per_j > gee.gee_value(
+        sysp.h_min_m, sol.phi_opt_deg, sysp, suburban_env, UavEnergyParams.zero()
     )
 
 
@@ -180,15 +180,15 @@ def test_solve_p1_fallback_reaches_h_min_and_the_power_ceiling(
         patch.setattr(gee, "_audit_monotone_decreasing", lambda row: False)
         sol = gee.solve_p1(baseline_system, suburban_env, baseline_uav, phis, ALTITUDES[5:])
     assert not sol.monotone_audit_passed
-    assert sol.h_opt == baseline_system.h_min
+    assert sol.h_opt_m == baseline_system.h_min_m
     assert sol.binding_constraint is gee.BindingConstraint.MIN_ALTITUDE
 
     # at P_max = 1e-6 W the ablation's GEE still rises at the power ceiling;
     # the best one, 185.05 m at 27 deg, lies above a grid that stops at 180 m
-    sysp = make_system(gamma=0.01, p_max=1e-6)
+    sysp = make_system(gamma=0.01, p_max_w=1e-6)
     sol = gee.solve_p1(sysp, suburban_env, UavEnergyParams.zero(), phis, ALTITUDES[:-120])
     ceiling = gee.altitude_ceiling(27.0, sysp, suburban_env)
-    assert (sol.phi_opt_deg, sol.h_opt) == (27.0, ceiling) and ceiling > ALTITUDES[-121]
+    assert (sol.phi_opt_deg, sol.h_opt_m) == (27.0, ceiling) and ceiling > ALTITUDES[-121]
     assert sol.binding_constraint is gee.BindingConstraint.POWER_LIMIT
 
 
@@ -200,7 +200,7 @@ def scalar_search(phis, sysp, env, uav):
     best, row_max = None, {}
     for phi in phis:
         ceiling = gee.altitude_ceiling(phi, sysp, env)
-        for h in [min(h, ceiling) for h in (sysp.h_min, *ALTITUDES, sysp.h_max)]:
+        for h in [min(h, ceiling) for h in (sysp.h_min_m, *ALTITUDES, sysp.h_max_m)]:
             value = gee.gee_value(float(h), phi, sysp, env, uav)
             row_max[phi] = max(row_max.get(phi, value), value)
             if best is None or value > best[0]:
@@ -214,7 +214,7 @@ def test_solve_p1_fallback_matches_scalar_loop(suburban_env):
     phis = np.arange(5.0, 60.0 + 1e-9, 5.0).tolist()
     sol = gee.solve_p1(sysp, suburban_env, uav, phis, ALTITUDES)
     best, _ = scalar_search(phis, sysp, suburban_env, uav)
-    assert (sol.gee, sol.h_opt, sol.phi_opt_deg) == best
+    assert (sol.gee_bits_per_j, sol.h_opt_m, sol.phi_opt_deg) == best
 
 
 def sum_rate_slope(h, phi, sysp, rel_step=1e-5):
@@ -223,9 +223,9 @@ def sum_rate_slope(h, phi, sysp, rel_step=1e-5):
     with kappa = P_a rho pi cot^2(phi) and N = sigma0^2 W, and a central
     finite difference of uplink.sum_rate."""
     cot2 = 1.0 / math.tan(math.radians(phi)) ** 2
-    kappa = sysp.p_target_pa * sysp.ue_density_rho * math.pi * cot2
-    noise = sysp.noise_psd_sigma0sq * sysp.bandwidth_w
-    m = sysp.num_interferers_m
+    kappa = sysp.p_target_pa * sysp.ue_density_per_m2 * math.pi * cot2
+    noise = sysp.noise_psd_w_per_hz * sysp.bandwidth_hz
+    m = sysp.num_interferers
     term = lambda divisor: (2.0 * kappa * h * math.log2(math.e)) / (
         kappa * h**2 + noise / divisor
     )
@@ -233,7 +233,7 @@ def sum_rate_slope(h, phi, sysp, rel_step=1e-5):
     fd = (
         uplink.sum_rate(h + dh, phi, sysp)
         - uplink.sum_rate(h - dh, phi, sysp)
-    ) / (2.0 * dh * sysp.bandwidth_w)
+    ) / (2.0 * dh * sysp.bandwidth_hz)
     return term(m + 1) - term(m), fd
 
 
@@ -275,7 +275,7 @@ NP_TAN_DIFFERS = [
 def test_gee_value_phi_column_is_bit_exact(phis, gamma, zero_uav, heights):
     # one call over a threshold column must give exactly the per-threshold
     # scalar calls, for a scalar, a row and a block of altitudes
-    env = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
+    env = EnvironmentParams(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
     sysp = make_system(gamma=gamma)
     uav = (
         UavEnergyParams.zero()
@@ -313,14 +313,14 @@ def test_solve_p1_fallback_blocks_match_scalar_loop(suburban_env):
     edge = 2 * BLOCK_ROWS
     phis = np.arange(26.0 - 0.5 * (edge - 1), 60.0 + 1e-9, 0.5).tolist() + [26.0]
     ceilings = gee.altitude_ceiling(np.array(phis), sysp, suburban_env)
-    assert np.all(ceilings >= sysp.h_min)  # every threshold feasible
+    assert np.all(ceilings >= sysp.h_min_m)  # every threshold feasible
     assert sorted(phis)[edge - 1] == sorted(phis)[edge] == 26.0
     assert len(phis) > edge + BLOCK_ROWS
 
     sol = gee.solve_p1(sysp, suburban_env, uav, phis, ALTITUDES)
     best, _ = scalar_search(sorted(phis), sysp, suburban_env, uav)
     assert not sol.monotone_audit_passed
-    assert (sol.gee, sol.h_opt, sol.phi_opt_deg) == best
+    assert (sol.gee_bits_per_j, sol.h_opt_m, sol.phi_opt_deg) == best
     assert sol.phi_opt_deg == 26.0
 
 
@@ -343,7 +343,9 @@ def test_solve_p1_pinned_ties_break_toward_larger_phi(
     assert [len(block) for block in blocks] == [14, 14, 1]
     assert blocks[0][-2:] == [48.0, 48.0] and blocks[1][0] == 47.0
     value = {
-        phi: gee.gee_value(baseline_system.h_min, phi, baseline_system, suburban_env, baseline_uav)
+        phi: gee.gee_value(
+            baseline_system.h_min_m, phi, baseline_system, suburban_env, baseline_uav
+        )
         for phi in phis
     }
     assert sol.monotone_audit_passed
@@ -366,7 +368,7 @@ def test_solve_p1_fallback_ties_break_toward_larger_phi(suburban_env, monkeypatc
     assert not sol.monotone_audit_passed
     assert sorted(tied) == [25.0, 26.0, 27.0, 28.0]  # a real tie across angles
     assert sorted(phis, reverse=True).index(27.0) == 2 * BLOCK_ROWS
-    assert (sol.gee, sol.h_opt, sol.phi_opt_deg) == best
+    assert (sol.gee_bits_per_j, sol.h_opt_m, sol.phi_opt_deg) == best
     assert sol.phi_opt_deg == max(tied) == 28.0
 
 
@@ -380,9 +382,9 @@ def test_gee_call_counts_on_builtins(name):
     scn = load_scenario(builtin_scenario_path(name))
     sysp, env = scn.system, scn.environment
     phis = np.array(scn.sweeps.phis_deg)
-    covered = channel.coverage_radius(sysp.h_min, phis) > 0.0
+    covered = channel.coverage_radius(sysp.h_min_m, phis) > 0.0
     ceilings = gee.altitude_ceiling(phis, sysp, env)
-    feasible = int(np.count_nonzero(covered & (ceilings >= sysp.h_min)))
+    feasible = int(np.count_nonzero(covered & (ceilings >= sysp.h_min_m)))
 
     with (
         calls_to("aapdeploy.gee.gee_value") as values,

@@ -2,7 +2,7 @@
 
 Scaling every length of a scenario by k = 2^j, with the UE density rho
 divided by k^2, the reference gain g0 multiplied by k^2 and the energy
-slopes alpha_cl and alpha_ho divided by k, describes the same deployment in
+slopes α_cl and α_ho divided by k, describes the same deployment in
 another unit.  Multiplying by a power of two is exact in binary floating
 point, so every length a verb reports must scale by k bit for bit and every
 other output must stay the same.  A tolerance, slack or cap with an absolute
@@ -170,7 +170,7 @@ def test_outputs_scale_with_the_unit_of_power(tmp_path, at_unit_scale, case, j):
     # validate prints the exact and closed-form sum powers rounded, so the
     # scaled run must print the k = 1 library values times k
     scn = load_scenario(builtin_scenario_path(case))
-    cell = (scn.system.h_min, scn.sweeps.phi_deg, scn.system, scn.environment)
+    cell = (scn.system.h_min_m, scn.sweeps.phi_deg, scn.system, scn.environment)
     exact = uplink.expected_sum_power_exact(*cell)
     closed = uplink.expected_sum_power_closed_form(*cell)
     printed = f"exact={exact:.6e} W closed={closed:.6e} W"
@@ -274,7 +274,7 @@ def test_closed_form_power_is_invariant_under_the_unit_of_length(
     # Python's h**4 calls pow, which moved the power in the last bit here.
     k = 2.0**j
     system = dataclasses.replace(
-        baseline_system, ue_density_rho=baseline_system.ue_density_rho / (k * k)
+        baseline_system, ue_density_per_m2=baseline_system.ue_density_per_m2 / (k * k)
     )
     env = dataclasses.replace(suburban_env, g0=suburban_env.g0 * k * k)
     assert uplink.expected_sum_power_closed_form(

@@ -73,7 +73,7 @@ def _system_with_mean_count(h, phi, mean_ues):
     """The baseline system with the UE density that puts mean_ues UEs in the
     cell, so Poisson populations stay small at any (h, phi)."""
     r_a = channel.require_coverage(h, phi)
-    return make_system(ue_density_rho=mean_ues / (math.pi * r_a**2))
+    return make_system(ue_density_per_m2=mean_ues / (math.pi * r_a**2))
 
 
 def test_sample_determinism():
@@ -126,7 +126,7 @@ def test_sample_rejects_bad_inputs():
 def test_sample_rejects_non_finite_inputs(r_a, rho):
     # The mean that mean_sum_power would form for a cell of this radius and
     # density is infinite or NaN, and numpy's Poisson draw rejects it.
-    mean_ues = uplink.cell_ue_count(r_a, SimpleNamespace(ue_density_rho=rho))
+    mean_ues = uplink.cell_ue_count(r_a, SimpleNamespace(ue_density_per_m2=rho))
     assert not math.isfinite(mean_ues)
     with pytest.raises(ValueError, match="lam"):
         montecarlo.sample_ues(mean_ues, default_rng(1))
@@ -193,7 +193,7 @@ def test_mean_sum_power_equals_the_per_trial_loop(
 ):
     # Small block sizes put block edges inside and between small populations;
     # means near 0.1 give runs of empty trials.
-    env = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
+    env = EnvironmentParams(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
     sysp = _system_with_mean_count(h, phi, mean_ues)
     args = (h, phi, sysp, env, trials, seed)
     with mock.patch.object(montecarlo, "BLOCK_UES", block_ues):
@@ -209,7 +209,7 @@ def test_mean_sum_power_equals_the_per_trial_loop(
 def test_block_sums_equal_each_trials_own_sum(mean_counts, seed):
     # Every trial's sum, not only their mean, is numpy's sum of P_a L(r, h)
     # over that population's own UEs.
-    env = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
+    env = EnvironmentParams(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
     sysp = make_system()
     rng = default_rng(seed)
     block = [montecarlo.sample_ues(mean, rng) for mean in mean_counts]
@@ -232,7 +232,7 @@ def test_block_sums_are_within_1e_13_of_compensated_sums(mean_counts, seed):
     # Every power is positive, so no sum cancels: numpy's sum of a trial
     # stays within 1e-13 of the compensated one, nothing the oracle's 3% or
     # five-standard-error bound could see.
-    env = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
+    env = EnvironmentParams(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
     sysp = make_system()
     rng = default_rng(seed)
     block = [montecarlo.sample_ues(mean, rng) for mean in mean_counts]
@@ -248,7 +248,7 @@ def test_per_trial_work_is_array_work():
     # a per-trial Python loop would show in either count.
     scn = load_scenario(builtin_scenario_path("baseline"))
     env, sysp = scn.environment, scn.system
-    h, phi = sysp.h_min, scn.sweeps.phi_deg
+    h, phi = sysp.h_min_m, scn.sweeps.phi_deg
     mean_ues = uplink.cell_ue_count(channel.coverage_radius(h, phi), sysp)
     block = max(1, int(montecarlo.BLOCK_UES / max(mean_ues, 1.0)))
     assert block > 1
@@ -281,14 +281,14 @@ def test_no_ue_of_a_deployable_cell_exceeds_p_max(
     # The oracle applies no P_max cap.  None is needed where the planner
     # deploys, h <= h'_max(phi): the edge UE transmits P_max there, and the
     # mean path loss grows with r because eta_los <= eta_nlos.
-    env = EnvironmentParams.from_db(a, b, eta_los_db, eta_los_db + eta_gap_db, g0=1.42e-4)
+    env = EnvironmentParams(a, b, eta_los_db, eta_los_db + eta_gap_db, g0=1.42e-4)
     sysp = make_system(gamma=gamma)
-    ceiling = min(sysp.h_max, uplink.h_max_power_constraint(phi, sysp, env))
-    assume(ceiling >= sysp.h_min)
-    h = sysp.h_min + h_frac * (ceiling - sysp.h_min)
+    ceiling = min(sysp.h_max_m, uplink.h_max_power_constraint(phi, sysp, env))
+    assume(ceiling >= sysp.h_min_m)
+    h = sysp.h_min_m + h_frac * (ceiling - sysp.h_min_m)
     radii = channel.coverage_radius(h, phi) * np.array([0.0, r_frac, 1.0])
     powers = montecarlo._ue_powers(radii, h, sysp, env)
-    assert np.all(powers <= sysp.p_max * (1.0 + 1e-12))
+    assert np.all(powers <= sysp.p_max_w * (1.0 + 1e-12))
 
 
 @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**62])
@@ -349,10 +349,10 @@ def test_mean_and_stderr_scale_with_the_unit_of_power(seed, j):
     # (libm pow) moved the standard error in the last bit at these seeds.
     k = 2.0**j
     scn = load_scenario(builtin_scenario_path("baseline"))
-    sysp, env, cell = scn.system, scn.environment, (scn.system.h_min, scn.sweeps.phi_deg)
+    sysp, env, cell = scn.system, scn.environment, (scn.system.h_min_m, scn.sweeps.phi_deg)
     scaled = dataclasses.replace(
-        sysp, noise_psd_sigma0sq=sysp.noise_psd_sigma0sq * k, p_max=sysp.p_max * k,
-        circuit_power_pc=sysp.circuit_power_pc * k,
+        sysp, noise_psd_w_per_hz=sysp.noise_psd_w_per_hz * k, p_max_w=sysp.p_max_w * k,
+        circuit_power_w=sysp.circuit_power_w * k,
     )
     mean, stderr = montecarlo.mean_sum_power(*cell, sysp, env, 3, seed)
     assert montecarlo.mean_sum_power(*cell, scaled, env, 3, seed) == (mean * k, stderr * k)

@@ -45,7 +45,7 @@ def test_every_patched_attribute_exists_and_is_restored():
 def test_traced_calls_keep_their_pattern():
     # verify_levels(levels, r_a, area_radius) once per plan, and sample_ues
     # once per trial returning a sample with .realized_count
-    env = EnvironmentParams.from_db(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
+    env = EnvironmentParams(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
     phi = channel.phi_from_delta(0.9, env)
     tracer = load_tracer()
     with tracer:

@@ -1,8 +1,9 @@
+import configparser
 import itertools
 import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -52,19 +53,19 @@ def test_load_minimal_scenario(tmp_path):
     assert scn.system.gamma == 100.0
     assert scn.system.p_target_pa == 100.0 * 4e-21 * 20e6
     assert scn.environment.a == 4.88
-    assert scn.uav.alpha_cl == 315.0
+    assert scn.uav.alpha_climb_j_per_m == 315.0
     # defaults kick in for the optional sections
     assert scn.sweeps.delta == 0.9
     assert scn.sweeps.gamma_list == (100.0,)
-    assert scn.sweeps.area_radius_list == (180.48,)
+    assert scn.sweeps.area_radius_list_m == (180.48,)
 
 
 def test_builtin_scenarios_load():
     baseline = load_scenario(builtin_scenario_path("baseline"))
-    assert baseline.system.h_min == 15.0
+    assert baseline.system.h_min_m == 15.0
     assert baseline.sweeps.gamma_list == (10.0, 100.0, 1000.0)
     ablation = load_scenario(builtin_scenario_path("no_vehicle_energy"))
-    assert ablation.uav.alpha_cl == 0.0
+    assert ablation.uav.alpha_climb_j_per_m == 0.0
     assert ablation.system.gamma == 0.01
     with pytest.raises(ConfigError):
         builtin_scenario_path("nonexistent")
@@ -183,7 +184,7 @@ def test_sweep_grid_point_cap(tmp_path):
 
 def test_whole_number_counts_accepted(tmp_path):
     text = BASE.replace("num_interferers = 6", "num_interferers = 6.0")
-    assert load_scenario(write(tmp_path, text)).system.num_interferers_m == 6
+    assert load_scenario(write(tmp_path, text)).system.num_interferers == 6
 
 
 BASELINE_TEXT = builtin_scenario_path("baseline").read_text()
@@ -205,6 +206,22 @@ def test_every_listed_key_is_read(tmp_path, key):
     except ConfigError:
         return
     assert changed != load_scenario(builtin_scenario_path("baseline"))
+
+
+@pytest.mark.parametrize("name", ["baseline", "no_vehicle_energy"])
+def test_every_physics_key_is_the_field_of_its_name(name):
+    # the records take the scenario's keys and units: each key of the three
+    # physics sections sets the field of the same name to the value the file
+    # states, and each field is such a key
+    path = builtin_scenario_path(name)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read(path, encoding="utf-8")
+    scn = load_scenario(path)
+    for section in ("environment", "system", "uav"):
+        record = getattr(scn, section)
+        assert set(parser[section]) == {field.name for field in fields(record)}
+        for key, text in parser[section].items():
+            assert getattr(record, key) == float(text), (section, key)
 
 
 def test_sweep_grid_never_passes_its_stop(tmp_path):

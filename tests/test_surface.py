@@ -54,6 +54,8 @@ ALLOWED_UNREAD_FIELDS = {
     # verify_levels' report reaches the plan JSON through dataclasses.asdict,
     # which reads every field by name.
     "FeasibilityReport": "serialised with dataclasses.asdict",
+    # solve writes the solution to solution.json the same way.
+    "DeploymentSolution": "serialised with dataclasses.asdict",
 }
 
 

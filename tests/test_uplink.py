@@ -47,7 +47,7 @@ def test_ue_transmit_power_direct_substitution(baseline_system, suburban_env):
 def test_sum_power_closed_form_scales_with_density(
     suburban_env, baseline_system, edge_phi
 ):
-    sparse = make_system(ue_density_rho=1e-9)
+    sparse = make_system(ue_density_per_m2=1e-9)
     value = uplink.expected_sum_power_closed_form(15.0, edge_phi, sparse, suburban_env)
     dense = uplink.expected_sum_power_closed_form(
         15.0, edge_phi, baseline_system, suburban_env
@@ -61,7 +61,7 @@ def test_sum_power_closed_form_cot45(suburban_env, baseline_system):
     expected = (
         2.0
         * math.pi
-        * baseline_system.ue_density_rho
+        * baseline_system.ue_density_per_m2
         * baseline_system.p_target_pa
         * eta_m
         * h**4
@@ -94,7 +94,7 @@ def test_exact_bounded_by_closed_form(baseline_system, suburban_env):
 
 
 def test_exact_equals_closed_form_when_excess_loss_constant(baseline_system):
-    env = EnvironmentParams(a=4.88, b=0.43, eta_los=5.0, eta_nlos=5.0, g0=1.42e-4)
+    env = EnvironmentParams(a=4.88, b=0.43, eta_los_db=7.0, eta_nlos_db=7.0, g0=1.42e-4)
     phi = channel.phi_from_delta(0.9, env)
     exact = uplink.expected_sum_power_exact(15.0, phi, baseline_system, env)
     closed = uplink.expected_sum_power_closed_form(15.0, phi, baseline_system, env)
@@ -115,7 +115,7 @@ def reference_sum_power(h, r_a, eta_m, sys, env, breaks=()):
             loss = float(channel.mean_path_loss_rh(r, h, env))
         else:
             loss = eta_m * (r * r + h * h) / env.g0
-        return sys.ue_density_rho * 2.0 * math.pi * sys.p_target_pa * loss * r
+        return sys.ue_density_per_m2 * 2.0 * math.pi * sys.p_target_pa * loss * r
 
     value, _ = quad(
         integrand, 0.0, r_a, epsabs=0.0, epsrel=1e-13, limit=1000, points=breaks or None
@@ -149,7 +149,7 @@ STEEP_CELLS = [
 def test_quadratures_match_the_scipy_reference(
     h, phi, a, b, eta_los_db, eta_gap_db, gamma
 ):
-    env = EnvironmentParams.from_db(a, b, eta_los_db, eta_los_db + eta_gap_db, g0=1.42e-4)
+    env = EnvironmentParams(a, b, eta_los_db, eta_los_db + eta_gap_db, g0=1.42e-4)
     sysp = make_system(gamma=gamma)
     r_a = float(channel.coverage_radius(h, phi))
     eta_m = float(channel.mean_additional_path_loss(phi, env))
@@ -165,7 +165,7 @@ def test_quadratures_match_the_scipy_reference(
 @pytest.mark.parametrize("cell", STEEP_CELLS, ids=["b24", "b30"])
 def test_exhausted_panel_budget_raises(baseline_system, monkeypatch, cell):
     # one panel cannot resolve the S-curve's turn inside the cell
-    env = EnvironmentParams.from_db(cell["a"], cell["b"], 0.1, 21.0, g0=1.42e-4)
+    env = EnvironmentParams(cell["a"], cell["b"], 0.1, 21.0, g0=1.42e-4)
     monkeypatch.setattr(uplink, "LOS_BREAKS", ())
     monkeypatch.setattr(uplink, "QUAD_MAX_PANELS", 1)
     with pytest.raises(QuadratureError, match="quadrature achieved only"):
@@ -173,21 +173,21 @@ def test_exhausted_panel_budget_raises(baseline_system, monkeypatch, cell):
 
 
 def test_per_ue_rate_no_interference_limit(edge_phi):
-    sysp = make_system(num_interferers_m=0)
+    sysp = make_system(num_interferers=0)
     r_a = channel.coverage_radius(15.0, edge_phi)
     n_ue = uplink.cell_ue_count(r_a, sysp)
-    snr = sysp.p_target_pa * n_ue / (sysp.noise_psd_sigma0sq * sysp.bandwidth_w)
-    expected = (sysp.bandwidth_w / n_ue) * math.log2(1.0 + snr)
+    snr = sysp.p_target_pa * n_ue / (sysp.noise_psd_w_per_hz * sysp.bandwidth_hz)
+    expected = (sysp.bandwidth_hz / n_ue) * math.log2(1.0 + snr)
     per_ue = uplink.sum_rate(15.0, edge_phi, sysp) / n_ue
     assert per_ue == pytest.approx(expected, rel=1e-12)
 
 
 def test_per_ue_rate_interference_limited(edge_phi):
     # huge density: SINR -> 1/M
-    sysp = make_system(ue_density_rho=1e3)
+    sysp = make_system(ue_density_per_m2=1e3)
     r_a = channel.coverage_radius(15.0, edge_phi)
     n_ue = uplink.cell_ue_count(r_a, sysp)
-    expected = (sysp.bandwidth_w / n_ue) * math.log2(7.0 / 6.0)
+    expected = (sysp.bandwidth_hz / n_ue) * math.log2(7.0 / 6.0)
     per_ue = uplink.sum_rate(15.0, edge_phi, sysp) / n_ue
     assert per_ue == pytest.approx(expected, rel=1e-6)
 
@@ -199,13 +199,13 @@ def test_rate_equalization_reduction(baseline_system, suburban_env, edge_phi):
     h = 15.0
     r_a = channel.coverage_radius(h, edge_phi)
     n_ue = uplink.cell_ue_count(r_a, baseline_system)
-    noise = baseline_system.noise_psd_sigma0sq * baseline_system.bandwidth_w
+    noise = baseline_system.noise_psd_w_per_hz * baseline_system.bandwidth_hz
     per_ue = uplink.sum_rate(h, edge_phi, baseline_system) / n_ue
     for r in (0.0, 0.3 * r_a, r_a):
         loss = float(channel.mean_path_loss_rh(r, h, suburban_env))
         arrived = baseline_system.p_target_pa * loss / loss  # P̄_i / L̄
-        interference = baseline_system.num_interferers_m * baseline_system.p_target_pa
-        general = (baseline_system.bandwidth_w / n_ue) * math.log2(
+        interference = baseline_system.num_interferers * baseline_system.p_target_pa
+        general = (baseline_system.bandwidth_hz / n_ue) * math.log2(
             1.0 + arrived / (interference + noise / n_ue)
         )
         assert general == pytest.approx(per_ue, rel=1e-12)
@@ -217,10 +217,10 @@ def test_sum_rate_equals_count_times_per_ue(baseline_system, edge_phi):
     n_ue = uplink.cell_ue_count(r_a, baseline_system)
     signal = baseline_system.p_target_pa * n_ue
     sinr = signal / (
-        baseline_system.num_interferers_m * signal
-        + baseline_system.noise_psd_sigma0sq * baseline_system.bandwidth_w
+        baseline_system.num_interferers * signal
+        + baseline_system.noise_psd_w_per_hz * baseline_system.bandwidth_hz
     )
-    per_ue = baseline_system.bandwidth_w / n_ue * math.log2(1.0 + sinr)
+    per_ue = baseline_system.bandwidth_hz / n_ue * math.log2(1.0 + sinr)
     assert uplink.sum_rate(h, edge_phi, baseline_system) == pytest.approx(
         n_ue * per_ue, rel=1e-12
     )
@@ -228,8 +228,8 @@ def test_sum_rate_equals_count_times_per_ue(baseline_system, edge_phi):
 
 def test_sum_rate_saturation(baseline_system, edge_phi):
     # large-cell limit W log2(1 + 1/M)
-    limit = baseline_system.bandwidth_w * math.log2(
-        1.0 + 1.0 / baseline_system.num_interferers_m
+    limit = baseline_system.bandwidth_hz * math.log2(
+        1.0 + 1.0 / baseline_system.num_interferers
     )
     assert limit == pytest.approx(20e6 * math.log2(1 + 1 / 6))
     values = [
@@ -242,7 +242,7 @@ def test_sum_rate_saturation(baseline_system, edge_phi):
 
 
 def test_sum_rate_unbounded_without_interference_or_noise(edge_phi):
-    sysp = make_system(num_interferers_m=0)
+    sysp = make_system(num_interferers=0)
     small = uplink.sum_rate(15.0, edge_phi, sysp)
     large = uplink.sum_rate(150.0, edge_phi, sysp)
     assert large > small
@@ -252,7 +252,7 @@ def test_h_max_power_constraint_nadir_form(baseline_system, suburban_env):
     # phi = 90 deg: cot term vanishes
     eta_m = float(channel.mean_additional_path_loss(90.0, suburban_env))
     expected = math.sqrt(
-        baseline_system.p_max
+        baseline_system.p_max_w
         * suburban_env.g0
         / (baseline_system.p_target_pa * eta_m)
     )
@@ -266,9 +266,9 @@ def test_h_max_power_constraint_engineered_unit(suburban_env, edge_phi):
     eta_m = float(channel.mean_additional_path_loss(edge_phi, suburban_env))
     sysp = make_system()
     # choose P_a so that h'_max is exactly 1 m
-    p_a = sysp.p_max * suburban_env.g0 / (eta_m * (1.0 + cot2))
+    p_a = sysp.p_max_w * suburban_env.g0 / (eta_m * (1.0 + cot2))
     engineered = make_system(
-        gamma=p_a / (sysp.noise_psd_sigma0sq * sysp.bandwidth_w)
+        gamma=p_a / (sysp.noise_psd_w_per_hz * sysp.bandwidth_hz)
     )
     assert uplink.h_max_power_constraint(
         edge_phi, engineered, suburban_env
@@ -280,7 +280,7 @@ def test_edge_power_round_trip(baseline_system, suburban_env, edge_phi):
     r_a = channel.coverage_radius(h_lim, edge_phi)
     loss = float(channel.mean_path_loss_rh(r_a, h_lim, suburban_env))
     assert baseline_system.p_target_pa * loss == pytest.approx(
-        baseline_system.p_max, rel=1e-9
+        baseline_system.p_max_w, rel=1e-9
     )
 
 
