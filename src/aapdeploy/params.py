@@ -2,7 +2,9 @@
 system and the UAV energy model.
 
 Each field is the scenario key of the same name, in the key's unit, so a
-record and a refusal name a quantity as the file spells it.
+record and a refusal name a quantity as the file spells it.  The fields are
+the only list of the physics keys: ``scenario`` reads each section's keys
+from its record, so adding a field adds a required scenario key.
 ``EnvironmentParams.eta_los``/``eta_nlos`` derive the linear excess losses
 from the dB keys, and ``SystemParams.p_target_pa`` the target power from gamma.
 

@@ -1,12 +1,13 @@
 """Scenario files: sectioned key-value configuration for the CLI.
 
 The format is INI-style with four sections (environment, system, uav,
-sweeps): the physics and the sweeps only.  One table, ``_FIELDS``, lists
-each section's keys; it drives the reads and the check that makes an
-unknown section or key a hard error, so a misspelled constant can never
-silently fall back to a default.  Values are read as written (no ``%``
-interpolation).  The target power is given only as ``gamma`` and the
-reference gain only as ``g0``; both are required.  Every number must be
+sweeps): the physics and the sweeps only.  Each physics section's keys are
+the fields of its record (``EnvironmentParams``, ``SystemParams``,
+``UavEnergyParams``), all required; ``_FIELDS`` holds them and the [sweeps]
+keys.  It drives the reads and the check that makes an unknown section or
+key a hard error (both are case-sensitive), so a misspelled constant can
+never silently fall back to a default.  Values are read as written (no
+``%`` interpolation).  Every number must be
 finite, the interferer count a whole number, and the noise power
 noise_psd_w_per_hz * bandwidth_hz, like the target power that gamma and
 each ``gamma_list`` entry make of it, a normal float.  Each sweep list must
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -45,34 +46,15 @@ MAX_S_CURVE_AB = 1e6
 MAX_GRID_POINTS = 100_000
 
 # Each section's keys in reading order, with each value's kind: a float, a
-# whole number (int) or a comma-separated list (tuple).  A value goes by its
-# key: a field of the section's record, or a parameter of _resolve_sweeps.
+# whole number (int) or a comma-separated list (tuple).  A physics section's
+# keys are the fields of its record, all required, each a whole number if
+# annotated "int" (params postpones annotations, so a field's type is its
+# annotation's text); a [sweeps] key is a parameter of _resolve_sweeps.
+_RECORDS = {"environment": EnvironmentParams, "system": SystemParams, "uav": UavEnergyParams}
 _FIELDS: dict[str, dict[str, type]] = {
-    "environment": {
-        "a": float,
-        "b": float,
-        "eta_los_db": float,
-        "eta_nlos_db": float,
-        "g0": float,
-    },
-    "system": {
-        "bandwidth_hz": float,
-        "num_interferers": int,
-        "circuit_power_w": float,
-        "service_time_s": float,
-        "p_max_w": float,
-        "noise_psd_w_per_hz": float,
-        "ue_density_per_m2": float,
-        "h_min_m": float,
-        "h_max_m": float,
-        "area_radius_m": float,
-        "gamma": float,
-    },
-    "uav": {
-        "alpha_climb_j_per_m": float,
-        "beta_climb_j": float,
-        "alpha_hover_w_per_m": float,
-        "beta_hover_w": float,
+    **{
+        section: {f.name: int if f.type == "int" else float for f in fields(record)}
+        for section, record in _RECORDS.items()
     },
     "sweeps": {
         "h_start_m": float,
@@ -240,6 +222,7 @@ def load_scenario(path: str | Path) -> Scenario:
     parser = configparser.ConfigParser(
         inline_comment_prefixes=("#", ";"), interpolation=None, default_section=""
     )
+    parser.optionxform = str  # keys are case-sensitive, like sections
     try:
         with path.open(encoding="utf-8-sig") as handle:
             parser.read_file(handle)
@@ -262,13 +245,13 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ConfigError(
                 f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
             )
-    for required in ("environment", "system", "uav"):
+    for required in _RECORDS:
         if required not in parser:
             raise ConfigError(f"missing scenario section [{required}]")
 
-    environment = EnvironmentParams(**_read(parser, "environment"))
-    system = SystemParams(**_read(parser, "system"))
-    uav = UavEnergyParams(**_read(parser, "uav"))
+    environment, system, uav = (
+        record(**_read(parser, section)) for section, record in _RECORDS.items()
+    )
     uav.validate_range(system.h_min_m, system.h_max_m)
     # A key the file leaves out sweeps the system's own altitude range,
     # gamma and area radius, or a fixed default.

@@ -1,3 +1,4 @@
+import configparser
 import contextlib
 import errno
 import json
@@ -525,6 +526,10 @@ ABLATION_PHYSICS = {
     "beta_hover_w = 275.204": "beta_hover_w = 0",
 }
 
+# baseline.ini's own physics keys, found by parsing the file
+PHYSICS = configparser.ConfigParser(interpolation=None)
+PHYSICS.read_string(BASELINE)
+
 
 class Refusal(NamedTuple):
     id: str | None  # the case id; None for a test of one case
@@ -740,6 +745,13 @@ REFUSALS = {
                 ("bogus",)),
         Refusal("unknown-flag", {}, r"unrecognized arguments: --bogus", SOLVE, ("--bogus",)),
     ],
+    # every field of a physics record is a required key: deleting any one
+    # key line of baseline.ini's physics sections is refused by that key
+    "test_every_physics_key_is_required": [
+        Refusal(key, {f"\n{key} = {text}\n": "\n"}, rf"missing required key '{key}'")
+        for section in ("environment", "system", "uav")
+        for key, text in PHYSICS[section].items()
+    ],
     "test_refusal": [
         Refusal("unknown-section", {UAV: "[extras]\nfoo = 1\n" + UAV},
                 r"unknown scenario section \[extras\]"),
@@ -754,6 +766,11 @@ REFUSALS = {
         Refusal("missing-section", {ENV: ""}, r"missing scenario section \[environment\]"),
         Refusal("misspelled-sweep-key", {"h_start_m = 15": "h_strt_m = 15"},
                 r"unknown key\(s\) in \[sweeps\]: h_strt_m"),
+        # keys are case-sensitive, like sections: GAMMA once loaded as gamma
+        Refusal("upper-case-key", {"gamma = 100": "GAMMA = 100"},
+                r"unknown key\(s\) in \[system\]: GAMMA"),
+        Refusal("mixed-case-sweep-key", {"h_step_m = 95": "H_Step_M = 0"},
+                r"unknown key\(s\) in \[sweeps\]: H_Step_M"),
         Refusal("missing-gamma", {"gamma = 100\n": ""}, r"missing required key 'gamma'"),
         Refusal("missing-g0", {"g0 = 1.42e-4\n": ""}, r"missing required key 'g0'"),
         Refusal("non-numeric", {"gamma = 100": "gamma = lots"},

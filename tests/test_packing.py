@@ -123,6 +123,17 @@ def test_area_bound_equals_the_linear_scan_at_every_edge(n_range):
                 assert packing.count_bounds(ratio, 1.0)[0] == reference_area_bound(ratio, 1.0)
 
 
+def test_bracket_is_least_at_four_circles_past_the_largest_ring():
+    # count_bounds searches n only below budget / prop2_bracket(4) + 1, which
+    # misses no n that fits only if prop2_bracket(n) >= prop2_bracket(4) for
+    # every n >= 3.  For a ring at MAX_AREA_RATIO that cap is 724,579, inside
+    # the n checked here.
+    top = 800_000
+    budget = math.pi * packing.MAX_AREA_RATIO**2 * (1.0 + 1e-12)
+    assert budget / packing.prop2_bracket(4) + 1 < top
+    assert min(map(packing.prop2_bracket, range(3, top + 1))) == packing.prop2_bracket(4)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.floats(min_value=packing.THREE_CIRCLE_RATIO, max_value=300.0),
