@@ -8,25 +8,30 @@ from its record, so adding a field adds a required scenario key.
 ``EnvironmentParams.eta_los``/``eta_nlos`` derive the linear excess losses
 from the dB keys, and ``SystemParams.p_target_pa`` the target power from gamma.
 
-    key                   symbol  unit   quantity
-    a, b                  a, b    -      LoS S-curve parameters (angle in deg)
-    eta_los_db            η_LoS   dB     mean excess path loss, LoS links
-    eta_nlos_db           η_NLoS  dB     mean excess path loss, N-LoS links
-    g0                    g0      -      channel gain at the 1 m reference
-    bandwidth_hz          W       Hz     system bandwidth
-    num_interferers       M       -      co-channel neighbour AAPs
-    circuit_power_w       P_C     W      hardware circuit power
-    service_time_s        T       s      service period
-    p_max_w               P_max   W      per-UE transmit power cap
-    gamma                 γ       -      target SNR P_a / (σ0² W)
-    noise_psd_w_per_hz    σ0²     W/Hz   noise power spectral density
-    ue_density_per_m2     ρ       1/m²   UE density
-    h_min_m, h_max_m      h       m      permitted altitude range
-    area_radius_m         R       m      radius of the target area
-    alpha_climb_j_per_m   α_cl    J/m    climb energy per metre of altitude
-    beta_climb_j          β_cl    J      climb energy offset
-    alpha_hover_w_per_m   α_ho    W/m    hover power per metre of altitude
-    beta_hover_w          β_ho    W      hover power offset
+Each key's name ends in its unit (``_m``, ``_per_m2``, ``_w_per_hz``, ...), and
+a name without one (``a``, ``gamma``, ``num_interferers``) is a pure number,
+so the table below states no units.  The one exception is ``g0``: the gain
+at a 1 m reference distance is in m².
+
+    key                   symbol  quantity
+    a, b                  a, b    LoS S-curve parameters (angle in deg)
+    eta_los_db            η_LoS   mean excess path loss, LoS links
+    eta_nlos_db           η_NLoS  mean excess path loss, N-LoS links
+    g0                    g0      channel gain at the 1 m reference, m²
+    bandwidth_hz          W       system bandwidth
+    num_interferers       M       co-channel neighbour AAPs
+    circuit_power_w       P_C     hardware circuit power
+    service_time_s        T       service period
+    p_max_w               P_max   per-UE transmit power cap
+    gamma                 γ       target SNR P_a / (σ0² W)
+    noise_psd_w_per_hz    σ0²     noise power spectral density
+    ue_density_per_m2     ρ       UE density
+    h_min_m, h_max_m      h       permitted altitude range
+    area_radius_m         R       radius of the target area
+    alpha_climb_j_per_m   α_cl    climb energy per metre of altitude
+    beta_climb_j          β_cl    climb energy offset
+    alpha_hover_w_per_m   α_ho    hover power per metre of altitude
+    beta_hover_w          β_ho    hover power offset
 """
 
 from __future__ import annotations

@@ -18,6 +18,27 @@ COARSE_BASELINE = BASELINE.replace("h_step_m = 1", "h_step_m = 95").replace(
     "phi_step_deg = 0.25", "phi_step_deg = 5"
 )
 
+# A quantity's unit is read from its name: the (m, J, s) exponents of each
+# unit token a name can end in.  Any other token (deg, db, bits) is a number.
+UNIT_EXPONENTS = {"m": (1, 0, 0), "m2": (2, 0, 0), "j": (0, 1, 0), "w": (0, 1, -1),
+                  "hz": (0, 0, -1), "s": (0, 0, 1), "bps": (0, 0, -1)}
+AXES = ("length", "energy", "time")
+# The names that do not spell their unit: g0 is the gain at a 1 m reference
+# distance, and the plan's margins and tolerance are lengths.
+UNSPELLED_UNITS = {"g0": "m2", "worst_pairwise_margin": "m",
+                   "worst_containment_margin": "m", "tolerance": "m"}
+
+
+def unit_power(name: str, axis: str) -> int:
+    """The power of k by which a quantity named ``name`` scales when the
+    unit on ``axis`` shrinks by k: the exponent of its name's last token,
+    minus that of the token after ``_per_``."""
+    head, _, per = name.partition("_per_")
+    unit = UNSPELLED_UNITS.get(name, head.rpartition("_")[2])
+    i = AXES.index(axis)
+    return UNIT_EXPONENTS.get(unit, (0, 0, 0))[i] - UNIT_EXPONENTS.get(per, (0, 0, 0))[i]
+
+
 # One line per acceptance criterion, echoed after the test summary so the
 # pass/fail verdicts survive pytest's output capture.
 ACCEPTANCE_LINES: list[str] = []

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from aapdeploy import cli, gee, packing, scenario, uplink
+from aapdeploy import cli, gee, montecarlo, packing, scenario, uplink
 from aapdeploy.io_utils import write_csv_atomic
 from aapdeploy.scenario import builtin_scenario_path, load_scenario
 from conftest import BASELINE, COARSE_BASELINE, CliRun, calls_to, run_cli
@@ -253,6 +253,41 @@ def test_validate_passes(tmp_path):
     assert run.code == cli.EXIT_OK
     assert "all validation checks passed" in run.out
     assert "[FAIL]" not in run.out
+
+
+# validate's three numeric gates: the oracle a test moves and the relative
+# bound, by the check's name.
+GATES = {
+    "closed form vs edge-frozen quadrature": ("expected_sum_power_edge_quadrature", 1e-9),
+    "exact sum power bounded by closed form": ("expected_sum_power_exact", 1e-12),
+    "Monte-Carlo mean": ("mean_sum_power", 0.03),
+}
+
+
+@pytest.mark.parametrize("factor", [1.1, 0.9])
+@pytest.mark.parametrize("check", GATES)
+def test_validate_fails_a_gate_just_past_its_bound(tmp_path, monkeypatch, check, factor):
+    # The oracle is moved off the value it is checked against, the closed
+    # form or the exact sum power, by factor x its bound.  The Monte-Carlo
+    # mean is otherwise the exact sum power validate computes, so that a
+    # moved exact value fails only its own check.
+    oracle, bound = GATES[check]
+    offset = 1.0 + factor * bound
+    closed, exact = uplink.expected_sum_power_closed_form, uplink.expected_sum_power_exact
+    if oracle == "mean_sum_power":
+        mean = lambda *cell: exact(*cell) * offset
+    else:
+        monkeypatch.setattr(uplink, oracle, lambda *cell: closed(*cell) * offset)
+        mean = uplink.expected_sum_power_exact
+    monkeypatch.setattr(montecarlo, "mean_sum_power", lambda h, phi, sys_p, env, trials, seed:
+                        montecarlo.MeanSumPower(mean(h, phi, sys_p, env), 0.0))
+    run = run_cli(tmp_path, "validate")
+    fails = [line for line in run.out.splitlines() if line.startswith("[FAIL]")]
+    if factor > 1.0:
+        assert run.code == cli.EXIT_VALIDATION
+        assert len(fails) == 1 and fails[0].startswith(f"[FAIL] {check}")
+    else:
+        assert (run.code, fails) == (cli.EXIT_OK, [])
 
 
 # Seeds spread over [0, 2**31), the range the benchmark draws validate's

@@ -397,3 +397,11 @@ def test_gee_call_counts_on_builtins(name):
         values.clear()
         cli.threshold_sweep_table(scn)
         assert len(values) == 2
+
+
+@pytest.mark.parametrize("scale", [1e-300, 12252.943560297776, 1e300])
+def test_audit_allows_a_rise_of_one_part_in_10_to_the_12_only(scale):
+    # The slack is relative: GEE in any unit of energy audits alike.  A row
+    # that rises by 1e-9 is not decreasing; a rise by 1e-13 is rounding.
+    assert not gee._audit_monotone_decreasing(np.array([1.0, 1.0 + 1e-9, 0.5]) * scale)
+    assert gee._audit_monotone_decreasing(np.array([1.0, 1.0 + 1e-13, 0.5]) * scale)

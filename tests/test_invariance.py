@@ -1,20 +1,15 @@
-"""Exact invariance under a change of the unit of length or of power.
+"""Exact invariance under a change of the unit of length, energy or time.
 
-Scaling every length of a scenario by k = 2^j, with the UE density rho
-divided by k^2, the reference gain g0 multiplied by k^2 and the energy
-slopes α_cl and α_ho divided by k, describes the same deployment in
-another unit.  Multiplying by a power of two is exact in binary floating
-point, so every length a verb reports must scale by k bit for bit and every
-other output must stay the same.  A tolerance, slack or cap with an absolute
-floor in metres breaks this at small or large k.  j is capped at 6 because
-load requires g0 < 1.  The packing alone has no such bound, and takes j
-from -40 to 40.
-
-Scaling every power and energy of a scenario by k instead (the noise PSD,
-P_max, the circuit power and the four vehicle-energy coefficients; gamma is
-a ratio of powers) leaves the rate as it is, multiplies every energy and
-power a verb reports by k and divides GEE by k, bit for bit.  An absolute
-floor in watts or joules breaks this.
+Each scenario key and each output is named after its unit, and
+``conftest.unit_power`` reads from the name the power of k by which its
+value changes when one unit shrinks by k = 2^j: every key is scaled so, and
+every output is divided so, on the length, energy or time axis.  The same
+deployment in another unit must then give the same outputs, bit for bit,
+since multiplying by a power of two is exact in binary floating point.  A
+tolerance, slack, cap or floor with an absolute value in metres, joules or
+seconds (hertz, watts) breaks this.  On the length axis j is capped at 6
+because load requires g0 < 1; the packing alone has no such bound, and
+takes j from -40 to 40.
 """
 
 import configparser
@@ -29,32 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from aapdeploy import channel, cli, packing, uplink
 from aapdeploy.scenario import builtin_scenario_path, load_scenario
-from conftest import run_cli
-
-# The power of k by which each scaled key's values change, for a change of
-# the unit of length and for one of the unit of power.
-LENGTH_KEYS = {
-    "g0": 2,
-    "ue_density_per_m2": -2,
-    "alpha_climb_j_per_m": -1,
-    "alpha_hover_w_per_m": -1,
-    "h_min_m": 1,
-    "h_max_m": 1,
-    "area_radius_m": 1,
-    "h_start_m": 1,
-    "h_stop_m": 1,
-    "h_step_m": 1,
-    "area_radius_list_m": 1,
-}
-POWER_KEYS = {
-    "noise_psd_w_per_hz": 1,
-    "p_max_w": 1,
-    "circuit_power_w": 1,
-    "beta_hover_w": 1,
-    "alpha_hover_w_per_m": 1,
-    "alpha_climb_j_per_m": 1,
-    "beta_climb_j": 1,
-}
+from conftest import run_cli, unit_power
 
 # Each case's built-in scenario and the key values it changes at k = 1.
 # At h_max_m = 222 the ablation's optimum, 220.55 m, lies close below h_max;
@@ -71,55 +41,45 @@ CASES = {
 
 EXPONENTS = (-40, -32, -1, 4, 6)
 
-# The power of k by which an output scales under each relation, by the unit
-# its name ends in: a length in metres (the plan's margins and tolerance are
-# lengths too), an energy or power, and a GEE, tried before "_j".
-LENGTH_UNITS = {"_m": 1, "_margin": 1, "tolerance": 1}
-POWER_UNITS = {"_per_j": -1, "_j": 1, "_w": 1}
-RELATIONS = {"length": (LENGTH_KEYS, LENGTH_UNITS), "power": (POWER_KEYS, POWER_UNITS)}
 
-
-def scaled_text(case, k, keys):
-    """The case's scenario with every key in ``keys`` scaled by k to its power."""
+def scaled_text(case, k, axis):
+    """The case's scenario with every key scaled by k to its power on ``axis``."""
     name, overrides = CASES[case]
     parser = configparser.ConfigParser(
         inline_comment_prefixes=("#", ";"), interpolation=None
     )
     parser.read_string(builtin_scenario_path(name).read_text())
     for section in parser.sections():
-        for key, power in keys.items():
-            if key in parser[section]:
-                text = overrides.get(key, parser[section][key])
-                parser[section][key] = ", ".join(
-                    repr(float(value) * k**power) for value in text.split(",")
-                )
+        for key, text in parser[section].items():
+            power, text = unit_power(key, axis), overrides.get(key, text)
+            if power:
+                text = ", ".join(repr(float(value) * k**power) for value in text.split(","))
+            parser[section][key] = text
     text = io.StringIO()
     parser.write(text)
     return text.getvalue()
 
 
-def unscaled(value, k, units, name=""):
+def unscaled(value, k, axis, name=""):
     """``value``, a JSON object, a table of columns or a cell of one, with
-    each number under a name that ends in a unit of ``units`` divided by k
-    to that unit's power."""
+    each number divided by k to the power of its name on ``axis``."""
     if isinstance(value, dict):
-        return {key: unscaled(item, k, units, key) for key, item in value.items()}
+        return {key: unscaled(item, k, axis, key) for key, item in value.items()}
     if isinstance(value, list):
-        return [unscaled(item, k, units, name) for item in value]
-    power = next((power for unit, power in units.items() if name.endswith(unit)), 0)
+        return [unscaled(item, k, axis, name) for item in value]
+    power = unit_power(name, axis)
     return value / k**power if power else value
 
 
-def scaled_outputs(tmp_path, case, j, relation="length"):
-    """The outputs of all six verbs on the case with every key of the
-    relation scaled by k = 2^j, brought back to k = 1 by ``unscaled``: exit
-    codes, validate's stdout, and the solution, the plan and each CSV table
-    by file name, the tables read from the columns the verbs pass to the
-    writer before rounding to text.  density-sweep's reference_density is
-    left out: it matches area radii in metres by design."""
-    keys, units = RELATIONS[relation]
+def scaled_outputs(tmp_path, case, j, axis="length"):
+    """The outputs of all six verbs on the case with every key scaled by
+    k = 2^j on ``axis``, brought back to k = 1 by ``unscaled``: exit codes,
+    validate's stdout, and the solution, the plan and each CSV table by file
+    name, the tables read from the columns the verbs pass to the writer
+    before rounding to text.  density-sweep's reference_density is left
+    out: it matches area radii in metres by design."""
     k = 2.0**j
-    text, tables = scaled_text(case, k, keys), {}
+    text, tables = scaled_text(case, k, axis), {}
     write_csv = cli.write_csv_atomic
 
     def capture(path, table):
@@ -137,7 +97,7 @@ def scaled_outputs(tmp_path, case, j, relation="length"):
     solution = json.loads(runs["solve"].files["solution.json"])
     return {
         "exit codes": {verb: run.code for verb, run in runs.items()},
-        **unscaled({"solve": solution, "place": plan, **tables}, k, units),
+        **unscaled({"solve": solution, "place": plan, **tables}, k, axis),
         "validate": runs["validate"].out,
     }
 
@@ -145,8 +105,8 @@ def scaled_outputs(tmp_path, case, j, relation="length"):
 @pytest.fixture(scope="module")
 def at_unit_scale(tmp_path_factory):
     @functools.cache
-    def outputs(case, relation="length"):
-        return scaled_outputs(tmp_path_factory.mktemp(case), case, 0, relation)
+    def outputs(case):
+        return scaled_outputs(tmp_path_factory.mktemp(case), case, 0)
 
     return outputs
 
@@ -162,13 +122,19 @@ def test_outputs_scale_with_the_unit_of_length(tmp_path, at_unit_scale, case, j)
         assert scaled[verb] == reference[verb], verb
 
 
+# The unit of power changes with the unit of energy at fixed seconds, and
+# with the unit of time at fixed joules; only the time cases' ids say so.
 @pytest.mark.parametrize("j", EXPONENTS)
-@pytest.mark.parametrize("case", ["baseline", "no_vehicle_energy"])
-def test_outputs_scale_with_the_unit_of_power(tmp_path, at_unit_scale, case, j):
+@pytest.mark.parametrize("axis, case", [
+    pytest.param(axis, case, id=case if axis == "energy" else f"time-{case}")
+    for axis in ("energy", "time") for case in ("baseline", "no_vehicle_energy")
+])
+def test_outputs_scale_with_the_unit_of_power(tmp_path, at_unit_scale, axis, case, j):
     k = 2.0**j
-    reference = dict(at_unit_scale(case, "power"))
+    reference = dict(at_unit_scale(case))
     # validate prints the exact and closed-form sum powers rounded, so the
-    # scaled run must print the k = 1 library values times k
+    # scaled run must print the k = 1 library values times k to W's power
+    watt = k ** unit_power("sum_power_w", axis)
     scn = load_scenario(builtin_scenario_path(case))
     cell = (scn.system.h_min_m, scn.sweeps.phi_deg, scn.system, scn.environment)
     exact = uplink.expected_sum_power_exact(*cell)
@@ -176,9 +142,9 @@ def test_outputs_scale_with_the_unit_of_power(tmp_path, at_unit_scale, case, j):
     printed = f"exact={exact:.6e} W closed={closed:.6e} W"
     assert printed in reference["validate"]
     reference["validate"] = reference["validate"].replace(
-        printed, f"exact={exact * k:.6e} W closed={closed * k:.6e} W"
+        printed, f"exact={exact * watt:.6e} W closed={closed * watt:.6e} W"
     )
-    scaled = scaled_outputs(tmp_path, case, j, "power")
+    scaled = scaled_outputs(tmp_path, case, j, axis)
     for verb in reference:
         assert scaled[verb] == reference[verb], verb
 
