@@ -3,19 +3,20 @@
 The format is INI-style with four sections (environment, system, uav,
 sweeps): the physics and the sweeps only.  Each physics section's keys are
 the fields of its record (``EnvironmentParams``, ``SystemParams``,
-``UavEnergyParams``), all required; ``_FIELDS`` holds them and the [sweeps]
-keys.  It drives the reads and the check that makes an unknown section or
-key a hard error (both are case-sensitive), so a misspelled constant can
-never silently fall back to a default.  Values are read as written (no
-``%`` interpolation).  Every number must be
-finite, the interferer count a whole number, and the noise power
+``UavEnergyParams``); ``_FIELDS`` holds them and the [sweeps] keys.  Every
+section and every key is required: nothing has a default.  ``_FIELDS``
+drives the reads and the check that makes an unknown section or key a hard
+error (both are case-sensitive).  Values are read as written (no ``%``
+interpolation).  Every number must be finite, the interferer count a
+whole number, and the noise power
 noise_psd_w_per_hz * bandwidth_hz, like the target power that gamma and
 each ``gamma_list`` entry make of it, a normal float.  Each sweep list must
-hold positive numbers; the altitude grid must lie inside [h_min_m, h_max_m],
-the elevation grid inside (0, 90] deg with an angle short of the
-nadir-only cell, and delta inside the S-curve's image, short of its
-nadir-only top.  Each grid needs a positive step, a start no greater than
-its stop and at most MAX_GRID_POINTS points, all distinct; the S-curve's
+hold positive numbers.  [system] alone declares the altitude range: the
+altitude grid runs from h_min_m to h_max_m in h_step_m steps.  The
+elevation grid must lie inside (0, 90] deg with an angle short of the
+nadir-only cell, its start no greater than its stop, and delta inside the
+S-curve's image, short of its nadir-only top.  Each grid needs a positive
+step and at most MAX_GRID_POINTS points, all distinct; the S-curve's
 a * b may not exceed MAX_S_CURVE_AB.  A violation is a ConfigError when
 the file is loaded, never a failure halfway through a verb.  Loading builds
 both grids and inverts delta once; the verbs read the results.  The
@@ -46,10 +47,11 @@ MAX_S_CURVE_AB = 1e6
 MAX_GRID_POINTS = 100_000
 
 # Each section's keys in reading order, with each value's kind: a float, a
-# whole number (int) or a comma-separated list (tuple).  A physics section's
-# keys are the fields of its record, all required, each a whole number if
-# annotated "int" (params postpones annotations, so a field's type is its
-# annotation's text); a [sweeps] key is a parameter of _resolve_sweeps.
+# whole number (int) or a comma-separated list (tuple); every key is
+# required.  A physics section's keys are the fields of its record, each a
+# whole number if annotated "int" (params postpones annotations, so a
+# field's type is its annotation's text); a [sweeps] key is a parameter of
+# _resolve_sweeps.
 _RECORDS = {"environment": EnvironmentParams, "system": SystemParams, "uav": UavEnergyParams}
 _FIELDS: dict[str, dict[str, type]] = {
     **{
@@ -57,8 +59,6 @@ _FIELDS: dict[str, dict[str, type]] = {
         for section, record in _RECORDS.items()
     },
     "sweeps": {
-        "h_start_m": float,
-        "h_stop_m": float,
         "h_step_m": float,
         "phi_start_deg": float,
         "phi_stop_deg": float,
@@ -132,35 +132,27 @@ def _parse(key: str, text: str, kind: type):
     return value
 
 
-def _read(parser: configparser.ConfigParser, section: str, **defaults) -> dict:
-    """The section's values by key, read in table order; a key the file
-    leaves out takes its default, or is an error without one."""
-    given = parser[section] if section in parser else {}
+def _read(parser: configparser.ConfigParser, section: str) -> dict:
+    """The section's values by key, read in table order; every key is
+    required."""
     values = {}
     for key, kind in _FIELDS[section].items():
-        if key in given:
-            values[key] = _parse(key, given[key], kind)
-        elif key in defaults:
-            values[key] = defaults[key]
-        else:
+        if key not in parser[section]:
             raise ConfigError(f"missing required key '{key}'")
+        values[key] = _parse(key, parser[section][key], kind)
     return values
 
 
 def _resolve_sweeps(
-    system: SystemParams, env: EnvironmentParams, *, h_start_m, h_stop_m, h_step_m,
-    phi_start_deg, phi_stop_deg, phi_step_deg, delta, gamma_list, area_radius_list_m,
+    system: SystemParams, env: EnvironmentParams, *, h_step_m, phi_start_deg,
+    phi_stop_deg, phi_step_deg, delta, gamma_list, area_radius_list_m,
 ) -> SweepSpec:
     """Reject sweeps outside the model's domain, then build both grids and
-    invert delta.  The grids never pass their stop value, so checking the
-    end points covers every grid point; both grids' point counts are checked
-    before either grid is built."""
-    for end, value in (("start", h_start_m), ("stop", h_stop_m)):
-        if not system.h_min_m <= value <= system.h_max_m:
-            raise ConfigError(
-                f"sweep h_{end}_m={value:g} outside [h_min_m, h_max_m] = "
-                f"[{system.h_min_m:g}, {system.h_max_m:g}] m"
-            )
+    invert delta.  The altitude grid runs over the system's [h_min_m,
+    h_max_m], which SystemParams has checked.  The grids never pass their
+    stop value, so checking the elevation grid's end points covers every
+    angle; both grids' point counts are checked before either grid is
+    built."""
     for end, value in (("start", phi_start_deg), ("stop", phi_stop_deg)):
         if not 0.0 < value <= 90.0:
             raise ConfigError(f"sweep phi_{end}_deg={value:g} outside (0, 90] deg")
@@ -178,24 +170,23 @@ def _resolve_sweeps(
             replace(system, gamma=gamma)
         except ConfigError as exc:
             raise ConfigError(f"sweep gamma_list: {exc}") from None
-    for axis, unit, start, stop, step in (
-        ("h", "m", h_start_m, h_stop_m, h_step_m),
-        ("phi", "deg", phi_start_deg, phi_stop_deg, phi_step_deg),
-    ):
+    axes = (
+        (system.h_min_m, system.h_max_m, h_step_m, "h_step_m"),
+        (phi_start_deg, phi_stop_deg, phi_step_deg, "phi_step_deg"),
+    )
+    for start, stop, step, name in axes:
         if not step > 0:
-            raise ConfigError(
-                f"sweep {axis}_step_{unit}={step:g} must be strictly positive"
-            )
-        if start > stop:
-            raise ConfigError(
-                f"sweep {axis}_start_{unit}={start:g} above {axis}_stop_{unit}={stop:g}"
-            )
+            raise ConfigError(f"sweep {name}={step:g} must be strictly positive")
         points = (stop - start) / step + 1.0
         if points > MAX_GRID_POINTS:
             raise ConfigError(
-                f"sweep {axis}_step_{unit}={step:g} gives {points:.3g} grid points, "
+                f"sweep {name}={step:g} gives {points:.3g} grid points, "
                 f"more than {MAX_GRID_POINTS:,}"
             )
+    if phi_start_deg > phi_stop_deg:
+        raise ConfigError(
+            f"sweep phi_start_deg={phi_start_deg:g} above phi_stop_deg={phi_stop_deg:g}"
+        )
     # The start is the grid's smallest angle.
     if phi_start_deg >= 90.0 - channel.NADIR_TOL_DEG:
         raise ConfigError(
@@ -203,9 +194,10 @@ def _resolve_sweeps(
             f"phi_start_deg={phi_start_deg:g} lies within {channel.NADIR_TOL_DEG:g} deg "
             "of 90 deg, where a cell covers no area"
         )
+    altitudes, phis_deg = (_grid(*axis) for axis in axes)
     return SweepSpec(
-        altitudes=_grid(h_start_m, h_stop_m, h_step_m, "h_step_m"),
-        phis_deg=_grid(phi_start_deg, phi_stop_deg, phi_step_deg, "phi_step_deg"),
+        altitudes=altitudes,
+        phis_deg=phis_deg,
         delta=delta,
         phi_deg=phi_deg,
         gamma_list=gamma_list,
@@ -245,7 +237,7 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ConfigError(
                 f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
             )
-    for required in _RECORDS:
+    for required in _FIELDS:
         if required not in parser:
             raise ConfigError(f"missing scenario section [{required}]")
 
@@ -253,16 +245,7 @@ def load_scenario(path: str | Path) -> Scenario:
         record(**_read(parser, section)) for section, record in _RECORDS.items()
     )
     uav.validate_range(system.h_min_m, system.h_max_m)
-    # A key the file leaves out sweeps the system's own altitude range,
-    # gamma and area radius, or a fixed default.
-    sweep_defaults = dict(
-        h_start_m=system.h_min_m, h_stop_m=system.h_max_m, h_step_m=1.0,
-        phi_start_deg=5.0, phi_stop_deg=60.0, phi_step_deg=0.25, delta=0.9,
-        gamma_list=(system.gamma,), area_radius_list_m=(system.area_radius_m,),
-    )
-    sweeps = _resolve_sweeps(
-        system, environment, **_read(parser, "sweeps", **sweep_defaults)
-    )
+    sweeps = _resolve_sweeps(system, environment, **_read(parser, "sweeps"))
     # After the sweeps, so that a delta beyond the curve's image is named
     # as such.
     if environment.a * environment.b > MAX_S_CURVE_AB:

@@ -516,11 +516,10 @@ ACCEPTS = {
     ],
     # with b = 1 the LoS probability at 90 deg rounds to exactly 1.0, which
     # no threshold inverts; the grid holds angles, so nothing inverts it and
-    # the solver skips the nadir-only 90 deg cell.  The other sweep keys
-    # take their defaults.
+    # the solver skips the nadir-only 90 deg cell
     "test_phi_sweep_end_point_at_the_zenith_accepted": [
-        Accept(None, {"b = 0.43": "b = 1"}, ("solve", "place"),
-               text=BASELINE.partition("[sweeps]")[0] + "[sweeps]\nphi_stop_deg = 90\n",
+        Accept(None, {"b = 0.43": "b = 1", "phi_stop_deg = 60": "phi_stop_deg = 90"},
+               ("solve", "place"), text=BASELINE,
                check=lambda run, scn: load_scenario(scn).sweeps.phis_deg[-1] == 90.0
                and json.loads(run.files["solution.json"])["phi_opt_deg"] == 18.25),
     ],
@@ -539,6 +538,7 @@ ACCEPTS = {
 TOP = "# Suburban"
 UAV = "[uav]\n"
 ENV = "[environment]\na = 4.88\nb = 0.43\neta_los_db = 0.1\neta_nlos_db = 21\ng0 = 1.42e-4\n"
+SWEEPS = COARSE_BASELINE[COARSE_BASELINE.index("[sweeps]"):]  # the last section, whole
 INTERFERERS = "num_interferers = 6"
 GAMMAS = "gamma_list = 10, 100, 1000"
 RADII = "area_radius_list_m = 180.48, 252.68"
@@ -561,9 +561,9 @@ ABLATION_PHYSICS = {
     "beta_hover_w = 275.204": "beta_hover_w = 0",
 }
 
-# baseline.ini's own physics keys, found by parsing the file
-PHYSICS = configparser.ConfigParser(interpolation=None)
-PHYSICS.read_string(BASELINE)
+# the coarse baseline's own keys, found by parsing the text
+KEYS = configparser.ConfigParser(interpolation=None)
+KEYS.read_string(COARSE_BASELINE)
 
 
 class Refusal(NamedTuple):
@@ -573,6 +573,15 @@ class Refusal(NamedTuple):
     verbs: tuple[str, ...] = SOLVE
     args: tuple[str, ...] = ()
     never: str | None = None  # an aapdeploy attribute the refusal precedes
+
+
+def _required(*sections) -> list[Refusal]:
+    """One row per key line of the sections: the line deleted, the key named."""
+    return [
+        Refusal(key, {f"\n{key} = {text}\n": "\n"}, rf"missing required key '{key}'")
+        for section in sections
+        for key, text in KEYS[section].items()
+    ]
 
 
 REFUSALS = {
@@ -629,10 +638,6 @@ REFUSALS = {
         Refusal("delta = 0.9-delta = 0.01-altitude-sweep", {"delta = 0.9": "delta = 0.01"},
                 r"sweep delta: delta=0\.01 at or below the minimum reachable LoS probability "
                 r"0\.0245175", ("altitude-sweep",)),
-        Refusal("h_stop_m = 300-h_stop_m = 400-altitude-sweep",
-                {"h_stop_m = 300": "h_stop_m = 400"},
-                r"sweep h_stop_m=400 outside \[h_min_m, h_max_m\] = \[15, 300\] m",
-                ("altitude-sweep",)),
         Refusal("phi_start_deg = 5-phi_start_deg = 0", {"phi_start_deg = 5": "phi_start_deg = 0"},
                 r"sweep phi_start_deg=0 outside \(0, 90\] deg", ("threshold-sweep", "solve")),
         # a bad step fails at load on every verb, not only on the verb that
@@ -780,13 +785,10 @@ REFUSALS = {
                 ("bogus",)),
         Refusal("unknown-flag", {}, r"unrecognized arguments: --bogus", SOLVE, ("--bogus",)),
     ],
-    # every field of a physics record is a required key: deleting any one
-    # key line of baseline.ini's physics sections is refused by that key
-    "test_every_physics_key_is_required": [
-        Refusal(key, {f"\n{key} = {text}\n": "\n"}, rf"missing required key '{key}'")
-        for section in ("environment", "system", "uav")
-        for key, text in PHYSICS[section].items()
-    ],
+    # every key is required, a physics record's field or a sweep's:
+    # deleting any one key line of the baseline is refused by that key
+    "test_every_physics_key_is_required": _required("environment", "system", "uav"),
+    "test_every_sweep_key_is_required": _required("sweeps"),
     "test_refusal": [
         Refusal("unknown-section", {UAV: "[extras]\nfoo = 1\n" + UAV},
                 r"unknown scenario section \[extras\]"),
@@ -799,15 +801,20 @@ REFUSALS = {
         Refusal("empty-default-section", {TOP: "[DEFAULT]\n" + TOP},
                 r"unknown scenario section \[DEFAULT\]"),
         Refusal("missing-section", {ENV: ""}, r"missing scenario section \[environment\]"),
-        Refusal("misspelled-sweep-key", {"h_start_m = 15": "h_strt_m = 15"},
-                r"unknown key\(s\) in \[sweeps\]: h_strt_m"),
+        Refusal("missing-sweeps-section", {SWEEPS: ""}, r"missing scenario section \[sweeps\]"),
+        Refusal("misspelled-sweep-key", {"h_step_m = 95": "h_stp_m = 95"},
+                r"unknown key\(s\) in \[sweeps\]: h_stp_m"),
+        # [system] alone declares the altitude range: a [sweeps] range once
+        # moved solve's optimum to the end of the plot
+        Refusal("sweep-h-start", {"h_step_m = 95": "h_start_m = 15\nh_step_m = 95"},
+                r"unknown key\(s\) in \[sweeps\]: h_start_m"),
+        Refusal("sweep-h-stop", {"h_step_m = 95": "h_stop_m = 200\nh_step_m = 95"},
+                r"unknown key\(s\) in \[sweeps\]: h_stop_m"),
         # keys are case-sensitive, like sections: GAMMA once loaded as gamma
         Refusal("upper-case-key", {"gamma = 100": "GAMMA = 100"},
                 r"unknown key\(s\) in \[system\]: GAMMA"),
         Refusal("mixed-case-sweep-key", {"h_step_m = 95": "H_Step_M = 0"},
                 r"unknown key\(s\) in \[sweeps\]: H_Step_M"),
-        Refusal("missing-gamma", {"gamma = 100\n": ""}, r"missing required key 'gamma'"),
-        Refusal("missing-g0", {"g0 = 1.42e-4\n": ""}, r"missing required key 'g0'"),
         Refusal("non-numeric", {"gamma = 100": "gamma = lots"},
                 r"key 'gamma' is not a number: 'lots'"),
         Refusal("gamma-inf", {"gamma = 100": "gamma = inf"},
@@ -834,8 +841,6 @@ REFUSALS = {
         Refusal("delta-1.5", {"delta = 0.9": "delta = 1.5"}, DELTA_RANGE),
         Refusal("delta--0.9", {"delta = 0.9": "delta = -0.9"}, DELTA_RANGE),
         Refusal("delta-0", {"delta = 0.9": "delta = 0"}, DELTA_RANGE),
-        Refusal("h-start-10", {"h_start_m = 15": "h_start_m = 10"},
-                r"sweep h_start_m=10 outside \[h_min_m, h_max_m\] = \[15, 300\] m"),
         Refusal("phi-start--5", {"phi_start_deg = 5": "phi_start_deg = -5"},
                 r"sweep phi_start_deg=-5 outside \(0, 90\] deg"),
         Refusal("phi-stop-95", {"phi_stop_deg = 60": "phi_stop_deg = 95"},
@@ -848,9 +853,6 @@ REFUSALS = {
                 r"sweep phi_step_deg=-0\.25 must be strictly positive"),
         Refusal("phi-step-0", {"phi_step_deg = 5": "phi_step_deg = 0"},
                 r"sweep phi_step_deg=0 must be strictly positive"),
-        Refusal("h-start-above-stop",
-                {"h_start_m = 15": "h_start_m = 200", "h_stop_m = 300": "h_stop_m = 100"},
-                r"sweep h_start_m=200 above h_stop_m=100"),
         Refusal("phi-start-above-stop",
                 {"phi_start_deg = 5": "phi_start_deg = 40",
                  "phi_stop_deg = 60": "phi_stop_deg = 30"},

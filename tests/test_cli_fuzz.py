@@ -3,9 +3,9 @@
 Each example mutates a small copy of the baseline scenario (drop a key, a
 non-finite value, a sign flip, an out-of-range sweep, a ``%`` in the value)
 and runs one verb.  Whatever the mutation, no exception may escape and the
-exit code must be 0, 1 or 2; a non-finite value, an out-of-range sweep, a
-negative sweep step or a ``%`` must exit 2 with one ``configuration error:``
-line.
+exit code must be 0, 1 or 2; a dropped key, a non-finite value, an
+out-of-range sweep, a negative sweep step or a ``%`` must exit 2 with one
+``configuration error:`` line.
 """
 
 from __future__ import annotations
@@ -23,12 +23,9 @@ VERBS = ("solve", "place", "altitude-sweep", "threshold-sweep", "density-sweep")
 
 KEYS = re.findall(r"(?m)^(\w+) = ", BASE)
 
-# Values outside the sweeps' domain: the altitude range is [15, 300] m, the
-# elevation range (0, 90] deg and the LoS thresholds (0.026, 1); a sweep list
-# must hold at least one number.
+# Values outside the sweeps' domain: the elevation range is (0, 90] deg and
+# the LoS thresholds (0.026, 1); a sweep list must hold at least one number.
 OUT_OF_RANGE = {
-    "h_start_m": ["10", "301"],
-    "h_stop_m": ["400", "14"],
     "phi_start_deg": ["0", "95"],
     "phi_stop_deg": ["-60", "90.5"],
     "delta": ["0.01", "1", "1.5"],
@@ -88,7 +85,8 @@ def test_mutated_scenarios_fail_closed(changes, verb):
         run = run_cli(Path(tmp), verb, text=text)
     assert run.code in (cli.EXIT_OK, cli.EXIT_INFEASIBLE, cli.EXIT_CONFIG)
     if any(
-        kind in ("non_finite", "out_of_range", "percent") or (kind == "flip" and key in STEP_KEYS)
+        kind in ("drop", "non_finite", "out_of_range", "percent")
+        or (kind == "flip" and key in STEP_KEYS)
         for key, kind, _v in changes
     ):
         assert run.code == cli.EXIT_CONFIG

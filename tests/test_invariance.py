@@ -28,15 +28,13 @@ from conftest import run_cli, unit_power
 
 # Each case's built-in scenario and the key values it changes at k = 1.
 # At h_max_m = 222 the ablation's optimum, 220.55 m, lies close below h_max;
-# an altitude grid from 15 m to 300.5 m in 1 m steps ends half a step short
-# of its stop.
+# at h_max_m = 300.5 the altitude grid, from 15 m in 1 m steps, ends half a
+# step short of h_max.
 CASES = {
     "baseline": ("baseline", {}),
     "no_vehicle_energy": ("no_vehicle_energy", {}),
-    "no_vehicle_energy_h_max_222": (
-        "no_vehicle_energy", {"h_max_m": "222", "h_stop_m": "222"}
-    ),
-    "baseline_h_stop_300.5": ("baseline", {"h_max_m": "300.5", "h_stop_m": "300.5"}),
+    "no_vehicle_energy_h_max_222": ("no_vehicle_energy", {"h_max_m": "222"}),
+    "baseline_h_max_300.5": ("baseline", {"h_max_m": "300.5"}),
 }
 
 EXPONENTS = (-40, -32, -1, 4, 6)
@@ -49,6 +47,8 @@ def scaled_text(case, k, axis):
         inline_comment_prefixes=("#", ";"), interpolation=None
     )
     parser.read_string(builtin_scenario_path(name).read_text())
+    keys = {key for section in parser.sections() for key in parser[section]}
+    assert keys >= overrides.keys(), overrides.keys() - keys
     for section in parser.sections():
         for key, text in parser[section].items():
             power, text = unit_power(key, axis), overrides.get(key, text)
@@ -114,7 +114,7 @@ def at_unit_scale(tmp_path_factory):
 @pytest.mark.parametrize(
     "case, j",
     [(case, j) for case in ("baseline", "no_vehicle_energy") for j in EXPONENTS]
-    + [("no_vehicle_energy_h_max_222", -32), ("baseline_h_stop_300.5", -32)],
+    + [("no_vehicle_energy_h_max_222", -32), ("baseline_h_max_300.5", -32)],
 )
 def test_outputs_scale_with_the_unit_of_length(tmp_path, at_unit_scale, case, j):
     scaled, reference = scaled_outputs(tmp_path, case, j), at_unit_scale(case)

@@ -90,6 +90,14 @@ def test_max_count_scale_invariance():
         assert packing.ring_count(3.0 * scale, scale)[0] == 6
 
 
+@pytest.mark.parametrize("multiple,count", [(1.0, 0), (2.0, 1)])
+@pytest.mark.parametrize("r_a", [1.0, 38.57])
+def test_ring_count_slack_covers_rounding_only(multiple, count, r_a):
+    # a ring 1e-8 r_a short of r_a or 2 r_a is short by far more than
+    # rounding, so it holds one circle fewer; the slack covers a few ulps
+    assert packing.ring_count(multiple * r_a * (1.0 - 1e-8), r_a) == (count, None)
+
+
 def test_count_bounds_respect_geometry():
     for ratio in (2.2, 3.0, 4.5, 7.7, 10.0):
         n = min(packing.count_bounds(ratio, 1.0))

@@ -1,5 +1,6 @@
-"""README's library example runs as printed, in a fresh interpreter, and
-its key table states each key's unit as the key's name does."""
+"""README's library example runs as printed, in a fresh interpreter, its
+key table states each key's unit as the key's name does, and its [sweeps]
+table lists the loader's sweep keys."""
 
 import dataclasses
 import os
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import aapdeploy
+from aapdeploy import scenario
 from aapdeploy.params import EnvironmentParams, SystemParams, UavEnergyParams
 from conftest import AXES, UNIT_EXPONENTS, unit_power
 
@@ -58,3 +60,10 @@ def test_key_table_units_follow_the_names():
         listed += keys
     records = (EnvironmentParams, SystemParams, UavEnergyParams)
     assert listed == [field.name for record in records for field in dataclasses.fields(record)]
+
+
+def test_sweep_table_lists_every_sweep_key():
+    table = README.read_text().split("| key | sets | read by |\n|---|---|---|\n")[1]
+    rows = table.split("\n\n")[0].splitlines()
+    listed = [key for row in rows for key in re.findall(r"`(\w+)`", row.split(" | ")[0])]
+    assert listed == list(scenario._FIELDS["sweeps"])

@@ -3,7 +3,7 @@ import itertools
 import math
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +39,25 @@ alpha_climb_j_per_m = 315
 beta_climb_j = -211.261
 alpha_hover_w_per_m = 4.917
 beta_hover_w = 275.204
+
+[sweeps]
+h_step_m = 1
+phi_start_deg = 5
+phi_stop_deg = 60
+phi_step_deg = 0.25
+delta = 0.9
+gamma_list = 100
+area_radius_list_m = 180.48
 """
+
+
+def with_keys(**values):
+    """BASE with each given key set to its value."""
+    text = BASE
+    for key, value in values.items():
+        text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        assert count == 1, key
+    return text
 
 
 def write(tmp_path, text, name="scn.ini"):
@@ -54,7 +72,6 @@ def test_load_minimal_scenario(tmp_path):
     assert scn.system.p_target_pa == 100.0 * 4e-21 * 20e6
     assert scn.environment.a == 4.88
     assert scn.uav.alpha_climb_j_per_m == 315.0
-    # defaults kick in for the optional sections
     assert scn.sweeps.delta == 0.9
     assert scn.sweeps.gamma_list == (100.0,)
     assert scn.sweeps.area_radius_list_m == (180.48,)
@@ -71,14 +88,6 @@ def test_builtin_scenarios_load():
         builtin_scenario_path("nonexistent")
 
 
-def test_default_gamma_list_is_the_stated_gamma(tmp_path):
-    # a gamma held as a target power came back by division as
-    # 0.010000000000000002
-    scn = load_scenario(write(tmp_path, BASE.replace("gamma = 100", "gamma = 0.01")))
-    assert scn.sweeps.gamma_list == (0.01,)
-    assert replace(scn.system, gamma=scn.sweeps.gamma_list[0]) == scn.system
-
-
 POSITIVE = st.floats(-324.0, 308.0).map(lambda e: 10.0**e) | st.floats(
     min_value=0.0, exclude_min=True, allow_infinity=False
 )
@@ -89,10 +98,9 @@ POSITIVE = st.floats(-324.0, 308.0).map(lambda e: 10.0**e) | st.floats(
 def test_gamma_is_held_as_stated(tmp_path_factory, gamma, noise, bandwidth):
     # load accepts exactly the values whose noise power and target power
     # are finite normal floats, and keeps gamma as written
-    text = (
-        BASE.replace("gamma = 100", f"gamma = {gamma!r}")
-        .replace("noise_psd_w_per_hz = 4e-21", f"noise_psd_w_per_hz = {noise!r}")
-        .replace("bandwidth_hz = 20e6", f"bandwidth_hz = {bandwidth!r}")
+    text = with_keys(
+        gamma=repr(gamma), gamma_list=repr(gamma), noise_psd_w_per_hz=repr(noise),
+        bandwidth_hz=repr(bandwidth),
     )
     path = write(tmp_path_factory.getbasetemp(), text, "gamma.ini")
     power = gamma * noise * bandwidth
@@ -106,25 +114,39 @@ def test_gamma_is_held_as_stated(tmp_path_factory, gamma, noise, bandwidth):
 
 
 def test_sweep_grid_construction(tmp_path):
-    text = BASE + "\n[sweeps]\nh_start_m = 15\nh_stop_m = 17\nh_step_m = 1\n"
-    scn = load_scenario(write(tmp_path, text))
+    scn = load_scenario(write(tmp_path, with_keys(h_max_m=17)))
     assert scn.sweeps.altitudes == (15.0, 16.0, 17.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    h_min=st.floats(1.0, 1e4), span=st.floats(0.0, 1e3), h_step=st.floats(0.1, 2e3)
+)
+def test_altitude_grid_spans_the_system_range(tmp_path_factory, h_min, span, h_step):
+    # [system] alone declares the altitude range: the grid starts at h_min_m
+    # and ends within one h_step_m of h_max_m
+    h_max = h_min + span
+    text = with_keys(h_min_m=repr(h_min), h_max_m=repr(h_max), h_step_m=repr(h_step))
+    path = write(tmp_path_factory.getbasetemp(), text, "range.ini")
+    altitudes = load_scenario(path).sweeps.altitudes
+    assert altitudes[0] == h_min
+    assert h_max - h_step < altitudes[-1] <= h_max
+
+
 def test_sweep_single_point_grid(tmp_path):
-    text = BASE + "\n[sweeps]\nphi_start_deg = 45\nphi_stop_deg = 45\nphi_step_deg = 1\n"
+    text = with_keys(phi_start_deg=45, phi_stop_deg=45, phi_step_deg=1)
     scn = load_scenario(write(tmp_path, text))
     assert scn.sweeps.phis_deg == (45.0,)
     # one angle short of the nadir-only cell is enough; a grid of only
     # angles within NADIR_TOL_DEG of 90 deg is refused (test_cli.py)
-    text = BASE + "\n[sweeps]\nphi_start_deg = 89.999999998\nphi_stop_deg = 90\n"
+    text = with_keys(phi_start_deg="89.999999998", phi_stop_deg=90)
     assert load_scenario(write(tmp_path, text)).sweeps.phis_deg == (89.999999998,)
 
 
 def test_sweep_tiny_step_single_point_grid(tmp_path):
     # every point within the 1e-9 band above stop used to be kept as a
     # copy of stop: 60,001 copies of 60 deg, and 60,001 identical rows
-    text = BASE + "\n[sweeps]\nphi_start_deg = 60\nphi_stop_deg = 60\nphi_step_deg = 1e-12\n"
+    text = with_keys(phi_start_deg=60, phi_stop_deg=60, phi_step_deg="1e-12")
     assert load_scenario(write(tmp_path, text)).sweeps.phis_deg == (60.0,)
 
 
@@ -174,8 +196,8 @@ def test_sweep_grid_point_cap(tmp_path):
 
     def phi_sweep(points):
         stop = 1.0 + (points - 1) * step
-        sweep = f"phi_start_deg = 1\nphi_stop_deg = {stop!r}\nphi_step_deg = {step!r}\n"
-        return write(tmp_path, BASE + "\n[sweeps]\n" + sweep)
+        return write(tmp_path, with_keys(phi_start_deg=1, phi_stop_deg=repr(stop),
+                                         phi_step_deg=repr(step)))
 
     assert len(load_scenario(phi_sweep(cap)).sweeps.phis_deg) == cap
     with pytest.raises(ConfigError, match=r"phi_step_deg=.* 1e\+05 grid points"):
@@ -226,6 +248,6 @@ def test_every_physics_key_is_the_field_of_its_name(name):
 
 def test_sweep_grid_never_passes_its_stop(tmp_path):
     # 0.1 + 2 * 0.1 is 0.30000000000000004 in binary floating point
-    text = BASE + "\n[sweeps]\nphi_start_deg = 0.1\nphi_stop_deg = 0.3\nphi_step_deg = 0.1\n"
+    text = with_keys(phi_start_deg=0.1, phi_stop_deg=0.3, phi_step_deg=0.1)
     scn = load_scenario(write(tmp_path, text))
     assert scn.sweeps.phis_deg == (0.1, 0.2, 0.3)
