@@ -2,19 +2,25 @@
 transmit power.
 
 Sampling uses numpy's default PCG64 bit generator so that a (seed, params)
-pair reproduces bit-identical populations on any platform.  Each trial draws,
-in this order, its Poisson UE count and then one area uniform u per UE; the
-UE lies at distance r_a sqrt(u) from the cell centre.  No angle is drawn: a
-UE's power under full power control depends on its distance alone.
+pair reproduces bit-identical populations on any platform.  A trial is a
+Poisson UE count and one area uniform u per UE; the UE lies at distance
+r_a sqrt(u) from the cell centre.  No angle is drawn: a UE's power under
+full power control depends on its distance alone.
 
 ``mean_sum_power`` samples the cell of altitude ``h`` and edge elevation
 ``phi_deg``, both scalars, with ``uplink.cell_ue_count`` UEs on average, as
-the sum rate counts them; the cell is checked once, before the first draw.
-One stream, ``np.random.default_rng(base_seed)``, feeds every trial: trials
-draw from it in order, each taking its count and then its uniforms where the
-previous trial stopped.  The trials go in blocks of about ``BLOCK_UES``
-expected UEs, and ``empirical_sum_power`` powers and sums each block with
-one array pass, so the per-trial Python work is the draw alone.
+the sum rate counts them; the cell and the UE budget are checked once,
+before the first draw.  One stream, ``np.random.default_rng(base_seed)``,
+feeds every trial, in this order: first every trial's Poisson count, in
+trial order, then every UE's area uniform, in trial order.  The trials go
+in blocks of about ``BLOCK_UES`` expected UEs; each block takes its
+uniforms with one ``rng.random`` call, where the previous block stopped,
+and ``empirical_sum_power`` powers and sums them with one array pass.
+Back-to-back ``rng.random(a)`` and ``rng.random(b)`` give the floats of one
+``rng.random(a + b)``, so the draws do not depend on the block size.
+``sample_ues`` draws one trial's count; it stays one call per trial because
+a tracer counts trials and UEs through it, so the per-trial Python work is
+that one Poisson draw.
 Every step is elementwise, so a UE's power is the same float whichever block
 it lands in.  Each trial's sum is numpy's reduction over its own UEs alone
 (``np.add.reduceat``), the same float as that trial reduced by itself; the
@@ -22,7 +28,6 @@ mean and the variance are compensated sums (math.fsum) over trials.  So a
 (seed, trials, cell) triple gives the same result on a given numpy, whatever
 the block size.
 """
-
 from __future__ import annotations
 
 import math
@@ -45,20 +50,23 @@ BLOCK_UES = 8192
 # powers must fit in memory at once.
 MAX_MEAN_UES = 1e6
 
+# Most UEs mean_sum_power draws in one call, trials x mean UEs per trial:
+# about 36 s at 36 ns per UE.  Both built-ins at validate's 10^6 trials
+# draw 1.2e8.
+MAX_UES = 1e9
+
 
 class UeSample(NamedTuple):
-    """One realized UE population inside a cell disk."""
+    """One trial's realized UE count; its UEs' uniforms are drawn later,
+    with the rest of its block's."""
 
-    draws: np.ndarray  # shape (n,): one area uniform per UE
     realized_count: int
 
 
 def sample_ues(mean_ues: float, rng: np.random.Generator) -> UeSample:
-    """Sample a UE population on a cell disk from rng: a Poisson(mean_ues)
-    count, then one area uniform per UE.  numpy rejects a negative, NaN or
-    infinite mean with a ValueError."""
-    count = rng.poisson(mean_ues)
-    return UeSample(rng.random(count), count)
+    """Draw one trial's Poisson(mean_ues) UE count from rng.  numpy rejects
+    a negative, NaN or infinite mean with a ValueError."""
+    return UeSample(rng.poisson(mean_ues))
 
 
 class MeanSumPower(NamedTuple):
@@ -80,28 +88,26 @@ def _ue_powers(
 
 
 def empirical_sum_power(
-    samples: list[UeSample],
+    counts: np.ndarray,
+    draws: np.ndarray,
     r_a: float,
     h: float,
     sys: SystemParams,
     env: EnvironmentParams,
 ) -> list[float]:
     """Sum of power-controlled UE transmit powers (W) for each population
-    drawn on the disk of radius r_a, from one array pass over them all.
+    on the disk of radius r_a, from one array pass over them all.
 
-    Each population's sum is numpy's reduction over its own UEs alone, and
-    0.0 for a population without UEs.
+    ``counts`` holds each population's UE count and ``draws`` their area
+    uniforms, population after population; the radii are formed in place
+    in ``draws``.  Each population's sum is numpy's reduction over its own
+    UEs alone, and 0.0 for a population without UEs.
     """
-    counts = np.fromiter(
-        (sample.realized_count for sample in samples), dtype=np.intp, count=len(samples)
-    )
     starts = np.cumsum(counts) - counts
-    # concatenate copies, so the block's radii are formed in its own array
-    radii = np.concatenate([sample.draws for sample in samples])
-    np.sqrt(radii, out=radii)
+    radii = np.sqrt(draws, out=draws)
     radii *= r_a
     powers = _ue_powers(radii, h, sys, env)
-    sums = np.zeros(len(samples))
+    sums = np.zeros(len(counts))
     nonempty = counts > 0
     sums[nonempty] = np.add.reduceat(powers, starts[nonempty])
     return sums.tolist()
@@ -116,10 +122,11 @@ def mean_sum_power(
     base_seed: int = 0,
 ) -> MeanSumPower:
     """Mean empirical sum power over trials drawn in order from one stream,
-    ``np.random.default_rng(base_seed)``.
+    ``np.random.default_rng(base_seed)``: every trial's count, by
+    ``sample_ues``, then each block's uniforms with one ``rng.random`` call.
 
-    Each trial is drawn by ``sample_ues`` from that one generator, and its sum
-    is numpy's reduction (``np.add.reduceat``) over its own UEs alone.  The
+    Each trial's sum is numpy's reduction (``np.add.reduceat``) over its own
+    UEs alone.  More than ``MAX_UES`` expected UEs in all is refused.  The
     mean is the ``fsum`` of the trials' sums over ``trials``; the standard
     error is their sample standard deviation, from an ``fsum`` of products
     d * d, over sqrt(trials).
@@ -133,12 +140,22 @@ def mean_sum_power(
             f"the Monte-Carlo cell holds {mean_ues:.3g} UEs on average, "
             f"more than the {MAX_MEAN_UES:.0e} the oracle samples"
         )
+    if trials * mean_ues > MAX_UES:
+        raise ConfigError(
+            f"the Monte-Carlo check would draw {trials:,} trials x {mean_ues:.3g} UEs "
+            f"= {trials * mean_ues:.3g} UEs on average, more than the {MAX_UES:.0e} "
+            f"the oracle samples"
+        )
     rng = np.random.default_rng(base_seed)
+    counts = np.fromiter(
+        (sample_ues(mean_ues, rng).realized_count for _ in range(trials)), np.intp, trials
+    )
     block = max(1, int(BLOCK_UES / max(mean_ues, 1.0)))
     sums: list[float] = []
     for start in range(0, trials, block):
-        samples = [sample_ues(mean_ues, rng) for _ in range(min(block, trials - start))]
-        sums += empirical_sum_power(samples, r_a, h, sys, env)
+        block_counts = counts[start : start + block]
+        draws = rng.random(int(block_counts.sum()))
+        sums += empirical_sum_power(block_counts, draws, r_a, h, sys, env)
     mean = math.fsum(sums) / trials
     stderr = math.inf
     if trials > 1:

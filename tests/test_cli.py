@@ -763,6 +763,13 @@ REFUSALS = {
                 r"= 5\.23e\+08 GEE points, more than 100,000,000",
                 ("solve", "place", "density-sweep")),
     ],
+    # 10^6 trials of 955,031 UEs each: accepted, and estimated at hours
+    "test_ue_budget_exits_config_error": [
+        Refusal(None, {"ue_density_per_m2 = 1e-2": "ue_density_per_m2 = 80"},
+                r"the Monte-Carlo check would draw 1,000,000 trials x 9\.55e\+05 UEs "
+                r"= 9\.55e\+11 UEs on average, more than the 1e\+09 the oracle samples",
+                VALIDATE, ("--trials", "1000000"), never="montecarlo.sample_ues"),
+    ],
     # one trial has no spread to bound the Monte-Carlo check with
     "test_nonpositive_trials_exits_config_error": [
         Refusal(trials, {}, rf"--trials must be at least 2, got {trials}", VALIDATE,
@@ -934,3 +941,15 @@ def test_trials_cap_is_checked_before_any_trial(tmp_path, trials):
     else:
         with pytest.raises(AssertionError, match="reached a function"):
             _refuse(tmp_path, row, "validate")
+
+
+@pytest.mark.parametrize("name", ["baseline", "no_vehicle_energy"])
+def test_builtins_at_the_trials_cap_are_within_the_ue_budget(tmp_path, name):
+    # 10^6 trials of 119 UEs, 1.2e8 in all: the first draw is reached, and
+    # fails the run there, so no large run starts.
+    with (
+        calls_to("aapdeploy.montecarlo.sample_ues", forbid=True),
+        pytest.raises(AssertionError, match="reached a function"),
+    ):
+        run_cli(tmp_path, "validate", "--trials", str(cli.MAX_TRIALS),
+                text=builtin_scenario_path(name).read_text())

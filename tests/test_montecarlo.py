@@ -1,3 +1,5 @@
+import collections
+import contextlib
 import dataclasses
 import math
 import warnings
@@ -17,18 +19,45 @@ from aapdeploy.scenario import builtin_scenario_path, load_scenario
 from conftest import calls_to, make_system
 
 
-def reference_draws(mean_ues, rng):
-    """The sampler's uniforms: Poisson(mean_ues) count, then one area uniform
-    per UE, drawn from rng where its last draw stopped."""
-    count = int(rng.poisson(mean_ues))
-    return rng.random(count)
+def reference_radii(r_a, sys, trials, rng):
+    """The stream of trials populations in a cell of radius r_a, holding
+    uplink.cell_ue_count(r_a, sys) UEs on average: every trial's Poisson
+    count with one scalar draw each, then each trial's own area uniforms,
+    trial by trial; returned as each trial's distances from the centre."""
+    mean_ues = uplink.cell_ue_count(r_a, sys)
+    counts = [int(rng.poisson(mean_ues)) for _ in range(trials)]
+    return [r_a * np.sqrt(rng.random(count)) for count in counts]
 
 
-def reference_radii(r_a, sys, rng):
-    """The reference draws of a cell of radius r_a, holding
-    uplink.cell_ue_count(r_a, sys) UEs on average, as distances from the
-    cell centre."""
-    return r_a * np.sqrt(reference_draws(uplink.cell_ue_count(r_a, sys), rng))
+@contextlib.contextmanager
+def powered_radii():
+    """Yield the list of the radii that each call to montecarlo._ue_powers
+    receives in the block, copied."""
+    radii, ue_powers = [], montecarlo._ue_powers
+
+    def spy(r, *args):
+        radii.append(r.copy())
+        return ue_powers(r, *args)
+
+    with mock.patch.object(montecarlo, "_ue_powers", spy):
+        yield radii
+
+
+class CountingGenerator:
+    """A numpy Generator that counts the calls to each of its methods."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
 
 
 def trial_sum(powers):
@@ -37,14 +66,14 @@ def trial_sum(powers):
 
 
 def reference_mean_sum_power(h, phi, sys, env, trials, base_seed=0):
-    """The per-trial loop over one stream, default_rng(base_seed): sample,
-    power and sum one population at a time, then fsum the per-trial sums;
-    the standard error is the sample SD of those sums over sqrt(trials)."""
+    """The per-trial loop over one stream, default_rng(base_seed): draw every
+    count, then power and sum one population at a time as its uniforms are
+    drawn, then fsum the per-trial sums; the standard error is the sample SD
+    of those sums over sqrt(trials)."""
     r_a = channel.require_coverage(h, phi)
     rng = np.random.default_rng(base_seed)
     sums = []
-    for _ in range(trials):
-        radii = reference_radii(r_a, sys, rng)
+    for radii in reference_radii(r_a, sys, trials, rng):
         if len(radii) == 0:
             sums.append(0.0)
             continue
@@ -77,12 +106,12 @@ def _system_with_mean_count(h, phi, mean_ues):
 
 
 def test_sample_determinism():
-    a = montecarlo.sample_ues(50.0, default_rng(7))
-    b = montecarlo.sample_ues(50.0, default_rng(7))
-    assert a.realized_count == b.realized_count
-    assert np.array_equal(a.draws, b.draws)
-    c = montecarlo.sample_ues(50.0, default_rng(8))
-    assert not np.array_equal(a.draws, c.draws)
+    def counts(seed):
+        rng = default_rng(seed)
+        return [montecarlo.sample_ues(50.0, rng).realized_count for _ in range(20)]
+
+    assert counts(7) == counts(7)
+    assert counts(7) != counts(8)
 
 
 def test_sample_counts_poisson_mean():
@@ -95,15 +124,46 @@ def test_sample_counts_poisson_mean():
     assert abs(mean - lam) < 3.0 * math.sqrt(lam / len(counts))
 
 
-def test_sample_radial_distribution_uniform_in_area():
-    # P(r <= r_a / 2) = 1/4 for area-uniform points; a mean of 20,000 UEs
-    sample = montecarlo.sample_ues(20000.0, default_rng(3))
-    assert sample.draws.shape == (sample.realized_count,)
-    radii = 40.0 * np.sqrt(sample.draws)
-    frac = np.mean(radii <= 20.0)
-    sigma = math.sqrt(0.25 * 0.75 / sample.realized_count)
+def test_sample_radial_distribution_uniform_in_area(suburban_env, edge_phi):
+    # P(r <= r_a / 2) = 1/4 for area-uniform points; one trial of a mean of
+    # 20,000 UEs
+    r_a = channel.require_coverage(15.0, edge_phi)
+    sysp = _system_with_mean_count(15.0, edge_phi, 20000.0)
+    with (
+        calls_to("aapdeploy.montecarlo.sample_ues") as samples,
+        powered_radii() as blocks,
+    ):
+        montecarlo.mean_sum_power(15.0, edge_phi, sysp, suburban_env, 1, 3)
+    (radii,) = blocks
+    assert radii.shape == (samples[0].realized_count,)
+    frac = np.mean(radii <= r_a / 2.0)
+    sigma = math.sqrt(0.25 * 0.75 / len(radii))
     assert abs(frac - 0.25) < 3.0 * sigma
-    assert radii.max() <= 40.0
+    assert radii.max() <= r_a
+
+
+# Poisson means on both sides of numpy's switch between its two Poisson
+# algorithms at 10, up to MAX_MEAN_UES.
+POISSON_MEANS = [0.0, 0.3, 5.0, 9.99, 10.0, 119.4, 6450.0, montecarlo.MAX_MEAN_UES]
+
+
+@pytest.mark.parametrize("mean_ues", POISSON_MEANS)
+@pytest.mark.parametrize("seed", [0, 2**64 + 1])
+def test_scalar_and_vector_draws_give_one_stream(mean_ues, seed):
+    # The stream does not depend on how its draws are grouped: k scalar
+    # Poisson draws are one vector draw of k and leave the generator in the
+    # same state, and back-to-back uniform draws of a and b are one draw of
+    # a + b.  So the counts can be drawn in one call, and each block's
+    # uniforms with one call of any size, with every result unchanged.
+    scalar, vector = default_rng(seed), default_rng(seed)
+    counts = [scalar.poisson(mean_ues) for _ in range(50)]
+    assert counts == vector.poisson(mean_ues, 50).tolist()
+    assert scalar.random() == vector.random()
+    for a, b in ((0, 7), (7, 0), (1, 1), (300, 8191)):
+        assert np.array_equal(
+            np.concatenate([scalar.random(a), scalar.random(b)]), vector.random(a + b)
+        )
+    assert scalar.random() == vector.random()
 
 
 def test_sample_rejects_bad_inputs():
@@ -134,20 +194,32 @@ def test_sample_rejects_non_finite_inputs(r_a, rho):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.floats(min_value=0.0, max_value=3000.0),
+    st.floats(min_value=0.01, max_value=3000.0),
     st.integers(min_value=0, max_value=2**140),
+    st.integers(min_value=1, max_value=20),
+    st.sampled_from(BLOCK_SIZES),
 )
-def test_sample_positions_equal_the_reference(mean_ues, seed):
-    sample = montecarlo.sample_ues(mean_ues, default_rng(seed))
-    u = reference_draws(mean_ues, default_rng(seed))
-    assert sample.realized_count == len(u)
-    assert np.array_equal(sample.draws, u)
+def test_sample_positions_equal_the_reference(mean_ues, seed, trials, block_ues):
+    # Every count, then every UE's radius, as the reference's one stream
+    # draws them, whatever the block size.  A mean of 0.01 leaves most
+    # trials empty; the cell needs a positive UE density.
+    env = EnvironmentParams(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
+    sysp = _system_with_mean_count(15.0, 30.0, mean_ues)
+    expected = reference_radii(channel.require_coverage(15.0, 30.0), sysp, trials,
+                               default_rng(seed))
+    with (
+        mock.patch.object(montecarlo, "BLOCK_UES", block_ues),
+        calls_to("aapdeploy.montecarlo.sample_ues") as samples,
+        powered_radii() as blocks,
+    ):
+        montecarlo.mean_sum_power(15.0, 30.0, sysp, env, trials, seed)
+    assert [sample.realized_count for sample in samples] == list(map(len, expected))
+    assert np.array_equal(np.concatenate(blocks), np.concatenate(expected))
 
 
 def test_empirical_sum_power_empty_population(suburban_env, baseline_system):
-    empty = montecarlo.UeSample(np.empty(0), 0)
     result = montecarlo.empirical_sum_power(
-        [empty, empty], 40.0, 15.0, baseline_system, suburban_env
+        np.zeros(2, np.intp), np.empty(0), 40.0, 15.0, baseline_system, suburban_env
     )
     assert result == [0.0, 0.0]
 
@@ -201,6 +273,14 @@ def test_mean_sum_power_equals_the_per_trial_loop(
     assert result == reference_mean_sum_power(*args)
 
 
+def _block(mean_counts, seed):
+    """One block of trials at these means, from default_rng(seed): their
+    counts, then all their area uniforms."""
+    rng = default_rng(seed)
+    counts = np.array([montecarlo.sample_ues(mean, rng).realized_count for mean in mean_counts])
+    return counts, rng.random(counts.sum())
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(st.sampled_from(MEAN_COUNTS), min_size=1, max_size=8),
@@ -211,16 +291,16 @@ def test_block_sums_equal_each_trials_own_sum(mean_counts, seed):
     # over that population's own UEs.
     env = EnvironmentParams(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
     sysp = make_system()
-    rng = default_rng(seed)
-    block = [montecarlo.sample_ues(mean, rng) for mean in mean_counts]
+    counts, draws = _block(mean_counts, seed)
     def power(u):
         loss = channel.mean_path_loss_rh(40.0 * math.sqrt(u), 15.0, env)
         return sysp.p_target_pa * float(loss)
 
     sums = [
-        trial_sum(np.array([power(u) for u in sample.draws.tolist()])) for sample in block
+        trial_sum(np.array([power(u) for u in trial.tolist()]))
+        for trial in np.split(draws, np.cumsum(counts)[:-1])
     ]
-    assert montecarlo.empirical_sum_power(block, 40.0, 15.0, sysp, env) == sums
+    assert montecarlo.empirical_sum_power(counts, draws, 40.0, 15.0, sysp, env) == sums
 
 
 @settings(max_examples=30, deadline=None)
@@ -234,24 +314,32 @@ def test_block_sums_are_within_1e_13_of_compensated_sums(mean_counts, seed):
     # five-standard-error bound could see.
     env = EnvironmentParams(4.88, 0.43, 0.1, 21.0, g0=1.42e-4)
     sysp = make_system()
-    rng = default_rng(seed)
-    block = [montecarlo.sample_ues(mean, rng) for mean in mean_counts]
-    sums = montecarlo.empirical_sum_power(block, 40.0, 15.0, sysp, env)
-    for sample, total in zip(block, sums):
-        powers = montecarlo._ue_powers(40.0 * np.sqrt(sample.draws), 15.0, sysp, env)
+    counts, draws = _block(mean_counts, seed)
+    trials = np.split(draws, np.cumsum(counts)[:-1])
+    sums = montecarlo.empirical_sum_power(counts, draws.copy(), 40.0, 15.0, sysp, env)
+    for trial, total in zip(trials, sums):
+        powers = montecarlo._ue_powers(40.0 * np.sqrt(trial), 15.0, sysp, env)
         assert total == pytest.approx(math.fsum(powers.tolist()), rel=1e-13, abs=0.0)
 
 
-def test_per_trial_work_is_array_work():
+def test_per_trial_work_is_array_work(monkeypatch):
     # On the cell that validate samples on baseline, the compensated sums are
-    # the mean and the variance alone, and the power pass runs once per block:
-    # a per-trial Python loop would show in either count.
+    # the mean and the variance alone, and the power pass and the uniform
+    # draw run once per block: a per-trial Python loop would show in any of
+    # these counts.  The Poisson count alone is drawn once per trial.
     scn = load_scenario(builtin_scenario_path("baseline"))
     env, sysp = scn.environment, scn.system
     h, phi = sysp.h_min_m, scn.sweeps.phi_deg
     mean_ues = uplink.cell_ue_count(channel.coverage_radius(h, phi), sysp)
     block = max(1, int(montecarlo.BLOCK_UES / max(mean_ues, 1.0)))
     assert block > 1
+    generators = []
+
+    def counting_rng(seed):
+        generators.append(CountingGenerator(default_rng(seed)))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
     fsum_calls = []
     for trials in (10, 1000):
         with (
@@ -260,7 +348,9 @@ def test_per_trial_work_is_array_work():
         ):
             montecarlo.mean_sum_power(h, phi, sysp, env, trials, 3)
         assert len(powers) == math.ceil(trials / block)
+        assert generators[-1].calls == {"poisson": trials, "random": math.ceil(trials / block)}
         fsum_calls.append(len(fsums))
+    assert len(generators) == 2
     assert fsum_calls[0] == fsum_calls[1]
 
 
