@@ -8,7 +8,11 @@ scalar broadcast against an array keeps arctan2 off its vector loop (about
 twice the time for the same floats), and multiplies by 180 / pi itself,
 which is what ``np.degrees`` does at several times the cost.  Squares are
 products (``r * r + h * h``): Python's float ``**`` calls libm ``pow``,
-which is not exact under a power-of-two change of unit.
+which is not exact under a power-of-two change of unit.  On arrays,
+``elevation_deg``, ``los_probability`` and ``mean_path_loss_rh`` run each
+step of the plain expression, in its order, in place in buffers of their
+own, so they give its floats and never write to an array they are given;
+a scalar runs the plain expression.
 
 All functions accept numpy arrays for the geometric arguments and broadcast
 them by numpy's rules: the Monte-Carlo oracle passes arrays of UE
@@ -51,9 +55,10 @@ def elevation_deg(r, h):
     its time.
     """
     r = np.asarray(r, dtype=float)
-    if r.ndim:
-        h = np.full_like(r, h)
-    return np.arctan2(h, r) * (180.0 / math.pi)
+    if not r.ndim:
+        return np.arctan2(h, r) * (180.0 / math.pi)
+    angles = np.full_like(r, h)
+    return np.multiply(np.arctan2(angles, r, out=angles), 180.0 / math.pi, out=angles)
 
 
 def _check_phi(phi_deg) -> None:
@@ -65,11 +70,18 @@ def _check_phi(phi_deg) -> None:
 def los_probability(phi_deg, env: EnvironmentParams):
     """LoS probability at elevation angle phi (degrees): the S-curve model."""
     _check_phi(phi_deg)
+    phi_deg = np.asarray(phi_deg, dtype=float)
     # Far below a steep curve's knee exp, or a times it, overflows to inf,
     # and 1 / (1 + inf) is the LoS probability there to double precision: 0.
     with np.errstate(over="ignore"):
-        tail = env.a * np.exp(-env.b * (np.asarray(phi_deg, dtype=float) - env.a))
-    return 1.0 / (1.0 + tail)
+        if not phi_deg.ndim:
+            return 1.0 / (1.0 + env.a * np.exp(-env.b * (phi_deg - env.a)))
+        tail = phi_deg - env.a
+        tail *= -env.b
+        np.exp(tail, out=tail)
+        tail *= env.a
+    tail += 1.0
+    return np.divide(1.0, tail, out=tail)
 
 
 def delta_lower_bound(env: EnvironmentParams) -> float:
@@ -105,8 +117,10 @@ def phi_from_delta(delta: float, env: EnvironmentParams) -> float:
 
 def mean_additional_path_loss(phi_deg, env: EnvironmentParams):
     """LoS-probability-weighted mean excess path loss at elevation phi."""
-    p_los = los_probability(phi_deg, env)
-    return env.eta_nlos + p_los * (env.eta_los - env.eta_nlos)
+    eta_m = los_probability(phi_deg, env)
+    eta_m *= env.eta_los - env.eta_nlos
+    eta_m += env.eta_nlos
+    return eta_m
 
 
 def mean_path_loss_rh(r, h, env: EnvironmentParams):
@@ -116,8 +130,15 @@ def mean_path_loss_rh(r, h, env: EnvironmentParams):
     Uses each UE's own elevation angle (no edge approximation).
     """
     r = np.asarray(r, dtype=float)
-    eta_m = mean_additional_path_loss(elevation_deg(r, h), env)
-    return eta_m * (r * r + h * h) / env.g0
+    angles = elevation_deg(r, h)
+    eta_m = mean_additional_path_loss(angles, env)
+    if not r.ndim:
+        return eta_m * (r * r + h * h) / env.g0
+    squares = np.multiply(r, r, out=angles)
+    squares += h * h
+    eta_m *= squares
+    eta_m /= env.g0
+    return eta_m
 
 
 # Edge elevations this close to 90 deg leave a nadir-only cell.

@@ -38,8 +38,8 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 
 # Most Monte-Carlo trials validate runs, 100 times perfbench's oracle at 10^4.
-# Each trial's sum is kept as a Python float and its UE count in 8 B, so 10^9
-# trials would hold ~40 GB.
+# Each trial's sum is kept as a Python float and its UE count as a Python int
+# in a list, then in 8 B, so 10^9 trials would hold 40-76 GB.
 MAX_TRIALS = 10**6
 
 # Reported reference densities for two specific target radii.  The cell

@@ -15,12 +15,13 @@ feeds every trial, in this order: first every trial's Poisson count, in
 trial order, then every UE's area uniform, in trial order.  The trials go
 in blocks of about ``BLOCK_UES`` expected UEs; each block takes its
 uniforms with one ``rng.random`` call, where the previous block stopped,
-and ``empirical_sum_power`` powers and sums them with one array pass.
-Back-to-back ``rng.random(a)`` and ``rng.random(b)`` give the floats of one
-``rng.random(a + b)``, so the draws do not depend on the block size.
-``sample_ues`` draws one trial's count; it stays one call per trial because
-a tracer counts trials and UEs through it, so the per-trial Python work is
-that one Poisson draw.
+into one buffer that every block reuses, and ``empirical_sum_power`` powers
+and sums them with one array pass, in place there and in the channel's own
+two buffers.  Back-to-back ``rng.random(a)`` and ``rng.random(b)`` give the
+floats of one ``rng.random(a + b)``, so the draws do not depend on the block
+size.  ``sample_ues`` draws one trial's count; it stays one call per trial
+because a tracer counts trials and UEs through it, so the per-trial Python
+work is that one Poisson draw.
 Every step is elementwise, so a UE's power is the same float whichever block
 it lands in.  Each trial's sum is numpy's reduction over its own UEs alone
 (``np.add.reduceat``), the same float as that trial reduced by itself; the
@@ -56,11 +57,14 @@ MAX_MEAN_UES = 1e6
 MAX_UES = 1e9
 
 
-class UeSample(NamedTuple):
+class UeSample:
     """One trial's realized UE count; its UEs' uniforms are drawn later,
     with the rest of its block's."""
 
-    realized_count: int
+    __slots__ = ("realized_count",)
+
+    def __init__(self, realized_count: int) -> None:
+        self.realized_count = realized_count
 
 
 def sample_ues(mean_ues: float, rng: np.random.Generator) -> UeSample:
@@ -123,7 +127,7 @@ def mean_sum_power(
 ) -> MeanSumPower:
     """Mean empirical sum power over trials drawn in order from one stream,
     ``np.random.default_rng(base_seed)``: every trial's count, by
-    ``sample_ues``, then each block's uniforms with one ``rng.random`` call.
+    ``sample_ues``, then each block's uniforms into one reused buffer.
 
     Each trial's sum is numpy's reduction (``np.add.reduceat``) over its own
     UEs alone.  More than ``MAX_UES`` expected UEs in all is refused.  The
@@ -147,15 +151,17 @@ def mean_sum_power(
             f"the oracle samples"
         )
     rng = np.random.default_rng(base_seed)
-    counts = np.fromiter(
-        (sample_ues(mean_ues, rng).realized_count for _ in range(trials)), np.intp, trials
+    counts = np.array(
+        [sample_ues(mean_ues, rng).realized_count for _ in range(trials)], np.intp
     )
     block = max(1, int(BLOCK_UES / max(mean_ues, 1.0)))
+    starts = range(0, trials, block)
+    totals = np.add.reduceat(counts, starts).tolist()
+    buffer = np.empty(max(totals))
     sums: list[float] = []
-    for start in range(0, trials, block):
-        block_counts = counts[start : start + block]
-        draws = rng.random(int(block_counts.sum()))
-        sums += empirical_sum_power(block_counts, draws, r_a, h, sys, env)
+    for start, total in zip(starts, totals):
+        draws = rng.random(out=buffer[:total])
+        sums += empirical_sum_power(counts[start : start + block], draws, r_a, h, sys, env)
     mean = math.fsum(sums) / trials
     stderr = math.inf
     if trials > 1:

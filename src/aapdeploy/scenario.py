@@ -1,10 +1,10 @@
 """Scenario files: sectioned key-value configuration for the CLI.
 
 The format is INI-style with four sections (environment, system, uav,
-sweeps): the physics and the sweeps only.  Each physics section's keys are
-the fields of its record (``EnvironmentParams``, ``SystemParams``,
-``UavEnergyParams``); ``_FIELDS`` holds them and the [sweeps] keys.  Every
-section and every key is required: nothing has a default.  ``_FIELDS``
+sweeps): the physics and the sweeps only.  Each section's keys are the
+fields of its record (``EnvironmentParams``, ``SystemParams``,
+``UavEnergyParams``, ``SweepKeys``), and ``_FIELDS`` takes them from there.
+Every section and every key is required: nothing has a default.  ``_FIELDS``
 drives the reads and the check that makes an unknown section or key a hard
 error (both are case-sensitive).  Values are read as written (no ``%``
 interpolation).  Every number must be finite, the interferer count a
@@ -46,27 +46,32 @@ MAX_S_CURVE_AB = 1e6
 # At 10^5 points a grid verb already takes seconds.
 MAX_GRID_POINTS = 100_000
 
+
+@dataclass(frozen=True)
+class SweepKeys:
+    """The [sweeps] section as the file states it; _resolve_sweeps checks it
+    and builds the grids."""
+
+    h_step_m: float
+    phi_start_deg: float
+    phi_stop_deg: float
+    phi_step_deg: float
+    delta: float
+    gamma_list: tuple[float, ...]
+    area_radius_list_m: tuple[float, ...]
+
+
 # Each section's keys in reading order, with each value's kind: a float, a
 # whole number (int) or a comma-separated list (tuple); every key is
-# required.  A physics section's keys are the fields of its record, each a
-# whole number if annotated "int" (params postpones annotations, so a
-# field's type is its annotation's text); a [sweeps] key is a parameter of
-# _resolve_sweeps.
+# required.  A section's keys are the fields of its record, each a whole
+# number if annotated "int" and a list if annotated as a tuple (params and
+# this module postpone annotations, so a field's type is its annotation's
+# text).
 _RECORDS = {"environment": EnvironmentParams, "system": SystemParams, "uav": UavEnergyParams}
+_KINDS = {"int": int, "tuple[float, ...]": tuple}
 _FIELDS: dict[str, dict[str, type]] = {
-    **{
-        section: {f.name: int if f.type == "int" else float for f in fields(record)}
-        for section, record in _RECORDS.items()
-    },
-    "sweeps": {
-        "h_step_m": float,
-        "phi_start_deg": float,
-        "phi_stop_deg": float,
-        "phi_step_deg": float,
-        "delta": float,
-        "gamma_list": tuple,
-        "area_radius_list_m": tuple,
-    },
+    section: {f.name: _KINDS.get(f.type, float) for f in fields(record)}
+    for section, record in {**_RECORDS, "sweeps": SweepKeys}.items()
 }
 
 
@@ -143,36 +148,33 @@ def _read(parser: configparser.ConfigParser, section: str) -> dict:
     return values
 
 
-def _resolve_sweeps(
-    system: SystemParams, env: EnvironmentParams, *, h_step_m, phi_start_deg,
-    phi_stop_deg, phi_step_deg, delta, gamma_list, area_radius_list_m,
-) -> SweepSpec:
+def _resolve_sweeps(system: SystemParams, env: EnvironmentParams, keys: SweepKeys) -> SweepSpec:
     """Reject sweeps outside the model's domain, then build both grids and
     invert delta.  The altitude grid runs over the system's [h_min_m,
     h_max_m], which SystemParams has checked.  The grids never pass their
     stop value, so checking the elevation grid's end points covers every
     angle; both grids' point counts are checked before either grid is
     built."""
-    for end, value in (("start", phi_start_deg), ("stop", phi_stop_deg)):
+    for end, value in (("start", keys.phi_start_deg), ("stop", keys.phi_stop_deg)):
         if not 0.0 < value <= 90.0:
             raise ConfigError(f"sweep phi_{end}_deg={value:g} outside (0, 90] deg")
     try:
-        phi_deg = channel.phi_from_delta(delta, env)
+        phi_deg = channel.phi_from_delta(keys.delta, env)
     except ValueError as exc:
         raise ConfigError(f"sweep delta: {exc}") from exc
     if phi_deg >= 90.0 - channel.NADIR_TOL_DEG:
         raise ConfigError(
-            f"sweep delta: delta={delta:g} maps to the nadir-only cell at 90 deg, "
+            f"sweep delta: delta={keys.delta:g} maps to the nadir-only cell at 90 deg, "
             "which covers no area"
         )
-    for gamma in gamma_list:
+    for gamma in keys.gamma_list:
         try:
             replace(system, gamma=gamma)
         except ConfigError as exc:
             raise ConfigError(f"sweep gamma_list: {exc}") from None
     axes = (
-        (system.h_min_m, system.h_max_m, h_step_m, "h_step_m"),
-        (phi_start_deg, phi_stop_deg, phi_step_deg, "phi_step_deg"),
+        (system.h_min_m, system.h_max_m, keys.h_step_m, "h_step_m"),
+        (keys.phi_start_deg, keys.phi_stop_deg, keys.phi_step_deg, "phi_step_deg"),
     )
     for start, stop, step, name in axes:
         if not step > 0:
@@ -183,25 +185,25 @@ def _resolve_sweeps(
                 f"sweep {name}={step:g} gives {points:.3g} grid points, "
                 f"more than {MAX_GRID_POINTS:,}"
             )
-    if phi_start_deg > phi_stop_deg:
+    if keys.phi_start_deg > keys.phi_stop_deg:
         raise ConfigError(
-            f"sweep phi_start_deg={phi_start_deg:g} above phi_stop_deg={phi_stop_deg:g}"
+            f"sweep phi_start_deg={keys.phi_start_deg:g} above phi_stop_deg={keys.phi_stop_deg:g}"
         )
     # The start is the grid's smallest angle.
-    if phi_start_deg >= 90.0 - channel.NADIR_TOL_DEG:
+    if keys.phi_start_deg >= 90.0 - channel.NADIR_TOL_DEG:
         raise ConfigError(
             f"sweep phi grid holds only nadir-only cells: every angle from "
-            f"phi_start_deg={phi_start_deg:g} lies within {channel.NADIR_TOL_DEG:g} deg "
+            f"phi_start_deg={keys.phi_start_deg:g} lies within {channel.NADIR_TOL_DEG:g} deg "
             "of 90 deg, where a cell covers no area"
         )
     altitudes, phis_deg = (_grid(*axis) for axis in axes)
     return SweepSpec(
         altitudes=altitudes,
         phis_deg=phis_deg,
-        delta=delta,
+        delta=keys.delta,
         phi_deg=phi_deg,
-        gamma_list=gamma_list,
-        area_radius_list_m=area_radius_list_m,
+        gamma_list=keys.gamma_list,
+        area_radius_list_m=keys.area_radius_list_m,
     )
 
 
@@ -245,7 +247,7 @@ def load_scenario(path: str | Path) -> Scenario:
         record(**_read(parser, section)) for section, record in _RECORDS.items()
     )
     uav.validate_range(system.h_min_m, system.h_max_m)
-    sweeps = _resolve_sweeps(system, environment, **_read(parser, "sweeps"))
+    sweeps = _resolve_sweeps(system, environment, SweepKeys(**_read(parser, "sweeps")))
     # After the sweeps, so that a delta beyond the curve's image is named
     # as such.
     if environment.a * environment.b > MAX_S_CURVE_AB:

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from aapdeploy import channel
+from aapdeploy import channel, montecarlo
 from aapdeploy.errors import ConfigError
 from aapdeploy.params import EnvironmentParams
 
@@ -83,6 +83,87 @@ def test_elevation_deg_is_numpys_arctan2_over_random_pairs():
         assert np.array_equal(
             channel.elevation_deg(row, h), np.degrees(np.arctan2(h, row))
         )
+
+
+def reference_elevation_deg(r, h):
+    """elevation_deg's floats as one out-of-place expression."""
+    r = np.asarray(r, dtype=float)
+    if r.ndim:
+        h = np.full_like(r, h)
+    return np.arctan2(h, r) * (180.0 / math.pi)
+
+
+def reference_los_probability(phi_deg, env):
+    """los_probability's floats as one out-of-place expression."""
+    with np.errstate(over="ignore"):
+        tail = env.a * np.exp(-env.b * (np.asarray(phi_deg, dtype=float) - env.a))
+    return 1.0 / (1.0 + tail)
+
+
+def reference_mean_path_loss_rh(r, h, env):
+    """mean_path_loss_rh's floats as out-of-place expressions."""
+    r = np.asarray(r, dtype=float)
+    p_los = reference_los_probability(reference_elevation_deg(r, h), env)
+    eta_m = env.eta_nlos + p_los * (env.eta_los - env.eta_nlos)
+    return eta_m * (r * r + h * h) / env.g0
+
+
+def assert_in_place_path_is_the_reference(r, h, env):
+    """Each array function gives its reference's floats and shape, and
+    leaves the arrays it is given as they were; so does each scalar."""
+    kept = r.copy()
+    angles = channel.elevation_deg(r, h)
+    kept_angles = angles.copy()
+    cases = [
+        (angles, reference_elevation_deg(r, h)),
+        (channel.los_probability(angles, env), reference_los_probability(angles, env)),
+        (channel.mean_path_loss_rh(r, h, env), reference_mean_path_loss_rh(r, h, env)),
+    ]
+    for value, expected in cases:
+        assert value.shape == expected.shape
+        assert (value == expected).all()
+    assert (r == kept).all() and (angles == kept_angles).all()
+    for x in r[:2].tolist():
+        assert channel.mean_path_loss_rh(x, h, env) == reference_mean_path_loss_rh(x, h, env)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([0, 1, 2, montecarlo.BLOCK_UES - 1, montecarlo.BLOCK_UES + 1]),
+    st.integers(min_value=0, max_value=2**64),
+    st.floats(min_value=1e-3, max_value=1e5),
+    st.floats(min_value=1.0, max_value=1e4),
+    st.floats(min_value=0.05, max_value=30.0),
+    st.floats(min_value=0.01, max_value=5.0),
+    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(min_value=0.0, max_value=40.0),
+)
+def test_array_path_equals_the_out_of_place_expressions(
+    size, seed, r_max, h, a, b, eta_los_db, eta_gap_db
+):
+    # The array path works in place in buffers of its own; the Monte-Carlo
+    # reference calls mean_path_loss_rh itself, so only this test would see
+    # the in-place arithmetic drift from these expressions.  A UE at the
+    # centre sits at 90 deg.
+    env = EnvironmentParams(a, b, eta_los_db, eta_los_db + eta_gap_db, g0=1.42e-4)
+    r = np.random.default_rng(seed).uniform(0.0, r_max, size)
+    r[:1] = 0.0
+    assert_in_place_path_is_the_reference(r, h, env)
+
+
+def test_steep_curve_overflows_quietly_in_place():
+    # Below the knee of a steep curve exp and a * exp overflow to inf, and
+    # the LoS probability is 0 there; no flag may escape to a caller that
+    # raises on every one.  The angles step around the knee at 20 deg and
+    # stay clear of the band near 5.9 deg where 1 / (1 + a exp) is subnormal,
+    # which the reference flags as well.
+    env = EnvironmentParams(a=20.0, b=50.0, eta_los_db=0.1, eta_nlos_db=21.0, g0=1.42e-4)
+    angles = np.array([0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
+    h = 10.0
+    r = h / np.tan(np.radians(angles))
+    with np.errstate(all="raise"):
+        assert channel.los_probability(angles, env)[:4].tolist() == [0.0] * 4
+        assert_in_place_path_is_the_reference(r, h, env)
 
 
 def path_loss(r, h, eta_db, g0):

@@ -2,6 +2,7 @@ import collections
 import contextlib
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -387,6 +388,25 @@ def test_mean_sum_power_equals_the_per_trial_loop_at_10k_trials(
 ):
     args = (15.0, edge_phi, baseline_system, suburban_env, 10_000, seed)
     assert montecarlo.mean_sum_power(*args) == reference_mean_sum_power(*args)
+
+
+def test_oracle_peak_memory_at_10k_trials():
+    # Every block draws its uniforms into one buffer, sized for the largest
+    # block, and the power pass works in place in buffers of its own.  With
+    # a fresh array per block's uniforms and out-of-place arithmetic, the
+    # peak of this call was ~714-731 KB; the trials' sums and their
+    # deviations alone hold ~480 KB.  A short call first does the lazy
+    # set-up that is not the oracle's.
+    scn = load_scenario(builtin_scenario_path("baseline"))
+    args = (scn.system.h_min_m, scn.sweeps.phi_deg, scn.system, scn.environment)
+    montecarlo.mean_sum_power(*args, 10, 0)
+    tracemalloc.start()
+    try:
+        montecarlo.mean_sum_power(*args, 10_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 700_000
 
 
 @pytest.mark.parametrize("edge", [2**32, 2**64, 2**128, 2**200])
