@@ -8,11 +8,12 @@ scalar broadcast against an array keeps arctan2 off its vector loop (about
 twice the time for the same floats), and multiplies by 180 / pi itself,
 which is what ``np.degrees`` does at several times the cost.  Squares are
 products (``r * r + h * h``): Python's float ``**`` calls libm ``pow``,
-which is not exact under a power-of-two change of unit.  On arrays,
-``elevation_deg``, ``los_probability`` and ``mean_path_loss_rh`` run each
-step of the plain expression, in its order, in place in buffers of their
-own, so they give its floats and never write to an array they are given;
-a scalar runs the plain expression.
+which is not exact under a power-of-two change of unit.  ``elevation_deg``,
+``los_probability`` and ``mean_path_loss_rh`` run each step of the plain
+expression, in its order, in place in buffers of their own, so they give
+its floats and never write to an array they are given.  Only
+``los_probability``, which the GEE chain calls with a scalar angle, runs
+the plain expression on a scalar.
 
 All functions accept numpy arrays for the geometric arguments and broadcast
 them by numpy's rules: the Monte-Carlo oracle passes arrays of UE
@@ -48,15 +49,11 @@ def elevation_deg(r, h):
     """Elevation angle (degrees) of the AAP at altitude h as seen from a
     ground UE at horizontal distance r.
 
-    The floats of ``np.degrees(np.arctan2(h, r))``, faster: an array ``r``
-    gets h filled out to its shape, which puts arctan2 on its vector loop,
-    and ``* (180 / pi)`` is the multiply ``np.degrees`` performs.  A scalar
-    ``r`` has no loop to gain and skips the fill, which would cost it twice
-    its time.
+    The floats of ``np.degrees(np.arctan2(h, r))``, faster: h is filled out
+    to r's shape, which puts arctan2 on its vector loop, and ``* (180 / pi)``
+    is the multiply ``np.degrees`` performs.
     """
     r = np.asarray(r, dtype=float)
-    if not r.ndim:
-        return np.arctan2(h, r) * (180.0 / math.pi)
     angles = np.full_like(r, h)
     return np.multiply(np.arctan2(angles, r, out=angles), 180.0 / math.pi, out=angles)
 
@@ -132,8 +129,6 @@ def mean_path_loss_rh(r, h, env: EnvironmentParams):
     r = np.asarray(r, dtype=float)
     angles = elevation_deg(r, h)
     eta_m = mean_additional_path_loss(angles, env)
-    if not r.ndim:
-        return eta_m * (r * r + h * h) / env.g0
     squares = np.multiply(r, r, out=angles)
     squares += h * h
     eta_m *= squares

@@ -51,9 +51,9 @@ REFERENCE_DENSITIES = {180.48: 0.7896, 252.68: 0.6844}
 def altitude_sweep_table(scn: Scenario) -> dict[str, list]:
     """One row per (gamma, h): each gamma's altitude grid is one array call
     per column, and both GEE columns come from ``gee.gee_value``."""
-    delta, phi, env = scn.sweeps.delta, scn.sweeps.phi_deg, scn.environment
+    delta, phi, env = scn.sweeps.delta, scn.phi_deg, scn.environment
     zero_uav = UavEnergyParams.zero()
-    h = np.array(scn.sweeps.altitudes)
+    h = np.array(scn.altitudes)
     table: dict[str, list] = {}
     for gamma in scn.sweeps.gamma_list:
         sys_g = replace(scn.system, gamma=gamma)
@@ -81,7 +81,7 @@ def threshold_sweep_table(scn: Scenario) -> dict[str, list]:
     solver uses, min(h_max, h'_max(phi)): a row whose ceiling lies below
     h_min is a threshold that ``solve`` rejects as infeasible."""
     h = scn.system.h_min_m
-    phis = np.array(scn.sweeps.phis_deg)
+    phis = np.array(scn.phis_deg)
     r_a = channel.coverage_radius(h, phis)
     covered = r_a > 0.0
     phis, r_a = phis[covered], r_a[covered]
@@ -108,8 +108,7 @@ def write_table(args: argparse.Namespace, name: str, table: dict[str, list]) -> 
 
 def solve_scenario(scn: Scenario) -> gee.DeploymentSolution:
     """The one solve path shared by solve, place and density-sweep: P1 on the scenario's grids."""
-    sweeps = scn.sweeps
-    return gee.solve_p1(scn.system, scn.environment, scn.uav, sweeps.phis_deg, sweeps.altitudes)
+    return gee.solve_p1(scn.system, scn.environment, scn.uav, scn.phis_deg, scn.altitudes)
 
 
 def cmd_solve(scn: Scenario, args: argparse.Namespace) -> int:
@@ -126,17 +125,18 @@ def cmd_solve(scn: Scenario, args: argparse.Namespace) -> int:
 
 
 def plan_to_dict(plan: packing.PlacementPlan) -> dict:
+    """``plan.json``: each key is the attribute of the same name."""
     return {
-        "r_a_m": plan.r_a,
-        "area_radius_m": plan.area_radius,
+        "r_a_m": plan.r_a_m,
+        "area_radius_m": plan.area_radius_m,
         "total_aaps": plan.total_aaps,
         "packing_density": plan.packing_density,
         "levels": [
             {
                 "index": level.index,
-                "ring_radius_m": level.ring_radius,
+                "ring_radius_m": level.ring_radius_m,
                 "count": level.count,
-                "center_radius_m": level.center_radius,
+                "center_radius_m": level.center_radius_m,
                 "area_count_bound": level.area_count_bound,
                 "geometric_count_bound": level.geometric_count_bound,
             }
@@ -160,7 +160,7 @@ def cmd_place(scn: Scenario, args: argparse.Namespace) -> int:
     x, y = np.concatenate([level.centers for level in levels]).T.tolist()
     centers = {
         "level": np.repeat([level.index for level in levels], counts).tolist(),
-        "ring_radius_m": np.repeat([level.ring_radius for level in levels], counts).tolist(),
+        "ring_radius_m": np.repeat([level.ring_radius_m for level in levels], counts).tolist(),
         "index_in_level": [m for count in counts for m in range(count)],
         "x_m": x,
         "y_m": y,
@@ -207,7 +207,7 @@ def validation_checks(scn: Scenario, trials: int, seed: int) -> list[tuple[str, 
     returns (name, passed, detail) triples."""
     checks: list[tuple[str, bool, str]] = []
     env, sys_p = scn.environment, scn.system
-    h, phi = sys_p.h_min_m, scn.sweeps.phi_deg
+    h, phi = sys_p.h_min_m, scn.phi_deg
 
     # The grid points inside the S-curve's image over (0, 90] deg, or the
     # scenario's own delta when none is.

@@ -86,7 +86,7 @@ def _ue_powers(
     radii: np.ndarray, h: float, sys: SystemParams, env: EnvironmentParams
 ) -> np.ndarray:
     """Per-UE transmit power P_a L(r, h) under full power control (W)."""
-    powers = np.asarray(channel.mean_path_loss_rh(radii, h, env))
+    powers = channel.mean_path_loss_rh(radii, h, env)
     powers *= sys.p_target_pa
     return powers
 

@@ -7,7 +7,9 @@ three-circle ratio 2.1547, otherwise the area (void-algebra) bound clamped by
 the geometric pairwise-distance bound, so that emitted plans always satisfy
 the non-overlap constraint.  Levels stop at the first ring with count 0.  A
 plan stores its centres once, each level's as a read-only (n, 2) array built
-in one vector pass; every count and its density derive from them.
+in one vector pass; every count and its density derive from them.  Every
+other length a record holds names its unit (``r_a_m``, ``ring_radius_m``,
+``tolerance_m``, ...), so that its fields are ``plan.json``'s keys.
 
 Every plan is re-verified by ``verify_levels``, a uniform-grid neighbour
 search (the cell list of Bentley, Stanat and Williams, 1977) in numpy alone,
@@ -118,8 +120,8 @@ class PackingLevel:
     array of (x, y) rows, whatever sequence of pairs it is given."""
 
     index: int  # 1-based
-    ring_radius: float
-    center_radius: float
+    ring_radius_m: float
+    center_radius_m: float
     centers: np.ndarray
     area_count_bound: int | None = None
     geometric_count_bound: int | None = None
@@ -152,9 +154,9 @@ class FeasibilityReport:
 
     pairwise_ok: bool
     containment_ok: bool
-    worst_pairwise_margin: float
-    worst_containment_margin: float
-    tolerance: float
+    worst_pairwise_margin_m: float
+    worst_containment_margin_m: float
+    tolerance_m: float
 
     @property
     def all_ok(self) -> bool:
@@ -167,8 +169,8 @@ class PlacementPlan:
     and the packing density total_aaps * r_a^2 / R^2 derive from the levels."""
 
     levels: tuple[PackingLevel, ...]
-    r_a: float
-    area_radius: float
+    r_a_m: float
+    area_radius_m: float
     feasibility: FeasibilityReport
 
     @property
@@ -177,7 +179,7 @@ class PlacementPlan:
 
     @property
     def packing_density(self) -> float:
-        r_a, radius = self.r_a, self.area_radius
+        r_a, radius = self.r_a_m, self.area_radius_m
         return self.total_aaps * (r_a * r_a) / (radius * radius)
 
 
@@ -204,8 +206,8 @@ def _build_levels(area_radius: float, r_a: float) -> list[PackingLevel]:
         levels.append(
             PackingLevel(
                 index=index,
-                ring_radius=ring,
-                center_radius=center_radius,
+                ring_radius_m=ring,
+                center_radius_m=center_radius,
                 centers=_level_centers(count, center_radius),
                 area_count_bound=area_bound,
                 geometric_count_bound=geometric_bound,
@@ -267,7 +269,7 @@ def verify_levels(
     n = sum(counts)
     xy = np.concatenate([np.empty((2, 0)), *(level.centers.T for level in levels)], axis=1)
     x, y = xy
-    limit = np.repeat([min(area_radius, level.ring_radius) for level in levels], counts)
+    limit = np.repeat([min(area_radius, level.ring_radius_m) for level in levels], counts)
 
     worst_pair = worst_contain = math.inf
     # A cell coordinate, a distance or a norm of tiny values can underflow
@@ -290,9 +292,9 @@ def verify_levels(
     return FeasibilityReport(
         pairwise_ok=worst_pair >= -tol,
         containment_ok=worst_contain >= -tol,
-        worst_pairwise_margin=worst_pair if worst_pair != math.inf else 0.0,
-        worst_containment_margin=worst_contain if worst_contain != math.inf else 0.0,
-        tolerance=tol,
+        worst_pairwise_margin_m=worst_pair if worst_pair != math.inf else 0.0,
+        worst_containment_margin_m=worst_contain if worst_contain != math.inf else 0.0,
+        tolerance_m=tol,
     )
 
 
@@ -325,12 +327,12 @@ def run_algorithm1(area_radius: float, r_a: float) -> PlacementPlan:
     if not report.all_ok:
         raise PlannerError(
             f"plan for R={area_radius:g} m, R_a={r_a:g} m fails its own "
-            f"verification: worst pairwise margin {report.worst_pairwise_margin:g} m, "
-            f"containment margin {report.worst_containment_margin:g} m"
+            f"verification: worst pairwise margin {report.worst_pairwise_margin_m:g} m, "
+            f"containment margin {report.worst_containment_margin_m:g} m"
         )
     return PlacementPlan(
         levels=tuple(levels),
-        r_a=r_a,
-        area_radius=area_radius,
+        r_a_m=r_a,
+        area_radius_m=area_radius,
         feasibility=report,
     )

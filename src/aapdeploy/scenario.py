@@ -19,7 +19,8 @@ S-curve's image, short of its nadir-only top.  Each grid needs a positive
 step and at most MAX_GRID_POINTS points, all distinct; the S-curve's
 a * b may not exceed MAX_S_CURVE_AB.  A violation is a ConfigError when
 the file is loaded, never a failure halfway through a verb.  Loading builds
-both grids and inverts delta once; the verbs read the results.  The
+both grids and inverts delta once, into ``Scenario``'s altitudes, phis_deg
+and phi_deg beside the [sweeps] keys as written; the verbs read both.  The
 Monte-Carlo seed and the output directory come from the command line only.
 """
 
@@ -75,19 +76,6 @@ _FIELDS: dict[str, dict[str, type]] = {
 }
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """The sweeps as the verbs read them, resolved at load: both grids built,
-    and the LoS threshold delta inverted once to its elevation phi_deg."""
-
-    altitudes: tuple[float, ...]
-    phis_deg: tuple[float, ...]
-    delta: float
-    phi_deg: float
-    gamma_list: tuple[float, ...]
-    area_radius_list_m: tuple[float, ...]
-
-
 def _grid(start: float, stop: float, step: float, name: str) -> tuple[float, ...]:
     """The points start + k * step below stop, then stop itself if a point
     reaches it within 1e-9 * stop; _resolve_sweeps has checked that
@@ -104,10 +92,17 @@ def _grid(start: float, stop: float, step: float, name: str) -> tuple[float, ...
 
 @dataclass(frozen=True)
 class Scenario:
+    """The file's four sections, and what loading resolves from the sweeps:
+    both grids, and the LoS threshold delta inverted once to its elevation
+    phi_deg."""
+
     environment: EnvironmentParams
     system: SystemParams
     uav: UavEnergyParams
-    sweeps: SweepSpec
+    sweeps: SweepKeys
+    altitudes: tuple[float, ...]
+    phis_deg: tuple[float, ...]
+    phi_deg: float
 
 
 def _parse(key: str, text: str, kind: type):
@@ -148,13 +143,15 @@ def _read(parser: configparser.ConfigParser, section: str) -> dict:
     return values
 
 
-def _resolve_sweeps(system: SystemParams, env: EnvironmentParams, keys: SweepKeys) -> SweepSpec:
+def _resolve_sweeps(
+    system: SystemParams, env: EnvironmentParams, keys: SweepKeys
+) -> tuple[tuple[float, ...], tuple[float, ...], float]:
     """Reject sweeps outside the model's domain, then build both grids and
-    invert delta.  The altitude grid runs over the system's [h_min_m,
-    h_max_m], which SystemParams has checked.  The grids never pass their
-    stop value, so checking the elevation grid's end points covers every
-    angle; both grids' point counts are checked before either grid is
-    built."""
+    invert delta: (altitudes, phis_deg, phi_deg).  The altitude grid runs
+    over the system's [h_min_m, h_max_m], which SystemParams has checked.
+    The grids never pass their stop value, so checking the elevation grid's
+    end points covers every angle; both grids' point counts are checked
+    before either grid is built."""
     for end, value in (("start", keys.phi_start_deg), ("stop", keys.phi_stop_deg)):
         if not 0.0 < value <= 90.0:
             raise ConfigError(f"sweep phi_{end}_deg={value:g} outside (0, 90] deg")
@@ -197,14 +194,7 @@ def _resolve_sweeps(system: SystemParams, env: EnvironmentParams, keys: SweepKey
             "of 90 deg, where a cell covers no area"
         )
     altitudes, phis_deg = (_grid(*axis) for axis in axes)
-    return SweepSpec(
-        altitudes=altitudes,
-        phis_deg=phis_deg,
-        delta=keys.delta,
-        phi_deg=phi_deg,
-        gamma_list=keys.gamma_list,
-        area_radius_list_m=keys.area_radius_list_m,
-    )
+    return altitudes, phis_deg, phi_deg
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -247,7 +237,8 @@ def load_scenario(path: str | Path) -> Scenario:
         record(**_read(parser, section)) for section, record in _RECORDS.items()
     )
     uav.validate_range(system.h_min_m, system.h_max_m)
-    sweeps = _resolve_sweeps(system, environment, SweepKeys(**_read(parser, "sweeps")))
+    sweeps = SweepKeys(**_read(parser, "sweeps"))
+    altitudes, phis_deg, phi_deg = _resolve_sweeps(system, environment, sweeps)
     # After the sweeps, so that a delta beyond the curve's image is named
     # as such.
     if environment.a * environment.b > MAX_S_CURVE_AB:
@@ -255,7 +246,7 @@ def load_scenario(path: str | Path) -> Scenario:
             f"LoS S-curve a * b = {environment.a * environment.b:g} exceeds "
             f"{MAX_S_CURVE_AB:g}, beyond which its inversion loses precision"
         )
-    return Scenario(environment=environment, system=system, uav=uav, sweeps=sweeps)
+    return Scenario(environment, system, uav, sweeps, altitudes, phis_deg, phi_deg)
 
 
 def builtin_scenario_path(name: str) -> Path:

@@ -23,10 +23,9 @@ COARSE_BASELINE = BASELINE.replace("h_step_m = 1", "h_step_m = 95").replace(
 UNIT_EXPONENTS = {"m": (1, 0, 0), "m2": (2, 0, 0), "j": (0, 1, 0), "w": (0, 1, -1),
                   "hz": (0, 0, -1), "s": (0, 0, 1), "bps": (0, 0, -1)}
 AXES = ("length", "energy", "time")
-# The names that do not spell their unit: g0 is the gain at a 1 m reference
-# distance, and the plan's margins and tolerance are lengths.
-UNSPELLED_UNITS = {"g0": "m2", "worst_pairwise_margin": "m",
-                   "worst_containment_margin": "m", "tolerance": "m"}
+# The one name that does not spell its unit: g0, the gain at a 1 m
+# reference distance.
+UNSPELLED_UNITS = {"g0": "m2"}
 
 
 def unit_power(name: str, axis: str) -> int:

@@ -117,7 +117,7 @@ def test_criterion_5_packing_gold_case():
     plan = packing.run_algorithm1(3.0 * r_a, r_a)
     counts = [level.count for level in plan.levels]
     density_err = abs(plan.packing_density - 7.0 / 9.0)
-    margin = abs(plan.feasibility.worst_pairwise_margin)
+    margin = abs(plan.feasibility.worst_pairwise_margin_m)
     ok = (
         counts == [6, 1]
         and plan.total_aaps == 7
@@ -139,7 +139,7 @@ def test_criterion_6_plan_feasibility_sweep():
     failures = 0
     for ratio in np.linspace(1.0, 10.0, 200):
         plan = packing.run_algorithm1(float(ratio), 1.0)
-        if not packing.verify_levels(plan.levels, plan.r_a, plan.area_radius).all_ok:
+        if not packing.verify_levels(plan.levels, plan.r_a_m, plan.area_radius_m).all_ok:
             failures += 1
     elapsed = time.monotonic() - start
     record(

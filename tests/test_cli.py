@@ -1,5 +1,6 @@
 import configparser
 import contextlib
+import dataclasses
 import errno
 import json
 import math
@@ -152,10 +153,26 @@ def test_place_and_plan_round_trip(tmp_path):
     payload = json.loads(run.files["plan.json"])
     plan = packing.run_algorithm1(payload["area_radius_m"], payload["r_a_m"])
     assert cli.plan_to_dict(plan) == payload  # the written plan is the rebuilt one
-    assert packing.verify_levels(plan.levels, plan.r_a, plan.area_radius).all_ok
+    assert packing.verify_levels(plan.levels, plan.r_a_m, plan.area_radius_m).all_ok
     # centres CSV has one row per AAP plus a header
     lines = run.files["centers.csv"].splitlines()
     assert len(lines) - 1 == plan.total_aaps
+
+
+def test_plan_json_keys_are_the_record_fields(tmp_path):
+    # one name per plan quantity, as asdict makes solution.json's keys
+    # DeploymentSolution's fields
+    run = run_cli(tmp_path, "place")
+    assert run.code == cli.EXIT_OK
+    payload = json.loads(run.files["plan.json"])
+
+    def names(record):
+        return {field.name for field in dataclasses.fields(record)}
+
+    assert set(payload) == names(packing.PlacementPlan) | {"total_aaps", "packing_density"}
+    for level in payload["levels"]:
+        assert set(level) == names(packing.PackingLevel) - {"centers"} | {"count"}
+    assert set(payload["feasibility"]) == names(packing.FeasibilityReport)
 
 
 def test_altitude_sweep_output(tmp_path):
@@ -193,7 +210,7 @@ def test_threshold_sweep_radius_is_h_cot_phi_up_to_the_zenith(tmp_path):
     scn = load_scenario(tmp_path / "scn.ini")
     lines = run.files["threshold_sweep.csv"].splitlines()[1:]
     rows = [[float(cell) for cell in line.split(",")] for line in lines]
-    assert [row[0] for row in rows] == list(scn.sweeps.phis_deg[:-1])
+    assert [row[0] for row in rows] == list(scn.phis_deg[:-1])
     for phi, _delta, _gee, r_a, *_ in rows:
         expected = scn.system.h_min_m / math.tan(math.radians(phi))
         assert r_a == pytest.approx(expected, rel=1e-11, abs=0.0)
@@ -202,7 +219,7 @@ def test_threshold_sweep_radius_is_h_cot_phi_up_to_the_zenith(tmp_path):
 @pytest.mark.parametrize("name", ["baseline", "no_vehicle_energy"])
 def test_solved_phi_is_a_grid_point(name):
     scn = load_scenario(builtin_scenario_path(name))
-    assert cli.solve_scenario(scn).phi_opt_deg in scn.sweeps.phis_deg
+    assert cli.solve_scenario(scn).phi_opt_deg in scn.phis_deg
 
 
 def solve_at_h_step(tmp_path, name, h_step):
@@ -223,7 +240,7 @@ def test_solved_altitude_is_a_candidate(tmp_path, name, h_step):
     scn, sol = solve_at_h_step(tmp_path, name, h_step)
     ceiling = gee.altitude_ceiling(sol.phi_opt_deg, scn.system, scn.environment)
     assert sol.monotone_audit_passed == (name == "baseline")
-    assert sol.h_opt_m in (scn.system.h_min_m, *scn.sweeps.altitudes, ceiling)
+    assert sol.h_opt_m in (scn.system.h_min_m, *scn.altitudes, ceiling)
 
 
 def test_finer_altitude_grid_never_lowers_the_gee(tmp_path):
@@ -231,7 +248,7 @@ def test_finer_altitude_grid_never_lowers_the_gee(tmp_path):
     # fallback searches a superset of altitudes and cannot find less
     runs = [solve_at_h_step(tmp_path, "no_vehicle_energy", step) for step in ("1", "0.5", "0.25")]
     for (coarse, low), (fine, high) in zip(runs, runs[1:]):
-        assert set(coarse.sweeps.altitudes) < set(fine.sweeps.altitudes)
+        assert set(coarse.altitudes) < set(fine.altitudes)
         assert not low.monotone_audit_passed
         assert high.gee_bits_per_j >= low.gee_bits_per_j
 
@@ -520,7 +537,7 @@ ACCEPTS = {
     "test_phi_sweep_end_point_at_the_zenith_accepted": [
         Accept(None, {"b = 0.43": "b = 1", "phi_stop_deg = 60": "phi_stop_deg = 90"},
                ("solve", "place"), text=BASELINE,
-               check=lambda run, scn: load_scenario(scn).sweeps.phis_deg[-1] == 90.0
+               check=lambda run, scn: load_scenario(scn).phis_deg[-1] == 90.0
                and json.loads(run.files["solution.json"])["phi_opt_deg"] == 18.25),
     ],
 }

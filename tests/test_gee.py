@@ -381,7 +381,7 @@ def test_gee_call_counts_on_builtins(name):
 
     scn = load_scenario(builtin_scenario_path(name))
     sysp, env = scn.system, scn.environment
-    phis = np.array(scn.sweeps.phis_deg)
+    phis = np.array(scn.phis_deg)
     covered = channel.coverage_radius(sysp.h_min_m, phis) > 0.0
     ceilings = gee.altitude_ceiling(phis, sysp, env)
     feasible = int(np.count_nonzero(covered & (ceilings >= sysp.h_min_m)))

@@ -136,7 +136,7 @@ def test_outputs_scale_with_the_unit_of_power(tmp_path, at_unit_scale, axis, cas
     # scaled run must print the k = 1 library values times k to W's power
     watt = k ** unit_power("sum_power_w", axis)
     scn = load_scenario(builtin_scenario_path(case))
-    cell = (scn.system.h_min_m, scn.sweeps.phi_deg, scn.system, scn.environment)
+    cell = (scn.system.h_min_m, scn.phi_deg, scn.system, scn.environment)
     exact = uplink.expected_sum_power_exact(*cell)
     closed = uplink.expected_sum_power_closed_form(*cell)
     printed = f"exact={exact:.6e} W closed={closed:.6e} W"
@@ -158,35 +158,6 @@ def test_binding_is_interior_at_unit_scale(at_unit_scale):
     )
 
 
-def scaled_plan(plan, k):
-    """The plan with every centre, radius, margin and the tolerance
-    multiplied by k and the count bounds kept.  The counts and the density
-    are properties of these, which the dataclass == does not compare."""
-    levels = tuple(
-        dataclasses.replace(
-            level,
-            ring_radius=level.ring_radius * k,
-            center_radius=level.center_radius * k,
-            centers=tuple((x * k, y * k) for x, y in level.centers),
-        )
-        for level in plan.levels
-    )
-    report = plan.feasibility
-    feasibility = dataclasses.replace(
-        report,
-        worst_pairwise_margin=report.worst_pairwise_margin * k,
-        worst_containment_margin=report.worst_containment_margin * k,
-        tolerance=report.tolerance * k,
-    )
-    return dataclasses.replace(
-        plan,
-        levels=levels,
-        r_a=plan.r_a * k,
-        area_radius=plan.area_radius * k,
-        feasibility=feasibility,
-    )
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     ratio=st.floats(min_value=1.0, max_value=60.0),
@@ -202,12 +173,10 @@ def test_packing_alone_scales_with_the_unit_of_length(ratio, r_a, j):
     k = 2.0**j
     plan = packing.run_algorithm1(ratio * r_a, r_a)
     scaled = packing.run_algorithm1(ratio * r_a * k, r_a * k)
-    assert scaled == scaled_plan(plan, k)
-    # properties, which the dataclass == does not compare
-    assert (scaled.total_aaps, scaled.packing_density) == (
-        plan.total_aaps,
-        plan.packing_density,
-    )
+    # every field and property but the centres, each scaled as its name says
+    assert unscaled(cli.plan_to_dict(scaled), k, "length") == cli.plan_to_dict(plan)
+    for level, reference in zip(scaled.levels, plan.levels, strict=True):
+        assert np.array_equal(level.centers, reference.centers * k)
 
 
 @pytest.mark.parametrize("j", EXPONENTS)

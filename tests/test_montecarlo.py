@@ -330,7 +330,7 @@ def test_per_trial_work_is_array_work(monkeypatch):
     # these counts.  The Poisson count alone is drawn once per trial.
     scn = load_scenario(builtin_scenario_path("baseline"))
     env, sysp = scn.environment, scn.system
-    h, phi = sysp.h_min_m, scn.sweeps.phi_deg
+    h, phi = sysp.h_min_m, scn.phi_deg
     mean_ues = uplink.cell_ue_count(channel.coverage_radius(h, phi), sysp)
     block = max(1, int(montecarlo.BLOCK_UES / max(mean_ues, 1.0)))
     assert block > 1
@@ -398,7 +398,7 @@ def test_oracle_peak_memory_at_10k_trials():
     # deviations alone hold ~480 KB.  A short call first does the lazy
     # set-up that is not the oracle's.
     scn = load_scenario(builtin_scenario_path("baseline"))
-    args = (scn.system.h_min_m, scn.sweeps.phi_deg, scn.system, scn.environment)
+    args = (scn.system.h_min_m, scn.phi_deg, scn.system, scn.environment)
     montecarlo.mean_sum_power(*args, 10, 0)
     tracemalloc.start()
     try:
@@ -459,7 +459,7 @@ def test_mean_and_stderr_scale_with_the_unit_of_power(seed, j):
     # (libm pow) moved the standard error in the last bit at these seeds.
     k = 2.0**j
     scn = load_scenario(builtin_scenario_path("baseline"))
-    sysp, env, cell = scn.system, scn.environment, (scn.system.h_min_m, scn.sweeps.phi_deg)
+    sysp, env, cell = scn.system, scn.environment, (scn.system.h_min_m, scn.phi_deg)
     scaled = dataclasses.replace(
         sysp, noise_psd_w_per_hz=sysp.noise_psd_w_per_hz * k, p_max_w=sysp.p_max_w * k,
         circuit_power_w=sysp.circuit_power_w * k,

@@ -161,7 +161,7 @@ def test_gold_case_three_to_one():
     assert plan.packing_density == pytest.approx(7.0 / 9.0, abs=1e-12)
     assert plan.feasibility.all_ok
     # tangency: adjacent outer circles touch to within geometric tolerance
-    assert abs(plan.feasibility.worst_pairwise_margin) < 1e-9
+    assert abs(plan.feasibility.worst_pairwise_margin_m) < 1e-9
 
 
 def test_two_circle_terminal_ring():
@@ -201,7 +201,7 @@ def test_run_algorithm1_refuses_nan(area_radius, r_a, error):
 
 def test_levels_shrink_by_two_radii():
     plan = packing.run_algorithm1(10.0, 1.0)
-    rings = [level.ring_radius for level in plan.levels]
+    rings = [level.ring_radius_m for level in plan.levels]
     for a, b in zip(rings, rings[1:]):
         assert b == pytest.approx(a - 2.0)
 
@@ -209,32 +209,32 @@ def test_levels_shrink_by_two_radii():
 def test_verify_levels_detects_overlap():
     bad = packing.PackingLevel(
         index=1,
-        ring_radius=4.0,
-        center_radius=0.5,
+        ring_radius_m=4.0,
+        center_radius_m=0.5,
         centers=((0.5, 0.0), (-0.5, 0.0)),
     )
     report = packing.verify_levels([bad], 1.0, 4.0)
     assert not report.pairwise_ok
-    assert report.worst_pairwise_margin == pytest.approx(-1.0)
+    assert report.worst_pairwise_margin_m == pytest.approx(-1.0)
 
 
 def test_verify_levels_detects_containment_violation():
     bad = packing.PackingLevel(
         index=1,
-        ring_radius=4.0,
-        center_radius=3.8,
+        ring_radius_m=4.0,
+        center_radius_m=3.8,
         centers=((3.8, 0.0),),
     )
     report = packing.verify_levels([bad], 1.0, 4.0)
     assert not report.containment_ok
-    assert report.worst_containment_margin == pytest.approx(-0.8)
+    assert report.worst_containment_margin_m == pytest.approx(-0.8)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=1.0, max_value=12.0))
 def test_plans_always_feasible(ratio):
     plan = packing.run_algorithm1(ratio, 1.0)
-    report = packing.verify_levels(plan.levels, plan.r_a, plan.area_radius)
+    report = packing.verify_levels(plan.levels, plan.r_a_m, plan.area_radius_m)
     assert report.all_ok
     assert plan.total_aaps >= 1
     assert plan.packing_density <= 1.0
@@ -311,13 +311,13 @@ def test_whole_ratio_keeps_the_last_level(ratio, last_count, r_a):
 def test_levels_follow_the_count_rule(ratio, r_a):
     levels = packing._build_levels(ratio * r_a, r_a)
     for level in levels:
-        assert level.count == packing.ring_count(level.ring_radius, r_a)[0]
+        assert level.count == packing.ring_count(level.ring_radius_m, r_a)[0]
         assert len(level.centers) == level.count
         if level.count >= 3:
-            area, geometric = packing.count_bounds(level.ring_radius, r_a)
+            area, geometric = packing.count_bounds(level.ring_radius_m, r_a)
             assert level.area_count_bound == area
             assert level.geometric_count_bound == geometric
-    next_ring = levels[-1].ring_radius - 2.0 * r_a
+    next_ring = levels[-1].ring_radius_m - 2.0 * r_a
     assert packing.ring_count(next_ring, r_a)[0] == 0
 
 
@@ -330,15 +330,15 @@ def _report(levels, r_a, area_radius, worst_pair):
         for x, y in level.centers:
             norm = float(np.hypot(x, y))
             worst_contain = min(
-                worst_contain, area_radius - norm - r_a, level.ring_radius - norm - r_a
+                worst_contain, area_radius - norm - r_a, level.ring_radius_m - norm - r_a
             )
 
     return packing.FeasibilityReport(
         pairwise_ok=worst_pair >= -tol,
         containment_ok=worst_contain >= -tol,
-        worst_pairwise_margin=worst_pair if worst_pair != math.inf else 0.0,
-        worst_containment_margin=worst_contain if worst_contain != math.inf else 0.0,
-        tolerance=tol,
+        worst_pairwise_margin_m=worst_pair if worst_pair != math.inf else 0.0,
+        worst_containment_margin_m=worst_contain if worst_contain != math.inf else 0.0,
+        tolerance_m=tol,
     )
 
 
@@ -375,8 +375,8 @@ def kd_tree_report(levels, r_a, area_radius):
 def _level(centers, ring_radius=4.0):
     return packing.PackingLevel(
         index=1,
-        ring_radius=ring_radius,
-        center_radius=0.0,
+        ring_radius_m=ring_radius,
+        center_radius_m=0.0,
         centers=tuple(centers),
     )
 
@@ -430,8 +430,8 @@ def test_verifier_hand_cases(centers, pairwise, containment):
     levels = [_level(centers)]
     report = packing.verify_levels(levels, 1.0, 4.0)
     assert report == reference_report(levels, 1.0, 4.0)
-    assert report.worst_pairwise_margin == pairwise
-    assert report.worst_containment_margin == pytest.approx(containment, abs=1e-15)
+    assert report.worst_pairwise_margin_m == pairwise
+    assert report.worst_containment_margin_m == pytest.approx(containment, abs=1e-15)
     assert report.pairwise_ok == (len(centers) < 2 or pairwise >= 0)
 
 
@@ -439,7 +439,7 @@ def test_verifier_hand_cases(centers, pairwise, containment):
 def test_duplicate_centres_give_minus_two_radii(r_a):
     centers = [(3.0 * r_a, 0.0), (0.0, 0.0), (3.0 * r_a, 0.0)]
     report = packing.verify_levels([_level(centers, 5.0 * r_a)], r_a, 5.0 * r_a)
-    assert report.worst_pairwise_margin == -2.0 * r_a
+    assert report.worst_pairwise_margin_m == -2.0 * r_a
     assert not report.pairwise_ok
 
 
@@ -467,15 +467,15 @@ def test_verifier_agrees_with_the_adjacent_chord(ratio, r_a):
     # Adjacent centres of an n-circle ring are 2 (R_l - r_a) sin(pi / n)
     # apart, a closed form independent of the neighbour search.
     plan = packing.run_algorithm1(ratio * r_a, r_a)
-    tol = plan.feasibility.tolerance
+    tol = plan.feasibility.tolerance_m
     chord_margins = [
-        2.0 * (level.ring_radius - r_a) * math.sin(math.pi / level.count) - 2.0 * r_a
+        2.0 * (level.ring_radius_m - r_a) * math.sin(math.pi / level.count) - 2.0 * r_a
         for level in plan.levels
         if level.count >= 3
     ]
     assert chord_margins
     assert min(chord_margins) >= -tol
-    assert plan.feasibility.worst_pairwise_margin <= min(chord_margins) + 1e-9 * r_a
+    assert plan.feasibility.worst_pairwise_margin_m <= min(chord_margins) + 1e-9 * r_a
 
 
 @pytest.mark.parametrize("ratio,total", [(100, 7828), (300, 70609)])
@@ -491,7 +491,7 @@ def test_fleet_scale_plans(ratio, total):
 def test_verifier_equals_the_kd_tree_at_fleet_scale(ratio, total):
     plan = packing.run_algorithm1(1000.0, 1000.0 / ratio)
     assert plan.total_aaps == total
-    assert plan.feasibility == kd_tree_report(plan.levels, plan.r_a, plan.area_radius)
+    assert plan.feasibility == kd_tree_report(plan.levels, plan.r_a_m, plan.area_radius_m)
 
 
 # Consecutive centres lie over 20 apart, while the closest pair, (3.9, 20)
@@ -503,7 +503,7 @@ def test_verifier_finds_a_closest_pair_that_is_not_consecutive():
     levels = [_level(FAR_CONSECUTIVE_CENTRES, 60.0)]
     report = packing.verify_levels(levels, 1.0, 60.0)
     assert report == reference_report(levels, 1.0, 60.0)
-    assert report.worst_pairwise_margin == pytest.approx(2.2)
+    assert report.worst_pairwise_margin_m == pytest.approx(2.2)
 
 
 # Two opposite circles, R/R_a 2.41, where consecutive centres are farthest

@@ -115,7 +115,7 @@ def test_gamma_is_held_as_stated(tmp_path_factory, gamma, noise, bandwidth):
 
 def test_sweep_grid_construction(tmp_path):
     scn = load_scenario(write(tmp_path, with_keys(h_max_m=17)))
-    assert scn.sweeps.altitudes == (15.0, 16.0, 17.0)
+    assert scn.altitudes == (15.0, 16.0, 17.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -128,7 +128,7 @@ def test_altitude_grid_spans_the_system_range(tmp_path_factory, h_min, span, h_s
     h_max = h_min + span
     text = with_keys(h_min_m=repr(h_min), h_max_m=repr(h_max), h_step_m=repr(h_step))
     path = write(tmp_path_factory.getbasetemp(), text, "range.ini")
-    altitudes = load_scenario(path).sweeps.altitudes
+    altitudes = load_scenario(path).altitudes
     assert altitudes[0] == h_min
     assert h_max - h_step < altitudes[-1] <= h_max
 
@@ -136,18 +136,18 @@ def test_altitude_grid_spans_the_system_range(tmp_path_factory, h_min, span, h_s
 def test_sweep_single_point_grid(tmp_path):
     text = with_keys(phi_start_deg=45, phi_stop_deg=45, phi_step_deg=1)
     scn = load_scenario(write(tmp_path, text))
-    assert scn.sweeps.phis_deg == (45.0,)
+    assert scn.phis_deg == (45.0,)
     # one angle short of the nadir-only cell is enough; a grid of only
     # angles within NADIR_TOL_DEG of 90 deg is refused (test_cli.py)
     text = with_keys(phi_start_deg="89.999999998", phi_stop_deg=90)
-    assert load_scenario(write(tmp_path, text)).sweeps.phis_deg == (89.999999998,)
+    assert load_scenario(write(tmp_path, text)).phis_deg == (89.999999998,)
 
 
 def test_sweep_tiny_step_single_point_grid(tmp_path):
     # every point within the 1e-9 band above stop used to be kept as a
     # copy of stop: 60,001 copies of 60 deg, and 60,001 identical rows
     text = with_keys(phi_start_deg=60, phi_stop_deg=60, phi_step_deg="1e-12")
-    assert load_scenario(write(tmp_path, text)).sweeps.phis_deg == (60.0,)
+    assert load_scenario(write(tmp_path, text)).phis_deg == (60.0,)
 
 
 def test_sub_ulp_grid_step_rejected():
@@ -199,7 +199,7 @@ def test_sweep_grid_point_cap(tmp_path):
         return write(tmp_path, with_keys(phi_start_deg=1, phi_stop_deg=repr(stop),
                                          phi_step_deg=repr(step)))
 
-    assert len(load_scenario(phi_sweep(cap)).sweeps.phis_deg) == cap
+    assert len(load_scenario(phi_sweep(cap)).phis_deg) == cap
     with pytest.raises(ConfigError, match=r"phi_step_deg=.* 1e\+05 grid points"):
         load_scenario(phi_sweep(cap + 1))
 
@@ -250,4 +250,4 @@ def test_sweep_grid_never_passes_its_stop(tmp_path):
     # 0.1 + 2 * 0.1 is 0.30000000000000004 in binary floating point
     text = with_keys(phi_start_deg=0.1, phi_stop_deg=0.3, phi_step_deg=0.1)
     scn = load_scenario(write(tmp_path, text))
-    assert scn.sweeps.phis_deg == (0.1, 0.2, 0.3)
+    assert scn.phis_deg == (0.1, 0.2, 0.3)
